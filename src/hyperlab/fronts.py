@@ -14,6 +14,7 @@ stay bounded); simultaneous events resolve leftmost first.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -24,9 +25,9 @@ import numpy as np
 from .errors import (ConfigError, FrontExplosion, NonClassifiedField,
                      RiemannFailure)
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
-                     classify_field, eigensystem, eigenvalues)
+                     classify_field, eigenvalues)
 from .piecewise import PiecewiseConstantFn
-from .riemann import (_shock_point_newton, solve_riemann_scalar,
+from .riemann import (_compose, _damped_newton, solve_riemann_scalar,
                       solve_strengths)
 
 STRENGTH_FLOOR = 1e-13
@@ -65,13 +66,8 @@ class FrontTrackingSolution:
     background: np.ndarray
 
     def epoch_at(self, t):
-        k = 0
-        for j, ep in enumerate(self.epochs):
-            if ep.t <= t + 1e-14:
-                k = j
-            else:
-                break
-        return self.epochs[k]
+        k = bisect.bisect_right(self.epochs, t + 1e-14, key=lambda ep: ep.t) - 1
+        return self.epochs[max(k, 0)]
 
     def fronts_at(self, t):
         ep = self.epoch_at(t)
@@ -93,9 +89,6 @@ class FrontTrackingSolution:
             vals.append(f.u_r)
             prev = x
         return PiecewiseConstantFn(np.array(xs), np.stack(vals))
-
-    def event_times(self):
-        return [e["t"] for e in self.events]
 
     def total_nonphysical_strength(self, t=None):
         ep = self.epochs[-1] if t is None else self.epoch_at(t)
@@ -124,79 +117,34 @@ def _scalar_pieces(model, u_l, u_r, delta):
     return pieces
 
 
-def _chain_map(model, u_l, sigmas, fields, splits):
-    """Compose per-family chains of shock-curve steps; every adjacent state
-    pair solves the jump conditions exactly.  Returns endpoint and pieces."""
-    state = u_l
-    pieces = []
-    for i in range(model.n):
-        sig = float(sigmas[i])
-        if abs(sig) < STRENGTH_FLOOR:
-            continue
-        fc = fields[i]
-        if fc.tag == LINEARLY_DEGENERATE:
-            es = eigensystem(model, state)
-            S, lam = _shock_point_newton(model, state, es.left[i], sig,
-                                         state + sig * es.right[i],
-                                         es.lambdas[i], tol=1e-14)
-            pieces.append(("contact", i, state, S, float(lam)))
-            state = S
-            continue
-        orient = fc.orientation
-        if sig < 0:
-            es = eigensystem(model, state)
-            S, lam = _shock_point_newton(model, state, orient * es.left[i], sig,
-                                         state + sig * orient * es.right[i],
-                                         es.lambdas[i], tol=1e-14)
-            pieces.append(("shock", i, state, S, float(lam)))
-            state = S
-            continue
-        k = splits[i]
-        sub = sig / k
-        for _ in range(k):
-            es = eigensystem(model, state)
-            S, lam = _shock_point_newton(model, state, orient * es.left[i], sub,
-                                         state + sub * orient * es.right[i],
-                                         es.lambdas[i], tol=1e-14)
-            pieces.append(("rarefaction", i, state, S, float(lam)))
-            state = S
-    return state, pieces
+def _splits(fields, sig, delta):
+    """Jumps per family: the rarefaction side of a GNL family is split into
+    jumps of strength at most delta (with 2% slack), anything else is one."""
+    return [max(1, int(math.ceil(abs(s) * 1.02 / delta)))
+            if (fields[i].tag == GENUINELY_NONLINEAR and s > 0) else 1
+            for i, s in enumerate(sig)]
+
+
+def _chain(model, u_l, sig, fields, splits):
+    """End state and (kind, family, u_l, u_r, speed) pieces of the chained
+    Lax curves; every adjacent state pair solves the jump conditions."""
+    state, waves = _compose(model, u_l, sig, fields, splits, tol=1e-14,
+                            floor=STRENGTH_FLOOR)
+    return state, [(w.kind, w.family, w.u_l, w.u_r, w.speed) for w in waves]
 
 
 def _system_pieces(model, u_l, u_r, delta, fields):
     """Front pieces for a system Riemann problem, all of them RH-exact."""
     sig0 = solve_strengths(model, u_l, u_r, fields, tol=1e-12,
                            rarefaction_as_shocks=True)
-    splits = [max(1, int(math.ceil(abs(s) * 1.02 / delta)))
-              if (fields[i].tag == GENUINELY_NONLINEAR and s > 0) else 1
-              for i, s in enumerate(sig0)]
+    splits = _splits(fields, sig0, delta)
 
     def G(sig):
-        return _chain_map(model, u_l, sig, fields, splits)[0] - u_r
+        return _chain(model, u_l, sig, fields, splits)[0] - u_r
 
-    sig = sig0.copy()
-    g = G(sig)
-    n = model.n
-    for _ in range(25):
-        if np.linalg.norm(g) <= 1e-12:
-            break
-        J = np.empty((n, n))
-        for j in range(n):
-            h = 1e-7 * (1.0 + abs(sig[j]))
-            e = np.zeros(n)
-            e[j] = h
-            J[:, j] = (G(sig + e) - G(sig - e)) / (2 * h)
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError as exc:
-            raise RiemannFailure("singular chained-strength system") from exc
-        sig = sig + step
-        g = G(sig)
-    else:
-        if np.linalg.norm(g) > 1e-9:
-            raise RiemannFailure(
-                f"chained strengths did not converge (|G|={np.linalg.norm(g):.2e})")
-    _, pieces = _chain_map(model, u_l, sig, fields, splits)
+    sig = _damped_newton(G, sig0, 1e-12, 1e-9, 25, RiemannFailure,
+                         "chained-strength")
+    _, pieces = _chain(model, u_l, sig, fields, splits)
     return pieces, sig
 
 
@@ -209,10 +157,8 @@ def _merge_weak_waves(model, u_l, u_r, pieces, sig, fields, rho_np, lam_hat, del
     strong_sig = sig.copy()
     for i in weak:
         strong_sig[i] = 0.0
-    splits = [max(1, int(math.ceil(abs(s) * 1.02 / delta)))
-              if (fields[i].tag == GENUINELY_NONLINEAR and s > 0) else 1
-              for i, s in enumerate(strong_sig)]
-    state, strong_pieces = _chain_map(model, u_l, strong_sig, fields, splits)
+    state, strong_pieces = _chain(model, u_l, strong_sig, fields,
+                                  _splits(fields, strong_sig, delta))
     np_strength = float(np.linalg.norm(u_r - state))
     if np_strength < STRENGTH_FLOOR:
         return strong_pieces, 0.0

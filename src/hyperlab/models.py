@@ -203,11 +203,6 @@ def eigenvalues(model: FluxModel, u):
     return eigensystem(model, u).lambdas
 
 
-def speed_bound(model: FluxModel, states):
-    """Max |eigenvalue| over an iterable of states."""
-    return max(float(np.max(np.abs(eigenvalues(model, u)))) for u in states)
-
-
 def _lambda_gradient(model, i, u):
     u = model.state(u)
     h = H_JAC * (1.0 + np.abs(u))

@@ -2,20 +2,25 @@
 
 Systems are solved by damped Newton on composed Lax curves (shock branch on
 the speed-decreasing side, rarefaction branch on the other, single branch for
-linearly degenerate families).  Scalar problems go through convex/concave
-envelopes, which also handles fluxes that are neither genuinely nonlinear
-nor linearly degenerate.
+linearly degenerate families).  That contact/shock/rarefaction decision is
+made in one place, `_lax_step`, which builds one wave; `_compose` chains it
+over the families for the exact solver, for the strength Newton, and (with
+rarefactions split into jumps) for front tracking.
+
+Scalar problems go through convex/concave envelopes, which also handles
+fluxes that are neither genuinely nonlinear nor linearly degenerate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import (ContinuationFailure, NewtonDivergence, NonClassifiedField,
-                     NotGenuinelyNonlinear, NotOnShockCurve, RHViolated)
+from .errors import (ContinuationFailure, HyperlabError, NewtonDivergence,
+                     NonClassifiedField, NotGenuinelyNonlinear, NotOnShockCurve,
+                     RHViolated)
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
                      classify_field, eigensystem)
 from .piecewise import as_state
@@ -190,30 +195,16 @@ def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS
 # waves and fans
 
 @dataclass(frozen=True)
-class ShockWave:
+class JumpWave:
+    """A single jump solving the jump conditions at `speed`: a shock, a
+    contact, or one rarefaction front of a front-tracking chain."""
+
+    kind: str
     family: int
     u_l: np.ndarray
     u_r: np.ndarray
     speed: float
     liu_margin: Optional[float] = None
-    kind: str = "shock"
-
-    @property
-    def speed_l(self):
-        return self.speed
-
-    @property
-    def speed_r(self):
-        return self.speed
-
-
-@dataclass(frozen=True)
-class ContactWave:
-    family: int
-    u_l: np.ndarray
-    u_r: np.ndarray
-    speed: float
-    kind: str = "contact"
 
     @property
     def speed_l(self):
@@ -237,24 +228,6 @@ class RarefactionWave:
 
 
 @dataclass(frozen=True)
-class NonPhysicalWave:
-    u_l: np.ndarray
-    u_r: np.ndarray
-    speed: float
-    strength: float
-    family: Optional[int] = None
-    kind: str = "non-physical"
-
-    @property
-    def speed_l(self):
-        return self.speed
-
-    @property
-    def speed_r(self):
-        return self.speed
-
-
-@dataclass(frozen=True)
 class WaveFan:
     """Self-similar Riemann solution: value depends on x/t only."""
 
@@ -266,16 +239,13 @@ class WaveFan:
     def to_dict(self):
         out = {"left": self.left.tolist(), "right": self.right.tolist(), "waves": []}
         for w in self.waves:
-            d = {"kind": w.kind, "u_l": w.u_l.tolist(), "u_r": w.u_r.tolist()}
+            d = {"kind": w.kind, "family": w.family,
+                 "u_l": w.u_l.tolist(), "u_r": w.u_r.tolist()}
             if w.kind == "rarefaction":
                 d["speed_l"], d["speed_r"] = w.speed_l, w.speed_r
-                d["family"] = w.family
-            elif w.kind == "non-physical":
-                d["speed"], d["strength"] = w.speed, w.strength
             else:
                 d["speed"] = w.speed
-                d["family"] = w.family
-                if w.kind == "shock" and w.liu_margin is not None:
+                if w.liu_margin is not None:
                     d["liu_margin"] = w.liu_margin
             out["waves"].append(d)
         return out
@@ -297,12 +267,6 @@ def evaluate_fan(fan: WaveFan, xi):
                 return state
         state = w.u_r
     return state
-
-
-def fan_speed_range(fan: WaveFan):
-    lo = min((w.speed_l for w in fan.waves), default=0.0)
-    hi = max((w.speed_r for w in fan.waves), default=0.0)
-    return lo, hi
 
 
 def _check_wave_order(waves):
@@ -345,100 +309,132 @@ def default_small_data_radius(model, u_minus, u_plus):
     return 0.25 * gap / d2
 
 
-def _lax_point(model, u_l, i, sigma, field, rarefaction_as_shocks=False):
-    """Endpoint of the family-i Lax curve from u_l at oriented strength sigma.
+def _lax_step(model, u_l, i, sigma, field, jumps, tol):
+    """The family-i wave from u_l at oriented strength sigma.
 
-    Returns (u_r, info) where info carries what is needed to build the wave:
-    ('none',), ('contact', speed), ('shock', speed), ('rarefaction',) or
-    ('shock', speed) when rarefaction_as_shocks is set.
+    This is the one place where the branch of the Lax curve is chosen: a
+    contact for a linearly degenerate family, a shock for sigma < 0, and a
+    rarefaction otherwise.  The rarefaction is the integral curve, or, with
+    `jumps`, the single RH-exact jump at the same shock-curve parameter
+    (a rarefaction front of front tracking).
     """
-    if abs(sigma) < STRENGTH_FLOOR:
-        return u_l, ("none",)
-    es = eigensystem(model, u_l)
     if field.tag == LINEARLY_DEGENERATE:
-        S, lam = _shock_point_newton(model, u_l, es.left[i], sigma,
-                                     u_l + sigma * es.right[i], es.lambdas[i])
-        return S, ("contact", lam)
+        kind = "contact"
+    elif sigma < 0:
+        kind = "shock"
+    elif jumps:
+        kind = "rarefaction"
+    else:
+        _, states, speeds = rarefaction_curve(model, u_l, i, sigma)
+        speeds = np.maximum.accumulate(speeds)
+        return RarefactionWave(i, u_l, states[-1], float(speeds[0]),
+                               float(speeds[-1]), states, speeds)
+    # the shock-curve parameter is measured along the oriented frame; the
+    # orientation of a linearly degenerate field is +1
     orient = field.orientation
-    if sigma < 0 or rarefaction_as_shocks:
-        # shock branch: projection parameter measured along the oriented frame
-        S, lam = _shock_point_newton(model, u_l, orient * es.left[i], sigma,
-                                     u_l + sigma * orient * es.right[i],
-                                     es.lambdas[i])
-        return S, ("shock", lam)
-    _, states, speeds = rarefaction_curve(model, u_l, i, sigma)
-    return states[-1], ("rarefaction",)
+    es = eigensystem(model, u_l)
+    S, lam = _shock_point_newton(model, u_l, orient * es.left[i], sigma,
+                                 u_l + sigma * orient * es.right[i],
+                                 es.lambdas[i], tol=tol)
+    return JumpWave(kind, i, u_l, S, float(lam))
 
 
-def _compose(model, u_minus, sigmas, fields, rarefaction_as_shocks=False):
+def _compose(model, u_minus, sigmas, fields, splits=None, tol=1e-13,
+             floor=STRENGTH_FLOOR):
+    """End state and waves of the composed Lax curves at strengths sigmas.
+
+    Families weaker than `floor` make no wave.  With `splits` every wave is
+    a jump, and the rarefaction side of family i is split into splits[i]
+    jumps of equal strength.
+    """
+    jumps = splits is not None
     state = u_minus
-    infos = []
-    states = [u_minus]
+    waves = []
     for i in range(model.n):
-        state, info = _lax_point(model, state, i, sigmas[i], fields[i],
-                                 rarefaction_as_shocks)
-        infos.append(info)
-        states.append(state)
-    return state, infos, states
+        sig = sigmas[i]
+        if abs(sig) < floor:
+            continue
+        k = splits[i] if jumps and sig > 0 else 1
+        for _ in range(k):
+            w = _lax_step(model, state, i, sig / k, fields[i], jumps, tol)
+            waves.append(w)
+            state = w.u_r
+    return state, waves
+
+
+def _damped_newton(G, x, tol, accept, maxiter, error, what):
+    """Solve G(x) = 0 by Newton with a central-difference Jacobian and a
+    halving line search on |G|.
+
+    Converged when |G| <= tol; after maxiter steps |G| <= accept still
+    passes.  A trial point where G raises a HyperlabError or LinAlgError is
+    halved like one that does not reduce |G|.  A singular Jacobian, a stalled
+    line search or no convergence raises `error`.
+    """
+    n = x.size
+    g = G(x)
+    for _ in range(maxiter):
+        if np.linalg.norm(g) <= tol:
+            return x
+        J = np.empty((n, n))
+        for j in range(n):
+            h = 1e-7 * (1.0 + abs(x[j]))
+            e = np.zeros(n)
+            e[j] = h
+            J[:, j] = (G(x + e) - G(x - e)) / (2 * h)
+        try:
+            step = np.linalg.solve(J, -g)
+        except np.linalg.LinAlgError as exc:
+            raise error(f"singular {what} Jacobian") from exc
+        t = 1.0
+        for _ in range(10):
+            trial = x + t * step
+            try:
+                g_trial = G(trial)
+            except (HyperlabError, np.linalg.LinAlgError):
+                t *= 0.5
+                continue
+            if np.linalg.norm(g_trial) < np.linalg.norm(g):
+                x, g = trial, g_trial
+                break
+            t *= 0.5
+        else:
+            raise error(f"{what} line search stalled (|G|={np.linalg.norm(g):.2e})")
+    if np.linalg.norm(g) <= accept:
+        return x
+    raise error(f"{what} Newton did not converge (|G|={np.linalg.norm(g):.2e})")
 
 
 def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP, maxiter=40,
                     rarefaction_as_shocks=False):
     """Damped Newton for the wave strengths of the composed Lax curves."""
-    n = model.n
     es = eigensystem(model, u_minus)
-    sigmas = np.array([
-        (fields[i].orientation if fields[i].tag == GENUINELY_NONLINEAR else 1)
-        * float(es.left[i] @ (u_plus - u_minus)) for i in range(n)])
+    sigmas = np.array([fields[i].orientation * float(es.left[i] @ (u_plus - u_minus))
+                       for i in range(model.n)])
+    splits = [1] * model.n if rarefaction_as_shocks else None
 
     def G(s):
-        return _compose(model, u_minus, s, fields, rarefaction_as_shocks)[0] - u_plus
+        return _compose(model, u_minus, s, fields, splits)[0] - u_plus
 
-    g = G(sigmas)
-    for _ in range(maxiter):
-        if np.linalg.norm(g) <= tol:
-            return sigmas
-        J = np.empty((n, n))
-        for j in range(n):
-            h = 1e-7 * (1.0 + abs(sigmas[j]))
-            e = np.zeros(n)
-            e[j] = h
-            J[:, j] = (G(sigmas + e) - G(sigmas - e)) / (2 * h)
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence("singular strength Jacobian") from exc
-        t = 1.0
-        for _ in range(10):
-            trial = sigmas + t * step
-            try:
-                g_trial = G(trial)
-            except Exception:
-                t *= 0.5
-                continue
-            if np.linalg.norm(g_trial) < np.linalg.norm(g):
-                sigmas, g = trial, g_trial
-                break
-            t *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"line search stalled (|G|={np.linalg.norm(g):.2e})")
-    if np.linalg.norm(g) <= 10 * tol:
-        return sigmas
-    raise NewtonDivergence(f"no convergence (|G|={np.linalg.norm(g):.2e})")
+    return _damped_newton(G, sigmas, tol, 10 * tol, maxiter, NewtonDivergence,
+                          "strength")
+
+
+def _secant_speeds(model, u_l, sigma, n_check):
+    """Speeds along a scalar shock curve: (f(u_l + s) - f(u_l)) / s for s in
+    linspace(0, sigma, n_check), with f'(u_l) at s = 0."""
+    s_grid = np.linspace(0.0, sigma, n_check)
+    lams = np.empty(n_check)
+    lams[0] = model.jac(u_l)[0, 0]
+    lams[1:] = (model.f(u_l[None, :] + s_grid[1:, None])[:, 0]
+                - model.f(u_l)[0]) / s_grid[1:]
+    return lams
 
 
 def _shock_liu_margin(model, u_l, i, sigma, orient, lam_end, n_check=33):
     """min over the connecting curve of lambda_i(s) - lambda_i(sigma)."""
     if model.n == 1:
-        s_grid = np.linspace(0.0, sigma, n_check)
-        f_l = model.f(u_l)[0]
-        lams = np.empty(n_check)
-        lams[0] = model.jac(u_l)[0, 0]
-        nz = s_grid != 0
-        lams[nz] = (model.f(u_l[None, :] + s_grid[nz, None])[:, 0] - f_l) / s_grid[nz]
-        return float(np.min(lams) - lam_end)
-    es = eigensystem(model, u_l)
+        return float(np.min(_secant_speeds(model, u_l, sigma, n_check)) - lam_end)
     # parameter of the sign-fixed closure corresponding to oriented sigma
     curve = shock_curve(model, u_l, i, orient * sigma, n_check)
     return float(np.min(curve.speeds) - lam_end)
@@ -473,41 +469,17 @@ def solve_riemann(model: FluxModel, u_minus, u_plus, fields=None,
             f"exceeds the small-data radius {radius:.3g}")
 
     sigmas = solve_strengths(model, u_minus, u_plus, fields)
-
-    waves = []
-    states = [u_minus]
-    state = u_minus
-    for i in range(model.n):
-        sig = sigmas[i]
-        fc = fields[i]
-        if abs(sig) < STRENGTH_FLOOR:
-            continue
-        if fc.tag == LINEARLY_DEGENERATE:
-            es = eigensystem(model, state)
-            S, lam = _shock_point_newton(model, state, es.left[i], sig,
-                                         state + sig * es.right[i], es.lambdas[i])
-            waves.append(ContactWave(i, state, S, float(lam)))
-            state = S
-        elif sig < 0:
-            es = eigensystem(model, state)
-            S, lam = _shock_point_newton(
-                model, state, fc.orientation * es.left[i], sig,
-                state + sig * fc.orientation * es.right[i], es.lambdas[i])
-            margin = _shock_liu_margin(model, state, i, sig, fc.orientation, lam) \
-                if model.n > 1 else _shock_liu_margin(model, state, i,
-                                                      float(S[0] - state[0]), 1, lam)
-            waves.append(ShockWave(i, state, S, float(lam), liu_margin=margin))
-            state = S
-        else:
-            _, prof_states, prof_speeds = rarefaction_curve(model, state, i, sig)
-            prof_speeds = np.maximum.accumulate(prof_speeds)
-            waves.append(RarefactionWave(i, state, prof_states[-1],
-                                         float(prof_speeds[0]), float(prof_speeds[-1]),
-                                         prof_states, prof_speeds))
-            state = prof_states[-1]
-        states.append(state)
+    state, waves = _compose(model, u_minus, sigmas, fields)
+    for k, w in enumerate(waves):
+        if w.kind == "shock":
+            i = w.family
+            sig, orient = ((sigmas[i], fields[i].orientation) if model.n > 1
+                           else (float(w.u_r[0] - w.u_l[0]), 1))
+            waves[k] = replace(w, liu_margin=_shock_liu_margin(
+                model, w.u_l, i, sig, orient, w.speed))
     _check_wave_order(waves)
-    return WaveFan(u_minus, state, tuple(states), tuple(waves))
+    states = (u_minus,) + tuple(w.u_r for w in waves)
+    return WaveFan(u_minus, state, states, tuple(waves))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +559,7 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus,
         speed = float(secant(p, q))
         margin = _shock_liu_margin(model, u_l, 0, float(u_r[0] - u_l[0]), 1, speed,
                                    n_check=65)
-        waves.append(ShockWave(0, u_l, u_r, speed, liu_margin=margin))
+        waves.append(JumpWave("shock", 0, u_l, u_r, speed, liu_margin=margin))
         states.append(u_r)
         run = [q]
     flush_run(run)
@@ -620,11 +592,7 @@ def liu_admissible(model: FluxModel, u_minus, u_plus, i, n_check=257) -> Admissi
         sigma = float(u_plus[0] - u_minus[0])
         if sigma == 0.0:
             return AdmissibilityVerdict(True, 0.0, 0.0)
-        s_grid = np.linspace(0.0, sigma, n_check)
-        f_l = model.f(u_minus)[0]
-        lams = np.empty(n_check)
-        lams[0] = model.jac(u_minus)[0, 0]
-        lams[1:] = (model.f(u_minus[None, :] + s_grid[1:, None])[:, 0] - f_l) / s_grid[1:]
+        lams = _secant_speeds(model, u_minus, sigma, n_check)
         margin = float(np.min(lams) - lams[-1])
         return AdmissibilityVerdict(margin >= -TOL_ADM, margin, sigma)
 

@@ -67,8 +67,6 @@ def _make_grid(cfg, dx):
     ncells = int(round((b - a) / dx))
     if ncells < 4:
         raise ConfigError("domain too small for the requested resolution")
-    if abs(ncells * dx - (b - a)) > 1e-9 * (b - a):
-        dx = (b - a) / ncells
     return a, (b - a) / ncells, ncells
 
 

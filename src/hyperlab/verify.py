@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DegenerateData, MissingEntropyPair, OracleUnavailable,
-                     QuadratureUnderResolved)
+from .errors import (DegenerateData, HyperlabError, MissingEntropyPair,
+                     OracleUnavailable, QuadratureUnderResolved)
 from .fronts import FrontTrackingSolution
 from .models import FluxModel, eigensystem
 from .piecewise import GridSolution, PiecewiseConstantFn, as_state, grid_tv
@@ -88,7 +88,11 @@ class GridView(_StateCache):
         self.dx = sol.dx
 
     def _state(self, t):
-        return self.sol.as_piecewise(t)
+        # hold the last snapshot at or before t, as segments() does; the
+        # slack keeps a time rounded just below a snapshot on that snapshot
+        times = self.sol.times
+        k = max(int(np.searchsorted(times, t + 1e-14, side="right")) - 1, 0)
+        return self.sol.as_piecewise(times[k])
 
     def segments(self, t0, t1):
         """(ta, tb, profile) pieces on which the solution is frozen."""
@@ -380,10 +384,6 @@ def strip_expressions(view, model, bumps, t0, t1, what="conservation"):
     return exprs
 
 
-def strip_expression(view, model, bump, t0, t1, what="conservation"):
-    return strip_expressions(view, model, [bump], t0, t1, what)[0]
-
-
 def _check_resolution(view, family):
     if isinstance(view, GridView):
         smallest = min(b.sx for b in family)
@@ -646,7 +646,7 @@ def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
             try:
                 rec.liu_margin = liu_admissible(model, um, up, 0 if model.n == 1
                                                 else _dominant_family(model, um, up)).margin
-            except Exception:
+            except (HyperlabError, np.linalg.LinAlgError):
                 rec.liu_margin = None
             if model.has_entropy_pair():
                 rec.entropy_margin = float(

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from hyperlab import models
-from hyperlab.errors import DegenerateData, QuadratureUnderResolved
+from hyperlab.errors import (DegenerateData, HyperlabError,
+                             QuadratureUnderResolved)
 from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
-from hyperlab.riemann import ShockWave, WaveFan, solve_riemann_scalar
+from hyperlab.riemann import (JumpWave, WaveFan, liu_admissible,
+                              solve_riemann_scalar)
 from hyperlab.schemes import SchemeConfig, godunov_run, viscous_run
-from hyperlab.verify import (EpsCertificate, ExactFanOracle, FanView,
-                             FineGodunovOracle, FrontTrackingView, GridView,
-                             certify_eps_approx, default_family, detect_jumps,
-                             entropy_residual, error_decomposition,
-                             interval_partition, l1_distance, q_decomposition,
-                             rate_fit, semigroup_error_bound, total_variation,
-                             weak_residual)
+from hyperlab.verify import (BumpTestFn, EpsCertificate, ExactFanOracle,
+                             FanView, FineGodunovOracle, FrontTrackingView,
+                             GridView, _dominant_family, certify_eps_approx,
+                             default_family, detect_jumps, entropy_residual,
+                             error_decomposition, interval_partition,
+                             l1_distance, q_decomposition, rate_fit,
+                             semigroup_error_bound, strip_expressions,
+                             total_variation, weak_residual)
 
 BURGERS = models.burgers()
 BURGERS_01 = models.normalize_speeds(BURGERS, M=1.0)
@@ -23,7 +26,7 @@ BURGERS_01 = models.normalize_speeds(BURGERS, M=1.0)
 
 def step_fan(u_l=1.0, u_r=0.0, speed=0.5):
     ul, ur = np.array([u_l]), np.array([u_r])
-    w = ShockWave(0, ul, ur, speed)
+    w = JumpWave("shock", 0, ul, ur, speed)
     return WaveFan(ul, ur, (ul, ur), (w,))
 
 
@@ -65,6 +68,31 @@ class TestL1Distance:
         got = l1_distance(f, g, (-8, 8), cells=10_000)
         exact = 2 * math.sqrt(math.pi) * math.erf(d / 2)
         assert got == pytest.approx(exact, abs=1e-6)
+
+
+class TestGridView:
+    def test_strip_expression_additive_over_time_cuts(self):
+        # an exact Burgers shock stored at t = 0 and t = 1 only
+        data = PiecewiseConstantFn.riemann([1.0], [0.0])
+        times = np.array([0.0, 1.0])
+        rows = [data.shifted(0.5 * t).cell_averages(-1.0, 0.01, 300) for t in times]
+        view = GridView(GridSolution(-1.0, 0.01, times, np.stack(rows)))
+        bumps = [BumpTestFn(0.25, 0.5), BumpTestFn(0.25, 0.5, 0.5, 0.5)]
+
+        def expr(t0, t1):
+            return np.ravel(strip_expressions(view, BURGERS, bumps, t0, t1))
+
+        for s in (0.3, 0.6):
+            np.testing.assert_allclose(expr(0.0, s) + expr(s, 1.0), expr(0.0, 1.0),
+                                       rtol=0, atol=1e-14)
+
+    def test_left_hold_keeps_rounded_snapshot_times(self):
+        # stored times are j * dt, and 3 * 0.1 lies just above 0.3
+        times = np.arange(4) * 0.1
+        rows = np.arange(4.0)[:, None, None] * np.ones((4, 8, 1))
+        view = GridView(GridSolution(0.0, 0.125, times, rows))
+        assert [view.state(t).vals[0, 0] for t in (0.0, 0.15, 0.3, 0.35)] == \
+            [0.0, 1.0, 3.0, 3.0]
 
 
 class TestWeakResidual:
@@ -192,6 +220,21 @@ class TestDetectJumps:
         sol = GridSolution(-2.0, eps, times, np.stack(rows))
         recs = detect_jumps(sol, 0.75, model=m)
         assert len(recs) == 1  # the shock; no detections inside the fan
+
+    def test_psystem_godunov_margin_none_where_liu_raises(self):
+        m = models.normalize_speeds(models.p_system(), M=2.0)
+        data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.95, -0.05])
+        cfg = SchemeConfig(eps=1 / 100, T=0.3, domain=(-1.0, 1.0), store_all=True)
+        sol = godunov_run(m, data, cfg)
+        recs = detect_jumps(sol, 0.3, threshold=0.02, model=m)
+        assert recs
+        for r in recs:
+            fam = _dominant_family(m, r.u_minus, r.u_plus)
+            try:
+                margin = liu_admissible(m, r.u_minus, r.u_plus, fam).margin
+            except HyperlabError:
+                margin = None
+            assert r.liu_margin == margin
 
 
 class TestIntervalPartition:
