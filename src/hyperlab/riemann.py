@@ -23,7 +23,6 @@ from .errors import (ContinuationFailure, HyperlabError, NewtonDivergence,
                      RHViolated)
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
                      classify_field, eigensystem)
-from .piecewise import as_state
 
 TOL_RH = 1e-9
 TOL_RP = 1e-10
@@ -449,7 +448,7 @@ def solve_riemann(model: FluxModel, u_minus, u_plus, fields=None,
     model.require_in_domain(u_plus)
 
     if np.array_equal(u_minus, u_plus):
-        return WaveFan(u_minus, u_plus, (u_minus, u_plus), ())
+        return WaveFan(u_minus, u_plus, (u_minus,), ())
 
     if fields is None:
         fields = _field_classes(model, u_minus, u_plus)
@@ -509,7 +508,7 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus,
     u_plus = model.state(u_plus)
     ul, ur = float(u_minus[0]), float(u_plus[0])
     if ul == ur:
-        return WaveFan(u_minus, u_plus, (u_minus, u_plus), ())
+        return WaveFan(u_minus, u_plus, (u_minus,), ())
 
     a, b = (ul, ur) if ul < ur else (ur, ul)
     grid = np.linspace(a, b, n_env)

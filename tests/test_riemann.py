@@ -146,6 +146,7 @@ class TestScalarEnvelope:
         m = models.burgers()
         fan = solve_riemann_scalar(m, [0.3], [0.3])
         assert fan.waves == ()
+        assert len(fan.states) == 1
 
     def test_cubic_composite_matches_brute_force(self):
         m = models.cubic_flux()

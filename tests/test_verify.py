@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import models
-from hyperlab.errors import (DegenerateData, HyperlabError,
-                             QuadratureUnderResolved)
+from hyperlab.errors import (ConfigError, DegenerateData, HyperlabError,
+                             OracleUnavailable, QuadratureUnderResolved)
 from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
 from hyperlab.riemann import (JumpWave, WaveFan, liu_admissible,
@@ -93,6 +95,35 @@ class TestGridView:
         view = GridView(GridSolution(0.0, 0.125, times, rows))
         assert [view.state(t).vals[0, 0] for t in (0.0, 0.15, 0.3, 0.35)] == \
             [0.0, 1.0, 3.0, 3.0]
+
+
+def shock_fan_view():
+    # the shock crosses the bump edges -0.25 and 0.5 inside the strip
+    return FanView(step_fan(2.0, 0.0, 1.0), x0=-0.3, t_span=(0.0, 1.0),
+                   x_span=(-1.0, 2.0))
+
+
+def pulse_front_view():
+    # a rarefaction fan catching up with a shock: two front interactions
+    data = PiecewiseConstantFn(np.array([0.0, 0.3]), np.array([[0.0], [1.0], [0.0]]))
+    cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-1.0, 2.0), delta=0.1)
+    return FrontTrackingView(front_tracking_run(BURGERS, data, cfg), (-1.0, 2.0))
+
+
+@pytest.mark.parametrize("make_view", [shock_fan_view, pulse_front_view])
+@settings(max_examples=10, deadline=None, database=None)
+@given(s=st.floats(0.01, 0.99))
+def test_strip_expression_additive_over_random_cuts(make_view, s):
+    # between kinks the integrands are polynomial in t and the Gauss rule is
+    # exact, so cutting the strip anywhere changes only rounding
+    view = make_view()
+    bumps = default_family(0.0, 1.0, *view.x_span, scales=2).bumps
+
+    def expr(t0, t1):
+        return strip_expressions(view, BURGERS, bumps, t0, t1, entropy=True)
+
+    np.testing.assert_allclose(expr(0.0, s) + expr(s, 1.0), expr(0.0, 1.0),
+                               rtol=0, atol=1e-12)
 
 
 class TestWeakResidual:
@@ -236,6 +267,17 @@ class TestDetectJumps:
                 margin = None
             assert r.liu_margin == margin
 
+    def test_psystem_shock_speed_measured(self):
+        m = models.normalize_speeds(models.p_system(), M=2.0)
+        data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.95, -0.05], x=0.3)
+        cfg = SchemeConfig(eps=1 / 100, T=0.3, domain=(0.0, 1.0), store_all=True)
+        recs = detect_jumps(godunov_run(m, data, cfg), 0.3, model=m)
+        assert len(recs) == 1
+        r = recs[0]
+        assert r.speed == pytest.approx(0.13477, abs=0.01)  # exact 1-shock
+        assert r.rh_residual <= 1e-3
+        assert r.entropy_margin >= 0.0
+
 
 class TestIntervalPartition:
     def test_small_tv_single_interval(self):
@@ -302,6 +344,30 @@ class TestErrorDecomposition:
                                       h_ladder=[0.04])
             maxima.append(dec.interval_terms.max())
         assert maxima[1] <= maxima[0] / 3.0
+
+    def test_oracle_failures(self):
+        view = FanView(step_fan(), t_span=(0, 2), x_span=(-2, 3))
+        # 0.1 is not a multiple of the 0.03 oracle step: raised as is
+        oracle = FineGodunovOracle(BURGERS_01, 0.03, (-2, 3))
+        with pytest.raises(OracleUnavailable, match="not a multiple") as info:
+            error_decomposition(view, BURGERS, oracle, 1.0, eps=0.5, h_ladder=[0.1])
+        assert info.value.__cause__ is None
+
+        class Failing:
+            def __init__(self, exc):
+                self.exc = exc
+
+            def evolve(self, pc, h):
+                raise self.exc
+
+        with pytest.raises(OracleUnavailable) as info:
+            error_decomposition(view, BURGERS, Failing(ConfigError("bad")), 1.0,
+                                eps=0.5, h_ladder=[0.1])
+        assert isinstance(info.value.__cause__, ConfigError)
+        # a programming error is not an unavailable oracle
+        with pytest.raises(ZeroDivisionError):
+            error_decomposition(view, BURGERS, Failing(ZeroDivisionError()), 1.0,
+                                eps=0.5, h_ladder=[0.1])
 
 
 class TestSemigroupBound:

@@ -9,7 +9,7 @@ structural invariants on random small p-system data.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models
@@ -122,10 +122,12 @@ small = st.floats(-0.015, 0.015, allow_nan=False)
 
 @settings(max_examples=15, deadline=None, database=None)
 @given(v=st.floats(0.9, 1.1), u=st.floats(-0.05, 0.05), a1=small, a2=small)
+@example(v=1.0, u=0.0, a1=0.0, a2=0.0)
 def test_psystem_fans_and_pieces(v, u, a1, a2):
     ul = np.array([v, u])
     ur = psystem_jump(ul, a1, a2)
     fan = solve_riemann(P_SYSTEM, ul, ur)
+    assert len(fan.states) == len(fan.waves) + 1
     prev = -np.inf
     for w in fan.waves:
         assert w.speed_l >= prev - 1e-9
