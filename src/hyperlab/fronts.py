@@ -69,10 +69,6 @@ class FrontTrackingSolution:
         k = bisect.bisect_right(self.epochs, t + 1e-14, key=lambda ep: ep.t) - 1
         return self.epochs[max(k, 0)]
 
-    def fronts_at(self, t):
-        ep = self.epoch_at(t)
-        return [(f.position(t, ep.t), f) for f in ep.fronts]
-
     def state(self, t) -> PiecewiseConstantFn:
         ep = self.epoch_at(t)
         if not ep.fronts:

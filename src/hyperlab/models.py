@@ -1,9 +1,15 @@
 """Flux models u_t + f(u)_x = 0: eigenstructure, field type, entropy pairs.
 
 Built-in models carry analytic fluxes/Jacobians; user models fall back to
-central finite differences with step h = H_JAC * (1 + |u|).  All operations
-are pure and models are immutable, so everything here is safe to evaluate
-from concurrent workers.
+central finite differences.  Every derivative the library differences goes
+through one helper, `_central_diff(F, x, rel)`, which steps coordinate j by
+h_j = rel * (1 + |x_j|).  The steps per site: the Jacobian fallback, the
+entropy gradients and the eigenvalue gradient of `gnl_indicator` use
+rel = H_JAC; `entropy_hessian` differences the entropy gradient with
+rel = sqrt(H_JAC); the curvature bound of
+`riemann.default_small_data_radius` uses 1e-5, and the strength Jacobian of
+`riemann._damped_newton` uses 1e-7.  All operations are pure and models are
+immutable, so everything here is safe to evaluate from concurrent workers.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ class FluxModel:
     diffusion: Optional[Callable] = None
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
-    small_data_radius: Optional[float] = None
 
     def __post_init__(self):
         lo = np.full(self.n, -np.inf) if self.lo is None else np.asarray(self.lo, dtype=float)
@@ -74,13 +79,7 @@ class FluxModel:
         u = self.state(u)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(u), dtype=float)
-        h = H_JAC * (1.0 + np.abs(u))
-        cols = []
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = h[j]
-            cols.append((self.f(u + e) - self.f(u - e)) / (2 * h[j]))
-        return np.stack(cols, axis=1)
+        return _central_diff(self.f, u, H_JAC)
 
     def has_entropy_pair(self):
         return self.entropy is not None and self.entropy_flux is not None
@@ -90,32 +89,27 @@ class FluxModel:
             raise MissingEntropyPair(f"model {self.name!r} has no entropy pair")
 
     def d_entropy(self, u):
-        return _fd_gradient(self.entropy, self.state(u))
+        return _central_diff(self.entropy, self.state(u), H_JAC)
 
     def d_entropy_flux(self, u):
-        return _fd_gradient(self.entropy_flux, self.state(u))
+        return _central_diff(self.entropy_flux, self.state(u), H_JAC)
 
     def entropy_hessian(self, u):
-        u = self.state(u)
-        h = (H_JAC * (1.0 + np.abs(u))) ** 0.5  # larger step: second differences
-        H = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                ei = np.zeros(self.n); ei[i] = h[i]
-                ej = np.zeros(self.n); ej[j] = h[j]
-                H[i, j] = (self.entropy(u + ei + ej) - self.entropy(u + ei - ej)
-                           - self.entropy(u - ei + ej) + self.entropy(u - ei - ej)) / (4 * h[i] * h[j])
+        # larger step: d_entropy is itself a difference quotient
+        H = _central_diff(self.d_entropy, self.state(u), H_JAC ** 0.5)
         return 0.5 * (H + H.T)
 
 
-def _fd_gradient(fn, u):
-    h = H_JAC * (1.0 + np.abs(u))
-    g = np.empty(u.shape[0])
-    for j in range(u.shape[0]):
-        e = np.zeros(u.shape[0])
+def _central_diff(F, x, rel):
+    """Central differences of F at x, the derivative index on the last axis:
+    (F(x + h_j e_j) - F(x - h_j e_j)) / (2 h_j) with h_j = rel * (1 + |x_j|)."""
+    h = rel * (1.0 + np.abs(x))
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
         e[j] = h[j]
-        g[j] = (fn(u + e) - fn(u - e)) / (2 * h[j])
-    return g
+        cols.append((F(x + e) - F(x - e)) / (2 * h[j]))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -203,22 +197,12 @@ def eigenvalues(model: FluxModel, u):
     return eigensystem(model, u).lambdas
 
 
-def _lambda_gradient(model, i, u):
-    u = model.state(u)
-    h = H_JAC * (1.0 + np.abs(u))
-    g = np.empty(model.n)
-    for j in range(model.n):
-        e = np.zeros(model.n)
-        e[j] = h[j]
-        g[j] = (eigensystem(model, u + e).lambdas[i]
-                - eigensystem(model, u - e).lambdas[i]) / (2 * h[j])
-    return g
-
-
 def gnl_indicator(model: FluxModel, i, u):
     """Directional derivative of lambda_i along the sign-fixed r_i."""
     es = eigensystem(model, u)
-    return float(np.dot(_lambda_gradient(model, i, u), es.right[i]))
+    grad = _central_diff(lambda v: eigensystem(model, v).lambdas[i],
+                         model.state(u), H_JAC)
+    return float(np.dot(grad, es.right[i]))
 
 
 def classify_field(model: FluxModel, i, samples) -> FieldClass:

@@ -22,7 +22,7 @@ from .errors import (ContinuationFailure, HyperlabError, NewtonDivergence,
                      NonClassifiedField, NotGenuinelyNonlinear, NotOnShockCurve,
                      RHViolated)
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
-                     classify_field, eigensystem)
+                     _central_diff, classify_field, eigensystem, gnl_indicator)
 
 TOL_RH = 1e-9
 TOL_RP = 1e-10
@@ -140,18 +140,6 @@ def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve
     return ShockCurve(i, u_minus, s_grid, states, speeds)
 
 
-def _oriented_frame(model, u, i):
-    """(lambda_i, r_i, l_i, orientation) with orientation*grad(lambda).r > 0.
-
-    Orientation falls back to +1 for linearly degenerate fields.
-    """
-    from .models import gnl_indicator
-    es = eigensystem(model, u)
-    g = gnl_indicator(model, i, u)
-    orient = -1 if g < 0 else 1
-    return es.lambdas[i], es.right[i], es.left[i], orient, g
-
-
 def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS):
     """Integrate du/ds = r_i(u) from u_minus in the direction of increasing
     lambda_i, over arc parameter s >= 0.  Returns (s_grid, states, speeds)."""
@@ -159,10 +147,12 @@ def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS
     model.require_in_domain(u_minus)
     if s < 0:
         raise ValueError("rarefaction extent must be nonnegative")
-    lam0, _, _, orient, g = _oriented_frame(model, u_minus, i)
-    if model.n > 0 and abs(g) <= 1e-12 and s > 0:
+    lam0 = eigensystem(model, u_minus).lambdas[i]
+    g = gnl_indicator(model, i, u_minus)
+    if abs(g) <= 1e-12 and s > 0:
         raise NotGenuinelyNonlinear(
             f"family {i} not genuinely nonlinear at u={u_minus}")
+    orient = -1 if g < 0 else 1  # orient * r_i points to increasing lambda_i
     s_grid = np.linspace(0.0, float(s), n_steps + 1)
     states = np.empty((n_steps + 1, model.n))
     speeds = np.empty(n_steps + 1)
@@ -297,12 +287,9 @@ def default_small_data_radius(model, u_minus, u_plus):
     for u in samples:
         lam = eigensystem(model, u).lambdas
         gap = min(gap, float(np.min(np.diff(lam))))
-        h = 1e-5 * (1.0 + np.abs(u))
+        D2 = _central_diff(model.jac, u, 1e-5)
         for j in range(model.n):
-            e = np.zeros(model.n)
-            e[j] = h[j]
-            d2 = max(d2, float(np.linalg.norm(
-                (model.jac(u + e) - model.jac(u - e)) / (2 * h[j]))))
+            d2 = max(d2, float(np.linalg.norm(D2[..., j])))
     if d2 == 0.0:
         return np.inf
     return 0.25 * gap / d2
@@ -370,17 +357,11 @@ def _damped_newton(G, x, tol, accept, maxiter, error, what):
     halved like one that does not reduce |G|.  A singular Jacobian, a stalled
     line search or no convergence raises `error`.
     """
-    n = x.size
     g = G(x)
     for _ in range(maxiter):
         if np.linalg.norm(g) <= tol:
             return x
-        J = np.empty((n, n))
-        for j in range(n):
-            h = 1e-7 * (1.0 + abs(x[j]))
-            e = np.zeros(n)
-            e[j] = h
-            J[:, j] = (G(x + e) - G(x - e)) / (2 * h)
+        J = _central_diff(G, x, 1e-7)
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError as exc:
@@ -439,8 +420,7 @@ def _shock_liu_margin(model, u_l, i, sigma, orient, lam_end, n_check=33):
     return float(np.min(curve.speeds) - lam_end)
 
 
-def solve_riemann(model: FluxModel, u_minus, u_plus, fields=None,
-                  small_data_radius=None) -> WaveFan:
+def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
     """Exact Riemann solution by composed Lax curves (GNL or LD fields)."""
     u_minus = model.state(u_minus)
     u_plus = model.state(u_plus)
@@ -450,18 +430,13 @@ def solve_riemann(model: FluxModel, u_minus, u_plus, fields=None,
     if np.array_equal(u_minus, u_plus):
         return WaveFan(u_minus, u_plus, (u_minus,), ())
 
-    if fields is None:
-        fields = _field_classes(model, u_minus, u_plus)
+    fields = _field_classes(model, u_minus, u_plus)
     for fc in fields:
         if fc.tag not in (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE):
             raise NonClassifiedField(
                 f"family {fc.family} is neither GNL nor LD near the data")
 
-    radius = small_data_radius
-    if radius is None:
-        radius = model.small_data_radius
-    if radius is None:
-        radius = default_small_data_radius(model, u_minus, u_plus)
+    radius = default_small_data_radius(model, u_minus, u_plus)
     if np.linalg.norm(u_plus - u_minus) > radius:
         raise NewtonDivergence(
             f"Riemann data |u+ - u-| = {np.linalg.norm(u_plus - u_minus):.3g} "

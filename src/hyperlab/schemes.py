@@ -123,6 +123,18 @@ def _pad(u, boundary):
     return np.concatenate([u[:1], u, u[-1:]], axis=0)
 
 
+def _time_steps(cfg, dt_default, dt_limit, rule):
+    """(nsteps, dt) of equal steps ending at T, each at most cfg.dt if set,
+    else at most dt_default.  A cfg.dt above dt_limit (`rule`) raises."""
+    dt_max = dt_default
+    if cfg.dt is not None:
+        if cfg.dt > dt_limit * (1 + 1e-12):
+            raise CFLViolation(f"dt={cfg.dt} violates {rule} (limit {dt_limit:.6g})")
+        dt_max = cfg.dt
+    nsteps = max(1, int(math.ceil(cfg.T / dt_max - 1e-12)))
+    return nsteps, (cfg.T / nsteps if cfg.T > 0 else dt_max)
+
+
 def _record_steps(nsteps, dt, cfg):
     if cfg.store_all:
         return list(range(nsteps + 1))
@@ -259,13 +271,8 @@ def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSoluti
     x0, dx, ncells = _make_grid(cfg, cfg.eps)
     u0 = initial_cells(model, data, x0, dx, ncells)
     _check_speed_range(model, u0, 0.0, 1.0)
-    dt_max = 0.5 * dx
-    if cfg.dt is not None:
-        if cfg.dt > dt_max * (1 + 1e-12):
-            raise CFLViolation(f"dt={cfg.dt} exceeds eps/2={dt_max}")
-        dt_max = cfg.dt
-    nsteps = max(1, int(math.ceil(cfg.T / dt_max - 1e-12)))
-    dt = cfg.T / nsteps if cfg.T > 0 else dt_max
+    rule = "dt <= eps/2"
+    nsteps, dt = _time_steps(cfg, 0.5 * dx, 0.5 * dx, rule)
 
     def rhs(u):
         up = _pad(u, cfg.boundary)
@@ -279,7 +286,7 @@ def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSoluti
         return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     meta = {"scheme": "method-of-lines", "eps": cfg.eps, "dx": dx, "dt": dt,
-            "cfl": {"rule": "dt <= eps/2", "dt_max": 0.5 * dx},
+            "cfl": {"rule": rule, "dt_max": 0.5 * dx},
             "boundary": cfg.boundary}
     return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
 
@@ -332,13 +339,8 @@ def _parabolic_run(model, data, cfg, b_spec, scheme_name):
     dt_hyp = dx / (2.0 * M)
     dt_par = dx * dx / (4.0 * eps * max_b) if eps * max_b > 0 else np.inf
     dt_max = min(dt_hyp, dt_par)
-    if cfg.dt is not None:
-        if cfg.dt > dt_max * (1 + 1e-12):
-            raise CFLViolation(
-                f"dt={cfg.dt} exceeds min(dx/(2M), dx^2/(4 eps |B|)) = {dt_max:.3e}")
-        dt_max = cfg.dt
-    nsteps = max(1, int(math.ceil(cfg.T / dt_max - 1e-12)))
-    dt = cfg.T / nsteps if cfg.T > 0 else dt_max
+    rule = "dt <= min(dx/(2M), dx^2/(4 eps |B|))"
+    nsteps, dt = _time_steps(cfg, dt_max, dt_max, rule)
 
     identity = B_fn is None
 
@@ -358,8 +360,8 @@ def _parabolic_run(model, data, cfg, b_spec, scheme_name):
         return u - (dt / dx) * (F[1:] - F[:-1]) + (eps * dt / dx) * (D[1:] - D[:-1])
 
     meta = {"scheme": scheme_name, "eps": eps, "dx": dx, "dt": dt,
-            "cfl": {"rule": "dt <= min(dx/(2M), dx^2/(4 eps |B|))",
-                    "M": M, "dt_max": float(dt_max), "lf_alpha": alpha},
+            "cfl": {"rule": rule, "M": M, "dt_max": float(dt_max),
+                    "lf_alpha": alpha},
             "boundary": cfg.boundary}
     return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
 
@@ -399,13 +401,8 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
         raise SubcharacteristicViolation(
             f"a^2 = {a2} below max f'(u)^2 = {M ** 2} on the data hull")
     a = math.sqrt(a2)
-    dt_max = 0.9 * dx / a
-    if cfg.dt is not None:
-        if cfg.dt > dx / a * (1 + 1e-12):
-            raise CFLViolation(f"dt={cfg.dt} exceeds dx/a={dx / a}")
-        dt_max = cfg.dt
-    nsteps = max(1, int(math.ceil(cfg.T / dt_max - 1e-12)))
-    dt = cfg.T / nsteps if cfg.T > 0 else dt_max
+    rule = "dt <= dx/a"
+    nsteps, dt = _time_steps(cfg, 0.9 * dx / a, dx / a, rule)
     c = a * dt / dx
 
     v0 = model.f(u0)
@@ -426,7 +423,7 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
         return u_new
 
     meta = {"scheme": "jin-xin", "eps": eps, "dx": dx, "dt": dt, "a2": a2,
-            "cfl": {"rule": "dt <= dx/a", "dt_max": dx / a},
+            "cfl": {"rule": rule, "dt_max": dx / a},
             "boundary": cfg.boundary}
     return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
 

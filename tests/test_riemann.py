@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hyperlab import models
-from hyperlab.errors import (NonClassifiedField, NotOnShockCurve,
-                             RHViolated)
+from hyperlab.errors import (NewtonDivergence, NonClassifiedField,
+                             NotGenuinelyNonlinear, NotOnShockCurve, RHViolated)
 from hyperlab.riemann import (AdmissibilityVerdict, entropy_admissible_shock,
                               evaluate_fan, liu_admissible, rarefaction_curve,
                               rh_residual, riemann_solver_for, shock_curve,
@@ -82,6 +82,12 @@ class TestRarefactionCurve:
         errs = [np.linalg.norm(e - ends[-1]) for e in ends[:-1]]
         assert errs[0] < 1e-8 and errs[1] <= errs[0]
 
+    def test_linearly_degenerate_family_rejected(self):
+        # both families of a linear system have constant speed
+        m = models.linear_system(0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(NotGenuinelyNonlinear):
+            rarefaction_curve(m, [0.0, 0.0], 1, 0.1)
+
 
 class TestSolveRiemann:
     def test_equal_states_empty_fan(self):
@@ -131,6 +137,12 @@ class TestSolveRiemann:
         m = models.cubic_flux()
         with pytest.raises(NonClassifiedField):
             solve_riemann(m, [-1.0], [1.0])
+
+    def test_large_data_beyond_small_data_radius(self):
+        # |u+ - u-| = 0.707 against a default radius of about 0.064
+        m = models.p_system()
+        with pytest.raises(NewtonDivergence, match="small-data radius"):
+            solve_riemann(m, [1.0, 0.0], [1.5, 0.5])
 
 
 class TestScalarEnvelope:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,18 @@ class TestViscous:
             ref = np.array([evaluate_fan(fan, x / 1.0)[0] for x in c])
             errs.append(float(np.sum(np.abs(sol.states[-1][:, 0] - ref)) * sol.dx))
         assert errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("run", [method_of_lines_run, viscous_run,
+                                 nonlinear_diffusion_run, jin_xin_run])
+def test_user_dt_above_the_scheme_limit_raises(run):
+    # the default run reports its limit; the limit itself is accepted
+    cfg = SchemeConfig(eps=0.05, T=0.05, domain=(-1.0, 1.0))
+    data = PiecewiseConstantFn.constant([0.3])
+    limit = run(BURGERS_01, data, cfg).meta["cfl"]["dt_max"]
+    run(BURGERS_01, data, replace(cfg, dt=limit))
+    with pytest.raises(CFLViolation, match="limit"):
+        run(BURGERS_01, data, replace(cfg, dt=limit * 1.001))
 
 
 class TestJinXin:

@@ -183,6 +183,15 @@ class TestCertificate:
         assert isinstance(cert, EpsCertificate)
         assert cert.eps <= 1e-6
 
+    def test_certificate_leaves_view_unchanged(self):
+        # a view memoises no profiles, so certifying adds no attributes
+        view = FanView(step_fan(), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
+        before = dict(vars(view))
+        certify_eps_approx(view, BURGERS, M=0.6,
+                           initial_data=PiecewiseConstantFn.riemann([1.0], [0.0]))
+        assert vars(view).keys() == before.keys()
+        assert all(vars(view)[k] is v for k, v in before.items())
+
     def test_speed_corruption_fails_to_certify(self):
         view = FanView(step_fan(speed=0.6), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
         data = PiecewiseConstantFn.riemann([1.0], [0.0])

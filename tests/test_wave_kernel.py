@@ -1,20 +1,25 @@
-"""The Lax-curve wave kernel shared by the exact solver and front tracking.
+"""The Lax-curve wave kernel shared by the exact solver and front tracking,
+and the central-difference helper it and the models stand on.
 
 The golden values are float.hex literals: they pin the output bit for bit,
 so any change to the floating-point work of the wave-curve step, the
-strength Newton or the Liu margins shows here.  The property test checks the
-structural invariants on random small p-system data.
+strength Newton, the Liu margins or the finite-difference derivatives shows
+here.  The property test checks the structural invariants on random small
+p-system data.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.fronts import approximate_riemann_pieces
-from hyperlab.riemann import _field_classes, rh_residual, solve_riemann
+from hyperlab.riemann import (_field_classes, default_small_data_radius,
+                              rh_residual, solve_riemann)
 
 P_SYSTEM = models.p_system()
 
@@ -115,6 +120,43 @@ class TestGoldenFans:
                 assert np.array_equal(b, unhex(want_b))
                 assert speed == float.fromhex(want_speed)
             assert_chained(ul, [(a, b) for _, _, a, b, _ in pieces])
+
+
+class TestCentralDiff:
+    """The finite-difference fallback of a p-system built without its
+    analytic Jacobian, at u = (1.2, 0.3)."""
+
+    U = np.array([1.2, 0.3])
+    FD = replace(P_SYSTEM, jacobian=None)
+
+    def test_derivatives_bit_identical(self):
+        assert np.array_equal(self.FD.jac(self.U).ravel(), unhex(
+            ["0x0.0p+0", "-0x1.ffffffffe1558p-1", "-0x1.284bda12e31cbp+0", "0x0.0p+0"]))
+        assert np.array_equal(self.FD.d_entropy(self.U), unhex(
+            ["-0x1.638e38e3983a0p-1", "0x1.333333336bebbp-2"]))
+        assert np.array_equal(self.FD.d_entropy_flux(self.U), unhex(
+            ["-0x1.638e38e37c7bbp-2", "0x1.638e38e380c06p-1"]))
+        assert [models.gnl_indicator(self.FD, i, self.U) for i in (0, 1)] == \
+            list(unhex(["0x1.d4c47d3a4e581p-1", "-0x1.d4c3bfd7d6037p-1"]))
+
+    def test_small_data_radius_bit_identical(self):
+        ur = np.array([1.25, 0.28])
+        assert default_small_data_radius(self.FD, self.U, ur) == \
+            float.fromhex("0x1.661da8e402476p-3")
+        assert default_small_data_radius(P_SYSTEM, self.U, ur) == \
+            float.fromhex("0x1.661daf1cd292fp-3")
+
+    @pytest.mark.parametrize("model, u, exact", [
+        (models.burgers(), [0.3], [[2.0]]),
+        (models.burgers(), [-1.5], [[2.0]]),
+        # P(v) = v^-1, so P'' = gamma k v^(-gamma-1) = 2 v^-3
+        (P_SYSTEM, [1.2, 0.3], np.diag([2.0 * 1.2 ** -3, 1.0])),
+        (P_SYSTEM, [0.6, -0.4], np.diag([2.0 * 0.6 ** -3, 1.0])),
+    ])
+    def test_entropy_hessian_matches_analytic(self, model, u, exact):
+        H = model.entropy_hessian(u)
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - exact)) <= 5e-5 * np.max(np.abs(exact))
 
 
 small = st.floats(-0.015, 0.015, allow_nan=False)
