@@ -7,6 +7,10 @@ are approximated by chains of jumps of strength at most delta traveling at
 their exact two-state (secant) speed; for systems the chain states are
 produced by the same shock-curve Newton as genuine shocks.
 
+Riemann pieces are `riemann.JumpWave`s and a `Front` is a `JumpWave` at a
+`Fraction` position; `PiecewiseConstantFn.from_fronts` draws an epoch, as
+it draws the lines of an exact fan in `verify.FanView`.
+
 Collision times are compared in exact rational arithmetic (front positions
 are Fractions, snapped to float resolution after each event so denominators
 stay bounded); simultaneous events resolve leftmost first.
@@ -18,7 +22,6 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -27,20 +30,17 @@ from .errors import (ConfigError, FrontExplosion, NonClassifiedField,
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
                      classify_field, eigenvalues)
 from .piecewise import PiecewiseConstantFn
-from .riemann import (_compose, _damped_newton, solve_riemann_scalar,
+from .riemann import (JumpWave, _compose, _damped_newton, solve_riemann_scalar,
                       solve_strengths)
 
 STRENGTH_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class Front:
+@dataclass(frozen=True, kw_only=True)
+class Front(JumpWave):
+    """A jump of a front-tracking epoch, at position pos at the epoch start."""
+
     pos: Fraction
-    speed: float
-    family: Optional[int]
-    u_l: np.ndarray
-    u_r: np.ndarray
-    kind: str  # shock | rarefaction | contact | non-physical
 
     @property
     def strength(self):
@@ -71,20 +71,10 @@ class FrontTrackingSolution:
 
     def state(self, t) -> PiecewiseConstantFn:
         ep = self.epoch_at(t)
-        if not ep.fronts:
-            return PiecewiseConstantFn.constant(self.background)
-        xs, vals = [], [ep.fronts[0].u_l]
-        prev = -np.inf
-        for f in ep.fronts:
-            x = f.position(t, ep.t)
-            if x <= prev:
-                # stacked fronts at an event instant: keep the last value
-                vals[-1] = f.u_r
-                continue
-            xs.append(x)
-            vals.append(f.u_r)
-            prev = x
-        return PiecewiseConstantFn(np.array(xs), np.stack(vals))
+        left = ep.fronts[0].u_l if ep.fronts else self.background
+        return PiecewiseConstantFn.from_fronts(
+            left, [f.position(t, ep.t) for f in ep.fronts],
+            [f.u_r for f in ep.fronts])
 
     def total_nonphysical_strength(self, t=None):
         ep = self.epochs[-1] if t is None else self.epoch_at(t)
@@ -99,17 +89,14 @@ def _scalar_pieces(model, u_l, u_r, delta):
     pieces = []
     for w in fan.waves:
         if w.kind == "shock":
-            pieces.append(("shock", 0, w.u_l, w.u_r, w.speed))
+            pieces.append(w)
         else:
             a, b = float(w.u_l[0]), float(w.u_r[0])
             k = max(1, int(math.ceil(abs(b - a) / delta - 1e-12)))
             pts = np.linspace(a, b, k + 1)
-            fp = model.f(pts[:, None])[:, 0]
-            for m in range(k):
-                speed = (fp[m + 1] - fp[m]) / (pts[m + 1] - pts[m])
-                pieces.append(("rarefaction", 0,
-                               np.array([pts[m]]), np.array([pts[m + 1]]),
-                               float(speed)))
+            speeds = np.diff(model.f(pts[:, None])[:, 0]) / np.diff(pts)
+            pieces += [JumpWave("rarefaction", 0, np.array([p]), np.array([q]),
+                                float(s)) for p, q, s in zip(pts[:-1], pts[1:], speeds)]
     return pieces
 
 
@@ -122,11 +109,10 @@ def _splits(fields, sig, delta):
 
 
 def _chain(model, u_l, sig, fields, splits):
-    """End state and (kind, family, u_l, u_r, speed) pieces of the chained
-    Lax curves; every adjacent state pair solves the jump conditions."""
-    state, waves = _compose(model, u_l, sig, fields, splits, tol=1e-14,
-                            floor=STRENGTH_FLOOR)
-    return state, [(w.kind, w.family, w.u_l, w.u_r, w.speed) for w in waves]
+    """End state and jump pieces of the chained Lax curves; every adjacent
+    state pair solves the jump conditions."""
+    return _compose(model, u_l, sig, fields, splits, tol=1e-14,
+                    floor=STRENGTH_FLOOR)
 
 
 def _system_pieces(model, u_l, u_r, delta, fields):
@@ -158,13 +144,14 @@ def _merge_weak_waves(model, u_l, u_r, pieces, sig, fields, rho_np, lam_hat, del
     np_strength = float(np.linalg.norm(u_r - state))
     if np_strength < STRENGTH_FLOOR:
         return strong_pieces, 0.0
-    strong_pieces.append(("non-physical", None, state, u_r, lam_hat))
+    strong_pieces.append(JumpWave("non-physical", None, state, u_r, lam_hat))
     return strong_pieces, np_strength
 
 
 def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
-                               rho_np=0.0, lam_hat=None, allow_np=False):
-    """(kind, family, u_l, u_r, speed) tuples, ordered by speed."""
+                               rho_np=0.0, lam_hat=None):
+    """JumpWave pieces ordered by speed; with rho_np > 0, system families
+    weaker than rho_np merge into one non-physical front at lam_hat."""
     if np.linalg.norm(np.asarray(u_r) - np.asarray(u_l)) < STRENGTH_FLOOR:
         return []
     if model.n == 1:
@@ -172,7 +159,7 @@ def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
     if fields is None:
         raise RiemannFailure("system front tracking needs field classes")
     pieces, sig = _system_pieces(model, u_l, u_r, delta, fields)
-    if allow_np and rho_np > 0.0:
+    if rho_np > 0.0:
         pieces, _ = _merge_weak_waves(
             model, u_l, u_r, pieces, sig, fields, rho_np, lam_hat, delta)
     return pieces
@@ -183,15 +170,11 @@ def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
 
 def _pieces_to_fronts(pieces, pos, u_l, u_r):
     """Materialize pieces at a common position, forcing exact end chaining."""
-    fronts = []
-    if not pieces:
-        return fronts
-    for kind, fam, a, b, speed in pieces:
-        fronts.append(Front(pos, float(speed), fam, a, b, kind))
-    # force the outer chain onto the original neighbor states
-    first, last = fronts[0], fronts[-1]
-    fronts[0] = replace(first, u_l=u_l)
-    fronts[-1] = replace(fronts[-1], u_r=u_r)
+    fronts = [Front(**vars(w), pos=pos) for w in pieces]
+    if fronts:
+        # force the outer chain onto the original neighbor states
+        fronts[0] = replace(fronts[0], u_l=u_l)
+        fronts[-1] = replace(fronts[-1], u_r=u_r)
     return fronts
 
 
@@ -229,7 +212,7 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     for j, x in enumerate(data.xs):
         u_l, u_r = data.vals[j], data.vals[j + 1]
         pieces = approximate_riemann_pieces(model, u_l, u_r, delta,
-                                            fields=fields, allow_np=False)
+                                            fields=fields)
         fronts.extend(_pieces_to_fronts(pieces, Fraction(float(x)), u_l, u_r))
     fronts.sort(key=lambda f: (f.pos, f.speed))
 
@@ -262,11 +245,8 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
             break
         tc, p_exact, m = best
         # advance everything to the exact event time, then snap
-        moved = []
-        for f in fronts:
-            newpos = Fraction(float(f.pos + Fraction(f.speed) * (tc - t)))
-            moved.append(replace(f, pos=newpos))
-        fronts = moved
+        fronts = [replace(f, pos=Fraction(float(f.pos + Fraction(f.speed) * (tc - t))))
+                  for f in fronts]
         t = Fraction(float(tc))
         p = fronts[m].pos
         lo = m
@@ -279,7 +259,7 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
         u_l, u_r = incoming[0].u_l, incoming[-1].u_r
         pieces = approximate_riemann_pieces(model, u_l, u_r, delta,
                                             fields=fields, rho_np=rho_np,
-                                            lam_hat=lam_hat, allow_np=True)
+                                            lam_hat=lam_hat)
         outgoing = _pieces_to_fronts(pieces, p, u_l, u_r)
         np_strength = sum(f.strength for f in outgoing if f.kind == "non-physical")
         np_total += np_strength

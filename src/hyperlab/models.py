@@ -24,7 +24,6 @@ from .errors import (ConfigError, MissingEntropyPair, NonHyperbolic,
 from .piecewise import as_state
 
 TOL_EIG = 1e-9
-TOL_EEF = 1e-6
 TOL_LD = 1e-8
 TOL_GAP = 1e-8
 H_JAC = 1e-6
@@ -40,8 +39,8 @@ class FluxModel:
 
     flux maps (..., n) -> (..., n) (vectorized over leading axes);
     jacobian maps a single state (n,) -> (n, n).  entropy/entropy_flux,
-    when present, map (..., n) -> (...).  diffusion maps (n,) -> (n, n)
-    positive semidefinite.  lo/hi bound the admissible state box.
+    when present, map (..., n) -> (...).  lo/hi bound the admissible state
+    box.
     """
 
     name: str
@@ -51,7 +50,6 @@ class FluxModel:
     entropy: Optional[Callable] = None
     entropy_flux: Optional[Callable] = None
     entropy_convex: bool = False
-    diffusion: Optional[Callable] = None
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
 
@@ -241,8 +239,8 @@ def normalize_speeds(model: FluxModel, M, target=(0.0, 1.0), check_states=None) 
 
     The transformed flux is (f(u) + c*u)/d with c, d chosen so that an
     eigenvalue lam maps to (lam + c)/d; states are unchanged, so shocks map
-    to shocks with the mapped speed.  Entropy pairs and diffusion matrices
-    are transformed consistently.
+    to shocks with the mapped speed.  Entropy pairs are transformed
+    consistently.
     """
     alpha, beta = target
     if not (M > 0 and beta > alpha):
@@ -258,7 +256,6 @@ def normalize_speeds(model: FluxModel, M, target=(0.0, 1.0), check_states=None) 
 
     f0, jac0 = model.flux, model.jacobian
     eta0, q0 = model.entropy, model.entropy_flux
-    B0 = model.diffusion
 
     def flux(u):
         return (f0(u) + c * u) / d
@@ -273,16 +270,10 @@ def normalize_speeds(model: FluxModel, M, target=(0.0, 1.0), check_states=None) 
         def entropy_flux(u):
             return (q0(u) + c * eta0(u)) / d
 
-    diffusion = None
-    if B0 is not None:
-        def diffusion(u):
-            return np.asarray(B0(u)) / d
-
     return replace(model,
                    name=f"{model.name}|speeds[{alpha:g},{beta:g}]",
                    flux=flux, jacobian=jacobian,
-                   entropy=eta0, entropy_flux=entropy_flux,
-                   diffusion=diffusion)
+                   entropy=eta0, entropy_flux=entropy_flux)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,20 @@ class PiecewiseConstantFn:
         u = as_state(u)
         return cls(np.array([]), np.stack([u]))
 
+    @classmethod
+    def from_fronts(cls, left, xs, rights):
+        """Fronts at positions xs, left to right, with states rights on their
+        right and left on the far left; a front at or left of the last kept
+        one is stacked on it (an event instant, equal speeds): its state wins."""
+        kept, vals = [], [left]
+        for x, v in zip(xs, rights):
+            if kept and x <= kept[-1]:
+                vals[-1] = v
+            else:
+                kept.append(x)
+                vals.append(v)
+        return cls(np.array(kept), np.stack(vals))
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.xs, x, side="right")
@@ -90,13 +104,8 @@ class PiecewiseConstantFn:
         keep = self.jumps() > tol
         if np.all(keep):
             return self
-        vals = [self.vals[0]]
-        xs = []
-        for j, k in enumerate(keep):
-            if k:
-                xs.append(self.xs[j])
-                vals.append(self.vals[j + 1])
-        return PiecewiseConstantFn(np.array(xs), np.stack(vals))
+        return PiecewiseConstantFn(self.xs[keep],
+                                   np.concatenate([self.vals[:1], self.vals[1:][keep]]))
 
     def integral(self, a, b):
         """Exact integral of the (vector) profile over [a, b], shape (n,)."""

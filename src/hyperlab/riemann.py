@@ -101,13 +101,8 @@ def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve
     s_grid = np.linspace(0.0, float(s_max), n_samples)
 
     if model.n == 1:
-        states = u_minus[None, :] + s_grid[:, None]
-        speeds = np.empty(n_samples)
-        f_minus = model.f(u_minus)[0]
-        fprime = model.jac(u_minus)[0, 0]
-        for j, s in enumerate(s_grid):
-            speeds[j] = fprime if s == 0.0 else (model.f(u_minus + s)[0] - f_minus) / s
-        return ShockCurve(i, u_minus, s_grid, states, speeds)
+        return ShockCurve(i, u_minus, s_grid, u_minus[None, :] + s_grid[:, None],
+                          _secant_speeds(model, u_minus, float(s_max), n_samples))
 
     es = eigensystem(model, u_minus)
     l_i, r_i = es.left[i], es.right[i]
@@ -185,11 +180,12 @@ def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS
 
 @dataclass(frozen=True)
 class JumpWave:
-    """A single jump solving the jump conditions at `speed`: a shock, a
-    contact, or one rarefaction front of a front-tracking chain."""
+    """A single jump at `speed`: a shock or a contact of a Riemann fan, or a
+    piece of an approximate fan of front tracking (a shock, a contact, one
+    rarefaction front, or a non-physical front of family None)."""
 
     kind: str
-    family: int
+    family: Optional[int]
     u_l: np.ndarray
     u_r: np.ndarray
     speed: float
@@ -402,10 +398,12 @@ def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP, maxiter=40,
 
 def _secant_speeds(model, u_l, sigma, n_check):
     """Speeds along a scalar shock curve: (f(u_l + s) - f(u_l)) / s for s in
-    linspace(0, sigma, n_check), with f'(u_l) at s = 0."""
+    linspace(0, sigma, n_check), with f'(u_l) at s = 0 (everywhere if
+    sigma = 0)."""
     s_grid = np.linspace(0.0, sigma, n_check)
-    lams = np.empty(n_check)
-    lams[0] = model.jac(u_l)[0, 0]
+    lams = np.full(n_check, model.jac(u_l)[0, 0])
+    if sigma == 0.0:
+        return lams
     lams[1:] = (model.f(u_l[None, :] + s_grid[1:, None])[:, 0]
                 - model.f(u_l)[0]) / s_grid[1:]
     return lams

@@ -47,7 +47,6 @@ class SchemeConfig:
     a2: Optional[float] = None
     b_matrix: object = None
     front_cap: int = 20000
-    speed_bound: Optional[float] = None
 
     def __post_init__(self):
         a, b = self.domain
@@ -108,9 +107,7 @@ def _check_speed_range(model, u0, lo, hi, tol=1e-9):
                 f"normalize the model first")
 
 
-def _max_speed(model, u0, override=None, pad=1.0):
-    if override is not None:
-        return float(override)
+def _max_speed(model, u0, pad=1.0):
     worst = 0.0
     for u in _data_states(u0):
         worst = max(worst, float(np.max(np.abs(eigenvalues(model, u)))))
@@ -317,7 +314,7 @@ def _parabolic_run(model, data, cfg, b_spec, scheme_name):
     dx = cfg.dx if cfg.dx is not None else eps / 4.0
     x0, dx, ncells = _make_grid(cfg, dx)
     u0 = initial_cells(model, data, x0, dx, ncells)
-    M = _max_speed(model, u0, cfg.speed_bound, pad=1.05)
+    M = _max_speed(model, u0, pad=1.05)
     B_fn = _b_selector(model, b_spec)
 
     if B_fn is None:
@@ -395,7 +392,7 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     dx = cfg.dx if cfg.dx is not None else eps / 2.0
     x0, dx, ncells = _make_grid(cfg, dx)
     u0 = initial_cells(model, data, x0, dx, ncells)
-    M = _max_speed(model, u0, cfg.speed_bound, pad=1.0)
+    M = _max_speed(model, u0)
     a2 = cfg.a2 if cfg.a2 is not None else max(1.0, (1.1 * M) ** 2)
     if a2 < M ** 2 * (1 - 1e-12):
         raise SubcharacteristicViolation(
@@ -434,7 +431,10 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Implicit step w = v - (eps/dx)(f(w_k) - f(w_{k-1})) solved by marching
     left to right with a per-cell Newton iteration.  Requires speeds in
-    [1, 2] so the implicit system is well posed and upwinding is one-sided."""
+    [1, 2] so the implicit system is well posed and upwinding is one-sided,
+    and constant boundaries: the march starts from a steady far-left state."""
+    if cfg.boundary == "periodic":
+        raise ConfigError("backward_euler_run needs constant boundaries")
     eps = cfg.eps  # time step
     dx = cfg.dx if cfg.dx is not None else eps / 4.0
     x0, dx, ncells = _make_grid(cfg, dx)
@@ -477,7 +477,7 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
 
 
 # ---------------------------------------------------------------------------
-# periodic mollification (scalar)
+# mollification restarts (scalar)
 
 def mollifier_kernel(name, width, dx):
     """Discrete unit-mass mollifier on the grid; C^2 bump profiles."""
@@ -527,9 +527,12 @@ def mollification_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution
     followed by convolution with a C^2 mollifier of width mollifier_width.
 
     Raises BlowupBeforeRestart when the restart interval eps is not shorter
-    than the classical blow-up time of the current profile."""
+    than the classical blow-up time of the current profile.  Boundaries must
+    be constant: the profile is extended by its end values."""
     if model.n != 1:
         raise ConfigError("mollification_run is scalar-only")
+    if cfg.boundary == "periodic":
+        raise ConfigError("mollification_run needs constant boundaries")
     dx = cfg.dx if cfg.dx is not None else (cfg.domain[1] - cfg.domain[0]) / 2048
     x0, dx, ncells = _make_grid(cfg, dx)
     centers = x0 + dx * (np.arange(ncells) + 0.5)

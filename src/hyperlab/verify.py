@@ -13,6 +13,11 @@ segments of a grid run or the Gauss nodes.  Each profile is evaluated once,
 its density columns (u | eta) and flux columns (f | q) stacked, and
 integrated against the whole test family through one (bumps x pieces)
 matrix pair in `profile_integrals`.
+
+Riemann fans and front tracking share two straight-front kernels:
+`PiecewiseConstantFn.from_fronts` draws the profile of a `FanView` or of a
+front-tracking epoch, and `_crossings` gives the times their lines cross
+the bump edges (the kinks of the Gauss panels).
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .riemann import (WaveFan, evaluate_fan, liu_admissible, rh_residual,
                       solve_strengths, _field_classes)
 
 TIME_PAD = 1e-6
+# widest speed cell of a sampled rarefaction in FanView profiles
+RAREFACTION_STEP = 0.002
 # sup |d/dy (1 - y^2)^3| over [-1, 1], attained at y = 1/sqrt(5)
 PSI_DERIV_MAX = 96.0 / (25.0 * math.sqrt(5.0))
 
@@ -112,78 +119,56 @@ class GridView(_StateCache):
                 if b > a + 1e-15]
 
 
+def _crossings(t_a, x_a, speeds, edges, lo, hi):
+    """Times in (lo, hi) at which the lines x = x_a + s (t - t_a), one per
+    speed s (x_a one position or one per line), cross the edges."""
+    s = np.asarray(speeds, dtype=float)
+    moving = s != 0.0
+    x = np.broadcast_to(x_a, s.shape)[moving]
+    tc = t_a + (np.asarray(edges)[None, :] - x[:, None]) / s[moving, None]
+    return tc[(lo < tc) & (tc < hi)].tolist()
+
+
 class FanView(_StateCache):
-    """Self-similar Riemann solution centered at (t0, x0)."""
+    """Self-similar Riemann solution centered at (t0, x0), drawn for t > t0
+    by the lines x0 + s (t - t0) of its jumps and of rarefaction speed cells
+    no wider than RAREFACTION_STEP (each holding its midpoint state); the
+    jumps and the rarefaction edges are its kinks."""
 
     piecewise_in_time = False
 
     def __init__(self, fan: WaveFan, x0=0.0, t0=0.0, t_span=(0.0, 1.0),
-                 x_span=(-2.0, 2.0), rarefaction_step=0.002):
+                 x_span=(-2.0, 2.0)):
         self.fan = fan
         self.x0 = x0
         self.t0 = t0
         self.t_span = t_span
         self.x_span = x_span
-        self.rarefaction_step = rarefaction_step
+        speeds, vals, self._kinks = [], [], []
+        for w in fan.waves:
+            if w.kind == "rarefaction":
+                k = max(2, int(math.ceil((w.speed_r - w.speed_l)
+                                         / RAREFACTION_STEP)))
+                sp = np.linspace(w.speed_l, w.speed_r, k + 1)
+                speeds.extend(sp[:-1])
+                vals.extend(evaluate_fan(fan, m) for m in 0.5 * (sp[:-1] + sp[1:]))
+                self._kinks.append(w.speed_l)
+            speeds.append(w.speed_r)
+            vals.append(w.u_r)
+            self._kinks.append(w.speed_r)
+        self._speeds, self._vals = np.array(speeds), vals
 
     def _state(self, t):
         dt = t - self.t0
-        xs, vals = [], [self.fan.left]
-        if dt <= 0:
-            if self.fan.waves:
-                xs.append(self.x0)
-                vals.append(self.fan.right)
-            else:
-                return PiecewiseConstantFn.constant(self.fan.left)
-            return PiecewiseConstantFn(np.array(xs), np.stack(vals))
-        for w in self.fan.waves:
-            if w.kind == "rarefaction":
-                k = max(2, int(math.ceil((w.speed_r - w.speed_l)
-                                         / self.rarefaction_step)))
-                sp = np.linspace(w.speed_l, w.speed_r, k + 1)
-                mids = 0.5 * (sp[:-1] + sp[1:])
-                prof = np.stack([evaluate_fan(self.fan, m) for m in mids])
-                for j in range(k):
-                    xs.append(self.x0 + sp[j] * dt)
-                    vals.append(prof[j])
-                xs.append(self.x0 + sp[-1] * dt)
-                vals.append(w.u_r)
-            else:
-                xs.append(self.x0 + w.speed * dt)
-                vals.append(w.u_r)
-        # guard against zero-width pieces from equal speeds
-        keep_x, keep_v = [], [vals[0]]
-        prev = -np.inf
-        for x, v in zip(xs, vals[1:]):
-            if x <= prev:
-                keep_v[-1] = v
-                continue
-            keep_x.append(x)
-            keep_v.append(v)
-            prev = x
-        if not keep_x:
+        if dt > 0:
+            return PiecewiseConstantFn.from_fronts(
+                self.fan.left, self.x0 + self._speeds * dt, self._vals)
+        if not self.fan.waves:
             return PiecewiseConstantFn.constant(self.fan.left)
-        return PiecewiseConstantFn(np.array(keep_x), np.stack(keep_v))
-
-    def _lines(self):
-        speeds = []
-        for w in self.fan.waves:
-            if w.kind == "rarefaction":
-                speeds.extend([w.speed_l, w.speed_r])
-            else:
-                speeds.append(w.speed)
-        return speeds
+        return PiecewiseConstantFn.riemann(self.fan.left, self.fan.right, self.x0)
 
     def kink_times(self, t0, t1, x_values):
-        out = []
-        for s in self._lines():
-            if s == 0.0:
-                continue
-            for a in x_values:
-                tc = self.t0 + (a - self.x0) / s
-                if t0 < tc < t1:
-                    out.append(tc)
-        return sorted(out)
+        return sorted(_crossings(self.t0, self.x0, self._kinks, x_values, t0, t1))
 
 
 class FrontTrackingView(_StateCache):
@@ -200,18 +185,11 @@ class FrontTrackingView(_StateCache):
     def kink_times(self, t0, t1, x_values):
         out = [e["t"] for e in self.sol.events if t0 < e["t"] < t1]
         epochs = self.sol.epochs
-        for j, ep in enumerate(epochs):
-            te = epochs[j + 1].t if j + 1 < len(epochs) else self.sol.T
+        for ep, te in zip(epochs, [ep.t for ep in epochs[1:]] + [self.sol.T]):
             lo, hi = max(ep.t, t0), min(te, t1)
-            if hi <= lo:
-                continue
-            for f in ep.fronts:
-                if f.speed == 0.0:
-                    continue
-                for a in x_values:
-                    tc = ep.t + (a - float(f.pos)) / f.speed
-                    if lo < tc < hi:
-                        out.append(tc)
+            if hi > lo:
+                out += _crossings(ep.t, [float(f.pos) for f in ep.fronts],
+                                  [f.speed for f in ep.fronts], x_values, lo, hi)
         return sorted(out)
 
 
@@ -776,11 +754,10 @@ class FineGodunovOracle:
     with speeds in [0, 1] make this an L1-contraction, so semigroup error
     bounds computed against it are rigorous up to projection."""
 
-    def __init__(self, model, dx, domain, boundary="constant"):
+    def __init__(self, model, dx, domain):
         self.model = model
         self.dx = dx
         self.domain = domain
-        self.boundary = boundary
         self.note = f"godunov dx={dx:g} on {domain}"
 
     def evolve(self, pc: PiecewiseConstantFn, h) -> PiecewiseConstantFn:
@@ -791,8 +768,7 @@ class FineGodunovOracle:
         if abs(steps * self.dx - h) > 1e-9 * max(h, 1.0):
             raise OracleUnavailable(
                 f"span {h:g} is not a multiple of the oracle step {self.dx:g}")
-        cfg = SchemeConfig(eps=self.dx, T=steps * self.dx, domain=self.domain,
-                           boundary=self.boundary)
+        cfg = SchemeConfig(eps=self.dx, T=steps * self.dx, domain=self.domain)
         sol = godunov_run(self.model, pc, cfg)
         return sol.as_piecewise(sol.times[-1])
 
@@ -800,9 +776,8 @@ class FineGodunovOracle:
 class ExactFanOracle:
     """Exact evolution for single-jump data via the Riemann fan."""
 
-    def __init__(self, model, rarefaction_step=0.002):
+    def __init__(self, model):
         self.model = model
-        self.rarefaction_step = rarefaction_step
         self.note = "exact fan"
 
     def evolve(self, pc: PiecewiseConstantFn, h) -> PiecewiseConstantFn:
@@ -811,8 +786,7 @@ class ExactFanOracle:
         if pcs.xs.size != 1:
             raise OracleUnavailable("exact fan oracle needs single-jump data")
         fan = riemann_solver_for(self.model)(pcs.vals[0], pcs.vals[1])
-        return FanView(fan, x0=float(pcs.xs[0]), t0=0.0,
-                       rarefaction_step=self.rarefaction_step).state(h)
+        return FanView(fan, x0=float(pcs.xs[0]), t0=0.0).state(h)
 
 
 def semigroup_error_bound(path, oracle, T, L):

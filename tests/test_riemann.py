@@ -40,6 +40,8 @@ class TestShockCurve:
         c = shock_curve(m, [0.0], 0, 1.0, n_samples=11)
         assert c.states[:, 0] == pytest.approx(c.s)
         assert c.speeds == pytest.approx(c.s / 2.0)  # lambda(0) = f'(0) = 0
+        flat = shock_curve(m, [0.3], 0, 0.0, n_samples=5)
+        assert np.array_equal(flat.speeds, np.full(5, 0.3))  # f'(0.3) throughout
 
     def test_psystem_rh_residual_tiny(self):
         m = models.p_system()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyperlab import models
-from hyperlab.errors import (BlowupBeforeRestart, CFLViolation,
+from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
                              SpeedRangeViolation, SubcharacteristicViolation)
 from hyperlab.models import normalize_speeds
 from hyperlab.piecewise import PiecewiseConstantFn
@@ -12,7 +12,7 @@ from hyperlab.riemann import evaluate_fan, solve_riemann_scalar
 from hyperlab.schemes import (SchemeConfig, backward_euler_run, glimm_run,
                               godunov_run, jin_xin_run, method_of_lines_run,
                               mollification_run, nonlinear_diffusion_run,
-                              reversed_digit_theta, theta_sequence,
+                              reversed_digit_theta, run_scheme, theta_sequence,
                               uniformity_defect, viscous_run)
 
 BURGERS_01 = normalize_speeds(models.burgers(), M=1.0)  # speeds (u+1)/2 on [-1,1]
@@ -375,3 +375,27 @@ class TestNonlinearDiffusion:
         flux_r = m.f(np.array([1.02, 0.01]))
         expected = (flux_l - flux_r) * sol.times[-1]
         assert np.max(np.abs(mass_delta - expected)) <= 1e-8
+
+
+# a pulse on a nonzero background that crosses the right end of (0, 1):
+# with constant boundaries every scheme below loses about 0.06 of mass
+WRAPPING_PULSE = PiecewiseConstantFn(np.array([0.5, 0.9]),
+                                     np.array([[0.2], [0.7], [0.2]]))
+
+
+@pytest.mark.parametrize("scheme", ["godunov", "method-of-lines", "viscous",
+                                    "nonlinear-diffusion", "jin-xin"])
+def test_periodic_boundaries_conserve_mass(scheme):
+    # glimm is left out: random-choice sampling is not conservative
+    cfg = SchemeConfig(eps=0.02, T=0.3, domain=(0.0, 1.0), boundary="periodic")
+    sol = run_scheme(BURGERS_01, WRAPPING_PULSE, scheme, cfg)
+    assert np.max(np.abs(sol.mass(sol.times[-1]) - sol.mass(0.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme, model", [
+    ("backward-euler", normalize_speeds(models.burgers(), M=1.0, target=(1.0, 2.0))),
+    ("mollification", BURGERS_01)])
+def test_periodic_boundaries_refused_where_not_implemented(scheme, model):
+    cfg = SchemeConfig(eps=0.02, T=0.3, domain=(0.0, 1.0), boundary="periodic")
+    with pytest.raises(ConfigError, match="constant boundaries"):
+        run_scheme(model, WRAPPING_PULSE, scheme, cfg)

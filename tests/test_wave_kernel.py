@@ -110,16 +110,16 @@ class TestGoldenFans:
         ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
         fields = _field_classes(P_SYSTEM, ul, ur)
         for kw, golden in (({}, GOLDEN_PIECES_SPLIT),
-                           ({"rho_np": 1e-3, "lam_hat": 3.0, "allow_np": True},
+                           ({"rho_np": 1e-3, "lam_hat": 3.0},
                             GOLDEN_PIECES_MERGED)):
             pieces = approximate_riemann_pieces(P_SYSTEM, ul, ur, 0.02,
                                                 fields=fields, **kw)
-            assert [(k, fam) for k, fam, *_ in pieces] == \
+            assert [(p.kind, p.family) for p in pieces] == \
                 [(k, fam) for k, fam, *_ in golden]
-            for (_, _, _, b, speed), (_, _, want_b, want_speed) in zip(pieces, golden):
-                assert np.array_equal(b, unhex(want_b))
-                assert speed == float.fromhex(want_speed)
-            assert_chained(ul, [(a, b) for _, _, a, b, _ in pieces])
+            for p, (_, _, want_b, want_speed) in zip(pieces, golden):
+                assert np.array_equal(p.u_r, unhex(want_b))
+                assert p.speed == float.fromhex(want_speed)
+            assert_chained(ul, [(p.u_l, p.u_r) for p in pieces])
 
 
 class TestCentralDiff:
@@ -183,8 +183,8 @@ def test_psystem_fans_and_pieces(v, u, a1, a2):
 
     fields = _field_classes(P_SYSTEM, ul, ur)
     pieces = approximate_riemann_pieces(P_SYSTEM, ul, ur, 0.01, fields=fields,
-                                        rho_np=1e-3, lam_hat=3.0, allow_np=True)
-    assert_chained(ul, [(a, b) for _, _, a, b, _ in pieces])
-    for kind, _, a, b, speed in pieces:
-        if kind != "non-physical":
-            assert rh_residual(P_SYSTEM, a, b, speed) <= 1e-9
+                                        rho_np=1e-3, lam_hat=3.0)
+    assert_chained(ul, [(p.u_l, p.u_r) for p in pieces])
+    for p in pieces:
+        if p.kind != "non-physical":
+            assert rh_residual(P_SYSTEM, p.u_l, p.u_r, p.speed) <= 1e-9
