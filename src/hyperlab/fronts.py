@@ -25,13 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (ConfigError, FrontExplosion, NonClassifiedField,
-                     RiemannFailure)
-from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
-                     classify_field, eigenvalues)
+from .errors import ConfigError, FrontExplosion, RiemannFailure
+from .models import GENUINELY_NONLINEAR, FluxModel, eigenvalues
 from .piecewise import PiecewiseConstantFn
-from .riemann import (JumpWave, _compose, _damped_newton, solve_riemann_scalar,
-                      solve_strengths)
+from .riemann import (JumpWave, _compose, _damped_newton, _field_classes,
+                      solve_riemann_scalar, solve_strengths)
 
 STRENGTH_FLOOR = 1e-13
 
@@ -76,9 +74,10 @@ class FrontTrackingSolution:
             left, [f.position(t, ep.t) for f in ep.fronts],
             [f.u_r for f in ep.fronts])
 
-    def total_nonphysical_strength(self, t=None):
-        ep = self.epochs[-1] if t is None else self.epoch_at(t)
-        return float(sum(f.strength for f in ep.fronts if f.kind == "non-physical"))
+    def total_nonphysical_strength(self):
+        """Total strength of the non-physical fronts alive at T."""
+        return float(sum(f.strength for f in self.epochs[-1].fronts
+                         if f.kind == "non-physical"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +183,13 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     data must be a PiecewiseConstantFn with finitely many jumps.  cfg needs
     delta (rarefaction accuracy); rho_np > 0 enables merging of weak
     interaction products into non-physical fronts at speed
-    lam_hat = 1 + max characteristic speed over the data.
+    lam_hat = 1 + max characteristic speed over the data.  Fronts move on
+    the whole line, so periodic boundaries are refused.
     """
     if not isinstance(data, PiecewiseConstantFn):
         raise ConfigError("front tracking needs PiecewiseConstantFn data")
+    if cfg.boundary == "periodic":
+        raise ConfigError("front_tracking_run needs constant boundaries")
     delta = cfg.delta
     rho_np = cfg.rho_np
     cap = cfg.front_cap
@@ -196,15 +198,7 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     fields = None
     lam_hat = None
     if model.n > 1:
-        lo = data.vals.min(axis=0)
-        hi = data.vals.max(axis=0)
-        mid = 0.5 * (lo + hi)
-        samples = [lo, hi, mid, 0.5 * (lo + mid), 0.5 * (hi + mid)]
-        fields = [classify_field(model, i, samples) for i in range(model.n)]
-        for fc in fields:
-            if fc.tag not in (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE):
-                raise NonClassifiedField(
-                    f"family {fc.family} is neither GNL nor LD on the data hull")
+        fields = _field_classes(model, data.vals.min(axis=0), data.vals.max(axis=0))
         lam_hat = 1.0 + max(float(np.max(np.abs(eigenvalues(model, u))))
                             for u in data.vals)
 

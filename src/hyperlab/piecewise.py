@@ -216,32 +216,21 @@ class GridSolution:
             return PiecewiseConstantFn.constant(row[0])
         return PiecewiseConstantFn(edges, row)
 
-    def mass(self, t, a=None, b=None):
-        row = self.row(t)
-        mask = np.ones(self.ncells, dtype=bool)
-        c = self.centers()
-        if a is not None:
-            mask &= c >= a
-        if b is not None:
-            mask &= c <= b
-        return row[mask].sum(axis=0) * self.dx
+    def mass(self, t):
+        return self.row(t).sum(axis=0) * self.dx
 
     def tv(self, t):
         return grid_tv(self.row(t))
 
-    def l1_distance(self, other, t, a=None, b=None):
-        """L1 distance at time t to another GridSolution or piecewise fn."""
-        a = self.x0 if a is None else a
-        b = self.xmax if b is None else b
-        mine = self.as_piecewise(t)
+    def l1_distance(self, other, t):
+        """L1 distance over the grid at time t to another GridSolution or
+        piecewise fn."""
         if isinstance(other, GridSolution):
             theirs = other.as_piecewise(t)
         elif isinstance(other, PiecewiseConstantFn):
             theirs = other
         else:  # callable profile: sample at cell centers (midpoint rule)
-            c = self.centers()
-            vals = np.stack([as_state(other(x), self.n) for x in c])
+            vals = np.stack([as_state(other(x), self.n) for x in self.centers()])
             diff = np.linalg.norm(self.row(t) - vals, axis=1)
-            mask = (c >= a) & (c <= b)
-            return float(np.sum(diff[mask]) * self.dx)
-        return mine.l1_distance(theirs, a, b)
+            return float(np.sum(diff) * self.dx)
+        return self.as_piecewise(t).l1_distance(theirs, self.x0, self.xmax)

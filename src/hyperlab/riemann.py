@@ -31,6 +31,7 @@ TOL_ORDER = 1e-9
 TOL_CURVE = 1e-3
 STRENGTH_FLOOR = 1e-12
 N_ENVELOPE = 4096
+N_LIU_CHECK = 257
 RAREFACTION_STEPS = 48
 
 
@@ -267,10 +268,18 @@ def _check_wave_order(waves):
 # systems: Lax curves
 
 def _field_classes(model, u_minus, u_plus):
+    """Class of every family over the segment from u_minus to u_plus (its
+    ends, midpoint and quarter points); a family that is neither GNL nor LD
+    there raises NonClassifiedField."""
     mid = 0.5 * (u_minus + u_plus)
     samples = [u_minus, u_plus, mid,
                0.75 * u_minus + 0.25 * u_plus, 0.25 * u_minus + 0.75 * u_plus]
-    return [classify_field(model, i, samples) for i in range(model.n)]
+    fields = [classify_field(model, i, samples) for i in range(model.n)]
+    for fc in fields:
+        if fc.tag not in (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE):
+            raise NonClassifiedField(
+                f"family {fc.family} is neither GNL nor LD near the data")
+    return fields
 
 
 def default_small_data_radius(model, u_minus, u_plus):
@@ -381,7 +390,7 @@ def _damped_newton(G, x, tol, accept, maxiter, error, what):
     raise error(f"{what} Newton did not converge (|G|={np.linalg.norm(g):.2e})")
 
 
-def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP, maxiter=40,
+def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP,
                     rarefaction_as_shocks=False):
     """Damped Newton for the wave strengths of the composed Lax curves."""
     es = eigensystem(model, u_minus)
@@ -392,7 +401,7 @@ def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP, maxiter=40,
     def G(s):
         return _compose(model, u_minus, s, fields, splits)[0] - u_plus
 
-    return _damped_newton(G, sigmas, tol, 10 * tol, maxiter, NewtonDivergence,
+    return _damped_newton(G, sigmas, tol, 10 * tol, 40, NewtonDivergence,
                           "strength")
 
 
@@ -429,11 +438,6 @@ def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
         return WaveFan(u_minus, u_plus, (u_minus,), ())
 
     fields = _field_classes(model, u_minus, u_plus)
-    for fc in fields:
-        if fc.tag not in (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE):
-            raise NonClassifiedField(
-                f"family {fc.family} is neither GNL nor LD near the data")
-
     radius = default_small_data_radius(model, u_minus, u_plus)
     if np.linalg.norm(u_plus - u_minus) > radius:
         raise NewtonDivergence(
@@ -472,8 +476,7 @@ def _lower_hull_indices(x, y):
     return hull
 
 
-def solve_riemann_scalar(model: FluxModel, u_minus, u_plus,
-                         n_env=N_ENVELOPE) -> WaveFan:
+def solve_riemann_scalar(model: FluxModel, u_minus, u_plus) -> WaveFan:
     """Scalar Riemann solution via the convex (u- < u+) or concave envelope."""
     if model.n != 1:
         raise ValueError("solve_riemann_scalar needs a scalar model")
@@ -484,7 +487,7 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus,
         return WaveFan(u_minus, u_plus, (u_minus,), ())
 
     a, b = (ul, ur) if ul < ur else (ur, ul)
-    grid = np.linspace(a, b, n_env)
+    grid = np.linspace(a, b, N_ENVELOPE)
     fs = model.f(grid[:, None])[:, 0]
     if ul < ur:
         hull = _lower_hull_indices(grid, fs)
@@ -556,7 +559,7 @@ class AdmissibilityVerdict:
     sigma: Optional[float] = None
 
 
-def liu_admissible(model: FluxModel, u_minus, u_plus, i, n_check=257) -> AdmissibilityVerdict:
+def liu_admissible(model: FluxModel, u_minus, u_plus, i) -> AdmissibilityVerdict:
     """Liu condition: lambda_i(s) >= lambda_i(sigma) for s between 0 and sigma."""
     u_minus = model.state(u_minus)
     u_plus = model.state(u_plus)
@@ -564,7 +567,7 @@ def liu_admissible(model: FluxModel, u_minus, u_plus, i, n_check=257) -> Admissi
         sigma = float(u_plus[0] - u_minus[0])
         if sigma == 0.0:
             return AdmissibilityVerdict(True, 0.0, 0.0)
-        lams = _secant_speeds(model, u_minus, sigma, n_check)
+        lams = _secant_speeds(model, u_minus, sigma, N_LIU_CHECK)
         margin = float(np.min(lams) - lams[-1])
         return AdmissibilityVerdict(margin >= -TOL_ADM, margin, sigma)
 
@@ -572,7 +575,7 @@ def liu_admissible(model: FluxModel, u_minus, u_plus, i, n_check=257) -> Admissi
     sigma = float(es.left[i] @ (u_plus - u_minus))
     if abs(sigma) < STRENGTH_FLOOR and np.linalg.norm(u_plus - u_minus) < 1e-10:
         return AdmissibilityVerdict(True, 0.0, 0.0)
-    curve = shock_curve(model, u_minus, i, sigma, n_check)
+    curve = shock_curve(model, u_minus, i, sigma, N_LIU_CHECK)
     if np.linalg.norm(curve.states[-1] - u_plus) > max(1e-8, 1e-6 * np.linalg.norm(u_plus - u_minus)):
         raise NotOnShockCurve(
             f"u+ is {np.linalg.norm(curve.states[-1] - u_plus):.3g} away from the "

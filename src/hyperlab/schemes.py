@@ -1,8 +1,12 @@
 """Approximation schemes: grid methods producing GridSolution trajectories.
 
 All runs are deterministic; identical config and data give bit-identical
-output.  Grid schemes store snapshots only at requested times (plus t=0 and
-t=T) unless store_all is set.
+output.  Every grid run takes its cells and initial states from `_grid`, its
+time steps from `_time_steps` (equal steps ending at T, capped by cfg.dt) or,
+for the unit-CFL Godunov and Glimm runs, from `_unit_cfl_steps` (dt = dx, so T
+must be a whole number of steps), and records through `_collect`: snapshots
+only at t = 0, t = T and the requested times unless store_all is set, and
+the shared meta keys scheme, eps, dx, dt, cfl and boundary.
 """
 
 from __future__ import annotations
@@ -25,10 +29,19 @@ from .riemann import evaluate_fan, riemann_solver_for
 class SchemeConfig:
     """Shared configuration for all runs.
 
-    eps is the scheme's accuracy knob (grid size for Godunov/Glimm/MOL,
-    viscosity for the parabolic runs, time step for backward Euler and the
-    mollification restarts).  dx/dt override the scheme defaults where a
-    separate spatial grid exists; CFL limits are enforced per scheme.
+    eps is the scheme's accuracy knob: the grid size of Godunov, Glimm and
+    the method of lines, the viscosity of the parabolic runs, the relaxation
+    time of Jin-Xin, and the step limit of backward Euler and of the
+    mollification restarts.  Godunov and Glimm step with dt = dx, so T must
+    be a whole number of dx steps; they read neither dx nor dt.
+
+    dx sets the grid of the runs with a separate spatial grid: viscous,
+    nonlinear diffusion, Jin-Xin, backward Euler and mollification.  dt caps
+    the time step of every run except Godunov and Glimm, and a dt above the
+    scheme's limit (meta["cfl"]["dt_max"]) raises CFLViolation; the steps
+    are then equal and end at T.  snapshot_times and store_all choose the
+    stored snapshots of every grid run.  Front tracking reads delta, rho_np
+    and front_cap.
     """
 
     eps: float
@@ -61,32 +74,30 @@ class SchemeConfig:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _make_grid(cfg, dx):
+def _grid(model, data, cfg, dx):
+    """(x0, dx, u0): the domain cut into whole cells of width about dx, and
+    the initial cell states: exact averages for piecewise-constant data,
+    midpoint samples for callables, a copy of an array of cell states."""
     a, b = cfg.domain
     ncells = int(round((b - a) / dx))
     if ncells < 4:
         raise ConfigError("domain too small for the requested resolution")
-    return a, (b - a) / ncells, ncells
-
-
-def initial_cells(model, data, x0, dx, ncells):
-    """Initial cell states: exact averages for piecewise-constant data,
-    midpoint samples for callables, pass-through for arrays."""
+    dx = (b - a) / ncells
     if isinstance(data, PiecewiseConstantFn):
-        vals = data.cell_averages(x0, dx, ncells)
-        if vals.shape[1] != model.n:
+        u0 = data.cell_averages(a, dx, ncells)
+        if u0.shape[1] != model.n:
             raise ConfigError("data dimension does not match the model")
-        return vals
-    if callable(data):
-        centers = x0 + dx * (np.arange(ncells) + 0.5)
-        return np.stack([as_state(data(x), model.n) for x in centers])
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape != (ncells, model.n):
-        raise ConfigError(f"data shape {arr.shape} does not match grid "
-                          f"({ncells} cells, n={model.n})")
-    return arr.copy()
+    elif callable(data):
+        u0 = np.stack([as_state(data(x), model.n)
+                       for x in a + dx * (np.arange(ncells) + 0.5)])
+    else:
+        u0 = np.array(data, dtype=float)
+        if u0.ndim == 1:
+            u0 = u0[:, None]
+        if u0.shape != (ncells, model.n):
+            raise ConfigError(f"data shape {u0.shape} does not match grid "
+                              f"({ncells} cells, n={model.n})")
+    return a, dx, u0
 
 
 def _data_states(u0, cap=96):
@@ -121,15 +132,27 @@ def _pad(u, boundary):
 
 
 def _time_steps(cfg, dt_default, dt_limit, rule):
-    """(nsteps, dt) of equal steps ending at T, each at most cfg.dt if set,
-    else at most dt_default.  A cfg.dt above dt_limit (`rule`) raises."""
+    """(nsteps, dt, cfl) of equal steps ending at T (none if T = 0), each
+    at most cfg.dt if set, else at most dt_default; cfl records `rule` and
+    its limit dt_limit, and a cfg.dt above dt_limit raises."""
     dt_max = dt_default
     if cfg.dt is not None:
         if cfg.dt > dt_limit * (1 + 1e-12):
             raise CFLViolation(f"dt={cfg.dt} violates {rule} (limit {dt_limit:.6g})")
         dt_max = cfg.dt
-    nsteps = max(1, int(math.ceil(cfg.T / dt_max - 1e-12)))
-    return nsteps, (cfg.T / nsteps if cfg.T > 0 else dt_max)
+    nsteps = max(1, int(math.ceil(cfg.T / dt_max - 1e-12))) if cfg.T > 0 else 0
+    return (nsteps, cfg.T / nsteps if nsteps else dt_max,
+            {"rule": rule, "dt_max": dt_limit})
+
+
+def _unit_cfl_steps(cfg, dx):
+    """(nsteps, cfl) of T/dx steps of dt = dx; T must be a whole number of
+    them."""
+    nsteps = int(round(cfg.T / dx))
+    if abs(nsteps * dx - cfg.T) > 1e-9 * max(cfg.T, 1.0):
+        raise ConfigError(f"T={cfg.T} is not a whole number of steps "
+                          f"dt = dx = {dx:.6g}")
+    return nsteps, {"rule": "dt = dx, speeds in [0,1]"}
 
 
 def _record_steps(nsteps, dt, cfg):
@@ -147,22 +170,22 @@ def _check_finite(u):
         raise NonfiniteState("non-finite cell state (blow-up?)")
 
 
-def _collect(model, cfg, x0, dx, dt, u0, stepper, nsteps, meta):
-    record = _record_steps(nsteps, dt, cfg)
-    times, rows = [], []
+def _collect(cfg, x0, dx, dt, u0, step, nsteps, scheme, cfl, **extra):
+    """Take nsteps of u -> step(u, j) from u0, keep the snapshots the config
+    asks for, and record the run's settings in the solution's meta."""
+    rec = set(_record_steps(nsteps, dt, cfg))
+    times, rows = [0.0], [u0.copy()]
     u = u0
-    rec = set(record)
-    if 0 in rec:
-        times.append(0.0)
-        rows.append(u.copy())
     for j in range(1, nsteps + 1):
-        u = stepper(u, j)
+        u = step(u, j)
         if j % 64 == 0:
             _check_finite(u)
         if j in rec:
             _check_finite(u)
             times.append(j * dt)
             rows.append(u.copy())
+    meta = {"scheme": scheme, "eps": cfg.eps, "dx": dx, "dt": dt, **extra,
+            "cfl": cfl, "boundary": cfg.boundary}
     return GridSolution(x0, dx, np.array(times), np.stack(rows), meta=meta)
 
 
@@ -171,12 +194,10 @@ def _collect(model, cfg, x0, dx, dt, u0, stepper, nsteps, meta):
 
 def godunov_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Upwind scheme u_{j+1,k} = u_{j,k} + f(u_{j,k-1}) - f(u_{j,k}) on a
-    unit-CFL grid dt = dx = eps.  Requires speeds in [0, 1]."""
-    x0, dx, ncells = _make_grid(cfg, cfg.eps)
-    dt = dx
-    u0 = initial_cells(model, data, x0, dx, ncells)
+    unit-CFL grid dt = dx = eps.  Requires speeds in [0, 1] and T a whole
+    number of dx steps."""
+    x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, 0.0, 1.0)
-    nsteps = int(round(cfg.T / dt))
 
     def step(u, j):
         up = _pad(u, cfg.boundary)
@@ -184,10 +205,8 @@ def godunov_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
         fc = model.f(up[1:-1])
         return u + (fl - fc)
 
-    meta = {"scheme": "godunov", "eps": cfg.eps, "dx": dx, "dt": dt,
-            "cfl": {"rule": "dt = dx, speeds in [0,1]"},
-            "boundary": cfg.boundary}
-    return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
+    nsteps, cfl = _unit_cfl_steps(cfg, dx)
+    return _collect(cfg, x0, dx, dx, u0, step, nsteps, "godunov", cfl)
 
 
 def reversed_digit_theta(j: int) -> float:
@@ -222,17 +241,15 @@ def uniformity_defect(thetas, lambdas) -> float:
 
 def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Riemann fans on the unit-CFL grid restarted by sampling at
-    x = (k + theta_j) dx.  The restart values are the new cell states."""
-    x0, dx, ncells = _make_grid(cfg, cfg.eps)
-    dt = dx
-    u0 = initial_cells(model, data, x0, dx, ncells)
+    x = (k + theta_j) dx.  The restart values are the new cell states.
+    Requires speeds in [0, 1] and T a whole number of dx steps."""
+    x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     if isinstance(data, PiecewiseConstantFn):
         # sampling restarts want cell values, not averages: snap each cell
         # to the data value at its center (exact for data aligned with grid)
-        centers = x0 + dx * (np.arange(ncells) + 0.5)
-        u0 = data(centers)
+        u0 = data(x0 + dx * (np.arange(u0.shape[0]) + 0.5))
     _check_speed_range(model, u0, 0.0, 1.0)
-    nsteps = int(round(cfg.T / dt))
+    nsteps, cfl = _unit_cfl_steps(cfg, dx)
     thetas = theta_sequence(cfg.sequence, nsteps)
     solver = riemann_solver_for(model)
     fan_cache = {}
@@ -252,11 +269,8 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
             out[k] = evaluate_fan(fan, theta)
         return out
 
-    meta = {"scheme": "glimm", "eps": cfg.eps, "dx": dx, "dt": dt,
-            "sequence": cfg.sequence, "theta": thetas,
-            "cfl": {"rule": "dt = dx, speeds in [0,1]"},
-            "boundary": cfg.boundary}
-    return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
+    return _collect(cfg, x0, dx, dx, u0, step, nsteps, "glimm", cfl,
+                    sequence=cfg.sequence, theta=thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +279,9 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """dU_k/dt = (f(U_{k-1}) - f(U_k))/eps integrated with classical RK4,
     time step at most eps/2.  Requires speeds in [0, 1] (upwind left)."""
-    x0, dx, ncells = _make_grid(cfg, cfg.eps)
-    u0 = initial_cells(model, data, x0, dx, ncells)
+    x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, 0.0, 1.0)
-    rule = "dt <= eps/2"
-    nsteps, dt = _time_steps(cfg, 0.5 * dx, 0.5 * dx, rule)
+    nsteps, dt, cfl = _time_steps(cfg, 0.5 * dx, 0.5 * dx, "dt <= eps/2")
 
     def rhs(u):
         up = _pad(u, cfg.boundary)
@@ -282,10 +294,7 @@ def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSoluti
         k4 = rhs(u + dt * k3)
         return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    meta = {"scheme": "method-of-lines", "eps": cfg.eps, "dx": dx, "dt": dt,
-            "cfl": {"rule": rule, "dt_max": 0.5 * dx},
-            "boundary": cfg.boundary}
-    return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
+    return _collect(cfg, x0, dx, dt, u0, step, nsteps, "method-of-lines", cfl)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +321,7 @@ def _b_selector(model, spec):
 def _parabolic_run(model, data, cfg, b_spec, scheme_name):
     eps = cfg.eps
     dx = cfg.dx if cfg.dx is not None else eps / 4.0
-    x0, dx, ncells = _make_grid(cfg, dx)
-    u0 = initial_cells(model, data, x0, dx, ncells)
+    x0, dx, u0 = _grid(model, data, cfg, dx)
     M = _max_speed(model, u0, pad=1.05)
     B_fn = _b_selector(model, b_spec)
 
@@ -336,8 +344,8 @@ def _parabolic_run(model, data, cfg, b_spec, scheme_name):
     dt_hyp = dx / (2.0 * M)
     dt_par = dx * dx / (4.0 * eps * max_b) if eps * max_b > 0 else np.inf
     dt_max = min(dt_hyp, dt_par)
-    rule = "dt <= min(dx/(2M), dx^2/(4 eps |B|))"
-    nsteps, dt = _time_steps(cfg, dt_max, dt_max, rule)
+    nsteps, dt, cfl = _time_steps(cfg, dt_max, dt_max,
+                                  "dt <= min(dx/(2M), dx^2/(4 eps |B|))")
 
     identity = B_fn is None
 
@@ -356,11 +364,8 @@ def _parabolic_run(model, data, cfg, b_spec, scheme_name):
             D = np.einsum("kij,kj->ki", Bface, du) / dx
         return u - (dt / dx) * (F[1:] - F[:-1]) + (eps * dt / dx) * (D[1:] - D[:-1])
 
-    meta = {"scheme": scheme_name, "eps": eps, "dx": dx, "dt": dt,
-            "cfl": {"rule": rule, "M": M, "dt_max": float(dt_max),
-                    "lf_alpha": alpha},
-            "boundary": cfg.boundary}
-    return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
+    return _collect(cfg, x0, dx, dt, u0, step, nsteps, scheme_name,
+                    {**cfl, "M": M, "lf_alpha": alpha})
 
 
 def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
@@ -390,16 +395,14 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     source handled implicitly (exact since it is linear in v)."""
     eps = cfg.eps
     dx = cfg.dx if cfg.dx is not None else eps / 2.0
-    x0, dx, ncells = _make_grid(cfg, dx)
-    u0 = initial_cells(model, data, x0, dx, ncells)
+    x0, dx, u0 = _grid(model, data, cfg, dx)
     M = _max_speed(model, u0)
     a2 = cfg.a2 if cfg.a2 is not None else max(1.0, (1.1 * M) ** 2)
     if a2 < M ** 2 * (1 - 1e-12):
         raise SubcharacteristicViolation(
             f"a^2 = {a2} below max f'(u)^2 = {M ** 2} on the data hull")
     a = math.sqrt(a2)
-    rule = "dt <= dx/a"
-    nsteps, dt = _time_steps(cfg, 0.9 * dx / a, dx / a, rule)
+    nsteps, dt, cfl = _time_steps(cfg, 0.9 * dx / a, dx / a, "dt <= dx/a")
     c = a * dt / dx
 
     v0 = model.f(u0)
@@ -419,31 +422,26 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
         state["v"] = (v_star + r * model.f(u_new)) / (1.0 + r)
         return u_new
 
-    meta = {"scheme": "jin-xin", "eps": eps, "dx": dx, "dt": dt, "a2": a2,
-            "cfl": {"rule": rule, "dt_max": dx / a},
-            "boundary": cfg.boundary}
-    return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
+    return _collect(cfg, x0, dx, dt, u0, step, nsteps, "jin-xin", cfl, a2=a2)
 
 
 # ---------------------------------------------------------------------------
 # backward Euler
 
 def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
-    """Implicit step w = v - (eps/dx)(f(w_k) - f(w_{k-1})) solved by marching
-    left to right with a per-cell Newton iteration.  Requires speeds in
-    [1, 2] so the implicit system is well posed and upwinding is one-sided,
-    and constant boundaries: the march starts from a steady far-left state."""
+    """Implicit step w = v - (dt/dx)(f(w_k) - f(w_{k-1})) solved by marching
+    left to right with a per-cell Newton iteration, in equal steps dt of at
+    most eps.  Requires speeds in [1, 2] so the implicit system is well
+    posed and upwinding is one-sided, and constant boundaries: the march
+    starts from a steady far-left state."""
     if cfg.boundary == "periodic":
         raise ConfigError("backward_euler_run needs constant boundaries")
-    eps = cfg.eps  # time step
-    dx = cfg.dx if cfg.dx is not None else eps / 4.0
-    x0, dx, ncells = _make_grid(cfg, dx)
-    u0 = initial_cells(model, data, x0, dx, ncells)
+    dx = cfg.dx if cfg.dx is not None else cfg.eps / 4.0
+    x0, dx, u0 = _grid(model, data, cfg, dx)
     _check_speed_range(model, u0, 1.0, 2.0)
-    nsteps = int(round(cfg.T / eps))
-    if abs(nsteps * eps - cfg.T) > 1e-9 * max(cfg.T, 1.0):
-        nsteps = max(1, int(math.ceil(cfg.T / eps - 1e-12)))
-    dt = cfg.T / nsteps if cfg.T > 0 else eps
+    nsteps, dt, cfl = _time_steps(
+        cfg, cfg.eps, cfg.eps,
+        "dt <= eps (unconditionally stable; speeds in [1,2])")
     c = dt / dx
     eye = np.eye(model.n)
 
@@ -470,10 +468,7 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
             fw_prev = model.f(wk)
         return w
 
-    meta = {"scheme": "backward-euler", "eps": eps, "dx": dx, "dt": dt,
-            "cfl": {"rule": "unconditionally stable; speeds in [1,2]"},
-            "boundary": cfg.boundary}
-    return _collect(model, cfg, x0, dx, dt, u0, step, nsteps, meta)
+    return _collect(cfg, x0, dx, dt, u0, step, nsteps, "backward-euler", cfl)
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +521,27 @@ def mollification_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution
     """Scalar only: exact characteristic transport on each restart interval
     followed by convolution with a C^2 mollifier of width mollifier_width.
 
-    Raises BlowupBeforeRestart when the restart interval eps is not shorter
-    than the classical blow-up time of the current profile.  Boundaries must
-    be constant: the profile is extended by its end values."""
+    The restart intervals are equal and at most eps.  Raises
+    BlowupBeforeRestart when the interval is not shorter than the classical
+    blow-up time of the current profile.  Boundaries must be constant: the
+    profile is extended by its end values."""
     if model.n != 1:
         raise ConfigError("mollification_run is scalar-only")
     if cfg.boundary == "periodic":
         raise ConfigError("mollification_run needs constant boundaries")
     dx = cfg.dx if cfg.dx is not None else (cfg.domain[1] - cfg.domain[0]) / 2048
-    x0, dx, ncells = _make_grid(cfg, dx)
+    x0, dx, u0 = _grid(model, data, cfg, dx)
+    ncells = u0.shape[0]
     centers = x0 + dx * (np.arange(ncells) + 0.5)
     edges = x0 + dx * np.arange(ncells + 1)
-    u = initial_cells(model, data, x0, dx, ncells)[:, 0]
     width = cfg.mollifier_width if cfg.mollifier_width is not None else 4 * dx
     kern = mollifier_kernel(cfg.mollifier_kernel, width, dx)
     r = (kern.size - 1) // 2
+    nsteps, tau, cfl = _time_steps(
+        cfg, cfg.eps, cfg.eps, "dt <= eps < blow-up time of the current profile")
 
-    times = [0.0]
-    rows = [u.copy()[:, None]]
-    t = 0.0
-    while t < cfg.T - 1e-12:
-        tau = min(cfg.eps, cfg.T - t)
+    def step(u, j):
+        u = u[:, 0]
         h = 1e-7 * (1.0 + np.abs(u))
         fp = (model.f((u + h)[:, None])[:, 0] - model.f((u - h)[:, None])[:, 0]) / (2 * h)
         t_blow = blowup_time(centers, fp)
@@ -561,17 +556,10 @@ def mollification_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution
                 t_blowup=t_blow)
         u = _pl_cell_averages(y, u, edges)
         padded = np.concatenate([np.full(r, u[0]), u, np.full(r, u[-1])])
-        u = np.convolve(padded, kern, mode="valid")
-        t += tau
-        times.append(t)
-        rows.append(u.copy()[:, None])
-        _check_finite(u)
+        return np.convolve(padded, kern, mode="valid")[:, None]
 
-    meta = {"scheme": "mollification", "eps": cfg.eps, "dx": dx,
-            "kernel": cfg.mollifier_kernel, "width": width,
-            "cfl": {"rule": "eps < blow-up time of the current profile"},
-            "boundary": cfg.boundary}
-    return GridSolution(x0, dx, np.array(times), np.stack(rows), meta=meta)
+    return _collect(cfg, x0, dx, tau, u0, step, nsteps, "mollification", cfl,
+                    kernel=cfg.mollifier_kernel, width=width)
 
 
 # ---------------------------------------------------------------------------

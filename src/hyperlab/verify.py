@@ -46,16 +46,15 @@ PSI_DERIV_MAX = 96.0 / (25.0 * math.sqrt(5.0))
 # ---------------------------------------------------------------------------
 # basic functionals
 
-def total_variation(obj, a=None, b=None, t=None):
-    """Total variation of a profile over the open interval (a, b).
+def total_variation(obj):
+    """Total variation of a profile over the whole line.
 
-    Accepts a PiecewiseConstantFn, a GridSolution (with t), or a plain
-    snapshot row (interval ignored for rows)."""
+    Accepts a PiecewiseConstantFn, a GridSolution (its last snapshot), or a
+    plain snapshot row."""
     if isinstance(obj, PiecewiseConstantFn):
-        return obj.tv(a, b)
+        return obj.tv()
     if isinstance(obj, GridSolution):
-        tt = obj.times[-1] if t is None else t
-        return obj.as_piecewise(tt).tv(a, b)
+        return obj.as_piecewise(obj.times[-1]).tv()
     return grid_tv(np.asarray(obj))
 
 
@@ -193,15 +192,13 @@ class FrontTrackingView(_StateCache):
         return sorted(out)
 
 
-def as_view(obj, x_span=None):
+def as_view(obj):
+    """A view as is, or a GridSolution as a GridView; a front-tracking run
+    needs a FrontTrackingView, which carries its x_span."""
     if isinstance(obj, (GridView, FanView, FrontTrackingView)):
         return obj
     if isinstance(obj, GridSolution):
         return GridView(obj)
-    if isinstance(obj, FrontTrackingSolution):
-        if x_span is None:
-            raise ValueError("front tracking view needs an x_span")
-        return FrontTrackingView(obj, x_span)
     raise TypeError(f"cannot view {type(obj).__name__} as a solution")
 
 
@@ -374,25 +371,25 @@ def _setup(view, t_span, family):
     return view, t0, t1, family
 
 
-def _strip_residual(view, model, t_span, family, time_pad, entropy):
+def _strip_residual(view, model, t_span, family, entropy):
     """Strip expressions over the family, each divided by its bump's scale
-    (t1 - t0 + pad) * |phi|_W1inf."""
+    (t1 - t0 + TIME_PAD) * |phi|_W1inf."""
     view, t0, t1, family = _setup(view, t_span, family)
     exprs = strip_expressions(view, model, family.bumps, t0, t1, entropy)
-    scale = (t1 - t0 + time_pad) * np.array([b.w1inf for b in family])
+    scale = (t1 - t0 + TIME_PAD) * np.array([b.w1inf for b in family])
     return exprs / scale[:, None]
 
 
-def weak_residual(view, model, t_span=None, family=None, time_pad=TIME_PAD):
+def weak_residual(view, model, t_span=None, family=None):
     """max over the family of |expr| / ((t1 - t0 + pad) * |phi|_W1inf)."""
-    r = _strip_residual(view, model, t_span, family, time_pad, False)
+    r = _strip_residual(view, model, t_span, family, False)
     return float(np.max(np.linalg.norm(r, axis=1)))
 
 
-def entropy_residual(view, model, t_span=None, family=None, time_pad=TIME_PAD):
+def entropy_residual(view, model, t_span=None, family=None):
     """min over the (nonnegative) family of the entropy surplus, scaled like
     weak_residual; values below zero flag entropy violation."""
-    r = _strip_residual(view, model, t_span, family, time_pad, True)
+    r = _strip_residual(view, model, t_span, family, True)
     return float(np.min(r[:, -1]))
 
 
@@ -501,25 +498,20 @@ def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
     if r is None:
         r = 10 * dx
     w = max(2, int(round(r / dx)))
-    if w < 2:
-        raise ValueError("window radius must cover at least 2 cells")
     jt = sol.time_index(t)
-    row = sol.states[jt]
     ncells = sol.ncells
-    csum = np.concatenate([np.zeros((1, sol.n)), np.cumsum(row, axis=0)])
+    csum = np.concatenate([np.zeros((1, sol.n)), np.cumsum(sol.states[jt], axis=0)])
 
+    # jump between the one-sided w-cell means at every edge far enough from
+    # the ends; candidates are its local maxima above threshold, largest first
+    ks = np.arange(w, ncells - w + 1)
     sizes = np.zeros(ncells + 1)
-    for k in range(w, ncells - w + 1):
-        um = (csum[k] - csum[k - w]) / w
-        up = (csum[k + w] - csum[k]) / w
-        sizes[k] = np.linalg.norm(up - um)
-    candidates = [k for k in range(w, ncells - w + 1)
-                  if sizes[k] > threshold
-                  and sizes[k] >= sizes[max(k - 1, 0)]
-                  and sizes[k] >= sizes[min(k + 1, ncells)]]
-    candidates.sort(key=lambda k: -sizes[k])
+    sizes[ks] = [np.linalg.norm(d) for d in
+                 (csum[ks + w] - csum[ks]) / w - (csum[ks] - csum[ks - w]) / w]
+    s = sizes[ks]
+    candidates = ks[(s > threshold) & (s >= sizes[ks - 1]) & (s >= sizes[ks + 1])]
     chosen = []
-    for k in candidates:
+    for k in candidates[np.argsort(-sizes[candidates], kind="stable")]:
         if all(abs(k - c) >= 2 * w for c in chosen):
             chosen.append(k)
     chosen.sort()
@@ -527,45 +519,40 @@ def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
     # centered snapshot window for speed fitting
     lo = max(0, jt - 2)
     hi = min(len(sol.times), jt + 3)
-    win = list(range(lo, hi))
+    win = range(lo, hi)
     t_c = float(sol.times[jt])
     centers = sol.centers()
 
+    def window(pos):
+        """The 2w cells around the edge nearest pos, or None off the grid."""
+        km = int(round((pos - sol.x0) / dx))
+        return slice(km - w, km + w) if w <= km <= ncells - w else None
+
     records = []
-    edges = sol.edges()
     w4 = max(1, w // 4)  # trim the inner quarter: keeps layers out of means
     for k in chosen:
         um = (csum[k - w4] - csum[k - w]) / (w - w4)
         up = (csum[k + w] - csum[k + w4]) / (w - w4)
-        e = (up - um) / np.linalg.norm(up - um)
         du = up - um
-        if model is not None:
-            lam0 = float(du @ (model.f(up) - model.f(um)) / (du @ du))
-        else:
-            lam0 = 0.0
+        e = du / np.linalg.norm(du)
+        lam0 = float(du @ (model.f(up) - model.f(um)) / (du @ du)) if model else 0.0
         # the trimmed states, fixed across snapshots: the window's own half
         # means would always place the step at the window's centre edge
         pm, pp = float(um @ e), float(up @ e)
-        xi_c = _conservative_location(centers[k - w:k + w],
-                                      sol.states[jt][k - w:k + w] @ e, dx, pm, pp)
 
-        def window_at(pos):
-            km = int(round((pos - sol.x0) / dx))
-            if km - w < 0 or km + w > ncells:
-                return None
-            return km
+        def location(m, cells):
+            return _conservative_location(centers[cells], sol.states[m][cells] @ e,
+                                          dx, pm, pp)
 
         # track the jump with the predicted speed, one location per snapshot
+        xi_c = location(jt, slice(k - w, k + w))
         ts, xis = [], []
         for m in win:
             tm = float(sol.times[m])
-            km = window_at(xi_c + lam0 * (tm - t_c))
-            if km is None:
-                continue
-            ts.append(tm)
-            xis.append(_conservative_location(centers[km - w:km + w],
-                                              sol.states[m][km - w:km + w] @ e,
-                                              dx, pm, pp))
+            cells = window(xi_c + lam0 * (tm - t_c))
+            if cells is not None:
+                ts.append(tm)
+                xis.append(location(m, cells))
         if len(ts) >= 2:
             tarr, xarr = np.array(ts), np.array(xis)
             tbar = tarr.mean()
@@ -575,33 +562,30 @@ def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
             xi0 = float(xarr.mean() + speed * (t_c - tbar))
         else:
             speed = lam0
-            xi0 = float(edges[k])
+            xi0 = float(sol.edges()[k])
 
         # windowed L1 defect against the fitted traveling step, window
         # centered on the fitted line per snapshot
         defect = 0.0
         tspan = 0.0
         for m in win:
-            tm = float(sol.times[m])
-            pos = xi0 + speed * (tm - t_c)
-            km = window_at(pos)
-            if km is None:
+            pos = xi0 + speed * (float(sol.times[m]) - t_c)
+            cells = window(pos)
+            if cells is None:
                 continue
-            xs = centers[km - w:km + w]
-            U = np.where((xs < pos)[:, None], um[None, :], up[None, :])
-            d = float(np.sum(np.linalg.norm(sol.states[m][km - w:km + w] - U,
-                                            axis=1)) * dx)
+            U = np.where((centers[cells] < pos)[:, None], um[None, :], up[None, :])
+            d = float(np.sum(np.linalg.norm(sol.states[m][cells] - U, axis=1)) * dx)
             wgt = float(sol.times[min(m + 1, hi - 1)] - sol.times[max(m - 1, lo)]) / 2
             defect += d * max(wgt, dx)
             tspan += max(wgt, dx)
-        size = float(np.linalg.norm(up - um))
+        size = float(np.linalg.norm(du))
         rate = defect / max(tspan, 1e-300)
         # a genuine jump concentrates: its windowed L1 defect per unit time
         # stays well below |jump| * r, while smooth profiles saturate it
         if rate > 0.35 * size * r:
             continue
 
-        rec = JumpRecord(float(sol.times[jt]), xi0, um, up, speed,
+        rec = JumpRecord(t_c, xi0, um, up, speed,
                          rh_residual(model, um, up, speed) if model else np.nan,
                          r, rate)
         if model is not None:
@@ -674,17 +658,15 @@ def _linear_evolution(model, pc, u_mid, h):
     return PiecewiseConstantFn(cuts, vals)
 
 
-def error_decomposition(view, model, oracle, tau, eps, h_ladder,
-                        conservative_snap=None) -> ErrorDecomposition:
+def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecomposition:
     """Split the instantaneous error at time tau into per-jump terms (vs the
     detected traveling step) and per-interval terms (vs the frozen-matrix
     linear evolution), for each h in the ladder.
 
-    V(t) interval endpoints are snapped outward by conservative_snap (one
-    cell for grid views) so the reported variation is an over-estimate."""
+    V(t) interval endpoints are snapped outward by one cell for grid views
+    so the reported variation is an over-estimate."""
     view = as_view(view)
-    if conservative_snap is None:
-        conservative_snap = view.dx if isinstance(view, GridView) else 0.0
+    snap = view.dx if isinstance(view, GridView) else 0.0
     u_tau = view.state(tau)
     points = interval_partition(u_tau, eps)
     x_lo, x_hi = view.x_span
@@ -701,8 +683,8 @@ def error_decomposition(view, model, oracle, tau, eps, h_ladder,
         row = []
         for frac in (0.0, 0.5, 1.0):
             t = tau + frac * max(h_ladder)
-            lo = a + (t - tau) - conservative_snap
-            hi = b - (t - tau) + conservative_snap
+            lo = a + (t - tau) - snap
+            hi = b - (t - tau) + snap
             row.append(view.state(t).tv(lo, hi) if hi > lo else 0.0)
         v_samples.append(row)
 

@@ -1,7 +1,9 @@
 """Every module-level import of the library is used somewhere in its module,
-and every module-level constant and private helper is read somewhere."""
+every module-level constant and private helper is read somewhere, and every
+optional parameter of a public function is passed by some call."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -59,3 +61,57 @@ def test_no_dead_module_names(path):
     used = _references(SOURCES + sorted(Path(__file__).parent.glob("*.py")))
     dead = {name: line for name, line in defined.items() if name not in used}
     assert not dead, f"unreferenced names (name: line) in {path.name}: {dead}"
+
+
+def _calls(paths):
+    """Callee name -> [(positional count, keywords)] of every call; a
+    `*args` call counts as passing every position, and a `**kwargs` call
+    carries the keyword None."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, (ast.Name, ast.Attribute))):
+                name = getattr(node.func, "id", None) or node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return calls
+
+
+def _optional_params(path):
+    """(callee name, parameter, call position) of every parameter with a
+    default of a public function, public method or public class's __init__
+    (called by the class name); a bound `self` takes no call position."""
+    tree = ast.parse(path.read_text())
+    defs = [(node, node.name, 0) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            defs += [(node, cls.name if node.name == "__init__" else node.name, 1)
+                     for node in cls.body if isinstance(node, ast.FunctionDef)]
+    out = []
+    for node, name, bound in defs:
+        if name.startswith("_"):
+            continue
+        args = node.args.posonlyargs + node.args.args
+        first = len(args) - len(node.args.defaults)
+        out += [(name, a.arg, k - bound) for k, a in enumerate(args) if k >= first]
+        out += [(name, a.arg, math.inf)
+                for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if d is not None]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_optional_parameter_is_passed(path):
+    # an optional parameter that no call in the library, its tests or the
+    # benchmark passes is a setting nothing sets: it should be a constant
+    tests = Path(__file__).parent
+    calls = _calls(SOURCES + sorted(tests.glob("*.py"))
+                   + sorted((tests.parent / "perfbench").glob("*.py")))
+    never = [f"{name}({param}=)" for name, param, pos in _optional_params(path)
+             if not any(npos > pos or param in kws or None in kws
+                        for npos, kws in calls.get(name, []))]
+    assert not never, f"optional parameters no call passes in {path.name}: {never}"

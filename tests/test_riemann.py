@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hyperlab import models
-from hyperlab.errors import (NewtonDivergence, NonClassifiedField,
-                             NotGenuinelyNonlinear, NotOnShockCurve, RHViolated)
+from hyperlab.errors import (ContinuationFailure, NewtonDivergence,
+                             NonClassifiedField, NotGenuinelyNonlinear,
+                             NotOnShockCurve, RHViolated)
 from hyperlab.riemann import (AdmissibilityVerdict, entropy_admissible_shock,
                               evaluate_fan, liu_admissible, rarefaction_curve,
                               rh_residual, riemann_solver_for, shock_curve,
@@ -42,6 +43,11 @@ class TestShockCurve:
         assert c.speeds == pytest.approx(c.s / 2.0)  # lambda(0) = f'(0) = 0
         flat = shock_curve(m, [0.3], 0, 0.0, n_samples=5)
         assert np.array_equal(flat.speeds, np.full(5, 0.3))  # f'(0.3) throughout
+
+    def test_leaving_the_state_domain_raises(self):
+        # the 1-shock curve through (1, 0) reaches v = 0 at s of about -4.69
+        with pytest.raises(ContinuationFailure):
+            shock_curve(models.p_system(), [1.0, 0.0], 0, -50.0)
 
     def test_psystem_rh_residual_tiny(self):
         m = models.p_system()

@@ -5,8 +5,9 @@ import pytest
 
 from hyperlab import models
 from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
-                             SpeedRangeViolation, SubcharacteristicViolation)
-from hyperlab.models import normalize_speeds
+                             NewtonFailure, NonfiniteState, SpeedRangeViolation,
+                             SubcharacteristicViolation)
+from hyperlab.models import FluxModel, normalize_speeds
 from hyperlab.piecewise import PiecewiseConstantFn
 from hyperlab.riemann import evaluate_fan, solve_riemann_scalar
 from hyperlab.schemes import (SchemeConfig, backward_euler_run, glimm_run,
@@ -16,6 +17,7 @@ from hyperlab.schemes import (SchemeConfig, backward_euler_run, glimm_run,
                               uniformity_defect, viscous_run)
 
 BURGERS_01 = normalize_speeds(models.burgers(), M=1.0)  # speeds (u+1)/2 on [-1,1]
+BURGERS_12 = normalize_speeds(models.burgers(), M=1.0, target=(1.0, 2.0))
 
 
 def mass_drift(sol):
@@ -75,6 +77,25 @@ class TestGodunov:
         a = godunov_run(BURGERS_01, data, cfg)
         b = godunov_run(BURGERS_01, data, cfg)
         assert np.array_equal(a.states, b.states)
+
+    def test_overflowing_flux_raises_nonfinite_state(self):
+        # the flux overflows above 0.45, as in a blow-up
+        m = FluxModel("overflow", 1,
+                      flux=lambda u: np.where(u > 0.45, np.inf, 0.5 * u * u),
+                      jacobian=lambda u: np.array([[u[0]]]))
+        cfg = SchemeConfig(eps=0.02, T=0.2, domain=(0.0, 1.0))
+        with np.errstate(invalid="ignore"), pytest.raises(NonfiniteState):
+            godunov_run(m, square_pulse(0.5, 0.3, 0.6), cfg)
+
+
+@pytest.mark.parametrize("run", [godunov_run, glimm_run])
+def test_unit_cfl_runs_refuse_T_off_the_step_grid(run):
+    # dt = dx = 0.3 cannot end at T = 0.5 (these runs used to stop at 0.6)
+    cfg = SchemeConfig(eps=0.3, T=0.5, domain=(-0.6, 0.6))
+    with pytest.raises(ConfigError, match="whole number"):
+        run(BURGERS_01, square_pulse(0.5, -0.3, 0.0), cfg)
+    sol = run(BURGERS_01, square_pulse(0.5, -0.3, 0.0), replace(cfg, T=0.6))
+    assert sol.times[-1] == pytest.approx(0.6, abs=1e-15)
 
 
 class TestReversedDigit:
@@ -190,15 +211,17 @@ class TestViscous:
 
 
 @pytest.mark.parametrize("run", [method_of_lines_run, viscous_run,
-                                 nonlinear_diffusion_run, jin_xin_run])
+                                 nonlinear_diffusion_run, jin_xin_run,
+                                 backward_euler_run, mollification_run])
 def test_user_dt_above_the_scheme_limit_raises(run):
     # the default run reports its limit; the limit itself is accepted
+    model = BURGERS_12 if run is backward_euler_run else BURGERS_01
     cfg = SchemeConfig(eps=0.05, T=0.05, domain=(-1.0, 1.0))
     data = PiecewiseConstantFn.constant([0.3])
-    limit = run(BURGERS_01, data, cfg).meta["cfl"]["dt_max"]
-    run(BURGERS_01, data, replace(cfg, dt=limit))
+    limit = run(model, data, cfg).meta["cfl"]["dt_max"]
+    run(model, data, replace(cfg, dt=limit))
     with pytest.raises(CFLViolation, match="limit"):
-        run(BURGERS_01, data, replace(cfg, dt=limit * 1.001))
+        run(model, data, replace(cfg, dt=limit * 1.001))
 
 
 class TestJinXin:
@@ -271,8 +294,18 @@ class TestBackwardEuler:
         ref_cont = np.trapezoid(integrand, s)
         assert w[k] == pytest.approx(ref_cont, abs=5e-4)
 
+    def test_newton_stall_raises(self):
+        # f = 2u - u^2/2 has speeds 2 - u in [1, 2] on the data, but its
+        # Newton steps overshoot below 0, where it is NaN
+        m = FluxModel("nan-below-zero", 1,
+                      flux=lambda u: np.where(u < 0, np.nan, 2 * u - 0.5 * u * u),
+                      jacobian=lambda u: np.array([[2.0 - u[0]]]))
+        cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
+        with pytest.raises(NewtonFailure, match="stalled in cell 60"):
+            backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
+
     def test_mass_conservation(self):
-        m = normalize_speeds(models.burgers(), M=1.0, target=(1.0, 2.0))
+        m = BURGERS_12
         cfg = SchemeConfig(eps=0.02, T=0.2, domain=(-2.0, 4.0), dx=0.01)
         sol = backward_euler_run(m, square_pulse(0.6, -1.0, 0.0), cfg)
         # boundary flux cancels only against the shared background state
@@ -339,6 +372,18 @@ class TestMollification:
         sol = mollification_run(m, data, cfg)
         assert mass_drift(sol) <= 1e-8
 
+    def test_snapshot_settings_honoured(self):
+        # four equal restarts of 0.1, stored like every other grid run
+        data = lambda x: np.array([0.3 * np.exp(-x * x)])
+        cfg = SchemeConfig(eps=0.1, T=0.4, domain=(-4.0, 4.0), dx=1 / 64,
+                           mollifier_width=0.1)
+        for settings, times in [({}, [0.0, 0.4]),
+                                ({"snapshot_times": [0.2]}, [0.0, 0.2, 0.4]),
+                                ({"store_all": True}, [0.0, 0.1, 0.2, 0.3, 0.4])]:
+            sol = mollification_run(models.burgers(), data, replace(cfg, **settings))
+            assert sol.times == pytest.approx(times, abs=1e-15)
+            assert sol.states.shape[0] == len(times)
+
 
 class TestNonlinearDiffusion:
     def test_identity_matches_viscous_bitwise(self):
@@ -393,8 +438,8 @@ def test_periodic_boundaries_conserve_mass(scheme):
 
 
 @pytest.mark.parametrize("scheme, model", [
-    ("backward-euler", normalize_speeds(models.burgers(), M=1.0, target=(1.0, 2.0))),
-    ("mollification", BURGERS_01)])
+    ("backward-euler", BURGERS_12), ("mollification", BURGERS_01),
+    ("front-tracking", BURGERS_01)])
 def test_periodic_boundaries_refused_where_not_implemented(scheme, model):
     cfg = SchemeConfig(eps=0.02, T=0.3, domain=(0.0, 1.0), boundary="periodic")
     with pytest.raises(ConfigError, match="constant boundaries"):

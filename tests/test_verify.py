@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.errors import (ConfigError, DegenerateData, HyperlabError,
-                             OracleUnavailable, QuadratureUnderResolved)
+                             NonClassifiedField, OracleUnavailable,
+                             QuadratureUnderResolved)
 from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
 from hyperlab.riemann import (JumpWave, WaveFan, liu_admissible,
@@ -140,7 +142,7 @@ class TestWeakResidual:
     def test_godunov_residual_decreases_under_refinement(self):
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         rs = []
-        for eps in (1 / 25, 1 / 50, 1 / 100):
+        for eps in (1 / 20, 1 / 40, 1 / 80):
             cfg = SchemeConfig(eps=eps, T=0.5, domain=(-1.0, 1.5), store_all=True)
             sol = godunov_run(BURGERS_01, data, cfg)
             rs.append(weak_residual(GridView(sol), BURGERS_01, t_span=(0.0, 0.5)))
@@ -164,7 +166,8 @@ class TestEntropyResidual:
     def test_reversed_shock_strictly_negative(self):
         view = FanView(step_fan(0.0, 1.0, 0.5), t_span=(0.0, 1.0),
                        x_span=(-1.0, 2.0))
-        s = entropy_residual(view, BURGERS, t_span=(0.0, 1.0))
+        s = entropy_residual(view, BURGERS, t_span=(0.0, 1.0),
+                             family=default_family(0.0, 1.0, -1.0, 2.0, scales=4))
         assert s < -1e-3
 
     def test_smooth_contact_zero_surplus(self):
@@ -211,6 +214,75 @@ class TestCertificate:
         assert certs[1].eps <= certs[0].eps * 1.1  # refinement monotone (10%)
 
 
+def record_digest(recs):
+    h = hashlib.sha256()
+    for r in recs:
+        for v in (r.t, r.xi, r.u_minus, r.u_plus, r.speed, r.rh_residual,
+                  r.window_radius, r.defect, r.liu_margin, r.entropy_margin):
+            h.update(np.ascontiguousarray(np.nan if v is None else v,
+                                          dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def psystem_scan(t, x=0.0, domain=(-1.0, 1.0), **kw):
+    m = models.normalize_speeds(models.p_system(), M=2.0)
+    data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.95, -0.05], x=x)
+    cfg = SchemeConfig(eps=1 / 100, T=0.3, domain=domain, store_all=True)
+    return detect_jumps(godunov_run(m, data, cfg), t, model=m, **kw)
+
+
+def cubic_fan_samples():
+    fan = solve_riemann_scalar(models.cubic_flux(), [-1.0], [1.0])
+    view = FanView(fan, t_span=(0, 1), x_span=(-2, 4))
+    times = np.linspace(0.5, 1.0, 5)
+    rows = [view.state(t).cell_averages(-2.0, 1 / 200, 1200) for t in times]
+    return GridSolution(-2.0, 1 / 200, times, np.stack(rows))
+
+
+def gaussian_samples():
+    eps = 1 / 200
+    x0, cells = -2.0, int(4.0 / eps)
+    times = np.linspace(0, 0.1, 5)
+    c = x0 + eps * (np.arange(cells) + 0.5)
+    rows = [np.exp(-8 * (c - 0.05 * t) ** 2)[:, None] for t in times]
+    return GridSolution(x0, eps, times, np.stack(rows))
+
+
+def viscous_snapshots():
+    cfg = SchemeConfig(eps=0.005, T=1.0, domain=(-1.0, 2.0),
+                       snapshot_times=np.linspace(0, 1, 11))
+    return viscous_run(BURGERS, PiecewiseConstantFn.riemann([1.0], [0.0]), cfg)
+
+
+# the scans of TestDetectJumps, a scan without a model and a p-system scan
+# between the shocks' birth and T, each pinned by (count, digest of every
+# record field) taken before detect_jumps became array passes
+JUMP_SCENARIOS = {
+    "step": lambda case: detect_jumps(case.make_step_grid(), 0.5, model=BURGERS),
+    "step-no-model": lambda case: detect_jumps(case.make_step_grid(speed=0.1),
+                                               0.5),
+    "gaussian": lambda case: detect_jumps(gaussian_samples(), 0.05,
+                                          model=BURGERS),
+    "viscous": lambda case: detect_jumps(viscous_snapshots(), 1.0, r=0.1,
+                                         model=BURGERS),
+    "cubic-fan": lambda case: detect_jumps(cubic_fan_samples(), 0.75,
+                                           model=models.cubic_flux()),
+    "psystem": lambda case: psystem_scan(0.3, threshold=0.02),
+    "psystem-t0.15": lambda case: psystem_scan(0.15, threshold=0.02),
+    "psystem-shock": lambda case: psystem_scan(0.3, 0.3, (0.0, 1.0)),
+}
+JUMP_RECORDS = {
+    "step": (1, "e4ca4a7319f749cd"),
+    "step-no-model": (1, "2c9a6c36e1c16145"),
+    "gaussian": (0, "e3b0c44298fc1c14"),
+    "viscous": (1, "604c9ed27a696f62"),
+    "cubic-fan": (1, "860625629569e606"),
+    "psystem": (1, "d41312896293ec4e"),
+    "psystem-t0.15": (1, "9fc318b7583d41fe"),
+    "psystem-shock": (1, "a0802610940a114d"),
+}
+
+
 class TestDetectJumps:
     def make_step_grid(self, speed=0.5, eps=1 / 200, T=1.0):
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
@@ -229,20 +301,10 @@ class TestDetectJumps:
         assert recs[0].rh_residual <= 1e-6
 
     def test_smooth_gaussian_empty(self):
-        eps = 1 / 200
-        x0, cells = -2.0, int(4.0 / eps)
-        times = np.linspace(0, 0.1, 5)
-        c = x0 + eps * (np.arange(cells) + 0.5)
-        rows = [np.exp(-8 * (c - 0.05 * t) ** 2)[:, None] for t in times]
-        sol = GridSolution(x0, eps, times, np.stack(rows))
-        assert detect_jumps(sol, 0.05, model=BURGERS) == []
+        assert detect_jumps(gaussian_samples(), 0.05, model=BURGERS) == []
 
     def test_viscous_profile_detected(self):
-        eps = 0.005
-        cfg = SchemeConfig(eps=eps, T=1.0, domain=(-1.0, 2.0),
-                           snapshot_times=np.linspace(0, 1, 11))
-        sol = viscous_run(BURGERS, PiecewiseConstantFn.riemann([1.0], [0.0]), cfg)
-        recs = detect_jumps(sol, 1.0, r=0.1, model=BURGERS)
+        recs = detect_jumps(viscous_snapshots(), 1.0, r=0.1, model=BURGERS)
         assert len(recs) == 1
         r = recs[0]
         assert r.u_minus[0] == pytest.approx(1.0, abs=5e-2)
@@ -250,15 +312,7 @@ class TestDetectJumps:
         assert r.speed == pytest.approx(0.5, abs=5e-2)
 
     def test_fan_sampled_counts_match(self):
-        m = models.cubic_flux()
-        fan = solve_riemann_scalar(m, [-1.0], [1.0])
-        view = FanView(fan, t_span=(0, 1), x_span=(-2, 4))
-        eps = 1 / 200
-        times = np.linspace(0.5, 1.0, 5)
-        cells = int(6 / eps)
-        rows = [view.state(t).cell_averages(-2.0, eps, cells) for t in times]
-        sol = GridSolution(-2.0, eps, times, np.stack(rows))
-        recs = detect_jumps(sol, 0.75, model=m)
+        recs = detect_jumps(cubic_fan_samples(), 0.75, model=models.cubic_flux())
         assert len(recs) == 1  # the shock; no detections inside the fan
 
     def test_psystem_godunov_margin_none_where_liu_raises(self):
@@ -286,6 +340,12 @@ class TestDetectJumps:
         assert r.speed == pytest.approx(0.13477, abs=0.01)  # exact 1-shock
         assert r.rh_residual <= 1e-3
         assert r.entropy_margin >= 0.0
+
+    @pytest.mark.parametrize("scenario", sorted(JUMP_RECORDS))
+    def test_records_bit_identical(self, scenario):
+        recs = JUMP_SCENARIOS[scenario](self)
+        assert (len(recs), record_digest(recs)) == JUMP_RECORDS[scenario]
+
 
 
 class TestIntervalPartition:
@@ -441,6 +501,17 @@ class TestQDecomposition:
         l1 = u.l1_distance(v, -2, 2)
         C = 2.0
         assert l1 / C <= total <= C * l1
+
+    def test_unclassified_field_refused(self):
+        # family 0 is the cubic u1^3, neither GNL nor LD across u1 = 0
+        m = models.FluxModel(
+            "cubic-advection", 2,
+            flux=lambda u: np.stack([u[..., 0] ** 3, 2.0 * u[..., 1]], axis=-1),
+            jacobian=lambda u: np.diag([3.0 * u[0] ** 2, 2.0]))
+        u = PiecewiseConstantFn.constant([-0.3, 0.0])
+        v = PiecewiseConstantFn.constant([0.3, 0.1])
+        with pytest.raises(NonClassifiedField):
+            q_decomposition(m, u, v)
 
 
 class TestRateFit:
