@@ -732,7 +732,8 @@ def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecompo
 class FineGodunovOracle:
     """Reference evolution: the upwind scheme on a refine-times-finer grid.
 
-    Evolution spans must be multiples of the fine grid step.  Scalar models
+    Evolution spans must be multiples of the fine grid step, the width of
+    the whole cells that godunov_run cuts the domain into.  Scalar models
     with speeds in [0, 1] make this an L1-contraction, so semigroup error
     bounds computed against it are rigorous up to projection."""
 
@@ -743,14 +744,15 @@ class FineGodunovOracle:
         self.note = f"godunov dx={dx:g} on {domain}"
 
     def evolve(self, pc: PiecewiseConstantFn, h) -> PiecewiseConstantFn:
-        from .schemes import SchemeConfig, godunov_run
-        steps = int(round(h / self.dx))
+        from .schemes import SchemeConfig, _cells, _whole_steps, godunov_run
+        step = _cells(self.domain, self.dx)[1]
+        steps = _whole_steps(h, step)
+        if steps is None:
+            raise OracleUnavailable(
+                f"span {h:g} is not a multiple of the oracle step {step:g}")
         if steps == 0:
             return pc
-        if abs(steps * self.dx - h) > 1e-9 * max(h, 1.0):
-            raise OracleUnavailable(
-                f"span {h:g} is not a multiple of the oracle step {self.dx:g}")
-        cfg = SchemeConfig(eps=self.dx, T=steps * self.dx, domain=self.domain)
+        cfg = SchemeConfig(eps=self.dx, T=h, domain=self.domain)
         sol = godunov_run(self.model, pc, cfg)
         return sol.as_piecewise(sol.times[-1])
 

@@ -167,7 +167,7 @@ class TestEntropyResidual:
         view = FanView(step_fan(0.0, 1.0, 0.5), t_span=(0.0, 1.0),
                        x_span=(-1.0, 2.0))
         s = entropy_residual(view, BURGERS, t_span=(0.0, 1.0),
-                             family=default_family(0.0, 1.0, -1.0, 2.0, scales=4))
+                             family=default_family(0.0, 1.0, -1.0, 2.0))
         assert s < -1e-3
 
     def test_smooth_contact_zero_surplus(self):
@@ -466,6 +466,19 @@ class TestSemigroupBound:
         bound, actual = semigroup_error_bound(path, oracle, 0.4, L=1.0)
         assert bound >= d - 1e-3
         assert actual <= bound + 1e-9
+
+    def test_span_checked_against_the_grid_step(self):
+        # (-2, 3) holds 167 cells of 5/167, not of the nominal 0.03: a span
+        # of ten nominal steps is refused before the run starts, ten grid
+        # steps evolve
+        data = PiecewiseConstantFn.riemann([1.0], [0.0])
+        oracle = FineGodunovOracle(BURGERS_01, 0.03, (-2, 3))
+        with pytest.raises(OracleUnavailable, match="not a multiple"):
+            semigroup_error_bound([(0.0, data), (0.3, data)], oracle, 0.3, L=1.0)
+        h = 10 * 5 / 167
+        path = [(0.0, data), (h, oracle.evolve(data, h))]
+        bound, actual = semigroup_error_bound(path, oracle, h, L=1.0)
+        assert bound <= 1e-12 and actual <= 1e-12
 
     def test_glimm_vs_fine_godunov(self):
         from hyperlab.schemes import glimm_run
