@@ -1,15 +1,19 @@
 """Flux models u_t + f(u)_x = 0: eigenstructure, field type, entropy pairs.
 
-Built-in models carry analytic fluxes/Jacobians; user models fall back to
-central finite differences.  Every derivative the library differences goes
-through one helper, `_central_diff(F, x, rel)`, which steps coordinate j by
-h_j = rel * (1 + |x_j|).  The steps per site: the Jacobian fallback, the
-entropy gradients and the eigenvalue gradient of `gnl_indicator` use
-rel = H_JAC; `entropy_hessian` differences the entropy gradient with
-rel = sqrt(H_JAC); the curvature bound of
-`riemann.default_small_data_radius` uses 1e-5, and the strength Jacobian of
-`riemann._damped_newton` uses 1e-7.  All operations are pure and models are
-immutable, so everything here is safe to evaluate from concurrent workers.
+Built-in models carry analytic fluxes and Jacobians, both vectorized over
+rows of states (backward Euler takes the Jacobians of a whole grid in one
+call); user models without a Jacobian fall back to central finite
+differences.  Every derivative the library differences goes through one
+helper, `_central_diff(F, x, rel)`, which steps coordinate j by
+h_j = rel * (1 + |x_j|), at one point or at rows of points.  The steps per
+site: the Jacobian fallback, the entropy gradients and the eigenvalue
+gradient of `gnl_indicator` use rel = H_JAC; `entropy_hessian` differences
+the entropy gradient with rel = sqrt(H_JAC); the curvature bound of
+`riemann.default_small_data_radius` uses 1e-5; the strength Jacobian of
+`riemann._damped_newton` and the cell speeds f'(u) of
+`schemes.mollification_run` use 1e-7.  All operations are pure and models
+are immutable, so everything here is safe to evaluate from concurrent
+workers.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ NEITHER = "neither"
 class FluxModel:
     """A system u_t + f(u)_x = 0 of dimension n.
 
-    flux maps (..., n) -> (..., n) (vectorized over leading axes);
-    jacobian maps a single state (n,) -> (n, n).  entropy/entropy_flux,
-    when present, map (..., n) -> (...).  lo/hi bound the admissible state
-    box.
+    flux maps (..., n) -> (..., n) and jacobian maps (..., n) -> (..., n, n),
+    both vectorized over leading axes; `jac` raises ConfigError when a
+    jacobian returns any other shape (one written for a single state and
+    given rows, say).  entropy/entropy_flux, when present, map (..., n) ->
+    (...).  lo/hi bound the admissible state box.
     """
 
     name: str
@@ -74,10 +79,17 @@ class FluxModel:
         return np.asarray(self.flux(np.asarray(u, dtype=float)), dtype=float)
 
     def jac(self, u):
-        u = self.state(u)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(u), dtype=float)
-        return _central_diff(self.f, u, H_JAC)
+        """Df at one state (n,) -> (n, n) or at rows (..., n) -> (..., n, n)."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim < 2:
+            u = self.state(u)
+        if self.jacobian is None:
+            return _central_diff(self.f, u, H_JAC)
+        A = np.asarray(self.jacobian(u), dtype=float)
+        if A.shape != u.shape + (self.n,):
+            raise ConfigError(f"jacobian of model {self.name!r} maps states of shape "
+                              f"{u.shape} to {A.shape}, not {u.shape + (self.n,)}")
+        return A
 
     def has_entropy_pair(self):
         return self.entropy is not None and self.entropy_flux is not None
@@ -99,14 +111,16 @@ class FluxModel:
 
 
 def _central_diff(F, x, rel):
-    """Central differences of F at x, the derivative index on the last axis:
-    (F(x + h_j e_j) - F(x - h_j e_j)) / (2 h_j) with h_j = rel * (1 + |x_j|)."""
+    """Central differences of F at x (m,) or at rows x (..., m), the
+    derivative index on the last axis: (F(x + h_j e_j) - F(x - h_j e_j)) /
+    (2 h_j) with h_j = rel * (1 + |x_j|)."""
     h = rel * (1.0 + np.abs(x))
     cols = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = h[j]
-        cols.append((F(x + e) - F(x - e)) / (2 * h[j]))
+    for j in range(x.shape[-1]):
+        e = np.zeros(x.shape)
+        e[..., j] = h[..., j]
+        # transposed, h_j lines up with the leading axes of F's output
+        cols.append(((F(x + e) - F(x - e)).T / (2 * h[..., j]).T).T)
     return np.stack(cols, axis=-1)
 
 
@@ -279,13 +293,19 @@ def normalize_speeds(model: FluxModel, M, target=(0.0, 1.0), check_states=None) 
 # ---------------------------------------------------------------------------
 # built-in models
 
+def _first(u):
+    """Component 0 of one state as a float (whose powers can differ from an
+    array's in the last bit), or of each row."""
+    return u.T[0].T
+
+
 def burgers():
     def flux(u):
         return 0.5 * u * u
 
     return FluxModel(
         name="burgers", n=1, flux=flux,
-        jacobian=lambda u: np.array([[u[0]]]),
+        jacobian=lambda u: u[..., None].copy(),
         entropy=lambda u: np.asarray(u)[..., 0] ** 2,
         entropy_flux=lambda u: (2.0 / 3.0) * np.asarray(u)[..., 0] ** 3,
         entropy_convex=True,
@@ -296,7 +316,7 @@ def cubic_flux():
     return FluxModel(
         name="cubic", n=1,
         flux=lambda u: u ** 3,
-        jacobian=lambda u: np.array([[3.0 * u[0] ** 2]]),
+        jacobian=lambda u: (3.0 * _first(u) ** 2)[..., None, None],
     )
 
 
@@ -305,7 +325,7 @@ def advection(c=1.0):
     return FluxModel(
         name=f"advection:{c:g}", n=1,
         flux=lambda u: c * u,
-        jacobian=lambda u: np.array([[c]]),
+        jacobian=lambda u: np.full(u.shape + (1,), c),
         entropy=lambda u: np.asarray(u)[..., 0] ** 2,
         entropy_flux=lambda u: c * np.asarray(u)[..., 0] ** 2,
         entropy_convex=True,
@@ -335,8 +355,11 @@ def p_system(k=1.0, gamma=2.0):
         return np.stack([-w, p(v)], axis=-1)
 
     def jacobian(u):
-        v = u[0]
-        return np.array([[0.0, -1.0], [-gamma * k * v ** (-gamma - 1.0), 0.0]])
+        v = _first(u)
+        J = np.zeros(v.shape + (2, 2))
+        J[..., 0, 1] = -1.0
+        J[..., 1, 0] = -gamma * k * v ** (-gamma - 1.0)
+        return J
 
     def entropy(u):
         v, w = u[..., 0], u[..., 1]
@@ -362,7 +385,7 @@ def linear_system(a11, a12, a21, a22):
 
     return FluxModel(
         name=f"linear2:{a11:g},{a12:g},{a21:g},{a22:g}", n=2,
-        flux=flux, jacobian=lambda u: M,
+        flux=flux, jacobian=lambda u: np.broadcast_to(M, u.shape + (2,)),
     )
 
 

@@ -203,8 +203,10 @@ class GridSolution:
         return self.x0 + self.dx * np.arange(self.ncells + 1)
 
     def time_index(self, t):
-        """Index of the stored snapshot closest to t."""
-        return int(np.argmin(np.abs(self.times - t)))
+        """Index of the last stored snapshot at or before t (the first one
+        for t before it): the run is held piecewise constant in time.  The
+        1e-14 slack keeps a time rounded just below a snapshot on it."""
+        return max(int(np.searchsorted(self.times, t + 1e-14, side="right")) - 1, 0)
 
     def row(self, t):
         return self.states[self.time_index(t)]

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
                      NewtonFailure, NonfiniteState, SpeedRangeViolation,
                      SubcharacteristicViolation)
-from .models import FluxModel, eigenvalues
+from .models import FluxModel, _central_diff, eigenvalues
 from .piecewise import GridSolution, PiecewiseConstantFn, as_state
 from .riemann import evaluate_fan, riemann_solver_for
 
@@ -33,13 +33,15 @@ class SchemeConfig:
     the method of lines, the viscosity of the parabolic runs, the relaxation
     time of Jin-Xin, and the step limit of backward Euler and of the
     mollification restarts.  Godunov and Glimm step with dt = dx, so T must
-    be a whole number of dx steps; they read neither dx nor dt.
+    be a whole number of dx steps.
 
     dx sets the grid of the runs with a separate spatial grid: viscous,
     nonlinear diffusion, Jin-Xin, backward Euler and mollification.  dt caps
     the time step of every run except Godunov and Glimm, and a dt above the
     scheme's limit (meta["cfl"]["dt_max"]) raises CFLViolation; the steps
-    are then equal and end at T.  snapshot_times and store_all choose the
+    are then equal and end at T.  A run that does not read a setting refuses
+    it with ConfigError: Godunov and Glimm refuse dx and dt, the method of
+    lines dx.  snapshot_times and store_all choose the
     stored snapshots of every grid run.  Front tracking reads delta, rho_np
     and front_cap.
     """
@@ -131,6 +133,13 @@ def _max_speed(model, u0, pad=1.0):
     return pad * worst if worst > 0 else 1.0
 
 
+def _refuse_unread(cfg, run, *names):
+    """Raise ConfigError if a named setting, which `run` does not read, is set."""
+    given = [name for name in names if getattr(cfg, name) is not None]
+    if given:
+        raise ConfigError(f"{run} does not read {' or '.join(given)}")
+
+
 def _pad(u, boundary):
     if boundary == "periodic":
         return np.concatenate([u[-1:], u, u[:1]], axis=0)
@@ -208,6 +217,7 @@ def godunov_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Upwind scheme u_{j+1,k} = u_{j,k} + f(u_{j,k-1}) - f(u_{j,k}) on a
     unit-CFL grid dt = dx = eps.  Requires speeds in [0, 1] and T a whole
     number of dx steps."""
+    _refuse_unread(cfg, "godunov_run", "dx", "dt")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, 0.0, 1.0)
 
@@ -255,6 +265,7 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Riemann fans on the unit-CFL grid restarted by sampling at
     x = (k + theta_j) dx.  The restart values are the new cell states.
     Requires speeds in [0, 1] and T a whole number of dx steps."""
+    _refuse_unread(cfg, "glimm_run", "dx", "dt")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     if isinstance(data, PiecewiseConstantFn):
         # sampling restarts want cell values, not averages: snap each cell
@@ -291,6 +302,7 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """dU_k/dt = (f(U_{k-1}) - f(U_k))/eps integrated with classical RK4,
     time step at most eps/2.  Requires speeds in [0, 1] (upwind left)."""
+    _refuse_unread(cfg, "method_of_lines_run", "dx")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, 0.0, 1.0)
     nsteps, dt, cfl = _time_steps(cfg, 0.5 * dx, 0.5 * dx, "dt <= eps/2")
@@ -441,11 +453,19 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 # backward Euler
 
 def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
-    """Implicit step w = v - (dt/dx)(f(w_k) - f(w_{k-1})) solved by marching
-    left to right with a per-cell Newton iteration, in equal steps dt of at
-    most eps.  Requires speeds in [1, 2] so the implicit system is well
-    posed and upwinding is one-sided, and constant boundaries: the march
-    starts from a steady far-left state."""
+    """Implicit step w_k + c (f(w_k) - f(w_{k-1})) = v_k, c = dt/dx, in equal
+    steps dt of at most eps, with w_{-1} = v_0: constant boundaries, the
+    far-left state held steady.  Requires speeds in [1, 2] so the implicit
+    system is well posed and upwinding is one-sided.
+
+    Each step runs Newton's method on the whole grid from w = v, until
+    every cell meets |R_k| <= 1e-13 (1 + |v_k + c f(w_{k-1})|) for the
+    residual R_k of its equation (at most 40 iterations).  The Newton
+    correction of the lower block-bidiagonal system is the recursion
+    d_k = q_k + P_k d_{k-1}, q_k = -(I + c A_k)^-1 R_k and
+    P_k = (I + c A_k)^-1 c A_{k-1} with A = Df(w), started at the first
+    unconverged cell and composed by a doubling scan in log2(cells) rounds.
+    """
     if cfg.boundary == "periodic":
         raise ConfigError("backward_euler_run needs constant boundaries")
     dx = cfg.dx if cfg.dx is not None else cfg.eps / 4.0
@@ -455,30 +475,33 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
         cfg, cfg.eps, cfg.eps,
         "dt <= eps (unconditionally stable; speeds in [1,2])")
     c = dt / dx
-    eye = np.eye(model.n)
 
     def step(v, j):
-        w = np.empty_like(v)
-        fw_prev = model.f(v[0])  # constant extension: far-left state steady
-        for k in range(v.shape[0]):
-            target = v[k] + c * fw_prev
-            wk = v[k].copy()
-            ok = False
-            for _ in range(40):
-                F = wk + c * model.f(wk) - target
-                if np.linalg.norm(F) <= 1e-13 * (1.0 + np.linalg.norm(target)):
-                    ok = True
-                    break
-                J = eye + c * model.jac(wk)
-                try:
-                    wk = wk - np.linalg.solve(J, F)
-                except np.linalg.LinAlgError as exc:
-                    raise NewtonFailure(f"singular implicit system in cell {k}") from exc
-            if not ok:
-                raise NewtonFailure(f"implicit solve stalled in cell {k}")
-            w[k] = wk
-            fw_prev = model.f(wk)
-        return w
+        w = v.copy()
+        for _ in range(40):
+            fw = model.f(np.concatenate([v[:1], w]))
+            target = v + c * fw[:-1]
+            R = w + c * fw[1:] - target
+            ok = (np.linalg.norm(R, axis=1)
+                  <= 1e-13 * (1.0 + np.linalg.norm(target, axis=1)))
+            k0 = int(np.argmin(ok))
+            if ok[k0]:
+                return w
+            A = c * model.jac(w[k0:])
+            A_prev = np.concatenate([np.zeros_like(A[:1]), A[:-1]])
+            try:
+                B_inv = np.linalg.inv(np.eye(model.n) + A)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonFailure(f"singular implicit system in step {j}") from exc
+            X = B_inv @ np.concatenate([-R[k0:, :, None], A_prev], axis=2)
+            q, P = X[:, :, 0], X[:, :, 1:]
+            s = 1  # after round s, d_k = q_k + P_k d_{k-2s}, and d = 0 left of k0
+            while s < q.shape[0]:
+                q[s:] += (P[s:] @ q[:-s, :, None])[:, :, 0]
+                P[s:] = P[s:] @ P[:-s]
+                s *= 2
+            w[k0:] += q
+        raise NewtonFailure(f"implicit solve stalled in cell {k0}")
 
     return _collect(cfg, x0, dx, dt, u0, step, nsteps, "backward-euler", cfl)
 
@@ -554,8 +577,7 @@ def mollification_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution
 
     def step(u, j):
         u = u[:, 0]
-        h = 1e-7 * (1.0 + np.abs(u))
-        fp = (model.f((u + h)[:, None])[:, 0] - model.f((u - h)[:, None])[:, 0]) / (2 * h)
+        fp = _central_diff(model.f, u[:, None], 1e-7)[:, 0, 0]
         t_blow = blowup_time(centers, fp)
         if tau >= t_blow:
             raise BlowupBeforeRestart(

@@ -104,11 +104,9 @@ class GridView(_StateCache):
         self.dx = sol.dx
 
     def _state(self, t):
-        # hold the last snapshot at or before t, as segments() does; the
-        # slack keeps a time rounded just below a snapshot on that snapshot
-        times = self.sol.times
-        k = max(int(np.searchsorted(times, t + 1e-14, side="right")) - 1, 0)
-        return self.sol.as_piecewise(times[k])
+        # GridSolution.time_index holds the last snapshot at or before t,
+        # as segments() does
+        return self.sol.as_piecewise(t)
 
     def segments(self, t0, t1):
         """(ta, tb, profile) pieces on which the solution is frozen."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,33 @@ class TestNormalizeSpeeds:
         with pytest.raises(SpeedBoundViolated):
             normalize_speeds(models.burgers(), M=0.5,
                              check_states=[np.array([1.0])])
+
+
+class TestBatchedJacobian:
+    @pytest.mark.parametrize("name", ["burgers", "cubic", "advection:1.5",
+                                      "psystem:1,2", "linear2:1,2,3,4"])
+    def test_rows_match_single_states(self, name):
+        m = model_from_name(name)
+        for t in (m, normalize_speeds(m, M=4.0)):
+            u = np.random.default_rng(3).uniform(0.5, 1.5, size=(4, 3, t.n))
+            A = t.jac(u)
+            assert A.shape == (4, 3, t.n, t.n)
+            np.testing.assert_allclose(
+                A, [[t.jac(s) for s in row] for row in u], rtol=1e-15, atol=0)
+
+    def test_finite_difference_fallback_over_rows(self):
+        # each row is differenced with its own steps, as a single state is
+        fd = replace(models.p_system(), jacobian=None)
+        u = np.random.default_rng(4).uniform(0.5, 1.5, size=(5, 2))
+        assert np.array_equal(fd.jac(u), np.stack([fd.jac(s) for s in u]))
+
+    def test_single_state_jacobian_given_rows_refused(self):
+        # written for one state, it answers a batch with row 0's matrix
+        m = models.FluxModel("one-state", 1, flux=lambda u: 0.5 * u * u,
+                             jacobian=lambda u: np.array([[u[0]]]))
+        assert m.jac([0.3]).shape == (1, 1)
+        with pytest.raises(ConfigError, match=r"\(3, 1, 1\)"):
+            m.jac(np.zeros((3, 1)))
 
 
 class TestRegistry:

@@ -1,7 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
@@ -18,6 +21,7 @@ from hyperlab.schemes import (SchemeConfig, backward_euler_run, glimm_run,
 
 BURGERS_01 = normalize_speeds(models.burgers(), M=1.0)  # speeds (u+1)/2 on [-1,1]
 BURGERS_12 = normalize_speeds(models.burgers(), M=1.0, target=(1.0, 2.0))
+PSYSTEM_12 = normalize_speeds(models.p_system(), M=1.6, target=(1.0, 2.0))
 
 
 def mass_drift(sol):
@@ -96,6 +100,16 @@ def test_unit_cfl_runs_refuse_T_off_the_step_grid(run):
         run(BURGERS_01, square_pulse(0.5, -0.3, 0.0), cfg)
     sol = run(BURGERS_01, square_pulse(0.5, -0.3, 0.0), replace(cfg, T=0.6))
     assert sol.times[-1] == pytest.approx(0.6, abs=1e-15)
+
+
+@pytest.mark.parametrize("run, setting", [
+    (godunov_run, "dx"), (godunov_run, "dt"), (glimm_run, "dx"),
+    (glimm_run, "dt"), (method_of_lines_run, "dx")])
+def test_runs_refuse_settings_they_do_not_read(run, setting):
+    cfg = SchemeConfig(eps=0.1, T=0.5, domain=(-1.0, 1.0))
+    run(BURGERS_01, square_pulse(0.5, -0.5, 0.0), cfg)
+    with pytest.raises(ConfigError, match=f"does not read {setting}"):
+        run(BURGERS_01, square_pulse(0.5, -0.5, 0.0), replace(cfg, **{setting: 0.05}))
 
 
 class TestReversedDigit:
@@ -253,6 +267,88 @@ class TestJinXin:
         assert errs[0] > errs[1] > errs[2]
 
 
+def backward_euler_pinned_run(name):
+    if name == "burgers-pulse":
+        return backward_euler_run(
+            BURGERS_12, square_pulse(0.8, 0.2, 0.6),
+            SchemeConfig(eps=0.1, T=0.5, domain=(0.0, 1.6), dx=0.05))
+    if name == "burgers-bump":
+        return backward_euler_run(
+            BURGERS_12, lambda x: np.array([0.9 * np.exp(-40.0 * (x - 0.5) ** 2) - 0.3]),
+            SchemeConfig(eps=0.05, T=0.3, domain=(0.0, 1.6), dx=0.05))
+    return backward_euler_run(
+        PSYSTEM_12, PiecewiseConstantFn.riemann([1.0, 0.0], [1.05, 0.02]).shifted(0.5),
+        SchemeConfig(eps=0.1, T=0.4, domain=(0.0, 1.6), dx=0.05))
+
+
+# final rows of the runs above as the per-cell Newton march solved them,
+# cell by cell from the left; any solve that meets the same per-cell residual
+# tolerance lands within 1e-11 of them
+BACKWARD_EULER_FINAL_ROWS = {
+    "burgers-pulse": [
+        0.0, 0.0, 0.0, 0.0, 0.0007565376865861796, 0.0035480990789073163,
+        0.009722388352275266, 0.02033761445988054, 0.03598112309712967,
+        0.0567449620014444, 0.0823023632838753, 0.11202911746860843,
+        0.1446368774109433, 0.17839385269344124, 0.21145341459921624,
+        0.24211505184731483, 0.2689817218489997, 0.2910297251039793,
+        0.307618641438027, 0.3184650856927264, 0.3235968866482618,
+        0.3232981450029912, 0.31805145644119137, 0.30848111413307444,
+        0.2952997625187902, 0.2792602556510729, 0.26111402590365673,
+        0.24157688619563433, 0.2213027791366238, 0.2008655368626196,
+        0.18074825965954996, 0.1613395123950333
+    ],
+    "burgers-bump": [
+        -0.2998916734753495, -0.29988842626792744, -0.29986186056404895,
+        -0.2997276107314611, -0.29920416093736046, -0.2975342297134567,
+        -0.29309475931823287, -0.28317959789995134, -0.2644225150546437,
+        -0.2340151242807429, -0.19115658649829578, -0.13785370579333228,
+        -0.07865825007810567, -0.019612409152521573, 0.033047114365486754,
+        0.07400477188120147, 0.09961504120681902, 0.10825606164083663,
+        0.10032735584423996, 0.07795476408549216, 0.044482797753429976,
+        0.003855878034370633, -0.039994838821970295, -0.08364956503268707,
+        -0.12450979259812096, -0.16090199987095602, -0.19200945618608592,
+        -0.21769713942711788, -0.23829819801424842, -0.25441390935587616,
+        -0.2667554691959597, -0.27603543040480316
+    ],
+    "psystem": [
+        1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0,
+        1.0, 0.0, 1.0, 0.0, 1.0000000000000009, 0.0, 1.0003701999694046,
+        0.00043334991419969075, 1.0013883267229406, 0.0015837997130186872,
+        1.0031429783987011, 0.0034848648958974485, 1.0055696521037831,
+        0.0059866370970772225, 1.0085165606189452, 0.008852679298621999,
+        1.0118012686243727, 0.011836616689897082, 1.0152482339131794,
+        0.014727805066792799, 1.0187088529354196, 0.01737094774824368,
+        1.0220689267649374, 0.019668397511678145, 1.0252483981199303,
+        0.021572980366912332, 1.0281970642160374, 0.023076919035595084,
+        1.0308887253092376, 0.02420026458123162, 1.0333152244349202,
+        0.0249806187902487, 1.035481129378687, 0.02546486923533991,
+        1.0373993595668718, 0.025703040811185306, 1.039087800269451,
+        0.025744051396958532, 1.0405668121638976, 0.025633030606798154,
+        1.0418574883146663, 0.0254098384413687, 1.0429804997592071,
+        0.025108452700187835, 1.043955383465169, 0.024756948626213863,
+        1.04480014908831, 0.02437785361533181, 1.0455311060357826,
+        0.023988714806007828
+    ],
+}
+
+
+def per_cell_step(model, v, c):
+    """One backward Euler step solved as the whole-grid Newton replaced it:
+    cell by cell from the left, each by its own Newton iteration to the
+    same residual bound.  The reference of the whole-grid solve."""
+    w = v.copy()
+    f_prev = model.f(v[0])
+    for k in range(v.shape[0]):
+        target = v[k] + c * f_prev
+        for _ in range(40):
+            R = w[k] + c * model.f(w[k]) - target
+            if np.linalg.norm(R) <= 1e-13 * (1.0 + np.linalg.norm(target)):
+                break
+            w[k] -= np.linalg.solve(np.eye(model.n) + c * model.jac(w[k]), R)
+        f_prev = model.f(w[k])
+    return w
+
+
 class TestBackwardEuler:
     def test_constant(self):
         m = models.advection(1.5)
@@ -299,10 +395,63 @@ class TestBackwardEuler:
         # Newton steps overshoot below 0, where it is NaN
         m = FluxModel("nan-below-zero", 1,
                       flux=lambda u: np.where(u < 0, np.nan, 2 * u - 0.5 * u * u),
-                      jacobian=lambda u: np.array([[2.0 - u[0]]]))
+                      jacobian=lambda u: (2.0 - np.asarray(u))[..., None])
         cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
         with pytest.raises(NewtonFailure, match="stalled in cell 60"):
             backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
+
+    def test_singular_block_raises(self):
+        # the Jacobian is f' on the data states 0 and 1 and -1/c elsewhere,
+        # so the second Newton iterate makes I + c A singular
+        c = 4.0  # dt/dx = eps/(eps/4)
+        m = FluxModel("singular-off-data", 1,
+                      flux=lambda u: 2 * u - 0.5 * u * u,
+                      jacobian=lambda u: np.where((u == 0.0) | (u == 1.0),
+                                                  2.0 - u, -1.0 / c)[..., None])
+        cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
+        with pytest.raises(NewtonFailure, match="singular implicit system in step 1"):
+            backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
+
+    def test_single_state_jacobian_refused(self):
+        # the whole-grid Newton takes the Jacobians of all cells in one call
+        m = FluxModel("one-state", 1, flux=lambda u: 1.5 * u,
+                      jacobian=lambda u: np.array([[1.5]]))
+        cfg = SchemeConfig(eps=0.05, T=0.1, domain=(0.0, 1.0))
+        with pytest.raises(ConfigError, match="jacobian"):
+            backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
+
+    @pytest.mark.parametrize("name", sorted(BACKWARD_EULER_FINAL_ROWS))
+    def test_states_pinned(self, name):
+        sol = backward_euler_pinned_run(name)
+        want = np.array(BACKWARD_EULER_FINAL_ROWS[name])
+        got = sol.states[-1].ravel()
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(background=st.floats(-1.0, 1.0), height=st.floats(-1.0, 1.0),
+           left=st.floats(0.1, 1.0), width=st.floats(0.05, 0.8),
+           eps=st.sampled_from([0.02, 0.05, 0.1]))
+    def test_small_pulses(self, background, height, left, width, eps):
+        # speeds (u + 3)/2 stay in [1, 2] for states in [-1, 1]
+        data = PiecewiseConstantFn(np.array([left, left + width]),
+                                   np.array([[background], [height], [background]]))
+        cfg = SchemeConfig(eps=eps, T=0.2, domain=(0.0, 2.0), dx=0.025,
+                           store_all=True)
+        sol = backward_euler_run(BURGERS_12, data, cfg)
+        assert np.array_equal(sol.states, backward_euler_run(BURGERS_12, data, cfg).states)
+        f, dt = BURGERS_12.f, sol.meta["dt"]
+        for v, w in zip(sol.states[:-1], sol.states[1:]):
+            # the step changes the mass by dt times the boundary flux balance
+            balance = sol.dx * (w.sum(axis=0) - v.sum(axis=0)) + dt * (f(w[-1]) - f(v[0]))
+            assert np.all(np.abs(balance) <= 1e-10)
+            # every cell meets the residual bound of the implicit equation
+            fw = f(np.concatenate([v[:1], w]))
+            target = v + (dt / sol.dx) * fw[:-1]
+            R = w + (dt / sol.dx) * fw[1:] - target
+            assert np.all(np.linalg.norm(R, axis=1)
+                          <= 1e-13 * (1.0 + np.linalg.norm(target, axis=1)))
+            ref = per_cell_step(BURGERS_12, v, dt / sol.dx)
+            assert np.max(np.abs(w - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
 
     def test_mass_conservation(self):
         m = BURGERS_12
@@ -371,6 +520,20 @@ class TestMollification:
                            mollifier_width=0.05)
         sol = mollification_run(m, data, cfg)
         assert mass_drift(sol) <= 1e-8
+
+    @pytest.mark.parametrize("kernel, cfg, want", [
+        ("gaussian", SchemeConfig(eps=0.1, T=0.4, domain=(-4.0, 4.0), dx=1 / 128,
+                                  mollifier_width=0.1, store_all=True),
+         "fd7ac7bc6cbc595f"),
+        ("ramp", SchemeConfig(eps=0.25, T=0.5, domain=(-2.0, 2.0), dx=1 / 64,
+                              mollifier_width=0.1, mollifier_kernel="cos3"),
+         "3e67c07261d6eab1")])
+    def test_states_bit_identical(self, kernel, cfg, want):
+        # sha256 of the float64 bytes of every stored state
+        data = {"gaussian": lambda x: np.array([0.3 * np.exp(-x * x)]),
+                "ramp": lambda x: np.array([np.clip(-x, -1.0, 1.0)])}[kernel]
+        sol = mollification_run(models.burgers(), data, cfg)
+        assert hashlib.sha256(sol.states.tobytes()).hexdigest()[:16] == want
 
     def test_snapshot_settings_honoured(self):
         # four equal restarts of 0.1, stored like every other grid run

@@ -98,6 +98,16 @@ class TestGridView:
         assert [view.state(t).vals[0, 0] for t in (0.0, 0.15, 0.3, 0.35)] == \
             [0.0, 1.0, 3.0, 3.0]
 
+    def test_solution_holds_snapshots_as_its_view_does(self):
+        # 0.24 is nearest the 0.25 snapshot, but the run is held from 0
+        times = np.array([0.0, 0.25, 0.5])
+        rows = np.arange(3.0)[:, None, None] * np.ones((3, 8, 1))
+        sol = GridSolution(0.0, 0.125, times, rows)
+        view = GridView(sol)
+        assert np.array_equal(sol.row(0.24), rows[0])
+        for t in (0.0, 0.24, 0.25 - 1e-15, 0.25, 0.49, 0.5, 0.7):
+            assert np.array_equal(view.state(t).vals, sol.row(t))
+
 
 def shock_fan_view():
     # the shock crosses the bump edges -0.25 and 0.5 inside the strip
