@@ -54,7 +54,6 @@ class FluxModel:
     jacobian: Optional[Callable] = None
     entropy: Optional[Callable] = None
     entropy_flux: Optional[Callable] = None
-    entropy_convex: bool = False
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
 
@@ -308,7 +307,6 @@ def burgers():
         jacobian=lambda u: u[..., None].copy(),
         entropy=lambda u: np.asarray(u)[..., 0] ** 2,
         entropy_flux=lambda u: (2.0 / 3.0) * np.asarray(u)[..., 0] ** 3,
-        entropy_convex=True,
     )
 
 
@@ -328,7 +326,6 @@ def advection(c=1.0):
         jacobian=lambda u: np.full(u.shape + (1,), c),
         entropy=lambda u: np.asarray(u)[..., 0] ** 2,
         entropy_flux=lambda u: c * np.asarray(u)[..., 0] ** 2,
-        entropy_convex=True,
     )
 
 
@@ -372,7 +369,7 @@ def p_system(k=1.0, gamma=2.0):
     return FluxModel(
         name=f"psystem:{k:g},{gamma:g}", n=2,
         flux=flux, jacobian=jacobian,
-        entropy=entropy, entropy_flux=entropy_flux, entropy_convex=True,
+        entropy=entropy, entropy_flux=entropy_flux,
         lo=np.array([1e-8, -np.inf]),
     )
 

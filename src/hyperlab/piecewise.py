@@ -3,6 +3,9 @@
 States are always arrays of shape (n,); profiles store values of shape
 (m+1, n) so scalar and system code share every kernel.  All geometry
 (integrals, averages, distances) is computed in closed form.
+`PiecewiseConstantFn` is the one place that measures a profile (total
+variation, integrals, cell averages, L1 distance); a `GridSolution` measures
+a snapshot through `as_piecewise`.
 """
 
 from __future__ import annotations
@@ -107,36 +110,30 @@ class PiecewiseConstantFn:
         return PiecewiseConstantFn(self.xs[keep],
                                    np.concatenate([self.vals[:1], self.vals[1:][keep]]))
 
+    def _antiderivative(self, x):
+        """(k, F) at the ascending points x: k the piece holding each point
+        and F the exact integral, shape (len(x), n), from a reference point
+        at or left of x[0] and of every breakpoint."""
+        ref = min(x[0], self.xs[0] - 1.0) if self.xs.size else x[0]
+        nodes = np.concatenate([[ref], self.xs])
+        cum = np.concatenate([np.zeros((1, self.n)),
+                              np.cumsum(self.vals[:-1] * np.diff(nodes)[:, None], axis=0)])
+        k = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 1)
+        return k, cum[k] + self.vals[k] * (x - nodes[k])[:, None]
+
     def integral(self, a, b):
         """Exact integral of the (vector) profile over [a, b], shape (n,)."""
         if b < a:
             raise ValueError("empty interval")
-        ref = min(a, self.xs[0] - 1.0) if self.xs.size else a
-        nodes = np.concatenate([[ref], self.xs])
-        widths = np.diff(nodes)
-        cum = np.concatenate([np.zeros((1, self.n)),
-                              np.cumsum(self.vals[:-1] * widths[:, None], axis=0)])
-
-        def F(x):
-            k = np.searchsorted(nodes, x, side="right") - 1
-            k = min(max(k, 0), nodes.size - 1)
-            return cum[k] + self.vals[k] * (x - nodes[k])
-
-        return F(b) - F(a)
+        F = self._antiderivative(np.array([a, b], dtype=float))[1]
+        return F[1] - F[0]
 
     def cell_averages(self, x0, dx, ncells):
         """Exact averages over the cells [x0 + k*dx, x0 + (k+1)*dx).
 
         Cells lying inside a single piece get that piece's value exactly
         (no roundoff), which keeps step data sharp."""
-        edges = x0 + dx * np.arange(ncells + 1)
-        ref = min(edges[0], self.xs[0] - 1.0) if self.xs.size else edges[0]
-        nodes = np.concatenate([[ref], self.xs])
-        widths = np.diff(nodes)
-        cum = np.concatenate([np.zeros((1, self.n)),
-                              np.cumsum(self.vals[:-1] * widths[:, None], axis=0)])
-        k = np.clip(np.searchsorted(nodes, edges, side="right") - 1, 0, nodes.size - 1)
-        F = cum[k] + self.vals[k] * (edges - nodes[k])[:, None]
+        k, F = self._antiderivative(x0 + dx * np.arange(ncells + 1))
         avg = np.diff(F, axis=0) / dx
         same = k[:-1] == k[1:]
         avg[same] = self.vals[k[:-1][same]]
@@ -150,14 +147,6 @@ class PiecewiseConstantFn:
         lengths = np.diff(cuts)
         diff = self(mids) - other(mids)
         return float(np.sum(np.linalg.norm(diff, axis=1) * lengths))
-
-
-def grid_tv(row):
-    """Discrete total variation of one snapshot row (cells, n)."""
-    row = np.asarray(row, dtype=float)
-    if row.ndim == 1:
-        row = row[:, None]
-    return float(np.sum(np.linalg.norm(np.diff(row, axis=0), axis=1)))
 
 
 @dataclass
@@ -222,17 +211,8 @@ class GridSolution:
         return self.row(t).sum(axis=0) * self.dx
 
     def tv(self, t):
-        return grid_tv(self.row(t))
+        return self.as_piecewise(t).tv()
 
-    def l1_distance(self, other, t):
-        """L1 distance over the grid at time t to another GridSolution or
-        piecewise fn."""
-        if isinstance(other, GridSolution):
-            theirs = other.as_piecewise(t)
-        elif isinstance(other, PiecewiseConstantFn):
-            theirs = other
-        else:  # callable profile: sample at cell centers (midpoint rule)
-            vals = np.stack([as_state(other(x), self.n) for x in self.centers()])
-            diff = np.linalg.norm(self.row(t) - vals, axis=1)
-            return float(np.sum(diff) * self.dx)
-        return self.as_piecewise(t).l1_distance(theirs, self.x0, self.xmax)
+    def l1_distance(self, other: PiecewiseConstantFn, t):
+        """Exact L1 distance over the grid at time t to a profile."""
+        return self.as_piecewise(t).l1_distance(other, self.x0, self.xmax)

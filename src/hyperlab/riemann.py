@@ -420,8 +420,6 @@ def _secant_speeds(model, u_l, sigma, n_check):
 
 def _shock_liu_margin(model, u_l, i, sigma, orient, lam_end, n_check=33):
     """min over the connecting curve of lambda_i(s) - lambda_i(sigma)."""
-    if model.n == 1:
-        return float(np.min(_secant_speeds(model, u_l, sigma, n_check)) - lam_end)
     # parameter of the sign-fixed closure corresponding to oriented sigma
     curve = shock_curve(model, u_l, i, orient * sigma, n_check)
     return float(np.min(curve.speeds) - lam_end)
@@ -563,14 +561,6 @@ def liu_admissible(model: FluxModel, u_minus, u_plus, i) -> AdmissibilityVerdict
     """Liu condition: lambda_i(s) >= lambda_i(sigma) for s between 0 and sigma."""
     u_minus = model.state(u_minus)
     u_plus = model.state(u_plus)
-    if model.n == 1:
-        sigma = float(u_plus[0] - u_minus[0])
-        if sigma == 0.0:
-            return AdmissibilityVerdict(True, 0.0, 0.0)
-        lams = _secant_speeds(model, u_minus, sigma, N_LIU_CHECK)
-        margin = float(np.min(lams) - lams[-1])
-        return AdmissibilityVerdict(margin >= -TOL_ADM, margin, sigma)
-
     es = eigensystem(model, u_minus)
     sigma = float(es.left[i] @ (u_plus - u_minus))
     if abs(sigma) < STRENGTH_FLOOR and np.linalg.norm(u_plus - u_minus) < 1e-10:

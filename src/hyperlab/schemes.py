@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
                      NewtonFailure, NonfiniteState, SpeedRangeViolation,
                      SubcharacteristicViolation)
+from .fronts import front_tracking_run
 from .models import FluxModel, _central_diff, eigenvalues
 from .piecewise import GridSolution, PiecewiseConstantFn, as_state
 from .riemann import evaluate_fan, riemann_solver_for
@@ -86,7 +87,7 @@ def _cells(domain, dx):
 def _grid(model, data, cfg, dx):
     """(x0, dx, u0): the domain cut into whole cells of width about dx, and
     the initial cell states: exact averages for piecewise-constant data,
-    midpoint samples for callables, a copy of an array of cell states."""
+    midpoint samples for callables."""
     a, b = cfg.domain
     ncells, dx = _cells(cfg.domain, dx)
     if ncells < 4:
@@ -95,16 +96,9 @@ def _grid(model, data, cfg, dx):
         u0 = data.cell_averages(a, dx, ncells)
         if u0.shape[1] != model.n:
             raise ConfigError("data dimension does not match the model")
-    elif callable(data):
+    else:
         u0 = np.stack([as_state(data(x), model.n)
                        for x in a + dx * (np.arange(ncells) + 0.5)])
-    else:
-        u0 = np.array(data, dtype=float)
-        if u0.ndim == 1:
-            u0 = u0[:, None]
-        if u0.shape != (ncells, model.n):
-            raise ConfigError(f"data shape {u0.shape} does not match grid "
-                              f"({ncells} cells, n={model.n})")
     return a, dx, u0
 
 
@@ -614,7 +608,6 @@ SCHEMES = {
 def run_scheme(model, data, scheme, cfg):
     """Dispatch by scheme id; front tracking lives in hyperlab.fronts."""
     if scheme == "front-tracking":
-        from .fronts import front_tracking_run
         return front_tracking_run(model, data, cfg)
     try:
         fn = SCHEMES[scheme]

@@ -32,9 +32,10 @@ from .errors import (DegenerateData, HyperlabError, OracleUnavailable,
                      QuadratureUnderResolved)
 from .fronts import FrontTrackingSolution
 from .models import eigensystem
-from .piecewise import GridSolution, PiecewiseConstantFn, as_state, grid_tv
+from .piecewise import GridSolution, PiecewiseConstantFn, as_state
 from .riemann import (WaveFan, evaluate_fan, liu_admissible, rh_residual,
-                      solve_strengths, _field_classes)
+                      riemann_solver_for, solve_strengths, _field_classes)
+from .schemes import SchemeConfig, _cells, _whole_steps, godunov_run
 
 TIME_PAD = 1e-6
 # widest speed cell of a sampled rarefaction in FanView profiles
@@ -45,18 +46,6 @@ PSI_DERIV_MAX = 96.0 / (25.0 * math.sqrt(5.0))
 
 # ---------------------------------------------------------------------------
 # basic functionals
-
-def total_variation(obj):
-    """Total variation of a profile over the whole line.
-
-    Accepts a PiecewiseConstantFn, a GridSolution (its last snapshot), or a
-    plain snapshot row."""
-    if isinstance(obj, PiecewiseConstantFn):
-        return obj.tv()
-    if isinstance(obj, GridSolution):
-        return obj.as_piecewise(obj.times[-1]).tv()
-    return grid_tv(np.asarray(obj))
-
 
 def l1_distance(a, b, interval, cells=8192):
     """L1 distance over [lo, hi]: exact for two piecewise-constant profiles,
@@ -191,12 +180,10 @@ class FrontTrackingView(_StateCache):
 
 
 def as_view(obj):
-    """A view as is, or a GridSolution as a GridView; a front-tracking run
-    needs a FrontTrackingView, which carries its x_span."""
+    """A view as is; a grid run needs a GridView and a front-tracking run a
+    FrontTrackingView, which carries its x_span."""
     if isinstance(obj, (GridView, FanView, FrontTrackingView)):
         return obj
-    if isinstance(obj, GridSolution):
-        return GridView(obj)
     raise TypeError(f"cannot view {type(obj).__name__} as a solution")
 
 
@@ -588,8 +575,8 @@ def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
                          r, rate)
         if model is not None:
             try:
-                rec.liu_margin = liu_admissible(model, um, up, 0 if model.n == 1
-                                                else _dominant_family(model, um, up)).margin
+                rec.liu_margin = liu_admissible(model, um, up,
+                                                _dominant_family(model, um, up)).margin
             except (HyperlabError, np.linalg.LinAlgError):
                 rec.liu_margin = None
             if model.has_entropy_pair():
@@ -612,8 +599,6 @@ def _dominant_family(model, um, up):
 def interval_partition(fn, eps):
     """Greedy left-to-right partition points so every open interval between
     consecutive points has total variation below eps."""
-    if isinstance(fn, GridSolution):
-        fn = fn.as_piecewise(fn.times[-1])
     jumps = fn.jumps()
     points = []
     acc = 0.0
@@ -742,7 +727,6 @@ class FineGodunovOracle:
         self.note = f"godunov dx={dx:g} on {domain}"
 
     def evolve(self, pc: PiecewiseConstantFn, h) -> PiecewiseConstantFn:
-        from .schemes import SchemeConfig, _cells, _whole_steps, godunov_run
         step = _cells(self.domain, self.dx)[1]
         steps = _whole_steps(h, step)
         if steps is None:
@@ -763,7 +747,6 @@ class ExactFanOracle:
         self.note = "exact fan"
 
     def evolve(self, pc: PiecewiseConstantFn, h) -> PiecewiseConstantFn:
-        from .riemann import riemann_solver_for
         pcs = pc.simplified(0.0)
         if pcs.xs.size != 1:
             raise OracleUnavailable("exact fan oracle needs single-jump data")
@@ -771,9 +754,10 @@ class ExactFanOracle:
         return FanView(fan, x0=float(pcs.xs[0]), t0=0.0).state(h)
 
 
-def semigroup_error_bound(path, oracle, T, L):
+def semigroup_error_bound(path, oracle, L):
     """(bound, actual) with bound = L * sum_j |path(t_{j+1}) -
-    oracle_{dt}(path(t_j))| and actual = |path(T) - oracle_T(path(0))|."""
+    oracle_{dt}(path(t_j))| and actual = |path(T) - oracle_T(path(0))|, T
+    the path's last time."""
     if isinstance(path, GridSolution):
         items = [(float(t), path.as_piecewise(t)) for t in path.times]
         x_lo, x_hi = path.x0, path.xmax

@@ -1,6 +1,8 @@
 """Every module-level import of the library is used somewhere in its module,
-every module-level constant and private helper is read somewhere, and every
-optional parameter of a public function is passed by some call."""
+every module-level constant and private helper is read somewhere, every
+optional parameter of a public function is passed by some call, every
+parameter is read by its function, and every field of the model and scheme
+settings is read by the library."""
 
 import ast
 import math
@@ -115,3 +117,43 @@ def test_every_optional_parameter_is_passed(path):
              if not any(npos > pos or param in kws or None in kws
                         for npos, kws in calls.get(name, []))]
     assert not never, f"optional parameters no call passes in {path.name}: {never}"
+
+
+def _functions(tree):
+    """Module-level functions and the methods of module-level classes;
+    functions nested in them (callbacks) are part of their bodies."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter the body never reads is an input that changes nothing
+    unread = []
+    for name, node in _functions(ast.parse(path.read_text())):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}({p.arg})" for p in params if p.arg not in read]
+    assert not unread, f"parameters never read in {path.name}: {unread}"
+
+
+@pytest.mark.parametrize("module,cls", [("models.py", "FluxModel"),
+                                        ("schemes.py", "SchemeConfig")])
+def test_every_setting_field_is_read(module, cls):
+    # a field the library never reads is a setting that changes nothing
+    src = Path(hyperlab.__file__).parent
+    tree = ast.parse((src / module).read_text())
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    fields = [n.target.id for n in body
+              if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    read = {n.attr for path in SOURCES for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f for f in fields if f not in read]
+    assert not unread, f"{cls} fields the library never reads: {unread}"

@@ -63,6 +63,21 @@ class TestEigensystem:
         with pytest.raises(NonHyperbolic):
             eigensystem(m, [0.0, 0.0])
 
+    def test_general_n_linear_system(self):
+        # a 3x3 user model takes the np.linalg.eig branch: eigenvalues
+        # sorted, unit right eigenvectors with the first non-negligible
+        # component positive, left eigenvectors dual to them
+        M = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 3.0]])
+        m = models.FluxModel("linear3", 3, flux=lambda u: u @ M.T,
+                             jacobian=lambda u: np.broadcast_to(M, u.shape + (3,)))
+        es = eigensystem(m, [0.2, -0.1, 0.4])
+        assert es.lambdas == pytest.approx([-1.0, 1.0, 3.0], abs=1e-12)
+        assert es.right == pytest.approx(np.array([[1.0, -1.0, 0.0] / np.sqrt(2.0),
+                                                   [1.0, 0.0, 0.0],
+                                                   [1.0, 1.0, 4.0] / np.sqrt(18.0)]),
+                                         abs=1e-12)
+        assert es.left @ es.right.T == pytest.approx(np.eye(3), abs=1e-12)
+
     def test_out_of_domain(self):
         m = models.p_system()
         with pytest.raises(OutOfDomain):
@@ -128,7 +143,6 @@ class TestEntropyPairs:
     def test_declared_convex_entropies_have_pd_hessian(self):
         for m, pts in [(models.burgers(), np.linspace(-2, 2, 5)[:, None]),
                        (models.p_system(), sample_box([0.5, -0.5], [2.0, 0.5], k=3))]:
-            assert m.entropy_convex
             for u in pts:
                 H = m.entropy_hessian(u)
                 assert np.all(np.linalg.eigvalsh(H) > 0)

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hyperlab import models
 from hyperlab.errors import (ContinuationFailure, NewtonDivergence,
                              NonClassifiedField, NotGenuinelyNonlinear,
-                             NotOnShockCurve, RHViolated)
+                             NotOnShockCurve, OutOfDomain, RHViolated)
 from hyperlab.riemann import (AdmissibilityVerdict, entropy_admissible_shock,
                               evaluate_fan, liu_admissible, rarefaction_curve,
                               rh_residual, riemann_solver_for, shock_curve,
@@ -235,6 +237,14 @@ class TestLiuAdmissible:
         m = models.burgers()
         v = liu_admissible(m, [0.7], [0.7], 0)
         assert v.admissible and v.margin == 0.0
+
+    def test_scalar_takes_the_shock_curve(self):
+        # a scalar jump is measured like a system's: a strength below the
+        # floor is trivial, and a state outside the box is refused
+        m = replace(models.burgers(), lo=np.array([0.0]))
+        assert liu_admissible(m, [0.7], [0.7 + 1e-13], 0) == AdmissibilityVerdict(True, 0.0, 0.0)
+        with pytest.raises(OutOfDomain):
+            liu_admissible(m, [-0.5], [0.5], 0)
 
     def test_not_on_curve(self):
         m = models.p_system()

@@ -162,6 +162,19 @@ class TestGlimm:
         row0, rowT = sol.states[0][:, 0], sol.states[-1][:, 0]
         assert np.array_equal(row0, rowT)
 
+    def test_system_riemann_solves(self):
+        # a system model goes through the Lax-curve solver of
+        # riemann_solver_for: 8 cells, 3 steps of the normalised p-system
+        m = normalize_speeds(models.p_system(), M=1.6)
+        ul = np.array([1.0, 0.0])
+        data = PiecewiseConstantFn.riemann(ul, [1.05, 0.02], x=0.5)
+        cfg = SchemeConfig(eps=0.125, T=0.375, domain=(0.0, 1.0))
+        sol = glimm_run(m, data, cfg)
+        assert sol.states.shape == (2, 8, 2)
+        assert np.all(np.isfinite(sol.states))
+        assert not np.array_equal(sol.states[-1], sol.states[0])
+        assert np.array_equal(glimm_run(m, data, cfg).states, sol.states)
+
 
 class TestMethodOfLines:
     def test_constant_equilibrium(self):

@@ -22,7 +22,7 @@ from hyperlab.verify import (BumpTestFn, EpsCertificate, ExactFanOracle,
                              error_decomposition, interval_partition,
                              l1_distance, q_decomposition, rate_fit,
                              semigroup_error_bound, strip_expressions,
-                             total_variation, weak_residual)
+                             weak_residual)
 
 BURGERS = models.burgers()
 BURGERS_01 = models.normalize_speeds(BURGERS, M=1.0)
@@ -37,21 +37,21 @@ def step_fan(u_l=1.0, u_r=0.0, speed=0.5):
 class TestTotalVariation:
     def test_single_jump(self):
         pc = PiecewiseConstantFn.riemann([0.0], [1.0])
-        assert total_variation(pc) == 1.0
+        assert pc.tv() == 1.0
 
     def test_monotone_ramp_any_resolution(self):
         for m in (10, 100, 1000):
             xs = np.linspace(-1, 1, m + 1)[1:-1]
             vals = np.linspace(0, 1, m)[:, None]
             pc = PiecewiseConstantFn(xs, vals)
-            assert total_variation(pc) == pytest.approx(1.0)
+            assert pc.tv() == pytest.approx(1.0)
 
     def test_sampled_sine(self):
         x = np.linspace(0, 2 * np.pi, 10_001)
         centers = 0.5 * (x[:-1] + x[1:])
         vals = np.sin(centers)[:, None]
         pc = PiecewiseConstantFn(x[1:-1], vals)
-        assert total_variation(pc) == pytest.approx(4.0, abs=1e-3)
+        assert pc.tv() == pytest.approx(4.0, abs=1e-3)
 
 
 class TestL1Distance:
@@ -457,7 +457,7 @@ class TestSemigroupBound:
         for j in range(4):
             path.append((path[-1][0] + 0.1,
                          oracle.evolve(path[-1][1], 0.1)))
-        bound, actual = semigroup_error_bound(path, oracle, 0.4, L=1.0)
+        bound, actual = semigroup_error_bound(path, oracle, L=1.0)
         assert bound <= 1e-12 and actual <= 1e-12
 
     def test_artificial_restart_jump(self):
@@ -473,7 +473,7 @@ class TestSemigroupBound:
                 # shift the whole profile by d / |jump|: L1 change = d
                 nxt = PiecewiseConstantFn(nxt.xs + d, nxt.vals)
             path.append((path[-1][0] + 0.1, nxt))
-        bound, actual = semigroup_error_bound(path, oracle, 0.4, L=1.0)
+        bound, actual = semigroup_error_bound(path, oracle, L=1.0)
         assert bound >= d - 1e-3
         assert actual <= bound + 1e-9
 
@@ -484,10 +484,10 @@ class TestSemigroupBound:
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         oracle = FineGodunovOracle(BURGERS_01, 0.03, (-2, 3))
         with pytest.raises(OracleUnavailable, match="not a multiple"):
-            semigroup_error_bound([(0.0, data), (0.3, data)], oracle, 0.3, L=1.0)
+            semigroup_error_bound([(0.0, data), (0.3, data)], oracle, L=1.0)
         h = 10 * 5 / 167
         path = [(0.0, data), (h, oracle.evolve(data, h))]
-        bound, actual = semigroup_error_bound(path, oracle, h, L=1.0)
+        bound, actual = semigroup_error_bound(path, oracle, L=1.0)
         assert bound <= 1e-12 and actual <= 1e-12
 
     def test_glimm_vs_fine_godunov(self):
@@ -496,7 +496,7 @@ class TestSemigroupBound:
         cfg = SchemeConfig(eps=1 / 40, T=0.5, domain=(-0.5, 1.5), store_all=True)
         sol = glimm_run(BURGERS_01, data, cfg)
         oracle = FineGodunovOracle(BURGERS_01, (1 / 40) / 8, (-0.5, 1.5))
-        bound, actual = semigroup_error_bound(sol, oracle, 0.5, L=1.0)
+        bound, actual = semigroup_error_bound(sol, oracle, L=1.0)
         assert actual <= bound * 1.05 + 1e-12
 
 

@@ -17,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models
+from hyperlab.errors import NewtonDivergence, OutOfDomain
 from hyperlab.fronts import approximate_riemann_pieces
-from hyperlab.riemann import (_field_classes, default_small_data_radius,
-                              rh_residual, solve_riemann)
+from hyperlab.riemann import (_damped_newton, _field_classes,
+                              default_small_data_radius, rh_residual,
+                              solve_riemann)
 
 P_SYSTEM = models.p_system()
 
@@ -157,6 +159,51 @@ class TestCentralDiff:
         H = model.entropy_hessian(u)
         assert np.array_equal(H, H.T)
         assert np.max(np.abs(H - exact)) <= 5e-5 * np.max(np.abs(exact))
+
+
+class TestDampedNewton:
+    """The error contract of the one strength Newton, on synthetic G."""
+
+    @staticmethod
+    def solve(G, x, tol=1e-12, accept=1e-11, maxiter=40):
+        return _damped_newton(G, np.array(x, dtype=float), tol, accept, maxiter,
+                              NewtonDivergence, "strength")
+
+    def test_converges(self):
+        x = self.solve(lambda x: x * x - 2.0, [1.0])
+        assert abs(x[0] - math.sqrt(2.0)) <= 1e-12
+
+    def test_singular_jacobian(self):
+        with pytest.raises(NewtonDivergence, match="singular strength Jacobian") as info:
+            self.solve(lambda x: np.ones(2) + 0.0 * x, [0.0, 0.0])
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("wall", [None, OutOfDomain("outside"),
+                                      np.linalg.LinAlgError("singular")],
+                             ids=["no-decrease", "hyperlab-error", "linalg-error"])
+    def test_stalled_line_search(self, wall):
+        # G is x - 10 within 1e-3 of the start, which holds the difference
+        # steps; every halved trial point (down to 10/512) lies beyond it,
+        # where |G| does not decrease or G raises
+        def G(x):
+            if abs(x[0]) < 1e-3:
+                return x - 10.0
+            if wall is None:
+                return x + 100.0
+            raise wall
+
+        with pytest.raises(NewtonDivergence,
+                           match=r"strength line search stalled \(\|G\|=1.00e\+01\)"):
+            self.solve(G, [0.0])
+
+    def test_accept_after_maxiter(self):
+        # three Newton steps from 1 leave |x^2 - 2| = 6.0e-6: above tol = 0,
+        # within accept = 1e-3, and no closer than the third iterate
+        x = self.solve(lambda x: x * x - 2.0, [1.0], tol=0.0, accept=1e-3, maxiter=3)
+        assert x[0] == pytest.approx(577.0 / 408.0, rel=1e-12)
+        with pytest.raises(NewtonDivergence,
+                           match=r"strength Newton did not converge \(\|G\|=6.01e-06\)"):
+            self.solve(lambda x: x * x - 2.0, [1.0], tol=0.0, accept=1e-6, maxiter=3)
 
 
 small = st.floats(-0.015, 0.015, allow_nan=False)
