@@ -5,7 +5,11 @@ solution of the jump conditions, so mass is conserved exactly and the
 Rankine-Hugoniot audit holds to solver tolerance at all times.  Rarefactions
 are approximated by chains of jumps of strength at most delta traveling at
 their exact two-state (secant) speed; for systems the chain states are
-produced by the same shock-curve Newton as genuine shocks.
+produced by the same shock-curve Newton as genuine shocks.  A system
+Riemann problem takes one strength solve (`riemann.solve_strengths`) with
+every family one jump, and a second one only when a rarefaction is split
+into several jumps.  With rho_np > 0 the families weaker than rho_np are
+then dropped, and one non-physical front carries the mismatch.
 
 Riemann pieces are `riemann.JumpWave`s and a `Front` is a `JumpWave` at a
 `Fraction` position; `PiecewiseConstantFn.from_fronts` draws an epoch, as
@@ -28,10 +32,8 @@ import numpy as np
 from .errors import ConfigError, FrontExplosion, RiemannFailure
 from .models import GENUINELY_NONLINEAR, FluxModel, eigenvalues
 from .piecewise import PiecewiseConstantFn
-from .riemann import (JumpWave, _compose, _damped_newton, _field_classes,
+from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _field_classes,
                       solve_riemann_scalar, solve_strengths)
-
-STRENGTH_FLOOR = 1e-13
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -107,44 +109,20 @@ def _splits(fields, sig, delta):
             for i, s in enumerate(sig)]
 
 
-def _chain(model, u_l, sig, fields, splits):
-    """End state and jump pieces of the chained Lax curves; every adjacent
-    state pair solves the jump conditions."""
-    return _compose(model, u_l, sig, fields, splits, tol=1e-14,
-                    floor=STRENGTH_FLOOR)
-
-
-def _system_pieces(model, u_l, u_r, delta, fields):
-    """Front pieces for a system Riemann problem, all of them RH-exact."""
-    sig0 = solve_strengths(model, u_l, u_r, fields, tol=1e-12,
-                           rarefaction_as_shocks=True)
-    splits = _splits(fields, sig0, delta)
-
-    def G(sig):
-        return _chain(model, u_l, sig, fields, splits)[0] - u_r
-
-    sig = _damped_newton(G, sig0, 1e-12, 1e-9, 25, RiemannFailure,
-                         "chained-strength")
-    _, pieces = _chain(model, u_l, sig, fields, splits)
-    return pieces, sig
-
-
-def _merge_weak_waves(model, u_l, u_r, pieces, sig, fields, rho_np, lam_hat, delta):
-    """Replace families weaker than rho_np by one non-physical front."""
-    weak = [i for i in range(model.n)
-            if STRENGTH_FLOOR <= abs(sig[i]) < rho_np]
-    if not weak:
-        return pieces, 0.0
-    strong_sig = sig.copy()
-    for i in weak:
-        strong_sig[i] = 0.0
-    state, strong_pieces = _chain(model, u_l, strong_sig, fields,
-                                  _splits(fields, strong_sig, delta))
-    np_strength = float(np.linalg.norm(u_r - state))
-    if np_strength < STRENGTH_FLOOR:
-        return strong_pieces, 0.0
-    strong_pieces.append(JumpWave("non-physical", None, state, u_r, lam_hat))
-    return strong_pieces, np_strength
+def _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat):
+    """Front pieces for a system Riemann problem.  Every piece is RH-exact;
+    when families weaker than rho_np are dropped, one non-physical front at
+    lam_hat carries the mismatch."""
+    sig = solve_strengths(model, u_l, u_r, fields, tol=1e-12,
+                          splits=[1] * model.n)
+    splits = _splits(fields, sig, delta)
+    if max(splits) > 1:
+        sig = solve_strengths(model, u_l, u_r, fields, tol=1e-12, splits=splits)
+    weak = (STRENGTH_FLOOR <= np.abs(sig)) & (np.abs(sig) < rho_np)
+    state, pieces = _compose(model, u_l, np.where(weak, 0.0, sig), fields, splits)
+    if weak.any() and np.linalg.norm(u_r - state) >= STRENGTH_FLOOR:
+        pieces.append(JumpWave("non-physical", None, state, u_r, lam_hat))
+    return pieces
 
 
 def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
@@ -157,11 +135,7 @@ def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
         return _scalar_pieces(model, u_l, u_r, delta)
     if fields is None:
         raise RiemannFailure("system front tracking needs field classes")
-    pieces, sig = _system_pieces(model, u_l, u_r, delta, fields)
-    if rho_np > 0.0:
-        pieces, _ = _merge_weak_waves(
-            model, u_l, u_r, pieces, sig, fields, rho_np, lam_hat, delta)
-    return pieces
+    return _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat)
 
 
 # ---------------------------------------------------------------------------

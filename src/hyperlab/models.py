@@ -153,9 +153,9 @@ class FieldClass:
     orientation: int
 
 
-def _fix_sign(r, threshold=1e-10):
+def _fix_sign(r):
     for c in r:
-        if abs(c) > threshold:
+        if abs(c) > 1e-10:
             return r if c > 0 else -r
     return r
 

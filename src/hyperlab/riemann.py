@@ -4,8 +4,11 @@ Systems are solved by damped Newton on composed Lax curves (shock branch on
 the speed-decreasing side, rarefaction branch on the other, single branch for
 linearly degenerate families).  That contact/shock/rarefaction decision is
 made in one place, `_lax_step`, which builds one wave; `_compose` chains it
-over the families for the exact solver, for the strength Newton, and (with
-rarefactions split into jumps) for front tracking.
+over the families.  `solve_strengths` is the one strength solve, for the
+exact solver, the q-decomposition of the verifier and front tracking; with
+`splits` every wave is a jump and a rarefaction may be split into several.
+Front tracking solves once with every family one jump, and a second time
+only when a rarefaction is split.
 
 Scalar problems go through convex/concave envelopes, which also handles
 fluxes that are neither genuinely nonlinear nor linearly degenerate.
@@ -61,17 +64,19 @@ class ShockCurve:
     speeds: np.ndarray
 
 
-def _shock_point_newton(model, u_minus, l_i, s, state0, lam0, tol=1e-13, maxiter=30):
-    """Solve RH plus the projection closure for (S, lambda) at parameter s."""
+def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
+    """Solve RH plus the projection closure for (S, lambda) at parameter s
+    to |F| <= 1e-13 (1 + |f(u_minus)|) in at most 30 steps; after them
+    1e-10 (1 + |f(u_minus)|) still passes."""
     n = model.n
     f_minus = model.f(u_minus)
     S, lam = state0.copy(), float(lam0)
     scale = 1.0 + float(np.linalg.norm(model.f(u_minus)))
-    for _ in range(maxiter):
+    for _ in range(30):
         F = np.empty(n + 1)
         F[:n] = model.f(S) - f_minus - lam * (S - u_minus)
         F[n] = l_i @ (S - u_minus) - s
-        if np.linalg.norm(F) <= tol * scale:
+        if np.linalg.norm(F) <= 1e-13 * scale:
             return S, lam
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = model.jac(S) - lam * np.eye(n)
@@ -300,7 +305,7 @@ def default_small_data_radius(model, u_minus, u_plus):
     return 0.25 * gap / d2
 
 
-def _lax_step(model, u_l, i, sigma, field, jumps, tol):
+def _lax_step(model, u_l, i, sigma, field, jumps):
     """The family-i wave from u_l at oriented strength sigma.
 
     This is the one place where the branch of the Lax curve is chosen: a
@@ -326,28 +331,27 @@ def _lax_step(model, u_l, i, sigma, field, jumps, tol):
     es = eigensystem(model, u_l)
     S, lam = _shock_point_newton(model, u_l, orient * es.left[i], sigma,
                                  u_l + sigma * orient * es.right[i],
-                                 es.lambdas[i], tol=tol)
+                                 es.lambdas[i])
     return JumpWave(kind, i, u_l, S, float(lam))
 
 
-def _compose(model, u_minus, sigmas, fields, splits=None, tol=1e-13,
-             floor=STRENGTH_FLOOR):
+def _compose(model, u_minus, sigmas, fields, splits=None):
     """End state and waves of the composed Lax curves at strengths sigmas.
 
-    Families weaker than `floor` make no wave.  With `splits` every wave is
-    a jump, and the rarefaction side of family i is split into splits[i]
-    jumps of equal strength.
+    Families weaker than STRENGTH_FLOOR make no wave.  With `splits` every
+    wave is a jump, and the rarefaction side of family i is split into
+    splits[i] jumps of equal strength.
     """
     jumps = splits is not None
     state = u_minus
     waves = []
     for i in range(model.n):
         sig = sigmas[i]
-        if abs(sig) < floor:
+        if abs(sig) < STRENGTH_FLOOR:
             continue
         k = splits[i] if jumps and sig > 0 else 1
         for _ in range(k):
-            w = _lax_step(model, state, i, sig / k, fields[i], jumps, tol)
+            w = _lax_step(model, state, i, sig / k, fields[i], jumps)
             waves.append(w)
             state = w.u_r
     return state, waves
@@ -390,13 +394,13 @@ def _damped_newton(G, x, tol, accept, maxiter, error, what):
     raise error(f"{what} Newton did not converge (|G|={np.linalg.norm(g):.2e})")
 
 
-def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP,
-                    rarefaction_as_shocks=False):
-    """Damped Newton for the wave strengths of the composed Lax curves."""
+def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP, splits=None):
+    """Damped Newton for the wave strengths of the composed Lax curves, with
+    the waves `_compose` builds for `splits`; |G| <= tol, or 10 tol after
+    40 iterations, else NewtonDivergence."""
     es = eigensystem(model, u_minus)
     sigmas = np.array([fields[i].orientation * float(es.left[i] @ (u_plus - u_minus))
                        for i in range(model.n)])
-    splits = [1] * model.n if rarefaction_as_shocks else None
 
     def G(s):
         return _compose(model, u_minus, s, fields, splits)[0] - u_plus

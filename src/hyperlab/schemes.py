@@ -102,8 +102,10 @@ def _grid(model, data, cfg, dx):
     return a, dx, u0
 
 
-def _data_states(u0, cap=96):
-    """Deterministic subsample of distinct initial states for speed checks."""
+def _data_states(u0):
+    """Deterministic subsample of at most 96 distinct initial states for
+    speed checks."""
+    cap = 96
     rows = np.unique(u0.round(12), axis=0)
     if rows.shape[0] > cap:
         idx = np.linspace(0, rows.shape[0] - 1, cap).astype(int)
@@ -111,10 +113,10 @@ def _data_states(u0, cap=96):
     return rows
 
 
-def _check_speed_range(model, u0, lo, hi, tol=1e-9):
+def _check_speed_range(model, u0, lo, hi):
     for u in _data_states(u0):
         lam = eigenvalues(model, u)
-        if np.any(lam < lo - tol) or np.any(lam > hi + tol):
+        if np.any(lam < lo - 1e-9) or np.any(lam > hi + 1e-9):
             raise SpeedRangeViolation(
                 f"speeds {lam} outside [{lo}, {hi}] at u={u}; "
                 f"normalize the model first")

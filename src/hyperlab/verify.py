@@ -32,7 +32,7 @@ from .errors import (DegenerateData, HyperlabError, OracleUnavailable,
                      QuadratureUnderResolved)
 from .fronts import FrontTrackingSolution
 from .models import eigensystem
-from .piecewise import GridSolution, PiecewiseConstantFn, as_state
+from .piecewise import GridSolution, PiecewiseConstantFn
 from .riemann import (WaveFan, evaluate_fan, liu_admissible, rh_residual,
                       riemann_solver_for, solve_strengths, _field_classes)
 from .schemes import SchemeConfig, _cells, _whole_steps, godunov_run
@@ -42,27 +42,6 @@ TIME_PAD = 1e-6
 RAREFACTION_STEP = 0.002
 # sup |d/dy (1 - y^2)^3| over [-1, 1], attained at y = 1/sqrt(5)
 PSI_DERIV_MAX = 96.0 / (25.0 * math.sqrt(5.0))
-
-
-# ---------------------------------------------------------------------------
-# basic functionals
-
-def l1_distance(a, b, interval, cells=8192):
-    """L1 distance over [lo, hi]: exact for two piecewise-constant profiles,
-    midpoint quadrature when callables are involved."""
-    lo, hi = interval
-    if isinstance(a, PiecewiseConstantFn) and isinstance(b, PiecewiseConstantFn):
-        return a.l1_distance(b, lo, hi)
-    xs = lo + (hi - lo) * (np.arange(cells) + 0.5) / cells
-    dx = (hi - lo) / cells
-
-    def sample(f):
-        if isinstance(f, PiecewiseConstantFn):
-            return f(xs)
-        return np.stack([as_state(f(x)) for x in xs])
-
-    va, vb = sample(a), sample(b)
-    return float(np.sum(np.linalg.norm(va - vb, axis=1)) * dx)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +257,13 @@ def default_family(t0, t1, x0, x1, scales=3) -> TestFamily:
 # ---------------------------------------------------------------------------
 # strip residuals (weak form and entropy form)
 
-def _gauss_nodes(t0, t1, kinks, min_panels=16, order=10):
-    """Nodes and weights of composite Gauss-Legendre panels on [t0, t1],
-    split at the kinks and no wider than (t1 - t0) / min_panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _gauss_nodes(t0, t1, kinks):
+    """Nodes and weights of composite 10-point Gauss-Legendre panels on
+    [t0, t1], split at the kinks and no wider than (t1 - t0) / 16."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
     cuts = sorted({t0, t1, *[k for k in kinks if t0 < k < t1]})
     refined = [t0]
-    width_cap = (t1 - t0) / min_panels
+    width_cap = (t1 - t0) / 16
     for a, b in zip(cuts[:-1], cuts[1:]):
         m = max(1, int(math.ceil((b - a) / width_cap - 1e-12)))
         refined.extend(a + (b - a) * np.arange(1, m + 1) / m)
@@ -473,6 +452,14 @@ def _conservative_location(xs, prof, dx, p_minus, p_plus):
     return (mass - (B * p_plus - A * p_minus)) / (p_minus - p_plus)
 
 
+def _jump_speed(model, um, up):
+    """Least-squares speed du.(f(u+) - f(u-)) / |du|^2 of the jump from um
+    to up; 0 when the states are equal."""
+    du = up - um
+    nn = float(du @ du)
+    return float(du @ (model.f(up) - model.f(um)) / nn) if nn > 0 else 0.0
+
+
 def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
     """Scan one snapshot for approximate jumps: one-sided window averages
     give the candidate states, a conservative (mass) location per snapshot
@@ -520,7 +507,7 @@ def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
         up = (csum[k + w] - csum[k + w4]) / (w - w4)
         du = up - um
         e = du / np.linalg.norm(du)
-        lam0 = float(du @ (model.f(up) - model.f(um)) / (du @ du)) if model else 0.0
+        lam0 = _jump_speed(model, um, up) if model else 0.0
         # the trimmed states, fixed across snapshots: the window's own half
         # means would always place the step at the window's centre edge
         pm, pp = float(um @ e), float(up @ e)
@@ -684,9 +671,7 @@ def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecompo
         for kp, x in enumerate(points):
             um = u_tau(np.array([x - tiny]))[0]
             up = u_tau(np.array([x + tiny]))[0]
-            du = up - um
-            nn = float(du @ du)
-            lam = float(du @ (model.f(up) - model.f(um)) / nn) if nn > 0 else 0.0
+            lam = _jump_speed(model, um, up)
             step = PiecewiseConstantFn(np.array([x + lam * h]), np.stack([um, up]))
             lo, hi = x - h, x + h
             A[hi_idx, kp] = (sol_h.l1_distance(step, lo, hi)
@@ -811,7 +796,7 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
         if np.allclose(uu[r], vv[r], atol=1e-15):
             continue
         q[r] = solve_strengths(model, uu[r], vv[r], fields,
-                               rarefaction_as_shocks=True)
+                               splits=[1] * model.n)
     total = float(np.sum(np.abs(q) * lengths[:, None]))
     return cuts, q, total
 

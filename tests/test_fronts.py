@@ -47,6 +47,19 @@ class TestScalarFronts:
         assert len(after) == 1
         assert after[0].speed == pytest.approx(1.0, abs=1e-12)
 
+    def test_stacked_collision(self):
+        # jumps 1.5/1/0.5/0 at x = 0, 0.5, 1: shocks at speeds 1.25, 0.75 and
+        # 0.25 meet at (t, x) = (1, 1.25) in one three-front event
+        cfg = SchemeConfig(eps=1.0, T=2.0, domain=(-1.0, 3.0), delta=0.05)
+        data = PiecewiseConstantFn(np.array([0.0, 0.5, 1.0]),
+                                   np.array([[1.5], [1.0], [0.5], [0.0]]))
+        sol = front_tracking_run(BURGERS, data, cfg)
+        assert sol.events == [{"t": 1.0, "x": 1.25, "in": 3, "out": 1,
+                               "np_strength": 0.0}]
+        (front,) = sol.epochs[-1].fronts
+        assert (front.kind, front.speed) == ("shock", 0.75)
+        assert (front.u_l[0], front.u_r[0]) == (1.5, 0.0)
+
     def test_rarefaction_split_count_and_accuracy(self):
         cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.0), delta=0.05)
         data = PiecewiseConstantFn.riemann([0.0], [1.0])

@@ -1,8 +1,8 @@
 """Every module-level import of the library is used somewhere in its module,
-every module-level constant and private helper is read somewhere, every
-optional parameter of a public function is passed by some call, every
-parameter is read by its function, and every field of the model and scheme
-settings is read by the library."""
+every module-level constant and private helper is read somewhere and every
+constant is defined in one module only, every optional parameter of a
+function is passed by some call, every parameter is read by its function,
+and every field of the model and scheme settings is read by the library."""
 
 import ast
 import math
@@ -46,23 +46,40 @@ def _references(paths):
     return names
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_dead_module_names(path):
-    # every UPPER_CASE constant and _private function or class defined at
-    # module level is read somewhere in the library or its tests
+def _constants(path):
+    """Name -> line of every UPPER_CASE constant defined at module level."""
     defined = {}
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if node.name.startswith("_") and not node.name.startswith("__"):
-                defined[node.name] = node.lineno
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
                 if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id):
                     defined[t.id] = node.lineno
+    return defined
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_module_names(path):
+    # every UPPER_CASE constant and _private function or class defined at
+    # module level is read somewhere in the library or its tests
+    defined = _constants(path)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                defined[node.name] = node.lineno
     used = _references(SOURCES + sorted(Path(__file__).parent.glob("*.py")))
     dead = {name: line for name, line in defined.items() if name not in used}
     assert not dead, f"unreferenced names (name: line) in {path.name}: {dead}"
+
+
+def test_every_constant_is_defined_once():
+    # one name in two modules is one setting with two values that can drift
+    modules = {}
+    for path in SOURCES:
+        for name in _constants(path):
+            modules.setdefault(name, []).append(path.name)
+    twice = {name: found for name, found in modules.items() if len(found) > 1}
+    assert not twice, f"constants defined in more than one module: {twice}"
 
 
 def _calls(paths):
@@ -84,8 +101,9 @@ def _calls(paths):
 
 def _optional_params(path):
     """(callee name, parameter, call position) of every parameter with a
-    default of a public function, public method or public class's __init__
-    (called by the class name); a bound `self` takes no call position."""
+    default of a module-level function, or of a method or __init__ (called
+    by the class name) of a public class; a bound `self` takes no call
+    position."""
     tree = ast.parse(path.read_text())
     defs = [(node, node.name, 0) for node in tree.body
             if isinstance(node, ast.FunctionDef)]
@@ -95,8 +113,6 @@ def _optional_params(path):
                      for node in cls.body if isinstance(node, ast.FunctionDef)]
     out = []
     for node, name, bound in defs:
-        if name.startswith("_"):
-            continue
         args = node.args.posonlyargs + node.args.args
         first = len(args) - len(node.args.defaults)
         out += [(name, a.arg, k - bound) for k, a in enumerate(args) if k >= first]

@@ -162,6 +162,16 @@ class TestGlimm:
         row0, rowT = sol.states[0][:, 0], sol.states[-1][:, 0]
         assert np.array_equal(row0, rowT)
 
+    def test_midpoint_sequence_lands_shock_exactly(self):
+        # a shock of speed 1/2 moves one cell in every step whose theta is
+        # below 1/2: 25 of the 50 midpoint thetas, so 0.25 at T = 0.5
+        cfg = SchemeConfig(eps=0.01, T=0.5, domain=(-1.0, 1.0),
+                           sequence="midpoint")
+        data = PiecewiseConstantFn.riemann([1.0], [0.0])
+        sol = glimm_run(models.burgers(), data, cfg)
+        assert sol.meta["sequence"] == "midpoint"
+        assert sol.l1_distance(data.shifted(0.25), 0.5) == 0.0
+
     def test_system_riemann_solves(self):
         # a system model goes through the Lax-curve solver of
         # riemann_solver_for: 8 cells, 3 steps of the normalised p-system

@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from hyperlab.verify import (BumpTestFn, EpsCertificate, ExactFanOracle,
                              GridView, _dominant_family, certify_eps_approx,
                              default_family, detect_jumps, entropy_residual,
                              error_decomposition, interval_partition,
-                             l1_distance, q_decomposition, rate_fit,
+                             q_decomposition, rate_fit,
                              semigroup_error_bound, strip_expressions,
                              weak_residual)
 
@@ -57,21 +56,13 @@ class TestTotalVariation:
 class TestL1Distance:
     def test_identical(self):
         pc = PiecewiseConstantFn.riemann([1.0], [0.0])
-        assert l1_distance(pc, pc, (-1, 1)) == 0.0
+        assert pc.l1_distance(pc, -1, 1) == 0.0
 
     def test_shifted_steps_strength_times_shift(self):
         sigma, xi = 0.7, 0.013
         a = PiecewiseConstantFn.riemann([sigma], [0.0], x=0.0)
         b = PiecewiseConstantFn.riemann([sigma], [0.0], x=xi)
-        assert l1_distance(a, b, (-1, 1)) == pytest.approx(sigma * xi)
-
-    def test_offset_gaussians_quadrature(self):
-        d = 1e-2
-        f = lambda x: np.array([np.exp(-x * x)])
-        g = lambda x: np.array([np.exp(-(x - d) ** 2)])
-        got = l1_distance(f, g, (-8, 8), cells=10_000)
-        exact = 2 * math.sqrt(math.pi) * math.erf(d / 2)
-        assert got == pytest.approx(exact, abs=1e-6)
+        assert a.l1_distance(b, -1, 1) == pytest.approx(sigma * xi)
 
 
 class TestGridView:

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import models
+from hyperlab import fronts, models
 from hyperlab.errors import NewtonDivergence, OutOfDomain
 from hyperlab.fronts import approximate_riemann_pieces
 from hyperlab.riemann import (_damped_newton, _field_classes,
                               default_small_data_radius, rh_residual,
-                              solve_riemann)
+                              solve_riemann, solve_strengths)
 
 P_SYSTEM = models.p_system()
 
@@ -67,18 +67,32 @@ GOLDEN_FANS = [
 PIECES_DATA = (("0x1.0000000000000p+0", "0x0.0p+0"),
                ("0x1.0d013a92a3055p+0", "0x1.1cff3113298c1p-4"))
 RAREFACTION_PIECES = [
+    ("rarefaction", 0, ("0x1.028ea6d527887p+0", "0x1.cb7934c8102a1p-7"), "-0x1.675a1e7feccdap+0"),
+    ("rarefaction", 0, ("0x1.0523cf57b277bp+0", "0x1.ca52c10bcd004p-6"), "-0x1.6208bed3b30f7p+0"),
+    ("rarefaction", 0, ("0x1.07bf78e32198bp+0", "0x1.56df13e60246fp-5"), "-0x1.5ccba669ea210p+0"),
+    ("rarefaction", 0, ("0x1.0a61a227e449cp+0", "0x1.c7fd48b16afa6p-5"), "-0x1.57a2a905ebfe1p+0"),
+    ("rarefaction", 0, ("0x1.0d0a492a45763p+0", "0x1.1c40f43c64618p-4"), "-0x1.528d99de1238bp+0"),
+]
+NONPHYSICAL_PIECE = (
+    "non-physical", None, ("0x1.0d013a92a3055p+0", "0x1.1cff3113298c1p-4"), "0x1.8000000000000p+1")
+GOLDEN_PIECES_SPLIT = RAREFACTION_PIECES + [
+    ("rarefaction", 1, ("0x1.0d013a92a3302p+0", "0x1.1cff31132843fp-4"), "0x1.50125f763209ep+0"),
+]
+GOLDEN_PIECES_MERGED = RAREFACTION_PIECES + [NONPHYSICAL_PIECE]
+# the same pieces from a second strength Newton on the split chain with its
+# shock points solved to 1e-14: a reference the pieces above must stay within
+# roundoff of (states 1e-12, speeds 1e-11)
+REFERENCE_RAREFACTION_PIECES = [
     ("rarefaction", 0, ("0x1.028ea6d5278dfp+0", "0x1.cb7934c808ca4p-7"), "-0x1.675a1e7fea91fp+0"),
     ("rarefaction", 0, ("0x1.0523cf57b282ep+0", "0x1.ca52c10bc5a36p-6"), "-0x1.6208bed3b0d2cp+0"),
     ("rarefaction", 0, ("0x1.07bf78e321a9ap+0", "0x1.56df13e5fcc31p-5"), "-0x1.5ccba669e7dfcp+0"),
     ("rarefaction", 0, ("0x1.0a61a227e4608p+0", "0x1.c7fd48b163a2dp-5"), "-0x1.57a2a905e9bc7p+0"),
     ("rarefaction", 0, ("0x1.0d0a492a4592ep+0", "0x1.1c40f43c5fcccp-4"), "-0x1.528d99de0ff55p+0"),
 ]
-GOLDEN_PIECES_SPLIT = RAREFACTION_PIECES + [
+REFERENCE_PIECES_SPLIT = REFERENCE_RAREFACTION_PIECES + [
     ("rarefaction", 1, ("0x1.0d013a92a3054p+0", "0x1.1cff3113298d8p-4"), "0x1.50125f7631ff7p+0"),
 ]
-GOLDEN_PIECES_MERGED = RAREFACTION_PIECES + [
-    ("non-physical", None, ("0x1.0d013a92a3055p+0", "0x1.1cff3113298c1p-4"), "0x1.8000000000000p+1"),
-]
+REFERENCE_PIECES_MERGED = REFERENCE_RAREFACTION_PIECES + [NONPHYSICAL_PIECE]
 
 
 def assert_chained(left, links):
@@ -111,17 +125,43 @@ class TestGoldenFans:
     def test_front_pieces_bit_identical(self):
         ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
         fields = _field_classes(P_SYSTEM, ul, ur)
-        for kw, golden in (({}, GOLDEN_PIECES_SPLIT),
-                           ({"rho_np": 1e-3, "lam_hat": 3.0},
-                            GOLDEN_PIECES_MERGED)):
+        for kw, golden, reference in (
+                ({}, GOLDEN_PIECES_SPLIT, REFERENCE_PIECES_SPLIT),
+                ({"rho_np": 1e-3, "lam_hat": 3.0}, GOLDEN_PIECES_MERGED,
+                 REFERENCE_PIECES_MERGED)):
             pieces = approximate_riemann_pieces(P_SYSTEM, ul, ur, 0.02,
                                                 fields=fields, **kw)
             assert [(p.kind, p.family) for p in pieces] == \
-                [(k, fam) for k, fam, *_ in golden]
-            for p, (_, _, want_b, want_speed) in zip(pieces, golden):
-                assert np.array_equal(p.u_r, unhex(want_b))
-                assert p.speed == float.fromhex(want_speed)
+                [(k, fam) for k, fam, *_ in golden] == \
+                [(k, fam) for k, fam, *_ in reference]
+            for p, want, ref in zip(pieces, golden, reference):
+                assert np.array_equal(p.u_r, unhex(want[2]))
+                assert p.speed == float.fromhex(want[3])
+                assert np.max(np.abs(p.u_r - unhex(ref[2]))) <= 1e-12
+                assert abs(p.speed - float.fromhex(ref[3])) <= 1e-11
             assert_chained(ul, [(p.u_l, p.u_r) for p in pieces])
+
+    @pytest.mark.parametrize("ur, delta, solves", [
+        # the two shocks of the second golden fan: every family one jump
+        (GOLDEN_FANS[1][2], 0.02, 1),
+        # the 1-rarefaction of strength 0.05 is one jump at delta = 0.1 ...
+        (PIECES_DATA[1], 0.1, 1),
+        # ... and five at delta = 0.02, which takes a second solve
+        (PIECES_DATA[1], 0.02, 2),
+    ], ids=["shocks", "one-jump-rarefaction", "split-rarefaction"])
+    def test_front_pieces_strength_solves(self, monkeypatch, ur, delta, solves):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["splits"])
+            return solve_strengths(*args, **kwargs)
+
+        monkeypatch.setattr(fronts, "solve_strengths", counted)
+        ul, ur = unhex(PIECES_DATA[0]), unhex(ur)
+        approximate_riemann_pieces(P_SYSTEM, ul, ur, delta,
+                                   fields=_field_classes(P_SYSTEM, ul, ur))
+        assert len(calls) == solves
+        assert calls[0] == [1, 1]
 
 
 class TestCentralDiff:
