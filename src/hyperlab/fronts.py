@@ -113,11 +113,10 @@ def _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat):
     """Front pieces for a system Riemann problem.  Every piece is RH-exact;
     when families weaker than rho_np are dropped, one non-physical front at
     lam_hat carries the mismatch."""
-    sig = solve_strengths(model, u_l, u_r, fields, tol=1e-12,
-                          splits=[1] * model.n)
+    sig = solve_strengths(model, u_l, u_r, fields, splits=[1] * model.n)
     splits = _splits(fields, sig, delta)
     if max(splits) > 1:
-        sig = solve_strengths(model, u_l, u_r, fields, tol=1e-12, splits=splits)
+        sig = solve_strengths(model, u_l, u_r, fields, splits=splits)
     weak = (STRENGTH_FLOOR <= np.abs(sig)) & (np.abs(sig) < rho_np)
     state, pieces = _compose(model, u_l, np.where(weak, 0.0, sig), fields, splits)
     if weak.any() and np.linalg.norm(u_r - state) >= STRENGTH_FLOOR:

@@ -9,8 +9,7 @@ h_j = rel * (1 + |x_j|), at one point or at rows of points.  The steps per
 site: the Jacobian fallback, the entropy gradients and the eigenvalue
 gradient of `gnl_indicator` use rel = H_JAC; `entropy_hessian` differences
 the entropy gradient with rel = sqrt(H_JAC); the curvature bound of
-`riemann.default_small_data_radius` uses 1e-5; the strength Jacobian of
-`riemann._damped_newton` and the cell speeds f'(u) of
+`riemann.default_small_data_radius` uses 1e-5; the cell speeds f'(u) of
 `schemes.mollification_run` use 1e-7.  All operations are pure and models
 are immutable, so everything here is safe to evaluate from concurrent
 workers.
@@ -18,6 +17,7 @@ workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -166,33 +166,19 @@ def eigensystem(model: FluxModel, u) -> EigenSystem:
     model.require_in_domain(u)
     A = model.jac(u)
     if model.n == 1:
-        lam = np.array([A[0, 0]])
-        return EigenSystem(lam, np.array([[1.0]]), np.array([[1.0]]))
-    if model.n == 2:
-        tr = A[0, 0] + A[1, 1]
-        disc = 0.25 * (A[0, 0] - A[1, 1]) ** 2 + A[0, 1] * A[1, 0]
-        if disc < 0:
-            raise NonHyperbolic(f"complex eigenvalues at u={u} (disc={disc:.3e})")
-        s = np.sqrt(disc)
-        lam = np.array([0.5 * tr - s, 0.5 * tr + s])
-        R = np.empty((2, 2))
-        for i, l in enumerate(lam):
-            # pick the better conditioned row of (A - l I) to null out
-            v1 = np.array([A[0, 1], l - A[0, 0]])
-            v2 = np.array([l - A[1, 1], A[1, 0]])
-            v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-            nv = np.linalg.norm(v)
-            if nv == 0:
-                raise NonHyperbolic(f"defective Jacobian at u={u}")
-            R[i] = _fix_sign(v / nv)
-    else:
-        w, V = np.linalg.eig(A)
-        if np.max(np.abs(w.imag)) > TOL_EIG * max(1.0, np.max(np.abs(w.real))):
-            raise NonHyperbolic(f"complex eigenvalues at u={u}")
-        order = np.argsort(w.real)
-        lam = w.real[order]
-        R = np.stack([_fix_sign(np.real(V[:, k]) / np.linalg.norm(np.real(V[:, k])))
-                      for k in order])
+        return EigenSystem(np.array([A[0, 0]]), np.array([[1.0]]), np.array([[1.0]]))
+    return (_eigensystem_2x2 if model.n == 2 else _eigensystem_eig)(model, u, A)
+
+
+def _eigensystem_eig(model, u, A):
+    """The eigensystem of any n by np.linalg.eig and np.linalg.inv."""
+    w, V = np.linalg.eig(A)
+    if np.max(np.abs(w.imag)) > TOL_EIG * max(1.0, np.max(np.abs(w.real))):
+        raise NonHyperbolic(f"complex eigenvalues at u={u}")
+    order = np.argsort(w.real)
+    lam = w.real[order]
+    R = np.stack([_fix_sign(np.real(V[:, k]) / np.linalg.norm(np.real(V[:, k])))
+                  for k in order])
     gaps = np.diff(lam)
     if np.any(gaps <= TOL_GAP):
         raise NonHyperbolic(
@@ -202,6 +188,35 @@ def eigensystem(model: FluxModel, u) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NonHyperbolic(f"eigenvector matrix singular at u={u}") from exc
     return EigenSystem(lam, R, L)
+
+
+def _eigensystem_2x2(model, u, A):
+    """Closed form for n = 2: r_i is the longer row of A - lambda_i I turned a
+    quarter, L the adjugate of R^T over det R.  A double eigenvalue fails as
+    A = lambda I (defective), as a Jordan block (singular R) or on the gap."""
+    (a, b), (c, d) = A.tolist()
+    disc = 0.25 * (a - d) ** 2 + b * c
+    if disc < 0:
+        raise NonHyperbolic(f"complex eigenvalues at u={u} (disc={disc:.3e})")
+    lam = [0.5 * (a + d) - math.sqrt(disc), 0.5 * (a + d) + math.sqrt(disc)]
+    R = []
+    for l in lam:
+        x, y = max((b, l - a), (l - d, c), key=lambda v: math.hypot(*v))
+        nv = math.hypot(x, y)
+        if nv == 0:
+            raise NonHyperbolic(f"defective Jacobian at u={u}")
+        x, y = x / nv, y / nv
+        if x < -1e-10 or (abs(x) <= 1e-10 and y < -1e-10):  # as in _fix_sign
+            x, y = -x, -y
+        R.append((x, y))
+    (p, q), (r, s) = R
+    det = p * s - r * q
+    if det == 0:
+        raise NonHyperbolic(f"eigenvector matrix singular at u={u}")
+    if lam[1] - lam[0] <= TOL_GAP:
+        raise NonHyperbolic(f"eigenvalue gap {lam[1] - lam[0]:.3e} below tolerance "
+                            f"at u={u} (model {model.name!r})")
+    return EigenSystem(np.array(lam), np.array(R), np.array([[s, -r], [-q, p]]) / det)
 
 
 def eigenvalues(model: FluxModel, u):

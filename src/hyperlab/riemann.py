@@ -1,14 +1,15 @@
 """Wave curves, exact Riemann solvers, and shock admissibility predicates.
 
-Systems are solved by damped Newton on composed Lax curves (shock branch on
-the speed-decreasing side, rarefaction branch on the other, single branch for
-linearly degenerate families).  That contact/shock/rarefaction decision is
-made in one place, `_lax_step`, which builds one wave; `_compose` chains it
-over the families.  `solve_strengths` is the one strength solve, for the
-exact solver, the q-decomposition of the verifier and front tracking; with
-`splits` every wave is a jump and a rarefaction may be split into several.
-Front tracking solves once with every family one jump, and a second time
-only when a rarefaction is split.
+Systems are solved by Broyden's method on composed Lax curves (shock branch
+on the speed-decreasing side, rarefaction branch on the other, single branch
+for linearly degenerate families), started from the exact Jacobian at zero
+strengths.  That contact/shock/rarefaction decision is made in one place,
+`_lax_step`, which builds one wave; `_compose` chains it over the families.
+`solve_strengths` is the one strength solve, for the exact solver, the
+q-decomposition of the verifier and front tracking; with `splits` every wave
+is a jump and a rarefaction may be split into several.  Front tracking solves
+once with every family one jump, and a second time only when a rarefaction
+is split.  An exact fan ends on u+ byte for byte.
 
 Scalar problems go through convex/concave envelopes, which also handles
 fluxes that are neither genuinely nonlinear nor linearly degenerate.
@@ -28,7 +29,7 @@ from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
                      _central_diff, classify_field, eigensystem, gnl_indicator)
 
 TOL_RH = 1e-9
-TOL_RP = 1e-10
+TOL_RP = 1e-12
 TOL_ADM = 1e-9
 TOL_ORDER = 1e-9
 TOL_CURVE = 1e-3
@@ -71,13 +72,14 @@ def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
     n = model.n
     f_minus = model.f(u_minus)
     S, lam = state0.copy(), float(lam0)
-    scale = 1.0 + float(np.linalg.norm(model.f(u_minus)))
-    for _ in range(30):
-        F = np.empty(n + 1)
-        F[:n] = model.f(S) - f_minus - lam * (S - u_minus)
-        F[n] = l_i @ (S - u_minus) - s
-        if np.linalg.norm(F) <= 1e-13 * scale:
+    scale = 1.0 + float(np.linalg.norm(f_minus))
+    for k in range(31):
+        F = np.append(model.f(S) - f_minus - lam * (S - u_minus), l_i @ (S - u_minus) - s)
+        if np.linalg.norm(F) <= (1e-13 if k < 30 else 1e-10) * scale:
             return S, lam
+        if k == 30:
+            raise ContinuationFailure(
+                f"RH Newton stalled at s={s:.3g} (|F|={np.linalg.norm(F):.2e})")
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = model.jac(S) - lam * np.eye(n)
         J[:n, n] = -(S - u_minus)
@@ -86,16 +88,9 @@ def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise ContinuationFailure(f"singular RH system at s={s:.3g}") from exc
-        S = S + step[:n]
-        lam = lam + step[n]
+        S, lam = S + step[:n], lam + step[n]
         if not (np.all(np.isfinite(S)) and np.isfinite(lam)):
             raise ContinuationFailure(f"RH Newton diverged at s={s:.3g}")
-    F = np.empty(n + 1)
-    F[:n] = model.f(S) - f_minus - lam * (S - u_minus)
-    F[n] = l_i @ (S - u_minus) - s
-    if np.linalg.norm(F) <= 1e-10 * scale:
-        return S, lam
-    raise ContinuationFailure(f"RH Newton stalled at s={s:.3g} (|F|={np.linalg.norm(F):.2e})")
 
 
 def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve:
@@ -227,20 +222,6 @@ class WaveFan:
     states: tuple
     waves: tuple
 
-    def to_dict(self):
-        out = {"left": self.left.tolist(), "right": self.right.tolist(), "waves": []}
-        for w in self.waves:
-            d = {"kind": w.kind, "family": w.family,
-                 "u_l": w.u_l.tolist(), "u_r": w.u_r.tolist()}
-            if w.kind == "rarefaction":
-                d["speed_l"], d["speed_r"] = w.speed_l, w.speed_r
-            else:
-                d["speed"] = w.speed
-                if w.liu_margin is not None:
-                    d["liu_margin"] = w.liu_margin
-            out["waves"].append(d)
-        return out
-
 
 def evaluate_fan(fan: WaveFan, xi):
     """Value of the self-similar solution at ratio xi = x/t."""
@@ -250,9 +231,8 @@ def evaluate_fan(fan: WaveFan, xi):
             if xi < w.speed_l:
                 return state
             if xi <= w.speed_r:
-                out = np.array([np.interp(xi, w.speeds, w.states[:, c])
-                                for c in range(w.states.shape[1])])
-                return out
+                return np.array([np.interp(xi, w.speeds, w.states[:, c])
+                                 for c in range(w.states.shape[1])])
         else:
             if xi < w.speed:
                 return state
@@ -357,56 +337,58 @@ def _compose(model, u_minus, sigmas, fields, splits=None):
     return state, waves
 
 
-def _damped_newton(G, x, tol, accept, maxiter, error, what):
-    """Solve G(x) = 0 by Newton with a central-difference Jacobian and a
-    halving line search on |G|.
+def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
+    """Solve G(x) = 0 by Broyden's method (1965) from the Jacobian J at x,
+    with a halving line search on |G|; each accepted step dx, dg updates
+    J <- J + (dg - J dx) dx^T / (dx^T dx), so G is never differenced.
 
-    Converged when |G| <= tol; after maxiter steps |G| <= accept still
-    passes.  A trial point where G raises a HyperlabError or LinAlgError is
-    halved like one that does not reduce |G|.  A singular Jacobian, a stalled
-    line search or no convergence raises `error`.
-    """
+    Converged when |G| <= tol; |G| <= accept still passes after maxiter
+    steps or a stalled line search, and otherwise they raise `error`, as a
+    singular Jacobian does.  A trial point where G raises a HyperlabError or
+    LinAlgError is halved like one that does not reduce |G|."""
     g = G(x)
     for _ in range(maxiter):
         if np.linalg.norm(g) <= tol:
             return x
-        J = _central_diff(G, x, 1e-7)
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError as exc:
             raise error(f"singular {what} Jacobian") from exc
-        t = 1.0
-        for _ in range(10):
+        for t in [0.5 ** k for k in range(10)]:
             trial = x + t * step
             try:
                 g_trial = G(trial)
             except (HyperlabError, np.linalg.LinAlgError):
-                t *= 0.5
                 continue
             if np.linalg.norm(g_trial) < np.linalg.norm(g):
+                J = J + np.outer(g_trial - g - t * (J @ step), step) / (t * (step @ step))
                 x, g = trial, g_trial
                 break
-            t *= 0.5
         else:
+            # families below STRENGTH_FLOOR make no wave, so G can stall
+            # at a residual of that size
+            if np.linalg.norm(g) <= accept:
+                return x
             raise error(f"{what} line search stalled (|G|={np.linalg.norm(g):.2e})")
     if np.linalg.norm(g) <= accept:
         return x
     raise error(f"{what} Newton did not converge (|G|={np.linalg.norm(g):.2e})")
 
 
-def solve_strengths(model, u_minus, u_plus, fields, tol=TOL_RP, splits=None):
-    """Damped Newton for the wave strengths of the composed Lax curves, with
-    the waves `_compose` builds for `splits`; |G| <= tol, or 10 tol after
-    40 iterations, else NewtonDivergence."""
+def solve_strengths(model, u_minus, u_plus, fields, splits=None):
+    """Wave strengths of the composed Lax curves (the waves `_compose` builds
+    for `splits`) to |G| <= TOL_RP, or 10 TOL_RP after 40 iterations, else
+    NewtonDivergence.  Broyden starts from the linear guess and dG/dsigma at
+    sigma = 0, whose column i is orientation_i r_i(u-)."""
     es = eigensystem(model, u_minus)
-    sigmas = np.array([fields[i].orientation * float(es.left[i] @ (u_plus - u_minus))
-                       for i in range(model.n)])
+    orient = np.array([fc.orientation for fc in fields])
+    sigmas = orient * (es.left @ (u_plus - u_minus))
 
     def G(s):
         return _compose(model, u_minus, s, fields, splits)[0] - u_plus
 
-    return _damped_newton(G, sigmas, tol, 10 * tol, 40, NewtonDivergence,
-                          "strength")
+    return _damped_newton(G, sigmas, es.right.T * orient, TOL_RP, 10 * TOL_RP,
+                          40, NewtonDivergence, "strength")
 
 
 def _secant_speeds(model, u_l, sigma, n_check):
@@ -456,6 +438,10 @@ def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
             waves[k] = replace(w, liu_margin=_shock_liu_margin(
                 model, w.u_l, i, sig, orient, w.speed))
     _check_wave_order(waves)
+    if waves:  # the composed end state is within TOL_RP of u_plus: end on it
+        if waves[-1].kind == "rarefaction":
+            waves[-1].states[-1] = u_plus
+        waves[-1], state = replace(waves[-1], u_r=u_plus), u_plus
     states = (u_minus,) + tuple(w.u_r for w in waves)
     return WaveFan(u_minus, state, states, tuple(waves))
 

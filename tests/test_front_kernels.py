@@ -55,9 +55,9 @@ FAN_PROFILES = {
     ("cubic", 0.05): (1, "ac12a5cea5692821"),
     ("cubic", 0.1): (1, "ac12a5cea5692821"),
     ("cubic", 0.6): (1127, "e2b277eea384bfe9"),
-    ("psystem", 0.05): (1, "326bc7912600ce62"),
-    ("psystem", 0.1): (1, "326bc7912600ce62"),
-    ("psystem", 0.6): (33, "0afa4a0d717abe67"),
+    ("psystem", 0.05): (1, "2eca68dfee3924c7"),
+    ("psystem", 0.1): (1, "2eca68dfee3924c7"),
+    ("psystem", 0.6): (33, "ad86de0b878edeb0"),
 }
 FANS = {"cubic": cubic_fan, "psystem": psystem_fan}
 

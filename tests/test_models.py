@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.errors import (ConfigError, MissingEntropyPair, NonHyperbolic,
@@ -63,6 +65,17 @@ class TestEigensystem:
         with pytest.raises(NonHyperbolic):
             eigensystem(m, [0.0, 0.0])
 
+    @pytest.mark.parametrize("entries, reason", [
+        ((0, 1, -1, 0), "complex eigenvalues"),
+        ((1, 0, 0, 1), "defective Jacobian"),
+        # a Jordan block: both rows of R are (1, 0)
+        ((1, 1, 0, 1), "eigenvector matrix singular"),
+        ((0, 0, 0, 1e-9), "eigenvalue gap 1.000e-09 below tolerance"),
+    ], ids=["complex", "defective", "singular", "gap"])
+    def test_every_closed_form_failure(self, entries, reason):
+        with pytest.raises(NonHyperbolic, match=reason):
+            eigensystem(models.linear_system(*entries), [0.0, 0.0])
+
     def test_general_n_linear_system(self):
         # a 3x3 user model takes the np.linalg.eig branch: eigenvalues
         # sorted, unit right eigenvectors with the first non-negligible
@@ -82,6 +95,39 @@ class TestEigensystem:
         m = models.p_system()
         with pytest.raises(OutOfDomain):
             eigensystem(m, [-1.0, 0.0])
+
+
+def _linear2(lam, gap, theta, spread):
+    """A linear2 model with eigenvalues lam, lam + gap and unit right
+    eigenvectors at angles theta and theta + spread."""
+    V = np.array([[np.cos(theta), np.cos(theta + spread)],
+                  [np.sin(theta), np.sin(theta + spread)]])
+    return models.linear_system(*(V @ np.diag([lam, lam + gap]) @ np.linalg.inv(V)).ravel())
+
+
+TWO_BY_TWO = st.one_of(
+    st.builds(lambda v, w, k, gamma: (models.p_system(k, gamma), [v, w]),
+              st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(0.5, 2.0),
+              st.floats(1.0, 3.0)),
+    st.builds(lambda *args: (_linear2(*args), [0.3, -0.2]),
+              st.floats(-1.0, 1.0), st.floats(0.05, 1.0), st.floats(-3.0, 3.0),
+              st.floats(0.3, 2.8)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=TWO_BY_TWO)
+def test_closed_form_2x2_matches_eig(case):
+    # the n = 2 branch against the np.linalg.eig branch on the same Jacobian
+    m, u = case
+    u = np.asarray(u, dtype=float)
+    A = m.jac(u)
+    closed = models._eigensystem_2x2(m, u, A)
+    general = models._eigensystem_eig(m, u, A)
+    assert np.max(np.abs(closed.lambdas - general.lambdas)) <= 1e-14
+    assert np.max(np.abs(closed.right - general.right)) <= 1e-14
+    assert np.max(np.abs(closed.left @ closed.right.T - np.eye(2))) <= 1e-14
+    es = eigensystem(m, u)
+    assert np.array_equal(es.right, closed.right) and np.array_equal(es.left, closed.left)
 
 
 class TestClassifyField:

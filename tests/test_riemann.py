@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.errors import (ContinuationFailure, NewtonDivergence,
@@ -153,6 +156,36 @@ class TestSolveRiemann:
         m = models.p_system()
         with pytest.raises(NewtonDivergence, match="small-data radius"):
             solve_riemann(m, [1.0, 0.0], [1.5, 0.5])
+
+
+def psystem_riemann_invariant(states, family):
+    """w + 2 sqrt(2) v^-1/2 (family 0) or w - 2 sqrt(2) v^-1/2 (family 1),
+    constant along a rarefaction of the p-system with p(v) = v^-2."""
+    sign = 1.0 if family == 0 else -1.0
+    return states[:, 1] + sign * 2.0 * math.sqrt(2.0) * states[:, 0] ** -0.5
+
+
+small = st.floats(-0.02, 0.02)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(v=st.floats(0.9, 1.1), w=st.floats(-0.1, 0.1), a1=small, a2=small)
+@example(v=1.0, w=0.0, a1=0.02, a2=0.015)    # 1-rarefaction, 2-shock
+@example(v=1.0, w=0.0, a1=-0.015, a2=-0.02)  # 1-shock, 2-rarefaction
+def test_psystem_fans_match_closed_form(v, w, a1, a2):
+    # u+ = u- + a1 r1 + a2 r2 with r = (1, +-c), c = sqrt(2) v^-3/2
+    m = models.p_system()
+    c = math.sqrt(2.0) * v ** -1.5
+    ul = np.array([v, w])
+    fan = solve_riemann(m, ul, ul + a1 * np.array([1.0, c]) + a2 * np.array([1.0, -c]))
+    for wave in fan.waves:
+        if wave.kind == "rarefaction":
+            inv = psystem_riemann_invariant(wave.states, wave.family)
+            assert np.max(np.abs(inv - inv[0])) <= 1e-10
+        else:
+            # the Hugoniot locus (w+ - w-)^2 = (p(v-) - p(v+)) (v+ - v-)
+            (v0, w0), (v1, w1) = wave.u_l, wave.u_r
+            assert abs((w1 - w0) ** 2 - (v0 ** -2 - v1 ** -2) * (v1 - v0)) <= 1e-10
 
 
 class TestScalarEnvelope:

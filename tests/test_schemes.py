@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import models
+from hyperlab import models, schemes
 from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
                              NewtonFailure, NonfiniteState, SpeedRangeViolation,
                              SubcharacteristicViolation)
@@ -184,6 +184,28 @@ class TestGlimm:
         assert np.all(np.isfinite(sol.states))
         assert not np.array_equal(sol.states[-1], sol.states[0])
         assert np.array_equal(glimm_run(m, data, cfg).states, sol.states)
+
+    def test_system_fans_solved_once_per_problem(self, monkeypatch):
+        # each fan ends on u+ byte for byte, so the states Glimm samples
+        # repeat exactly and its fan cache finds them: 3 solves in 8 steps,
+        # where fans ending on the composed end state, off u+ by roundoff,
+        # took 15
+        solves = []
+        solver_for = schemes.riemann_solver_for
+
+        def counted(model):
+            solve = solver_for(model)
+
+            def wrapped(ul, ur):
+                solves.append((ul.tobytes(), ur.tobytes()))
+                return solve(ul, ur)
+            return wrapped
+
+        monkeypatch.setattr(schemes, "riemann_solver_for", counted)
+        m = normalize_speeds(models.p_system(), M=1.6)
+        data = PiecewiseConstantFn.riemann([1.0, 0.0], [1.05, 0.02], x=0.25)
+        glimm_run(m, data, SchemeConfig(eps=1.0 / 16, T=0.5, domain=(0.0, 1.0)))
+        assert len(solves) == len(set(solves)) == 3
 
 
 class TestMethodOfLines:

@@ -30,6 +30,10 @@ def unhex(values):
     return np.array([float.fromhex(v) for v in values])
 
 
+def unhex_rows(rows):
+    return np.array([unhex(row) for row in rows])
+
+
 def psystem_jump(u, a1, a2):
     """u + a1 r1(u) + a2 r2(u) for p(v) = v^-2, with r = (1, +-c)."""
     c = math.sqrt(2.0) * u[0] ** -1.5
@@ -37,8 +41,35 @@ def psystem_jump(u, a1, a2):
 
 
 # (model, u-, u+, fan states, waves); a wave is (kind, family, speed, liu
-# margin) with speed = (speed_l, speed_r) for rarefactions
+# margin) with speed = (speed_l, speed_r) for rarefactions.  Each fan ends
+# on u+ exactly.
 GOLDEN_FANS = [
+    ("psystem", ("0x1.0000000000000p+0", "0x0.0p+0"),
+     ("0x1.0cccccccccccdp+0", "0x1.cf68d4fff04dcp-7"),
+     [("0x1.0000000000000p+0", "0x0.0p+0"),
+      ("0x1.079d8f8939b19p+0", "0x1.51222d18687a3p-5"),
+      ("0x1.0cccccccccccdp+0", "0x1.cf68d4fff04dcp-7")],
+     [("rarefaction", 0, ("-0x1.6a09e667f3bcdp+0", "-0x1.5a76e06702cdfp+0"), None),
+      ("shock", 1, "0x1.5572ca9dc7131p+0", "-0x1.0000000000000p-52")]),
+    ("psystem", ("0x1.0000000000000p+0", "0x0.0p+0"),
+     ("0x1.0147ae147ae14p+0", "-0x1.04aaf7cff72bdp-4"),
+     [("0x1.0000000000000p+0", "0x0.0p+0"),
+      ("0x1.f5e850d4690e6p-1", "-0x1.cf9e1bd7ffcc7p-6"),
+      ("0x1.0147ae147ae14p+0", "-0x1.04aaf7cff72bdp-4")],
+     [("shock", 0, "-0x1.6f7e811c20a7dp+0", "-0x1.4000000000000p-50"),
+      ("shock", 1, "0x1.6e208e2e62b9fp+0", "-0x1.0000000000000p-52")]),
+    ("linear2:1,0.5,0,2", ("0x0.0p+0", "0x1.0000000000000p+0"),
+     ("0x1.0000000000000p-1", "-0x1.0000000000000p-2"),
+     [("0x0.0p+0", "0x1.0000000000000p+0"),
+      ("0x1.2000000000000p+0", "0x1.0000000000000p+0"),
+      ("0x1.0000000000000p-1", "-0x1.0000000000000p-2")],
+     [("contact", 0, "0x1.0000000000000p+0", None),
+      ("contact", 1, "0x1.0000000000000p+1", None)]),
+]
+# the same fans from a Newton with central-difference Jacobians stopped at
+# |G| <= 1e-10, whose last state was the composed end state: a reference the
+# fans above must stay within 1e-10 of, in states and speeds
+REFERENCE_FANS = [
     ("psystem", ("0x1.0000000000000p+0", "0x0.0p+0"),
      ("0x1.0cccccccccccdp+0", "0x1.cf68d4fff04dcp-7"),
      [("0x1.0000000000000p+0", "0x0.0p+0"),
@@ -67,16 +98,16 @@ GOLDEN_FANS = [
 PIECES_DATA = (("0x1.0000000000000p+0", "0x0.0p+0"),
                ("0x1.0d013a92a3055p+0", "0x1.1cff3113298c1p-4"))
 RAREFACTION_PIECES = [
-    ("rarefaction", 0, ("0x1.028ea6d527887p+0", "0x1.cb7934c8102a1p-7"), "-0x1.675a1e7feccdap+0"),
-    ("rarefaction", 0, ("0x1.0523cf57b277bp+0", "0x1.ca52c10bcd004p-6"), "-0x1.6208bed3b30f7p+0"),
-    ("rarefaction", 0, ("0x1.07bf78e32198bp+0", "0x1.56df13e60246fp-5"), "-0x1.5ccba669ea210p+0"),
-    ("rarefaction", 0, ("0x1.0a61a227e449cp+0", "0x1.c7fd48b16afa6p-5"), "-0x1.57a2a905ebfe1p+0"),
-    ("rarefaction", 0, ("0x1.0d0a492a45763p+0", "0x1.1c40f43c64618p-4"), "-0x1.528d99de1238bp+0"),
+    ("rarefaction", 0, ("0x1.028ea6d52785dp+0", "0x1.cb7934c80e58bp-7"), "-0x1.675a1e7fecd07p+0"),
+    ("rarefaction", 0, ("0x1.0523cf57b2727p+0", "0x1.ca52c10bcb31dp-6"), "-0x1.6208bed3b3193p+0"),
+    ("rarefaction", 0, ("0x1.07bf78e32190cp+0", "0x1.56df13e600edep-5"), "-0x1.5ccba669ea2eep+0"),
+    ("rarefaction", 0, ("0x1.0a61a227e43f0p+0", "0x1.c7fd48b16930ap-5"), "-0x1.57a2a905ec10dp+0"),
+    ("rarefaction", 0, ("0x1.0d0a492a4568ap+0", "0x1.1c40f43c6344fp-4"), "-0x1.528d99de124fep+0"),
 ]
 NONPHYSICAL_PIECE = (
     "non-physical", None, ("0x1.0d013a92a3055p+0", "0x1.1cff3113298c1p-4"), "0x1.8000000000000p+1")
 GOLDEN_PIECES_SPLIT = RAREFACTION_PIECES + [
-    ("rarefaction", 1, ("0x1.0d013a92a3302p+0", "0x1.1cff31132843fp-4"), "0x1.50125f763209ep+0"),
+    ("rarefaction", 1, ("0x1.0d013a92a3057p+0", "0x1.1cff3113298bbp-4"), "0x1.50125f7632a4cp+0"),
 ]
 GOLDEN_PIECES_MERGED = RAREFACTION_PIECES + [NONPHYSICAL_PIECE]
 # the same pieces from a second strength Newton on the split chain with its
@@ -121,6 +152,17 @@ class TestGoldenFans:
                 got_margin = getattr(w, "liu_margin", None)
                 assert got_margin == (None if margin is None else float.fromhex(margin))
             assert_chained(fan.left, [(w.u_l, w.u_r) for w in fan.waves])
+            assert np.array_equal(fan.right, unhex(ur))
+
+    def test_fans_near_reference(self):
+        for name, ul, ur, states, waves in REFERENCE_FANS:
+            fan = solve_riemann(models.model_from_name(name), unhex(ul), unhex(ur))
+            assert [(w.kind, w.family) for w in fan.waves] == \
+                [(kind, fam) for kind, fam, _, _ in waves]
+            assert np.max(np.abs(np.array(fan.states) - unhex_rows(states))) <= 1e-10
+            for w, (_, _, speed, _) in zip(fan.waves, waves):
+                assert np.max(np.abs(np.array([w.speed_l, w.speed_r])
+                                     - unhex(np.broadcast_to(speed, 2)))) <= 1e-10
 
     def test_front_pieces_bit_identical(self):
         ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
@@ -202,29 +244,41 @@ class TestCentralDiff:
 
 
 class TestDampedNewton:
-    """The error contract of the one strength Newton, on synthetic G."""
+    """The error contract of the one strength solve, on synthetic G, each
+    started from a given Jacobian J: the exact one at the start point unless
+    a test says otherwise."""
 
     @staticmethod
-    def solve(G, x, tol=1e-12, accept=1e-11, maxiter=40):
-        return _damped_newton(G, np.array(x, dtype=float), tol, accept, maxiter,
-                              NewtonDivergence, "strength")
+    def solve(G, x, J, tol=1e-12, accept=1e-11, maxiter=40):
+        return _damped_newton(G, np.array(x, dtype=float), np.array(J, dtype=float),
+                              tol, accept, maxiter, NewtonDivergence, "strength")
 
     def test_converges(self):
-        x = self.solve(lambda x: x * x - 2.0, [1.0])
+        x = self.solve(lambda x: x * x - 2.0, [1.0], [[2.0]])
         assert abs(x[0] - math.sqrt(2.0)) <= 1e-12
 
     def test_singular_jacobian(self):
         with pytest.raises(NewtonDivergence, match="singular strength Jacobian") as info:
-            self.solve(lambda x: np.ones(2) + 0.0 * x, [0.0, 0.0])
+            self.solve(lambda x: np.ones(2) + 0.0 * x, [0.0, 0.0], np.zeros((2, 2)))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_broyden_update_hits_a_linear_map(self):
+        # from the diagonal of M, Broyden's updates solve G(x) = M x - b in
+        # 2n = 4 steps (Gay 1979); the frozen diagonal would leave |G| near
+        # 0.29^4 |b| after them
+        M = np.array([[2.0, 1.0], [0.5, 3.0]])
+        b = np.array([1.0, -2.0])
+        x = self.solve(lambda x: M @ x - b, [0.0, 0.0], np.diag([2.0, 3.0]),
+                       accept=1e-12, maxiter=4)
+        assert np.max(np.abs(M @ x - b)) <= 1e-12
 
     @pytest.mark.parametrize("wall", [None, OutOfDomain("outside"),
                                       np.linalg.LinAlgError("singular")],
                              ids=["no-decrease", "hyperlab-error", "linalg-error"])
     def test_stalled_line_search(self, wall):
-        # G is x - 10 within 1e-3 of the start, which holds the difference
-        # steps; every halved trial point (down to 10/512) lies beyond it,
-        # where |G| does not decrease or G raises
+        # G is x - 10 within 1e-3 of the start, so the first step is 10;
+        # every halved trial point (down to 10/512) lies beyond 1e-3, where
+        # |G| does not decrease or G raises
         def G(x):
             if abs(x[0]) < 1e-3:
                 return x - 10.0
@@ -234,16 +288,32 @@ class TestDampedNewton:
 
         with pytest.raises(NewtonDivergence,
                            match=r"strength line search stalled \(\|G\|=1.00e\+01\)"):
-            self.solve(G, [0.0])
+            self.solve(G, [0.0], [[1.0]])
+
+    @pytest.mark.parametrize("accept, passes", [(1e-11, True), (1e-12, False)])
+    def test_accept_after_stalled_line_search(self, accept, passes):
+        # a G that no step reduces stalls the line search at |G| = 5e-12,
+        # the size of the residual that families below STRENGTH_FLOOR leave
+        def G(x):
+            return np.array([5e-12]) + 0.0 * x
+
+        if passes:
+            assert self.solve(G, [0.0], [[1.0]], accept=accept)[0] == 0.0
+        else:
+            with pytest.raises(NewtonDivergence, match=r"stalled \(\|G\|=5.00e-12\)"):
+                self.solve(G, [0.0], [[1.0]], accept=accept)
 
     def test_accept_after_maxiter(self):
-        # three Newton steps from 1 leave |x^2 - 2| = 6.0e-6: above tol = 0,
-        # within accept = 1e-3, and no closer than the third iterate
-        x = self.solve(lambda x: x * x - 2.0, [1.0], tol=0.0, accept=1e-3, maxiter=3)
+        # from 1 with J = 2 the secant iterates are 3/2, 7/5, 41/29, 577/408:
+        # four steps leave |x^2 - 2| = 6.0e-6, above tol = 0, within
+        # accept = 1e-3, and no closer than the fourth iterate
+        x = self.solve(lambda x: x * x - 2.0, [1.0], [[2.0]], tol=0.0, accept=1e-3,
+                       maxiter=4)
         assert x[0] == pytest.approx(577.0 / 408.0, rel=1e-12)
         with pytest.raises(NewtonDivergence,
                            match=r"strength Newton did not converge \(\|G\|=6.01e-06\)"):
-            self.solve(lambda x: x * x - 2.0, [1.0], tol=0.0, accept=1e-6, maxiter=3)
+            self.solve(lambda x: x * x - 2.0, [1.0], [[2.0]], tol=0.0, accept=1e-6,
+                       maxiter=4)
 
 
 small = st.floats(-0.015, 0.015, allow_nan=False)
@@ -252,6 +322,8 @@ small = st.floats(-0.015, 0.015, allow_nan=False)
 @settings(max_examples=15, deadline=None, database=None)
 @given(v=st.floats(0.9, 1.1), u=st.floats(-0.05, 0.05), a1=small, a2=small)
 @example(v=1.0, u=0.0, a1=0.0, a2=0.0)
+# both families just below STRENGTH_FLOOR: no wave, and |G| stalls at 1.1e-12
+@example(v=0.939, u=-0.0023, a1=-3.4e-13, a2=3.4e-13)
 def test_psystem_fans_and_pieces(v, u, a1, a2):
     ul = np.array([v, u])
     ur = psystem_jump(ul, a1, a2)
@@ -265,6 +337,8 @@ def test_psystem_fans_and_pieces(v, u, a1, a2):
             assert rh_residual(P_SYSTEM, w.u_l, w.u_r, w.speed) <= 1e-9
     end = assert_chained(fan.left, [(w.u_l, w.u_r) for w in fan.waves])
     assert np.array_equal(end, fan.right)
+    # the fan ends on u+ exactly, unless every family is below STRENGTH_FLOOR
+    assert np.array_equal(fan.right, ur if fan.waves else ul)
     for state, w in zip(fan.states[1:], fan.waves):
         assert np.array_equal(state, w.u_r)
 
