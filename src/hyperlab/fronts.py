@@ -3,13 +3,19 @@
 Every physical front (shock, contact, or rarefaction piece) is an exact
 solution of the jump conditions, so mass is conserved exactly and the
 Rankine-Hugoniot audit holds to solver tolerance at all times.  Rarefactions
-are approximated by chains of jumps of strength at most delta traveling at
-their exact two-state (secant) speed; for systems the chain states are
-produced by the same shock-curve Newton as genuine shocks.  A system
-Riemann problem takes one strength solve (`riemann.solve_strengths`) with
-every family one jump, and a second one only when a rarefaction is split
-into several jumps.  With rho_np > 0 the families weaker than rho_np are
-then dropped, and one non-physical front carries the mismatch.
+are chains of jumps of strength at most delta at their secant speed.
+
+A scalar Riemann problem is solved exactly for f interpolated at the states
+delta*Z (Dafermos 1972): its pieces are the chords of the convex or concave
+envelope of f through u_l, u_r and the grid states between them.  Runs from
+data on delta*Z meet only grid states, so two of them contract in L1 to
+roundoff; off-grid data values stay nodes.
+
+A system Riemann problem takes one strength solve (`riemann.solve_strengths`)
+with every family one jump, and a second one only when a rarefaction is
+split, its jumps made by the same shock-curve Newton as genuine shocks.
+With rho_np > 0 the families weaker than rho_np are then dropped, and one
+non-physical front carries the mismatch.
 
 Riemann pieces are `riemann.JumpWave`s and a `Front` is a `JumpWave` at a
 `Fraction` position; `PiecewiseConstantFn.from_fronts` draws an epoch, as
@@ -33,7 +39,7 @@ from .errors import ConfigError, FrontExplosion, RiemannFailure
 from .models import GENUINELY_NONLINEAR, FluxModel, eigenvalues
 from .piecewise import PiecewiseConstantFn
 from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _field_classes,
-                      solve_riemann_scalar, solve_strengths)
+                      _lower_hull_indices, solve_strengths)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -86,19 +92,23 @@ class FrontTrackingSolution:
 # approximate Riemann solvers producing front pieces
 
 def _scalar_pieces(model, u_l, u_r, delta):
-    fan = solve_riemann_scalar(model, u_l, u_r)
-    pieces = []
-    for w in fan.waves:
-        if w.kind == "shock":
-            pieces.append(w)
-        else:
-            a, b = float(w.u_l[0]), float(w.u_r[0])
-            k = max(1, int(math.ceil(abs(b - a) / delta - 1e-12)))
-            pts = np.linspace(a, b, k + 1)
-            speeds = np.diff(model.f(pts[:, None])[:, 0]) / np.diff(pts)
-            pieces += [JumpWave("rarefaction", 0, np.array([p]), np.array([q]),
-                                float(s)) for p, q, s in zip(pts[:-1], pts[1:], speeds)]
-    return pieces
+    """The chords, in order from u_l, of the convex (u_l < u_r) or concave
+    envelope of f through u_l, u_r and the states delta*k strictly between
+    them, less those within STRENGTH_FLOOR of an end.  A chord is a shock
+    where f' does not increase across it, else a rarefaction front."""
+    lo, hi = sorted((float(u_l[0]), float(u_r[0])))
+    grid = delta * np.arange(math.floor(lo / delta), math.ceil(hi / delta) + 1)
+    nodes = np.concatenate([[lo], grid[(grid - lo >= STRENGTH_FLOOR)
+                                       & (hi - grid >= STRENGTH_FLOOR)], [hi]])
+    fs = model.f(nodes[:, None])[:, 0]
+    sign = 1 if u_l[0] < u_r[0] else -1  # traverse from u_l
+    hull = _lower_hull_indices(nodes, sign * fs)[::sign]
+    us = nodes[hull]
+    slopes = model.jac(us[:, None])[:, 0, 0]
+    speeds = np.diff(fs[hull]) / np.diff(us)
+    return [JumpWave("shock" if slopes[j] >= slopes[j + 1] else "rarefaction", 0,
+                     us[j:j + 1], us[j + 1:j + 2], float(speeds[j]))
+            for j in range(us.size - 1)]
 
 
 def _splits(fields, sig, delta):
@@ -154,10 +164,11 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     """Track fronts of a piecewise-constant profile until time T.
 
     data must be a PiecewiseConstantFn with finitely many jumps.  cfg needs
-    delta (rarefaction accuracy); rho_np > 0 enables merging of weak
-    interaction products into non-physical fronts at speed
-    lam_hat = 1 + max characteristic speed over the data.  Fronts move on
-    the whole line, so periodic boundaries are refused.
+    delta (rarefaction accuracy, and the state grid of a scalar model);
+    rho_np > 0 enables merging of weak interaction products into
+    non-physical fronts at speed lam_hat = 1 + max characteristic speed over
+    the data.  Fronts move on the whole line, so periodic boundaries are
+    refused.
     """
     if not isinstance(data, PiecewiseConstantFn):
         raise ConfigError("front tracking needs PiecewiseConstantFn data")

@@ -68,7 +68,7 @@ class FluxModel:
 
     def contains(self, u):
         u = self.state(u)
-        return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
+        return bool(((u >= self.lo) & (u <= self.hi)).all())
 
     def require_in_domain(self, u):
         if not self.contains(u):

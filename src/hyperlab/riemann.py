@@ -9,10 +9,12 @@ strengths.  That contact/shock/rarefaction decision is made in one place,
 q-decomposition of the verifier and front tracking; with `splits` every wave
 is a jump and a rarefaction may be split into several.  Front tracking solves
 once with every family one jump, and a second time only when a rarefaction
-is split.  An exact fan ends on u+ byte for byte.
+is split.  An exact fan ends on u+ byte for byte.  Both `shock_curve` and
+`_lax_step` reach a shock point through one continuation, `_continue_shock`.
 
-Scalar problems go through convex/concave envelopes, which also handles
-fluxes that are neither genuinely nonlinear nor linearly degenerate.
+`solve_riemann` is the one exact solver; a scalar model goes to the convex or
+concave envelope of `solve_riemann_scalar`, which also handles fluxes that
+are neither genuinely nonlinear nor linearly degenerate.
 """
 
 from __future__ import annotations
@@ -93,6 +95,31 @@ def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
             raise ContinuationFailure(f"RH Newton diverged at s={s:.3g}")
 
 
+def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
+    """The shock point at parameter b, continued from (S, lam) at a: Newton
+    from the linear guess S + (b - a) r_i, and on failure halved steps (12 in
+    all at most).  Every point reached must lie in the domain box."""
+    pending = [(a, b)]
+    halvings = 0
+    while pending:
+        a, b = pending.pop()
+        try:
+            S_new, lam_new = _shock_point_newton(model, u_minus, l_i, b,
+                                                 S + (b - a) * r_i, lam)
+        except ContinuationFailure:
+            halvings += 1
+            if halvings > 12:
+                raise
+            mid = 0.5 * (a + b)
+            pending.extend([(mid, b), (a, mid)])
+            continue
+        if not model.contains(S_new):
+            raise ContinuationFailure(
+                f"shock curve left the domain box at s={b:.3g}")
+        S, lam = S_new, lam_new
+    return S, lam
+
+
 def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve:
     """Continuation of the i-shock curve from s = 0 to s = s_max."""
     u_minus = model.state(u_minus)
@@ -101,38 +128,22 @@ def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve
         raise ValueError("need at least two samples")
     s_grid = np.linspace(0.0, float(s_max), n_samples)
 
-    if model.n == 1:
-        return ShockCurve(i, u_minus, s_grid, u_minus[None, :] + s_grid[:, None],
-                          _secant_speeds(model, u_minus, float(s_max), n_samples))
+    if model.n == 1:  # the secant speeds, with f'(u-) at s = 0
+        states = u_minus[None, :] + s_grid[:, None]
+        speeds = np.full(n_samples, model.jac(u_minus)[0, 0])
+        if s_max != 0.0:
+            speeds[1:] = (model.f(states[1:])[:, 0] - model.f(u_minus)[0]) / s_grid[1:]
+        return ShockCurve(i, u_minus, s_grid, states, speeds)
 
     es = eigensystem(model, u_minus)
     l_i, r_i = es.left[i], es.right[i]
     states = np.empty((n_samples, model.n))
     speeds = np.empty(n_samples)
     states[0], speeds[0] = u_minus, es.lambdas[i]
-    S, lam = u_minus.copy(), float(es.lambdas[i])
     for j in range(1, n_samples):
-        s_prev, s = s_grid[j - 1], s_grid[j]
-        # adaptive sub-stepping in case a full step is too aggressive
-        pending = [(s_prev, s)]
-        depth = 0
-        while pending:
-            a, b = pending.pop()
-            guess_S = S + (b - a) * r_i
-            try:
-                S_new, lam_new = _shock_point_newton(model, u_minus, l_i, b, guess_S, lam)
-            except ContinuationFailure:
-                depth += 1
-                if depth > 12:
-                    raise
-                mid = 0.5 * (a + b)
-                pending.extend([(mid, b), (a, mid)])
-                continue
-            if not model.contains(S_new):
-                raise ContinuationFailure(
-                    f"shock curve left the domain box at s={b:.3g}")
-            S, lam = S_new, lam_new
-        states[j], speeds[j] = S, lam
+        states[j], speeds[j] = _continue_shock(model, u_minus, l_i, r_i,
+                                               s_grid[j - 1], states[j - 1],
+                                               speeds[j - 1], s_grid[j])
     return ShockCurve(i, u_minus, s_grid, states, speeds)
 
 
@@ -269,8 +280,6 @@ def _field_classes(model, u_minus, u_plus):
 
 def default_small_data_radius(model, u_minus, u_plus):
     """0.25 * (min eigenvalue gap) / (max |D^2 f| estimate) over the segment."""
-    if model.n == 1:
-        return np.inf
     samples = [u_minus, 0.5 * (u_minus + u_plus), u_plus]
     gap = np.inf
     d2 = 0.0
@@ -309,9 +318,9 @@ def _lax_step(model, u_l, i, sigma, field, jumps):
     # orientation of a linearly degenerate field is +1
     orient = field.orientation
     es = eigensystem(model, u_l)
-    S, lam = _shock_point_newton(model, u_l, orient * es.left[i], sigma,
-                                 u_l + sigma * orient * es.right[i],
-                                 es.lambdas[i])
+    S, lam = _continue_shock(model, u_l, orient * es.left[i],
+                             orient * es.right[i], 0.0, u_l, es.lambdas[i],
+                             sigma)
     return JumpWave(kind, i, u_l, S, float(lam))
 
 
@@ -391,19 +400,6 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
                           40, NewtonDivergence, "strength")
 
 
-def _secant_speeds(model, u_l, sigma, n_check):
-    """Speeds along a scalar shock curve: (f(u_l + s) - f(u_l)) / s for s in
-    linspace(0, sigma, n_check), with f'(u_l) at s = 0 (everywhere if
-    sigma = 0)."""
-    s_grid = np.linspace(0.0, sigma, n_check)
-    lams = np.full(n_check, model.jac(u_l)[0, 0])
-    if sigma == 0.0:
-        return lams
-    lams[1:] = (model.f(u_l[None, :] + s_grid[1:, None])[:, 0]
-                - model.f(u_l)[0]) / s_grid[1:]
-    return lams
-
-
 def _shock_liu_margin(model, u_l, i, sigma, orient, lam_end, n_check=33):
     """min over the connecting curve of lambda_i(s) - lambda_i(sigma)."""
     # parameter of the sign-fixed closure corresponding to oriented sigma
@@ -412,7 +408,10 @@ def _shock_liu_margin(model, u_l, i, sigma, orient, lam_end, n_check=33):
 
 
 def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
-    """Exact Riemann solution by composed Lax curves (GNL or LD fields)."""
+    """Exact Riemann solution: the envelope fan of `solve_riemann_scalar` for
+    a scalar model, composed Lax curves (GNL or LD fields) for a system."""
+    if model.n == 1:
+        return solve_riemann_scalar(model, u_minus, u_plus)
     u_minus = model.state(u_minus)
     u_plus = model.state(u_plus)
     model.require_in_domain(u_minus)
@@ -433,10 +432,8 @@ def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
     for k, w in enumerate(waves):
         if w.kind == "shock":
             i = w.family
-            sig, orient = ((sigmas[i], fields[i].orientation) if model.n > 1
-                           else (float(w.u_r[0] - w.u_l[0]), 1))
             waves[k] = replace(w, liu_margin=_shock_liu_margin(
-                model, w.u_l, i, sig, orient, w.speed))
+                model, w.u_l, i, sigmas[i], fields[i].orientation, w.speed))
     _check_wave_order(waves)
     if waves:  # the composed end state is within TOL_RP of u_plus: end on it
         if waves[-1].kind == "rarefaction":
@@ -474,15 +471,10 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus) -> WaveFan:
     if ul == ur:
         return WaveFan(u_minus, u_plus, (u_minus,), ())
 
-    a, b = (ul, ur) if ul < ur else (ur, ul)
-    grid = np.linspace(a, b, N_ENVELOPE)
+    grid = np.linspace(min(ul, ur), max(ul, ur), N_ENVELOPE)
     fs = model.f(grid[:, None])[:, 0]
-    if ul < ur:
-        hull = _lower_hull_indices(grid, fs)
-        order = hull  # traverse from u- to u+
-    else:
-        hull = _lower_hull_indices(grid, -fs)
-        order = hull[::-1]  # traverse from u- (= b) down to u+ (= a)
+    sign = 1 if ul < ur else -1  # the concave envelope is traversed downwards
+    order = _lower_hull_indices(grid, sign * fs)[::sign]
 
     # walk consecutive hull vertices; single-gridstep segments form
     # rarefaction runs, longer chords are entropy shocks.  All speeds come
@@ -498,14 +490,12 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus) -> WaveFan:
     def flush_run(run):
         if len(run) < 2:
             return
+        # the speed at a node is the secant over its neighbours in the run
+        j = np.arange(len(run))
+        run = np.array(run)
+        speeds = np.maximum.accumulate(secant(run[np.maximum(j - 1, 0)],
+                                              run[np.minimum(j + 1, j[-1])]))
         prof = grid[run]
-        k = len(run)
-        speeds = np.empty(k)
-        speeds[0] = secant(run[0], run[1])
-        speeds[-1] = secant(run[-2], run[-1])
-        for j in range(1, k - 1):
-            speeds[j] = secant(run[j - 1], run[j + 1])
-        speeds = np.maximum.accumulate(speeds)
         u_l = np.array([prof[0]])
         u_r = np.array([prof[-1]])
         waves.append(RarefactionWave(0, u_l, u_r, float(speeds[0]),
@@ -528,13 +518,6 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus) -> WaveFan:
     flush_run(run)
 
     return WaveFan(u_minus, states[-1], tuple(states), tuple(waves))
-
-
-def riemann_solver_for(model: FluxModel):
-    """Model-appropriate exact solver (envelope for n = 1, Lax for systems)."""
-    if model.n == 1:
-        return lambda ul, ur: solve_riemann_scalar(model, ul, ur)
-    return lambda ul, ur: solve_riemann(model, ul, ur)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
 from .fronts import front_tracking_run
 from .models import FluxModel, _central_diff, eigenvalues
 from .piecewise import GridSolution, PiecewiseConstantFn, as_state
-from .riemann import evaluate_fan, riemann_solver_for
+from .riemann import evaluate_fan, solve_riemann
 
 
 @dataclass
@@ -44,7 +44,8 @@ class SchemeConfig:
     it with ConfigError: Godunov and Glimm refuse dx and dt, the method of
     lines dx.  snapshot_times and store_all choose the
     stored snapshots of every grid run.  Front tracking reads delta, rho_np
-    and front_cap.
+    and front_cap; for a scalar model its rarefactions break at the states
+    of the grid delta*Z (and at the data values).
     """
 
     eps: float
@@ -70,6 +71,8 @@ class SchemeConfig:
             raise ConfigError("domain must satisfy a < b")
         if self.eps <= 0 or self.T < 0:
             raise ConfigError("need eps > 0 and T >= 0")
+        if not self.delta > 0:
+            raise ConfigError(f"need delta > 0, not {self.delta!r}")
         if self.boundary not in ("constant", "periodic"):
             raise ConfigError(f"unknown boundary treatment {self.boundary!r}")
 
@@ -270,7 +273,6 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     _check_speed_range(model, u0, 0.0, 1.0)
     nsteps, cfl = _unit_cfl_steps(cfg, dx)
     thetas = theta_sequence(cfg.sequence, nsteps)
-    solver = riemann_solver_for(model)
     fan_cache = {}
 
     def step(u, j):
@@ -283,7 +285,7 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
             key = (ul.tobytes(), ur.tobytes())
             fan = fan_cache.get(key)
             if fan is None:
-                fan = solver(ul, ur)
+                fan = solve_riemann(model, ul, ur)
                 fan_cache[key] = fan
             out[k] = evaluate_fan(fan, theta)
         return out

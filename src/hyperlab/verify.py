@@ -34,7 +34,7 @@ from .fronts import FrontTrackingSolution
 from .models import eigensystem
 from .piecewise import GridSolution, PiecewiseConstantFn
 from .riemann import (WaveFan, evaluate_fan, liu_admissible, rh_residual,
-                      riemann_solver_for, solve_strengths, _field_classes)
+                      solve_riemann, solve_strengths, _field_classes)
 from .schemes import SchemeConfig, _cells, _whole_steps, godunov_run
 
 TIME_PAD = 1e-6
@@ -735,7 +735,7 @@ class ExactFanOracle:
         pcs = pc.simplified(0.0)
         if pcs.xs.size != 1:
             raise OracleUnavailable("exact fan oracle needs single-jump data")
-        fan = riemann_solver_for(self.model)(pcs.vals[0], pcs.vals[1])
+        fan = solve_riemann(self.model, pcs.vals[0], pcs.vals[1])
         return FanView(fan, x0=float(pcs.xs[0]), t0=0.0).state(h)
 
 
@@ -793,7 +793,7 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
     fields = _field_classes(model, uu.mean(axis=0), vv.mean(axis=0))
     q = np.zeros((mids.size, model.n))
     for r in range(mids.size):
-        if np.allclose(uu[r], vv[r], atol=1e-15):
+        if np.array_equal(uu[r], vv[r]):
             continue
         q[r] = solve_strengths(model, uu[r], vv[r], fields,
                                splits=[1] * model.n)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import models
-from hyperlab.errors import FrontExplosion
-from hyperlab.fronts import front_tracking_run
+from hyperlab.errors import ConfigError, FrontExplosion
+from hyperlab.fronts import approximate_riemann_pieces, front_tracking_run
 from hyperlab.piecewise import PiecewiseConstantFn
 from hyperlab.riemann import evaluate_fan, rh_residual, solve_riemann_scalar
 from hyperlab.schemes import SchemeConfig
 
 BURGERS = models.burgers()
+CUBIC = models.cubic_flux()
 
 
 def audit_rh(model, sol, tol=1e-9, include_np=False):
@@ -98,6 +101,55 @@ class TestScalarFronts:
         flux = BURGERS.f(np.array([0.0])) - BURGERS.f(np.array([-0.2]))
         assert np.max(np.abs(mT - m0 - 3.0 * flux)) <= 1e-10
 
+    def test_off_grid_data_kept_as_nodes(self):
+        # the outer pieces end on the data values, the inner nodes are
+        # 0.1 k, and every rarefaction front is at most delta strong
+        pieces = approximate_riemann_pieces(BURGERS, np.array([0.013]),
+                                            np.array([0.517]), 0.1)
+        nodes = [p.u_l[0] for p in pieces] + [pieces[-1].u_r[0]]
+        assert nodes == [0.013] + [0.1 * k for k in range(1, 6)] + [0.517]
+        assert {p.kind for p in pieces} == {"rarefaction"}
+        assert max(abs(p.u_r[0] - p.u_l[0]) for p in pieces) <= 0.1 + 1e-12
+        data = PiecewiseConstantFn.riemann([0.013], [0.517])
+        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-1.0, 2.0), delta=0.1)
+        state = front_tracking_run(BURGERS, data, cfg).state(0.0)
+        assert np.array_equal(state.vals[[0, -1]], data.vals)
+
+    def test_shock_chord_over_the_grid(self):
+        # the cubic's convex envelope from -1 to 1 is a shock chord to the
+        # grid state 0.5 (where the chord touches f), then rarefaction fronts
+        pieces = approximate_riemann_pieces(CUBIC, np.array([-1.0]),
+                                            np.array([1.0]), 0.1)
+        assert [p.kind for p in pieces] == ["shock"] + ["rarefaction"] * 5
+        assert (pieces[0].u_r[0], pieces[0].speed) == (0.5, 0.75)
+        for p in pieces:
+            assert rh_residual(CUBIC, p.u_l, p.u_r, p.speed) <= 1e-15
+
+
+GRID_STATES = st.lists(st.integers(-10, 10), min_size=5, max_size=5)
+JUMPS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4,
+                 unique=True).map(sorted)
+
+
+@pytest.mark.parametrize("model", [BURGERS, CUBIC], ids=["burgers", "cubic"])
+@settings(max_examples=20, deadline=None, database=None)
+@given(ku=GRID_STATES, kv=GRID_STATES, xu=JUMPS, xv=JUMPS)
+def test_grid_data_runs_contract(model, ku, kv, xu, xv):
+    # data on the grid 0.1 Z with shared far fields: both runs are exact
+    # entropy solutions of one polygonal-flux problem, so (Kruzkov) their
+    # L1 distance and each run's TV never rise, and every front is RH-exact
+    kv[0], kv[-1] = ku[0], ku[-1]
+    cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-5.0, 5.0), delta=0.1)
+    u, v = (front_tracking_run(model, PiecewiseConstantFn(
+                np.array(xs), 0.1 * np.array(ks, dtype=float)[:, None]), cfg)
+            for xs, ks in ((xu, ku), (xv, kv)))
+    times = np.linspace(0.0, 1.0, 21)
+    l1 = [u.state(t).l1_distance(v.state(t), -5.0, 5.0) for t in times]
+    assert np.max(np.diff(l1)) <= 1e-12
+    for run in (u, v):
+        assert np.max(np.diff([run.state(t).tv() for t in times])) <= 1e-12
+        assert audit_rh(model, run) <= 1e-9
+
 
 class TestSystemFronts:
     def test_psystem_two_wave_data(self):
@@ -145,6 +197,17 @@ class TestSystemFronts:
         flux = m.f(np.array([1.0, 0.0])) - m.f(np.array([1.05, 0.02]))
         assert np.max(np.abs(mT - m0 - 1.0 * flux)) <= 1e-9
 
+    def test_large_shock_reached_in_substeps(self):
+        # isothermal gas: the 1-shock of strength 3 from (1, 0) is too far
+        # for one Newton from the linear guess; it is continued in halved
+        # steps, as along shock_curve
+        m = models.p_system(1.0, 1.0)
+        data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.07725323, -3.31989392])
+        cfg = SchemeConfig(eps=1.0, T=0.2, domain=(-3.0, 3.0), delta=0.1)
+        sol = front_tracking_run(m, data, cfg)
+        assert sol.epochs[0].fronts[0].kind == "shock"
+        assert audit_rh(m, sol) <= 1e-9
+
 
 class TestGuards:
     def test_front_cap(self):
@@ -153,6 +216,15 @@ class TestGuards:
         data = PiecewiseConstantFn.riemann([0.0], [1.0])
         with pytest.raises(FrontExplosion):
             front_tracking_run(BURGERS, data, cfg)
+
+    @pytest.mark.parametrize("model", [BURGERS, models.p_system()],
+                             ids=["burgers", "psystem"])
+    @pytest.mark.parametrize("delta", [0.0, float("nan"), -0.05])
+    def test_delta_must_be_positive(self, model, delta):
+        data = PiecewiseConstantFn.riemann([0.0] * model.n, [1.0] * model.n)
+        with pytest.raises(ConfigError, match="delta > 0"):
+            front_tracking_run(model, data, SchemeConfig(
+                eps=1.0, T=1.0, domain=(-1.0, 2.0), delta=delta))
 
     def test_deterministic(self):
         data = PiecewiseConstantFn(np.array([-1.0, 0.0]),

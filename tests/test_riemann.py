@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.errors import (ContinuationFailure, NewtonDivergence,
-                             NonClassifiedField, NotGenuinelyNonlinear,
-                             NotOnShockCurve, OutOfDomain, RHViolated)
+                             NotGenuinelyNonlinear, NotOnShockCurve,
+                             OutOfDomain, RHViolated)
 from hyperlab.riemann import (AdmissibilityVerdict, entropy_admissible_shock,
                               evaluate_fan, liu_admissible, rarefaction_curve,
-                              rh_residual, riemann_solver_for, shock_curve,
+                              rh_residual, shock_curve,
                               solve_riemann, solve_riemann_scalar)
 
 
@@ -146,10 +146,17 @@ class TestSolveRiemann:
         s2 = solve_strengths(m, u0, u0 + 0.5 * w, fields)
         assert s1 / 2 == pytest.approx(s2, rel=0.05)
 
-    def test_cubic_rejected_as_system_solver(self):
+    def test_cubic_takes_the_envelope(self):
+        # the cubic flux is neither GNL nor LD on (-1, 1): a scalar model
+        # goes to the envelope fan, wave for wave
         m = models.cubic_flux()
-        with pytest.raises(NonClassifiedField):
-            solve_riemann(m, [-1.0], [1.0])
+        fan, envelope = solve_riemann(m, [-1.0], [1.0]), solve_riemann_scalar(m, [-1.0], [1.0])
+        assert [w.kind for w in fan.waves] == ["shock", "rarefaction"]
+        assert len(fan.waves) == len(envelope.waves)
+        for w, v in zip(fan.waves, envelope.waves):
+            assert vars(w).keys() == vars(v).keys()
+            for key, value in vars(w).items():
+                assert np.array_equal(value, vars(v)[key])
 
     def test_large_data_beyond_small_data_radius(self):
         # |u+ - u-| = 0.707 against a default radius of about 0.064

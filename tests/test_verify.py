@@ -516,6 +516,18 @@ class TestQDecomposition:
         C = 2.0
         assert l1 / C <= total <= C * l1
 
+    def test_small_differences_not_skipped(self):
+        # every state shifted by e: the ratio q-total / L1 does not depend
+        # on e, down to e = 1e-8, where a relative skip test dropped cells
+        m = models.p_system()
+        u = PiecewiseConstantFn.riemann([1.0, 0.0], [1.02, 0.01])
+        ratios = []
+        for e in (1e-4, 1e-8):
+            v = PiecewiseConstantFn(u.xs, u.vals + e)
+            total = q_decomposition(m, u, v, interval=(-1.0, 1.0))[2]
+            ratios.append(total / u.l1_distance(v, -1.0, 1.0))
+        assert ratios[1] == pytest.approx(ratios[0], rel=0.01)
+
     def test_unclassified_field_refused(self):
         # family 0 is the cubic u1^3, neither GNL nor LD across u1 = 0
         m = models.FluxModel(
