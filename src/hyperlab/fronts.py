@@ -17,18 +17,23 @@ split, its jumps made by the same shock-curve Newton as genuine shocks.
 With rho_np > 0 the families weaker than rho_np are then dropped, and one
 non-physical front carries the mismatch.
 
-Riemann pieces are `riemann.JumpWave`s and a `Front` is a `JumpWave` at a
-`Fraction` position; `PiecewiseConstantFn.from_fronts` draws an epoch, as
-it draws the lines of an exact fan in `verify.FanView`.
-
-Collision times are compared in exact rational arithmetic (front positions
-are Fractions, snapped to float resolution after each event so denominators
-stay bounded); simultaneous events resolve leftmost first.
+Riemann pieces are `riemann.JumpWave`s, and a `Front` is a `JumpWave` born
+at an event point and time snapped to floats.  The run is event driven: a
+front is never rebuilt, so the same object is in every epoch it lives
+through, and a heap holds the exact rational time and point where each
+approaching adjacent pair meets.  An event takes in the neighbours whose
+snapped position then is the snapped event point, pushes only the pairs next
+to its outgoing fronts, and drops popped pairs no longer adjacent; ties go
+leftmost, then to the earlier push.  `PiecewiseConstantFn.from_fronts` draws
+an epoch, as it draws an exact fan in `verify.FanView`, at positions stepped
+in floats from the epoch before, so fronts of equal speed keep their gap.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -44,22 +49,23 @@ from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _field_classes,
 
 @dataclass(frozen=True, kw_only=True)
 class Front(JumpWave):
-    """A jump of a front-tracking epoch, at position pos at the epoch start."""
+    """A jump of a front-tracking run, born at position pos at time t0: both
+    are snapped to floats at birth and held as Fractions, for the exact
+    meeting times of the event heap.  It is unchanged until an event ends it."""
 
     pos: Fraction
+    t0: Fraction
 
     @property
     def strength(self):
         return float(np.linalg.norm(self.u_r - self.u_l))
-
-    def position(self, t, t0):
-        return float(self.pos) + self.speed * (t - t0)
 
 
 @dataclass(frozen=True)
 class Epoch:
     t: float
     fronts: tuple
+    xs: tuple  # where the fronts are drawn at t
 
 
 @dataclass
@@ -78,9 +84,8 @@ class FrontTrackingSolution:
     def state(self, t) -> PiecewiseConstantFn:
         ep = self.epoch_at(t)
         left = ep.fronts[0].u_l if ep.fronts else self.background
-        return PiecewiseConstantFn.from_fronts(
-            left, [f.position(t, ep.t) for f in ep.fronts],
-            [f.u_r for f in ep.fronts])
+        xs = [x + f.speed * (t - ep.t) for x, f in zip(ep.xs, ep.fronts)]
+        return PiecewiseConstantFn.from_fronts(left, xs, [f.u_r for f in ep.fronts])
 
     def total_nonphysical_strength(self):
         """Total strength of the non-physical fronts alive at T."""
@@ -123,14 +128,15 @@ def _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat):
     """Front pieces for a system Riemann problem.  Every piece is RH-exact;
     when families weaker than rho_np are dropped, one non-physical front at
     lam_hat carries the mismatch."""
-    sig = solve_strengths(model, u_l, u_r, fields, splits=[1] * model.n)
+    sig, _, pieces = solve_strengths(model, u_l, u_r, fields, splits=[1] * model.n)
     splits = _splits(fields, sig, delta)
     if max(splits) > 1:
-        sig = solve_strengths(model, u_l, u_r, fields, splits=splits)
+        sig, _, pieces = solve_strengths(model, u_l, u_r, fields, splits=splits)
     weak = (STRENGTH_FLOOR <= np.abs(sig)) & (np.abs(sig) < rho_np)
-    state, pieces = _compose(model, u_l, np.where(weak, 0.0, sig), fields, splits)
-    if weak.any() and np.linalg.norm(u_r - state) >= STRENGTH_FLOOR:
-        pieces.append(JumpWave("non-physical", None, state, u_r, lam_hat))
+    if weak.any():
+        state, pieces = _compose(model, u_l, np.where(weak, 0.0, sig), fields, splits)
+        if np.linalg.norm(u_r - state) >= STRENGTH_FLOOR:
+            pieces.append(JumpWave("non-physical", None, state, u_r, lam_hat))
     return pieces
 
 
@@ -150,11 +156,10 @@ def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
 # ---------------------------------------------------------------------------
 # the run
 
-def _pieces_to_fronts(pieces, pos, u_l, u_r):
-    """Materialize pieces at a common position, forcing exact end chaining."""
-    fronts = [Front(**vars(w), pos=pos) for w in pieces]
+def _pieces_to_fronts(pieces, pos, t0, u_l, u_r):
+    """Fronts born at (pos, t0), the outer ones ending exactly on u_l, u_r."""
+    fronts = [Front(**vars(w), pos=pos, t0=t0) for w in pieces]
     if fronts:
-        # force the outer chain onto the original neighbor states
         fronts[0] = replace(fronts[0], u_l=u_l)
         fronts[-1] = replace(fronts[-1], u_r=u_r)
     return fronts
@@ -174,13 +179,8 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
         raise ConfigError("front tracking needs PiecewiseConstantFn data")
     if cfg.boundary == "periodic":
         raise ConfigError("front_tracking_run needs constant boundaries")
-    delta = cfg.delta
-    rho_np = cfg.rho_np
-    cap = cfg.front_cap
-    T = cfg.T
-
-    fields = None
-    lam_hat = None
+    cap, T = cfg.front_cap, Fraction(float(cfg.T))
+    fields = lam_hat = None
     if model.n > 1:
         fields = _field_classes(model, data.vals.min(axis=0), data.vals.max(axis=0))
         lam_hat = 1.0 + max(float(np.max(np.abs(eigenvalues(model, u))))
@@ -189,63 +189,63 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     fronts = []
     for j, x in enumerate(data.xs):
         u_l, u_r = data.vals[j], data.vals[j + 1]
-        pieces = approximate_riemann_pieces(model, u_l, u_r, delta,
-                                            fields=fields)
-        fronts.extend(_pieces_to_fronts(pieces, Fraction(float(x)), u_l, u_r))
+        pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields)
+        fronts += _pieces_to_fronts(pieces, Fraction(float(x)), Fraction(0), u_l, u_r)
     fronts.sort(key=lambda f: (f.pos, f.speed))
 
-    t = Fraction(0)
-    epochs = [Epoch(0.0, tuple(fronts))]
-    events = []
-    np_total = 0.0
-    T_frac = Fraction(float(T))
+    epochs = [Epoch(0.0, tuple(fronts), tuple(float(f.pos) for f in fronts))]
+    events, np_total = [], 0.0
     max_events = 20 * max(cap, 1)
+    heap, serial = [], itertools.count()
 
+    def push(k, now):
+        # when and where fronts[k] meets fronts[k + 1], if before T; at the earliest now
+        a, b = fronts[k], fronts[k + 1]
+        if a.speed > b.speed:
+            va, vb = Fraction(a.speed), Fraction(b.speed)
+            tc = max(now, (b.pos - a.pos + va * a.t0 - vb * b.t0) / (va - vb))
+            if tc < T:
+                heapq.heappush(heap, (tc, a.pos + va * (tc - a.t0), next(serial), a, b))
+
+    def snapped(f, t):
+        return float(f.pos + Fraction(f.speed) * (t - f.t0))
+
+    for k in range(len(fronts) - 1):
+        push(k, Fraction(0))
     while True:
         if len(fronts) > cap:
             raise FrontExplosion(f"front count {len(fronts)} exceeds cap {cap}")
         if len(events) > max_events:
             raise FrontExplosion(f"event count exceeds {max_events}")
-        # earliest collision, leftmost on ties
-        best = None
-        for m in range(len(fronts) - 1):
-            vl, vr = fronts[m].speed, fronts[m + 1].speed
-            if vl <= vr:
-                continue
-            gap = fronts[m + 1].pos - fronts[m].pos
-            tc = t + gap / (Fraction(vl) - Fraction(vr))
-            if tc >= T_frac:
-                continue
-            p_cand = fronts[m].pos + Fraction(vl) * (tc - t)
-            if best is None or tc < best[0] or (tc == best[0] and p_cand < best[1]):
-                best = (tc, p_cand, m)
-        if best is None:
+        # earliest collision, leftmost on ties; a pair no longer adjacent is stale
+        while heap:
+            tc, x, _, a, b = heapq.heappop(heap)
+            m = next((k for k, f in enumerate(fronts) if f is a), -1)
+            if 0 <= m < len(fronts) - 1 and fronts[m + 1] is b:
+                break
+        else:
             break
-        tc, p_exact, m = best
-        # advance everything to the exact event time, then snap
-        fronts = [replace(f, pos=Fraction(float(f.pos + Fraction(f.speed) * (tc - t))))
-                  for f in fronts]
-        t = Fraction(float(tc))
-        p = fronts[m].pos
-        lo = m
-        while lo > 0 and fronts[lo - 1].pos == p:
+        t, p = float(tc), float(x)
+        lo, hi = m, m + 1
+        while lo > 0 and snapped(fronts[lo - 1], tc) == p:
             lo -= 1
-        hi = m + 1
-        while hi + 1 < len(fronts) and fronts[hi + 1].pos == p:
+        while hi + 1 < len(fronts) and snapped(fronts[hi + 1], tc) == p:
             hi += 1
-        incoming = fronts[lo:hi + 1]
-        u_l, u_r = incoming[0].u_l, incoming[-1].u_r
-        pieces = approximate_riemann_pieces(model, u_l, u_r, delta,
-                                            fields=fields, rho_np=rho_np,
-                                            lam_hat=lam_hat)
-        outgoing = _pieces_to_fronts(pieces, p, u_l, u_r)
+        u_l, u_r = fronts[lo].u_l, fronts[hi].u_r
+        pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields,
+                                            rho_np=cfg.rho_np, lam_hat=lam_hat)
+        outgoing = _pieces_to_fronts(pieces, Fraction(p), Fraction(t), u_l, u_r)
         np_strength = sum(f.strength for f in outgoing if f.kind == "non-physical")
         np_total += np_strength
-        fronts = fronts[:lo] + outgoing + fronts[hi + 1:]
-        events.append({"t": float(t), "x": float(p),
-                       "in": len(incoming), "out": len(outgoing),
+        # stepped in floats, so fronts of equal speed keep their drawn gap
+        xs = [xd + f.speed * (t - epochs[-1].t) for xd, f in zip(epochs[-1].xs, fronts)]
+        xs[lo:hi + 1] = [p] * len(outgoing)
+        fronts[lo:hi + 1] = outgoing
+        for k in range(max(lo - 1, 0), min(lo + len(outgoing), len(fronts) - 1)):
+            push(k, tc)
+        events.append({"t": t, "x": p, "in": hi + 1 - lo, "out": len(outgoing),
                        "np_strength": float(np_strength)})
-        epochs.append(Epoch(float(t), tuple(fronts)))
+        epochs.append(Epoch(t, tuple(fronts), tuple(xs)))
 
-    return FrontTrackingSolution(model.name, T, epochs, events, np_total,
+    return FrontTrackingSolution(model.name, cfg.T, epochs, events, np_total,
                                  data.vals[0].copy())

@@ -290,8 +290,10 @@ def normalize_speeds(model: FluxModel, M, target=(0.0, 1.0), check_states=None) 
 
     jacobian = None
     if jac0 is not None:
+        shift = c * np.eye(model.n)
+
         def jacobian(u):
-            return (np.asarray(jac0(u)) + c * np.eye(model.n)) / d
+            return (np.asarray(jac0(u)) + shift) / d
 
     entropy_flux = None
     if eta0 is not None and q0 is not None:

@@ -7,10 +7,12 @@ strengths.  That contact/shock/rarefaction decision is made in one place,
 `_lax_step`, which builds one wave; `_compose` chains it over the families.
 `solve_strengths` is the one strength solve, for the exact solver, the
 q-decomposition of the verifier and front tracking; with `splits` every wave
-is a jump and a rarefaction may be split into several.  Front tracking solves
-once with every family one jump, and a second time only when a rarefaction
-is split.  An exact fan ends on u+ byte for byte.  Both `shock_curve` and
-`_lax_step` reach a shock point through one continuation, `_continue_shock`.
+is a jump and a rarefaction may be split into several.  It returns the waves
+it composed at the strengths it found, so no caller composes them again.
+Front tracking solves once with every family one jump, and a second time
+only when a rarefaction is split.  An exact fan ends on u+ byte for byte.
+Both `shock_curve` and `_lax_step` reach a shock point through one
+continuation, `_continue_shock`.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
 concave envelope of `solve_riemann_scalar`, which also handles fluxes that
@@ -97,8 +99,9 @@ def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
 
 def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
     """The shock point at parameter b, continued from (S, lam) at a: Newton
-    from the linear guess S + (b - a) r_i, and on failure halved steps (12 in
-    all at most).  Every point reached must lie in the domain box."""
+    from the linear guess S + (b - a) r_i, and halved steps (12 in all at
+    most) where Newton fails or lands outside the domain box, so every point
+    reached lies in it."""
     pending = [(a, b)]
     halvings = 0
     while pending:
@@ -106,6 +109,9 @@ def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
         try:
             S_new, lam_new = _shock_point_newton(model, u_minus, l_i, b,
                                                  S + (b - a) * r_i, lam)
+            if not model.contains(S_new):
+                raise ContinuationFailure(
+                    f"shock curve left the domain box at s={b:.3g}")
         except ContinuationFailure:
             halvings += 1
             if halvings > 12:
@@ -113,9 +119,6 @@ def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
             mid = 0.5 * (a + b)
             pending.extend([(mid, b), (a, mid)])
             continue
-        if not model.contains(S_new):
-            raise ContinuationFailure(
-                f"shock curve left the domain box at s={b:.3g}")
         S, lam = S_new, lam_new
     return S, lam
 
@@ -351,14 +354,16 @@ def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
     with a halving line search on |G|; each accepted step dx, dg updates
     J <- J + (dg - J dx) dx^T / (dx^T dx), so G is never differenced.
 
+    G(x) returns the residual and a value computed with it; the solve returns
+    x and that value at x, so G need not be evaluated there again.
     Converged when |G| <= tol; |G| <= accept still passes after maxiter
     steps or a stalled line search, and otherwise they raise `error`, as a
     singular Jacobian does.  A trial point where G raises a HyperlabError or
     LinAlgError is halved like one that does not reduce |G|."""
-    g = G(x)
+    g, at_x = G(x)
     for _ in range(maxiter):
         if np.linalg.norm(g) <= tol:
-            return x
+            return x, at_x
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError as exc:
@@ -366,26 +371,26 @@ def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
         for t in [0.5 ** k for k in range(10)]:
             trial = x + t * step
             try:
-                g_trial = G(trial)
+                g_trial, at_trial = G(trial)
             except (HyperlabError, np.linalg.LinAlgError):
                 continue
             if np.linalg.norm(g_trial) < np.linalg.norm(g):
                 J = J + np.outer(g_trial - g - t * (J @ step), step) / (t * (step @ step))
-                x, g = trial, g_trial
+                x, g, at_x = trial, g_trial, at_trial
                 break
         else:
             # families below STRENGTH_FLOOR make no wave, so G can stall
             # at a residual of that size
             if np.linalg.norm(g) <= accept:
-                return x
+                return x, at_x
             raise error(f"{what} line search stalled (|G|={np.linalg.norm(g):.2e})")
     if np.linalg.norm(g) <= accept:
-        return x
+        return x, at_x
     raise error(f"{what} Newton did not converge (|G|={np.linalg.norm(g):.2e})")
 
 
 def solve_strengths(model, u_minus, u_plus, fields, splits=None):
-    """Wave strengths of the composed Lax curves (the waves `_compose` builds
+    """Strengths, end state and waves of the composed Lax curves (`_compose`
     for `splits`) to |G| <= TOL_RP, or 10 TOL_RP after 40 iterations, else
     NewtonDivergence.  Broyden starts from the linear guess and dG/dsigma at
     sigma = 0, whose column i is orientation_i r_i(u-)."""
@@ -394,10 +399,12 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     sigmas = orient * (es.left @ (u_plus - u_minus))
 
     def G(s):
-        return _compose(model, u_minus, s, fields, splits)[0] - u_plus
+        state, waves = _compose(model, u_minus, s, fields, splits)
+        return state - u_plus, (state, waves)
 
-    return _damped_newton(G, sigmas, es.right.T * orient, TOL_RP, 10 * TOL_RP,
-                          40, NewtonDivergence, "strength")
+    sigmas, (state, waves) = _damped_newton(G, sigmas, es.right.T * orient, TOL_RP,
+                                            10 * TOL_RP, 40, NewtonDivergence, "strength")
+    return sigmas, state, waves
 
 
 def _shock_liu_margin(model, u_l, i, sigma, orient, lam_end, n_check=33):
@@ -427,8 +434,7 @@ def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
             f"Riemann data |u+ - u-| = {np.linalg.norm(u_plus - u_minus):.3g} "
             f"exceeds the small-data radius {radius:.3g}")
 
-    sigmas = solve_strengths(model, u_minus, u_plus, fields)
-    state, waves = _compose(model, u_minus, sigmas, fields)
+    sigmas, state, waves = solve_strengths(model, u_minus, u_plus, fields)
     for k, w in enumerate(waves):
         if w.kind == "shock":
             i = w.family

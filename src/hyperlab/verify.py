@@ -153,8 +153,7 @@ class FrontTrackingView(_StateCache):
         for ep, te in zip(epochs, [ep.t for ep in epochs[1:]] + [self.sol.T]):
             lo, hi = max(ep.t, t0), min(te, t1)
             if hi > lo:
-                out += _crossings(ep.t, [float(f.pos) for f in ep.fronts],
-                                  [f.speed for f in ep.fronts], x_values, lo, hi)
+                out += _crossings(ep.t, ep.xs, [f.speed for f in ep.fronts], x_values, lo, hi)
         return sorted(out)
 
 
@@ -796,7 +795,7 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
         if np.array_equal(uu[r], vv[r]):
             continue
         q[r] = solve_strengths(model, uu[r], vv[r], fields,
-                               splits=[1] * model.n)
+                               splits=[1] * model.n)[0]
     total = float(np.sum(np.abs(q) * lengths[:, None]))
     return cuts, q, total
 

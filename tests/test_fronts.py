@@ -63,6 +63,75 @@ class TestScalarFronts:
         assert (front.kind, front.speed) == ("shock", 0.75)
         assert (front.u_l[0], front.u_r[0]) == (1.5, 0.0)
 
+    @pytest.mark.parametrize("xs, vals, T, points", [
+        # shocks at speeds 1.75, 1.25, 0.75 and 0.25 meet at (1, 1.75)
+        ([0.0, 0.5, 1.0, 1.5], [2.0, 1.5, 1.0, 0.5, 0.0], 2.0, [(1.0, 1.75, 4)]),
+        # two pairs meet at t = 1, at x = 0 and x = 2; the merged shocks
+        # (speeds 3 and 1) meet at (2, 3)
+        ([-3.5, -2.5, 0.5, 1.5], [4.0, 3.0, 2.0, 1.0, 0.0], 3.0,
+         [(1.0, 0.0, 2), (1.0, 2.0, 2), (2.0, 3.0, 2)]),
+    ], ids=["four-at-one-point", "two-points-at-one-time"])
+    def test_simultaneous_collisions(self, xs, vals, T, points):
+        # one event per point, leftmost first, every front RH-exact and the
+        # mass conserved
+        cfg = SchemeConfig(eps=1.0, T=T, domain=(-6.0, 8.0), delta=0.05)
+        data = PiecewiseConstantFn(np.array(xs), np.array(vals)[:, None])
+        sol = front_tracking_run(BURGERS, data, cfg)
+        assert [(e["t"], e["x"], e["in"], e["out"]) for e in sol.events] == \
+            [(t, x, n, 1) for t, x, n in points]
+        assert audit_rh(BURGERS, sol) <= 1e-9
+        flux = BURGERS.f(np.array([vals[0]])) - BURGERS.f(np.array([vals[-1]]))
+        for t in np.linspace(0.0, T, 9):
+            drift = sol.state(t).integral(-5.0, 7.0) - sol.state(0.0).integral(-5.0, 7.0)
+            assert np.max(np.abs(drift - t * flux)) <= 1e-9
+
+    def test_birth_snapped_past_a_neighbour(self):
+        # shocks at speeds 201.5 and 190.5 meet just after t = 1, a hair
+        # before the shock at 202.5 behind them arrives.  The merged shock is
+        # born at the event time rounded up, and from there its line meets
+        # the shock at 202.5 about 3 ulp before the event: that pair meets
+        # at the event time, so no epoch goes back in time
+        data = PiecewiseConstantFn(
+            np.array([-202.50000000000017, -201.5, -190.49999999999818]),
+            np.array([[203.0], [202.0], [201.0], [180.0]]))
+        cfg = SchemeConfig(eps=1.0, T=3.0, domain=(-300.0, 800.0), delta=100.0)
+        sol = front_tracking_run(BURGERS, data, cfg)
+        (t1, x1), (t2, x2) = [(e["t"], e["x"]) for e in sol.events]
+        assert t1 == t2 == 1.0000000000001654 and x2 < x1
+        assert audit_rh(BURGERS, sol) <= 1e-9
+        assert [len(ep.fronts) for ep in sol.epochs] == [3, 2, 1]
+
+    def test_equal_speed_fronts_keep_their_drawn_gap(self):
+        # the cubic's rarefaction front 0.3 -> 0.4 born at t = 5/9 runs at
+        # exactly the speed of the shock 0.4 -> 0.3 born at 4e-99, less than
+        # an ulp to its right; drawn from their own birth points the two
+        # would meet and part from one sample time to the next, and the TV
+        # would jump by 0.2
+        data = PiecewiseConstantFn(np.array([-0.5, 0.0, 4.063921156308546e-99, 1.0]),
+                                   0.1 * np.array([[0.0], [-7.0], [4.0], [3.0], [0.0]]))
+        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-5.0, 5.0), delta=0.1)
+        sol = front_tracking_run(CUBIC, data, cfg)
+        assert sol.events[0]["t"] == pytest.approx(5 / 9, abs=1e-15)
+        rarefaction, shock = sol.epochs[1].fronts[-3:-1]
+        assert (rarefaction.kind, shock.kind) == ("rarefaction", "shock")
+        assert rarefaction.speed == shock.speed
+        tv = [sol.state(t).tv() for t in np.linspace(0.0, 1.0, 21)]
+        assert np.max(np.diff(tv)) <= 1e-12
+
+    def test_fronts_persist_across_epochs(self):
+        # a front is built once: the epochs after its birth hold the same
+        # object, at its birth point and time
+        sol = front_tracking_run(BURGERS, PiecewiseConstantFn(
+            np.array([0.0, 0.3]), np.array([[0.0], [1.0], [0.0]])),
+            SchemeConfig(eps=1.0, T=1.0, domain=(-1.0, 2.0), delta=0.1))
+        assert len(sol.events) == 2
+        built = {id(f) for ep in sol.epochs for f in ep.fronts}
+        assert len(built) == len(sol.epochs[0].fronts) + 2
+        before, after = sol.epochs[0].fronts, sol.epochs[1].fronts
+        assert before[0] is after[0] and before[0].t0 == 0
+        (merged,) = [f for f in after if id(f) not in {id(g) for g in before}]
+        assert (merged.t0, merged.pos) == (sol.events[0]["t"], sol.events[0]["x"])
+
     def test_rarefaction_split_count_and_accuracy(self):
         cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.0), delta=0.05)
         data = PiecewiseConstantFn.riemann([0.0], [1.0])

@@ -232,6 +232,14 @@ class TestNormalizeSpeeds:
         res = entropy_compatibility_residual(t, sample_box([0.5, -0.5], [2.0, 0.5], k=4))
         assert res <= 1e-6
 
+    def test_jacobian_shift_bit_identical(self):
+        # speeds [-M, M] onto [0, 1]: d = 2 M and c = M
+        m = models.p_system()
+        t = normalize_speeds(m, M=1.6)
+        for u in (np.array([1.2, 0.3]), np.array([[0.8, -0.1], [1.5, 0.2]])):
+            want = (m.jac(u) + 1.6 * np.eye(2)) / 3.2
+            assert t.jac(u).tobytes() == want.tobytes()
+
     def test_speed_bound_violation(self):
         from hyperlab.errors import SpeedBoundViolated
         with pytest.raises(SpeedBoundViolated):

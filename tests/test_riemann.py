@@ -50,9 +50,21 @@ class TestShockCurve:
         assert np.array_equal(flat.speeds, np.full(5, 0.3))  # f'(0.3) throughout
 
     def test_leaving_the_state_domain_raises(self):
-        # the 1-shock curve through (1, 0) reaches v = 0 at s of about -4.69
+        # the 1-shock curve through (1, 0) runs to v -> 0; the RH Newton
+        # stalls long before s = -50, even in halved steps
         with pytest.raises(ContinuationFailure):
             shock_curve(models.p_system(), [1.0, 0.0], 0, -50.0)
+
+    def test_domain_exit_is_halved(self):
+        # with 5 samples, the step from s = -1.15 to -2.3 lands at v < 0 from
+        # the linear guess; it is halved, and the curve ends where 33
+        # samples end it
+        m = models.p_system()
+        coarse = shock_curve(m, [1.0, 0.0], 0, -4.6, n_samples=5)
+        fine = shock_curve(m, [1.0, 0.0], 0, -4.6)
+        assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) <= 1e-8
+        assert abs(coarse.speeds[-1] - fine.speeds[-1]) <= 1e-8
+        assert fine.states[-1][0] == pytest.approx(0.145, abs=5e-4)
 
     def test_psystem_rh_residual_tiny(self):
         m = models.p_system()
@@ -142,8 +154,8 @@ class TestSolveRiemann:
         u0 = np.array([1.0, 0.0])
         w = np.array([0.02, 0.015])
         fields = _field_classes(m, u0, u0 + w)
-        s1 = solve_strengths(m, u0, u0 + w, fields)
-        s2 = solve_strengths(m, u0, u0 + 0.5 * w, fields)
+        s1 = solve_strengths(m, u0, u0 + w, fields)[0]
+        s2 = solve_strengths(m, u0, u0 + 0.5 * w, fields)[0]
         assert s1 / 2 == pytest.approx(s2, rel=0.05)
 
     def test_cubic_takes_the_envelope(self):

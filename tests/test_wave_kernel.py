@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hyperlab import fronts, models
 from hyperlab.errors import NewtonDivergence, OutOfDomain
 from hyperlab.fronts import approximate_riemann_pieces
-from hyperlab.riemann import (_damped_newton, _field_classes,
+from hyperlab.riemann import (_compose, _damped_newton, _field_classes,
                               default_small_data_radius, rh_residual,
                               solve_riemann, solve_strengths)
 
@@ -205,6 +205,22 @@ class TestGoldenFans:
         assert len(calls) == solves
         assert calls[0] == [1, 1]
 
+    @pytest.mark.parametrize("splits", [None, [1, 1], [1, 3]],
+                             ids=["curves", "jumps", "split-jumps"])
+    def test_strength_solve_returns_its_composition(self, splits):
+        # the waves returned with the strengths are the ones composed at
+        # them, byte for byte, so no caller composes them again
+        ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
+        fields = _field_classes(P_SYSTEM, ul, ur)
+        sig, state, waves = solve_strengths(P_SYSTEM, ul, ur, fields, splits)
+        want_state, want_waves = _compose(P_SYSTEM, ul, sig, fields, splits)
+        assert state.tobytes() == want_state.tobytes()
+        assert len(waves) == len(want_waves)
+        for w, v in zip(waves, want_waves):
+            assert vars(w).keys() == vars(v).keys()
+            for key, value in vars(w).items():
+                assert np.array_equal(value, vars(v)[key])
+
 
 class TestCentralDiff:
     """The finite-difference fallback of a p-system built without its
@@ -250,8 +266,13 @@ class TestDampedNewton:
 
     @staticmethod
     def solve(G, x, J, tol=1e-12, accept=1e-11, maxiter=40):
-        return _damped_newton(G, np.array(x, dtype=float), np.array(J, dtype=float),
-                              tol, accept, maxiter, NewtonDivergence, "strength")
+        # G(x) is returned with the solution, so the caller gets back what
+        # G computed at it
+        x, gx = _damped_newton(lambda x: (G(x), G(x)), np.array(x, dtype=float),
+                               np.array(J, dtype=float), tol, accept, maxiter,
+                               NewtonDivergence, "strength")
+        assert np.array_equal(gx, G(x))
+        return x
 
     def test_converges(self):
         x = self.solve(lambda x: x * x - 2.0, [1.0], [[2.0]])
