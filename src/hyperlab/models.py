@@ -365,8 +365,10 @@ def p_system(k=1.0, gamma=2.0):
         return k * v ** (1.0 - gamma) / (gamma - 1.0)
 
     def flux(u):
-        v, w = u[..., 0], u[..., 1]
-        return np.stack([-w, p(v)], axis=-1)
+        out = np.empty(u.shape)
+        out[..., 0] = -u[..., 1]
+        out[..., 1] = p(u[..., 0])
+        return out
 
     def jacobian(u):
         v = _first(u)

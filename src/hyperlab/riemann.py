@@ -12,7 +12,13 @@ it composed at the strengths it found, so no caller composes them again.
 Front tracking solves once with every family one jump, and a second time
 only when a rarefaction is split.  An exact fan ends on u+ byte for byte.
 Both `shock_curve` and `_lax_step` reach a shock point through one
-continuation, `_continue_shock`.
+continuation, `_continue_shock`.  Within one strength solve, each Broyden
+evaluation continues every jump from the point the previous evaluation
+found for the same jump (same family, same index in the family), and falls
+back to a continuation from s = 0 where that fails; the first evaluation
+and the integral-curve rarefactions start cold.  The RH Newton of one shock
+point allocates its bordered system once, and takes a start as converged
+only near roundoff, so a seeded point is as accurate as a cold one.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
 concave envelope of `solve_riemann_scalar`, which also handles fluxes that
@@ -21,6 +27,7 @@ are neither genuinely nonlinear nor linearly degenerate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -72,22 +79,31 @@ class ShockCurve:
 def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
     """Solve RH plus the projection closure for (S, lambda) at parameter s
     to |F| <= 1e-13 (1 + |f(u_minus)|) in at most 30 steps; after them
-    1e-10 (1 + |f(u_minus)|) still passes."""
+    1e-10 (1 + |f(u_minus)|) still passes.  |F| fixes the speed of a jump d
+    only to |F| / |d|, so the start itself passes only at 1e-15 (1 + |f|),
+    near roundoff: a seed close to the point gets one quadratic step.  The
+    bordered matrix and the residual are allocated once, with the closure
+    row l_i written once."""
     n = model.n
     f_minus = model.f(u_minus)
     S, lam = state0.copy(), float(lam0)
-    scale = 1.0 + float(np.linalg.norm(f_minus))
+    scale = 1.0 + math.sqrt(f_minus @ f_minus)
+    F = np.empty(n + 1)
+    J = np.zeros((n + 1, n + 1))
+    J[n, :n] = l_i
+    diag = np.arange(n)
     for k in range(31):
-        F = np.append(model.f(S) - f_minus - lam * (S - u_minus), l_i @ (S - u_minus) - s)
-        if np.linalg.norm(F) <= (1e-13 if k < 30 else 1e-10) * scale:
+        d = S - u_minus
+        F[:n] = model.f(S) - f_minus - lam * d
+        F[n] = l_i @ d - s
+        norm = math.sqrt(F @ F)
+        if norm <= (1e-15 if k == 0 else 1e-13 if k < 30 else 1e-10) * scale:
             return S, lam
         if k == 30:
-            raise ContinuationFailure(
-                f"RH Newton stalled at s={s:.3g} (|F|={np.linalg.norm(F):.2e})")
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = model.jac(S) - lam * np.eye(n)
-        J[:n, n] = -(S - u_minus)
-        J[n, :n] = l_i
+            raise ContinuationFailure(f"RH Newton stalled at s={s:.3g} (|F|={norm:.2e})")
+        J[:n, :n] = model.jac(S)
+        J[diag, diag] -= lam
+        J[:n, n] = -d
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -101,7 +117,10 @@ def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
     """The shock point at parameter b, continued from (S, lam) at a: Newton
     from the linear guess S + (b - a) r_i, and halved steps (12 in all at
     most) where Newton fails or lands outside the domain box, so every point
-    reached lies in it."""
+    reached lies in it.  (S, lam) is u_minus and lambda_i(u_minus) at a = 0,
+    the previous sample of `shock_curve`, or a seed of an earlier strength
+    evaluation, which `_lax_step` redoes from s = 0 when this raises
+    ContinuationFailure."""
     pending = [(a, b)]
     halvings = 0
     while pending:
@@ -297,14 +316,18 @@ def default_small_data_radius(model, u_minus, u_plus):
     return 0.25 * gap / d2
 
 
-def _lax_step(model, u_l, i, sigma, field, jumps):
+def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
     """The family-i wave from u_l at oriented strength sigma.
 
     This is the one place where the branch of the Lax curve is chosen: a
     contact for a linearly degenerate family, a shock for sigma < 0, and a
     rarefaction otherwise.  The rarefaction is the integral curve, or, with
     `jumps`, the single RH-exact jump at the same shock-curve parameter
-    (a rarefaction front of front tracking).
+    (a rarefaction front of front tracking).  `es` is the eigensystem at u_l
+    when the caller has it, else None.  A jump is continued from `seed`, the
+    same jump (u_l', sigma', S', lambda') of an earlier composition, at
+    sigma' from S' + (u_l - u_l'); without a seed, or where that continuation
+    fails, it is continued from s = 0.
     """
     if field.tag == LINEARLY_DEGENERATE:
         kind = "contact"
@@ -320,32 +343,52 @@ def _lax_step(model, u_l, i, sigma, field, jumps):
     # the shock-curve parameter is measured along the oriented frame; the
     # orientation of a linearly degenerate field is +1
     orient = field.orientation
-    es = eigensystem(model, u_l)
-    S, lam = _continue_shock(model, u_l, orient * es.left[i],
-                             orient * es.right[i], 0.0, u_l, es.lambdas[i],
-                             sigma)
+    if es is None:
+        es = eigensystem(model, u_l)
+    l_i, r_i = orient * es.left[i], orient * es.right[i]
+    if seed is not None:
+        u_prev, a, S, lam = seed
+        try:
+            S, lam = _continue_shock(model, u_l, l_i, r_i, a, S + (u_l - u_prev), lam,
+                                     sigma)
+            return JumpWave(kind, i, u_l, S, float(lam))
+        except ContinuationFailure:
+            pass  # continued from s = 0, as without a seed
+    S, lam = _continue_shock(model, u_l, l_i, r_i, 0.0, u_l, es.lambdas[i], sigma)
     return JumpWave(kind, i, u_l, S, float(lam))
 
 
-def _compose(model, u_minus, sigmas, fields, splits=None):
+def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=None):
     """End state and waves of the composed Lax curves at strengths sigmas.
 
     Families weaker than STRENGTH_FLOOR make no wave.  With `splits` every
     wave is a jump, and the rarefaction side of family i is split into
-    splits[i] jumps of equal strength.
+    splits[i] jumps of equal strength.  The strength solve passes `seeds`, a
+    dict it keeps across its evaluations: the j-th jump of family i is
+    continued from seeds[i, j], where the previous composition left it, and
+    the dict then holds this composition's jumps.  It also passes
+    `es_minus`, its eigensystem at u_minus, for the first wave.
     """
     jumps = splits is not None
     state = u_minus
     waves = []
+    reached = {}
     for i in range(model.n):
         sig = sigmas[i]
         if abs(sig) < STRENGTH_FLOOR:
             continue
         k = splits[i] if jumps and sig > 0 else 1
-        for _ in range(k):
-            w = _lax_step(model, state, i, sig / k, fields[i], jumps)
+        for j in range(k):
+            w = _lax_step(model, state, i, sig / k, fields[i], jumps,
+                          None if waves else es_minus,
+                          seeds.get((i, j)) if seeds else None)
+            if isinstance(w, JumpWave):
+                reached[i, j] = (state, sig / k, w.u_r, w.speed)
             waves.append(w)
             state = w.u_r
+    if seeds is not None:
+        seeds.clear()
+        seeds.update(reached)
     return state, waves
 
 
@@ -361,8 +404,9 @@ def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
     singular Jacobian does.  A trial point where G raises a HyperlabError or
     LinAlgError is halved like one that does not reduce |G|."""
     g, at_x = G(x)
+    gn = math.sqrt(g @ g)
     for _ in range(maxiter):
-        if np.linalg.norm(g) <= tol:
+        if gn <= tol:
             return x, at_x
         try:
             step = np.linalg.solve(J, -g)
@@ -374,32 +418,36 @@ def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
                 g_trial, at_trial = G(trial)
             except (HyperlabError, np.linalg.LinAlgError):
                 continue
-            if np.linalg.norm(g_trial) < np.linalg.norm(g):
+            gn_trial = math.sqrt(g_trial @ g_trial)
+            if gn_trial < gn:
                 J = J + np.outer(g_trial - g - t * (J @ step), step) / (t * (step @ step))
-                x, g, at_x = trial, g_trial, at_trial
+                x, g, gn, at_x = trial, g_trial, gn_trial, at_trial
                 break
         else:
             # families below STRENGTH_FLOOR make no wave, so G can stall
             # at a residual of that size
-            if np.linalg.norm(g) <= accept:
+            if gn <= accept:
                 return x, at_x
-            raise error(f"{what} line search stalled (|G|={np.linalg.norm(g):.2e})")
-    if np.linalg.norm(g) <= accept:
+            raise error(f"{what} line search stalled (|G|={gn:.2e})")
+    if gn <= accept:
         return x, at_x
-    raise error(f"{what} Newton did not converge (|G|={np.linalg.norm(g):.2e})")
+    raise error(f"{what} Newton did not converge (|G|={gn:.2e})")
 
 
 def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     """Strengths, end state and waves of the composed Lax curves (`_compose`
     for `splits`) to |G| <= TOL_RP, or 10 TOL_RP after 40 iterations, else
     NewtonDivergence.  Broyden starts from the linear guess and dG/dsigma at
-    sigma = 0, whose column i is orientation_i r_i(u-)."""
+    sigma = 0, whose column i is orientation_i r_i(u-).  Each evaluation
+    continues its jumps from the previous one's (the `seeds` of `_compose`),
+    so its shock points match cold ones to roundoff, not bit for bit."""
     es = eigensystem(model, u_minus)
     orient = np.array([fc.orientation for fc in fields])
     sigmas = orient * (es.left @ (u_plus - u_minus))
+    seeds = {}
 
     def G(s):
-        state, waves = _compose(model, u_minus, s, fields, splits)
+        state, waves = _compose(model, u_minus, s, fields, splits, seeds, es)
         return state - u_plus, (state, waves)
 
     sigmas, (state, waves) = _damped_newton(G, sigmas, es.right.T * orient, TOL_RP,

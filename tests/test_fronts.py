@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models
@@ -200,9 +200,19 @@ JUMPS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4,
                  unique=True).map(sorted)
 
 
+def fronts_tv(run, t):
+    """Total variation of a run at t, summed over its epoch's fronts: a
+    front drawn on a neighbour less than an ulp away still counts."""
+    return sum(float(np.abs(f.u_r - f.u_l).sum()) for f in run.epoch_at(t).fronts)
+
+
 @pytest.mark.parametrize("model", [BURGERS, CUBIC], ids=["burgers", "cubic"])
 @settings(max_examples=20, deadline=None, database=None)
 @given(ku=GRID_STATES, kv=GRID_STATES, xu=JUMPS, xv=JUMPS)
+# a sliver of state 0 narrower than an ulp at x = 0, which the drawn profile
+# shows at some sample times and hides at others (its drawn TV rose by 0.2)
+@example(ku=[5, 0, 0, 0, 0], kv=[5, -6, 0, 5, 0], xu=[0.0, 0.25, 0.5, 1.0],
+         xv=[-1.2881206512644892e-19, 0.0, 1.1754943508222875e-38, 1.0])
 def test_grid_data_runs_contract(model, ku, kv, xu, xv):
     # data on the grid 0.1 Z with shared far fields: both runs are exact
     # entropy solutions of one polygonal-flux problem, so (Kruzkov) their
@@ -216,7 +226,7 @@ def test_grid_data_runs_contract(model, ku, kv, xu, xv):
     l1 = [u.state(t).l1_distance(v.state(t), -5.0, 5.0) for t in times]
     assert np.max(np.diff(l1)) <= 1e-12
     for run in (u, v):
-        assert np.max(np.diff([run.state(t).tv() for t in times])) <= 1e-12
+        assert np.max(np.diff([fronts_tv(run, t) for t in times])) <= 1e-12
         assert audit_rh(model, run) <= 1e-9
 
 
@@ -240,6 +250,25 @@ class TestSystemFronts:
         assert len(sol.events) >= 1
         assert audit_rh(m, sol) <= 1e-9
         assert sol.total_nonphysical_strength() == 0.0
+
+    def test_psystem_interaction_linear_solves(self, monkeypatch):
+        # every linear solve of the run is a Broyden or RH Newton step of
+        # riemann; the count repeats exactly.  Each Broyden evaluation
+        # continues its shock points from the previous one's: the run took
+        # 234 solves when every evaluation started them from s = 0
+        solve, calls = np.linalg.solve, []
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        m = models.p_system()
+        data = PiecewiseConstantFn(np.array([0.0, 0.3]),
+                                   np.array([[1.0, 0.0], [1.04, 0.015], [1.0, 0.03]]))
+        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-3.0, 3.0), delta=0.02)
+        front_tracking_run(m, data, cfg)
+        assert len(calls) <= 154
 
     def test_nonphysical_merging_budget(self):
         m = models.p_system()

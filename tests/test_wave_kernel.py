@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import fronts, models
+from hyperlab import fronts, models, riemann
 from hyperlab.errors import NewtonDivergence, OutOfDomain
 from hyperlab.fronts import approximate_riemann_pieces
-from hyperlab.riemann import (_compose, _damped_newton, _field_classes,
+from hyperlab.riemann import (TOL_RP, _compose, _damped_newton, _field_classes,
                               default_small_data_radius, rh_residual,
                               solve_riemann, solve_strengths)
 
@@ -47,17 +47,17 @@ GOLDEN_FANS = [
     ("psystem", ("0x1.0000000000000p+0", "0x0.0p+0"),
      ("0x1.0cccccccccccdp+0", "0x1.cf68d4fff04dcp-7"),
      [("0x1.0000000000000p+0", "0x0.0p+0"),
-      ("0x1.079d8f8939b19p+0", "0x1.51222d18687a3p-5"),
+      ("0x1.079d8f8939b19p+0", "0x1.51222d18687adp-5"),
       ("0x1.0cccccccccccdp+0", "0x1.cf68d4fff04dcp-7")],
      [("rarefaction", 0, ("-0x1.6a09e667f3bcdp+0", "-0x1.5a76e06702cdfp+0"), None),
-      ("shock", 1, "0x1.5572ca9dc7131p+0", "-0x1.0000000000000p-52")]),
+      ("shock", 1, "0x1.5572ca9dc7132p+0", "-0x1.8000000000000p-51")]),
     ("psystem", ("0x1.0000000000000p+0", "0x0.0p+0"),
      ("0x1.0147ae147ae14p+0", "-0x1.04aaf7cff72bdp-4"),
      [("0x1.0000000000000p+0", "0x0.0p+0"),
-      ("0x1.f5e850d4690e6p-1", "-0x1.cf9e1bd7ffcc7p-6"),
+      ("0x1.f5e850d4690e8p-1", "-0x1.cf9e1bd7ffc6fp-6"),
       ("0x1.0147ae147ae14p+0", "-0x1.04aaf7cff72bdp-4")],
      [("shock", 0, "-0x1.6f7e811c20a7dp+0", "-0x1.4000000000000p-50"),
-      ("shock", 1, "0x1.6e208e2e62b9fp+0", "-0x1.0000000000000p-52")]),
+      ("shock", 1, "0x1.6e208e2e62b8ap+0", "0x1.8000000000000p-50")]),
     ("linear2:1,0.5,0,2", ("0x0.0p+0", "0x1.0000000000000p+0"),
      ("0x1.0000000000000p-1", "-0x1.0000000000000p-2"),
      [("0x0.0p+0", "0x1.0000000000000p+0"),
@@ -94,22 +94,29 @@ REFERENCE_FANS = [
 ]
 
 # a 1-rarefaction of strength 0.05 (five pieces at delta = 0.02) and a weak
-# 2-wave that rho_np = 1e-3 merges into one non-physical front
+# 2-wave that rho_np = 1e-3 merges into one non-physical front.  The split
+# pieces are the seeded jumps of the strength solve; the merged ones are a
+# cold composition at its strengths, so the two differ in the last bits.
 PIECES_DATA = (("0x1.0000000000000p+0", "0x0.0p+0"),
                ("0x1.0d013a92a3055p+0", "0x1.1cff3113298c1p-4"))
-RAREFACTION_PIECES = [
-    ("rarefaction", 0, ("0x1.028ea6d52785dp+0", "0x1.cb7934c80e58bp-7"), "-0x1.675a1e7fecd07p+0"),
-    ("rarefaction", 0, ("0x1.0523cf57b2727p+0", "0x1.ca52c10bcb31dp-6"), "-0x1.6208bed3b3193p+0"),
-    ("rarefaction", 0, ("0x1.07bf78e32190cp+0", "0x1.56df13e600edep-5"), "-0x1.5ccba669ea2eep+0"),
-    ("rarefaction", 0, ("0x1.0a61a227e43f0p+0", "0x1.c7fd48b16930ap-5"), "-0x1.57a2a905ec10dp+0"),
-    ("rarefaction", 0, ("0x1.0d0a492a4568ap+0", "0x1.1c40f43c6344fp-4"), "-0x1.528d99de124fep+0"),
-]
 NONPHYSICAL_PIECE = (
     "non-physical", None, ("0x1.0d013a92a3055p+0", "0x1.1cff3113298c1p-4"), "0x1.8000000000000p+1")
-GOLDEN_PIECES_SPLIT = RAREFACTION_PIECES + [
-    ("rarefaction", 1, ("0x1.0d013a92a3057p+0", "0x1.1cff3113298bbp-4"), "0x1.50125f7632a4cp+0"),
+GOLDEN_PIECES_SPLIT = [
+    ("rarefaction", 0, ("0x1.028ea6d5278dfp+0", "0x1.cb7934c808c81p-7"), "-0x1.675a1e7fea926p+0"),
+    ("rarefaction", 0, ("0x1.0523cf57b282ep+0", "0x1.ca52c10bc5a0fp-6"), "-0x1.6208bed3b0d24p+0"),
+    ("rarefaction", 0, ("0x1.07bf78e321a9ap+0", "0x1.56df13e5fcc17p-5"), "-0x1.5ccba669e7e0dp+0"),
+    ("rarefaction", 0, ("0x1.0a61a227e4608p+0", "0x1.c7fd48b163a0bp-5"), "-0x1.57a2a905e9bcdp+0"),
+    ("rarefaction", 0, ("0x1.0d0a492a4592ep+0", "0x1.1c40f43c5fcb6p-4"), "-0x1.528d99de0ff55p+0"),
+    ("rarefaction", 1, ("0x1.0d013a92a3055p+0", "0x1.1cff3113298b9p-4"), "0x1.50125f76321bbp+0"),
 ]
-GOLDEN_PIECES_MERGED = RAREFACTION_PIECES + [NONPHYSICAL_PIECE]
+GOLDEN_PIECES_MERGED = [
+    ("rarefaction", 0, ("0x1.028ea6d52785fp+0", "0x1.cb7934c80e713p-7"), "-0x1.675a1e7fecd09p+0"),
+    ("rarefaction", 0, ("0x1.0523cf57b272bp+0", "0x1.ca52c10bcb4a0p-6"), "-0x1.6208bed3b3187p+0"),
+    ("rarefaction", 0, ("0x1.07bf78e321912p+0", "0x1.56df13e600ffdp-5"), "-0x1.5ccba669ea2d4p+0"),
+    ("rarefaction", 0, ("0x1.0a61a227e43f9p+0", "0x1.c7fd48b16948ap-5"), "-0x1.57a2a905ec109p+0"),
+    ("rarefaction", 0, ("0x1.0d0a492a45695p+0", "0x1.1c40f43c6353dp-4"), "-0x1.528d99de124ecp+0"),
+    NONPHYSICAL_PIECE,
+]
 # the same pieces from a second strength Newton on the split chain with its
 # shock points solved to 1e-14: a reference the pieces above must stay within
 # roundoff of (states 1e-12, speeds 1e-11)
@@ -207,19 +214,55 @@ class TestGoldenFans:
 
     @pytest.mark.parametrize("splits", [None, [1, 1], [1, 3]],
                              ids=["curves", "jumps", "split-jumps"])
-    def test_strength_solve_returns_its_composition(self, splits):
+    def test_strength_solve_returns_its_composition(self, monkeypatch, splits):
         # the waves returned with the strengths are the ones composed at
-        # them, byte for byte, so no caller composes them again
+        # them from the seeds that evaluation was given, byte for byte, so
+        # no caller composes them again; a cold composition at the same
+        # strengths lands within the REFERENCE_PIECES tolerances of them
         ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
         fields = _field_classes(P_SYSTEM, ul, ur)
+        given = []
+
+        def recorded(model, u_minus, sigmas, fields, splits, seeds, es_minus):
+            given.append((sigmas.copy(), dict(seeds), es_minus))
+            return _compose(model, u_minus, sigmas, fields, splits, seeds, es_minus)
+
+        monkeypatch.setattr(riemann, "_compose", recorded)
         sig, state, waves = solve_strengths(P_SYSTEM, ul, ur, fields, splits)
-        want_state, want_waves = _compose(P_SYSTEM, ul, sig, fields, splits)
+        seeds, es_minus = [(seeds, es) for s, seeds, es in given
+                           if np.array_equal(s, sig)][-1]
+        want_state, want_waves = _compose(P_SYSTEM, ul, sig, fields, splits,
+                                          seeds, es_minus)
         assert state.tobytes() == want_state.tobytes()
         assert len(waves) == len(want_waves)
         for w, v in zip(waves, want_waves):
             assert vars(w).keys() == vars(v).keys()
             for key, value in vars(w).items():
                 assert np.array_equal(value, vars(v)[key])
+        cold_state, cold_waves = _compose(P_SYSTEM, ul, sig, fields, splits)
+        assert [(w.kind, w.family) for w in waves] == \
+            [(v.kind, v.family) for v in cold_waves]
+        assert np.max(np.abs(state - cold_state)) <= 1e-12
+        for w, v in zip(waves, cold_waves):
+            assert np.max(np.abs(w.u_r - v.u_r)) <= 1e-12
+            assert abs(w.speed_l - v.speed_l) <= 1e-11
+            assert abs(w.speed_r - v.speed_r) <= 1e-11
+
+    def test_failed_seed_falls_back_to_cold(self):
+        # a seed whose continuation fails (here a NaN point) leaves the jump
+        # to the cold continuation from s = 0, byte for byte
+        ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
+        fields = _field_classes(P_SYSTEM, ul, ur)
+        sig = np.array([0.05, 0.004])
+        bad = {(0, 0): (ul, 0.01, np.full(2, np.nan), np.nan)}
+        state, waves = _compose(P_SYSTEM, ul, sig, fields, [1, 1], bad, None)
+        cold_state, cold_waves = _compose(P_SYSTEM, ul, sig, fields, [1, 1])
+        assert state.tobytes() == cold_state.tobytes()
+        for w, v in zip(waves, cold_waves):
+            assert (w.u_r.tobytes(), w.speed) == (v.u_r.tobytes(), v.speed)
+        # the seeds now hold this composition's jumps
+        assert sorted(bad) == [(0, 0), (1, 0)]
+        assert bad[1, 0][2] is waves[1].u_r
 
 
 class TestCentralDiff:
@@ -370,3 +413,27 @@ def test_psystem_fans_and_pieces(v, u, a1, a2):
     for p in pieces:
         if p.kind != "non-physical":
             assert rh_residual(P_SYSTEM, p.u_l, p.u_r, p.speed) <= 1e-9
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(v=st.floats(0.9, 1.1), u=st.floats(-0.05, 0.05), a1=small, a2=small,
+       splits=st.sampled_from([None, [1, 1], [2, 3]]))
+@example(v=1.0, u=0.0, a1=0.012, a2=-0.01, splits=[2, 3])
+def test_seeded_solve_lands_on_cold_points(v, u, a1, a2, splits):
+    # every wave of the seeded strength solve lies within the
+    # REFERENCE_PIECES tolerances of a cold composition at its strengths,
+    # and the solve ends within its acceptance of u+.  A residual F of the
+    # RH conditions fixes the speed of a jump d only to |F| / |d|, and the
+    # RH Newton takes a start as it is at |F| <= 1e-15 (1 + |f|), about
+    # 2.4e-15 here, so below |d| = 1e-3 the speed bound is 1e-14 / |d|
+    ul = np.array([v, u])
+    ur = psystem_jump(ul, a1, a2)
+    fields = _field_classes(P_SYSTEM, ul, ur)
+    sig, state, waves = solve_strengths(P_SYSTEM, ul, ur, fields, splits)
+    _, cold = _compose(P_SYSTEM, ul, sig, fields, splits)
+    assert [(w.kind, w.family) for w in waves] == [(w.kind, w.family) for w in cold]
+    for w, c in zip(waves, cold):
+        assert np.max(np.abs(np.array([w.u_l, w.u_r]) - np.array([c.u_l, c.u_r]))) <= 1e-12
+        bound = 1e-11 * max(1.0, 1e-3 / np.linalg.norm(c.u_r - c.u_l))
+        assert max(abs(w.speed_l - c.speed_l), abs(w.speed_r - c.speed_r)) <= bound
+    assert np.linalg.norm(state - ur) <= 10 * TOL_RP
