@@ -43,8 +43,8 @@ import numpy as np
 from .errors import ConfigError, FrontExplosion, RiemannFailure
 from .models import GENUINELY_NONLINEAR, FluxModel, eigenvalues
 from .piecewise import PiecewiseConstantFn
-from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _field_classes,
-                      _lower_hull_indices, solve_strengths)
+from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _envelope, _field_classes,
+                      solve_strengths)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -105,9 +105,7 @@ def _scalar_pieces(model, u_l, u_r, delta):
     grid = delta * np.arange(math.floor(lo / delta), math.ceil(hi / delta) + 1)
     nodes = np.concatenate([[lo], grid[(grid - lo >= STRENGTH_FLOOR)
                                        & (hi - grid >= STRENGTH_FLOOR)], [hi]])
-    fs = model.f(nodes[:, None])[:, 0]
-    sign = 1 if u_l[0] < u_r[0] else -1  # traverse from u_l
-    hull = _lower_hull_indices(nodes, sign * fs)[::sign]
+    fs, hull = _envelope(model, nodes, u_l[0] < u_r[0])
     us = nodes[hull]
     slopes = model.jac(us[:, None])[:, 0, 0]
     speeds = np.diff(fs[hull]) / np.diff(us)

@@ -10,7 +10,8 @@ q-decomposition of the verifier and front tracking; with `splits` every wave
 is a jump and a rarefaction may be split into several.  It returns the waves
 it composed at the strengths it found, so no caller composes them again.
 Front tracking solves once with every family one jump, and a second time
-only when a rarefaction is split.  An exact fan ends on u+ byte for byte.
+only when a rarefaction is split.  An exact fan ends on u+ byte for byte,
+unless every family is below STRENGTH_FLOOR: then it has no wave.
 Both `shock_curve` and `_lax_step` reach a shock point through one
 continuation, `_continue_shock`.  Within one strength solve, each Broyden
 evaluation continues every jump from the point the previous evaluation
@@ -21,8 +22,9 @@ point allocates its bordered system once, and takes a start as converged
 only near roundoff, so a seeded point is as accurate as a cold one.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
-concave envelope of `solve_riemann_scalar`, which also handles fluxes that
-are neither genuinely nonlinear nor linearly degenerate.
+concave envelope of f (`_envelope`, shared with scalar front tracking), which
+also handles fluxes that are neither GNL nor LD.  A `WaveFan` is its left
+state and its waves; Liu admissibility is `liu_admissible`'s alone.
 """
 
 from __future__ import annotations
@@ -223,7 +225,6 @@ class JumpWave:
     u_l: np.ndarray
     u_r: np.ndarray
     speed: float
-    liu_margin: Optional[float] = None
 
     @property
     def speed_l(self):
@@ -248,12 +249,19 @@ class RarefactionWave:
 
 @dataclass(frozen=True)
 class WaveFan:
-    """Self-similar Riemann solution: value depends on x/t only."""
+    """Self-similar Riemann solution: value depends on x/t only.  Each wave
+    starts where the one before ends; with no wave the fan ends on `left`."""
 
     left: np.ndarray
-    right: np.ndarray
-    states: tuple
     waves: tuple
+
+    @property
+    def right(self):
+        return self.waves[-1].u_r if self.waves else self.left
+
+    @property
+    def states(self):
+        return (self.left,) + tuple(w.u_r for w in self.waves)
 
 
 def evaluate_fan(fan: WaveFan, xi):
@@ -455,25 +463,19 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     return sigmas, state, waves
 
 
-def _shock_liu_margin(model, u_l, i, sigma, orient, lam_end, n_check=33):
-    """min over the connecting curve of lambda_i(s) - lambda_i(sigma)."""
-    # parameter of the sign-fixed closure corresponding to oriented sigma
-    curve = shock_curve(model, u_l, i, orient * sigma, n_check)
-    return float(np.min(curve.speeds) - lam_end)
-
-
 def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
-    """Exact Riemann solution: the envelope fan of `solve_riemann_scalar` for
-    a scalar model, composed Lax curves (GNL or LD fields) for a system."""
-    if model.n == 1:
-        return solve_riemann_scalar(model, u_minus, u_plus)
+    """Exact Riemann solution: the envelope fan of f for a scalar model,
+    composed Lax curves (GNL or LD fields) for a system.  A jump whose every
+    family is below STRENGTH_FLOOR makes no wave, as in front tracking, so
+    its fan ends where its waves do, on u-; any other fan ends on u+."""
     u_minus = model.state(u_minus)
     u_plus = model.state(u_plus)
     model.require_in_domain(u_minus)
     model.require_in_domain(u_plus)
-
     if np.array_equal(u_minus, u_plus):
-        return WaveFan(u_minus, u_plus, (u_minus,), ())
+        return WaveFan(u_minus, ())
+    if model.n == 1:
+        return _scalar_fan(model, u_minus, u_plus)
 
     fields = _field_classes(model, u_minus, u_plus)
     radius = default_small_data_radius(model, u_minus, u_plus)
@@ -482,19 +484,13 @@ def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
             f"Riemann data |u+ - u-| = {np.linalg.norm(u_plus - u_minus):.3g} "
             f"exceeds the small-data radius {radius:.3g}")
 
-    sigmas, state, waves = solve_strengths(model, u_minus, u_plus, fields)
-    for k, w in enumerate(waves):
-        if w.kind == "shock":
-            i = w.family
-            waves[k] = replace(w, liu_margin=_shock_liu_margin(
-                model, w.u_l, i, sigmas[i], fields[i].orientation, w.speed))
+    _, _, waves = solve_strengths(model, u_minus, u_plus, fields)
     _check_wave_order(waves)
     if waves:  # the composed end state is within TOL_RP of u_plus: end on it
         if waves[-1].kind == "rarefaction":
             waves[-1].states[-1] = u_plus
-        waves[-1], state = replace(waves[-1], u_r=u_plus), u_plus
-    states = (u_minus,) + tuple(w.u_r for w in waves)
-    return WaveFan(u_minus, state, states, tuple(waves))
+        waves[-1] = replace(waves[-1], u_r=u_plus)
+    return WaveFan(u_minus, tuple(waves))
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +511,19 @@ def _lower_hull_indices(x, y):
     return hull
 
 
-def solve_riemann_scalar(model: FluxModel, u_minus, u_plus) -> WaveFan:
-    """Scalar Riemann solution via the convex (u- < u+) or concave envelope."""
-    if model.n != 1:
-        raise ValueError("solve_riemann_scalar needs a scalar model")
-    u_minus = model.state(u_minus)
-    u_plus = model.state(u_plus)
-    ul, ur = float(u_minus[0]), float(u_plus[0])
-    if ul == ur:
-        return WaveFan(u_minus, u_plus, (u_minus,), ())
+def _envelope(model, nodes, ascending):
+    """f at the ascending nodes, and the vertices of its convex envelope
+    (`ascending`: u_l < u_r) or concave envelope, in order from u_l."""
+    fs = model.f(nodes[:, None])[:, 0]
+    sign = 1 if ascending else -1  # the concave envelope is traversed downwards
+    return fs, _lower_hull_indices(nodes, sign * fs)[::sign]
 
+
+def _scalar_fan(model, u_minus, u_plus):
+    """The envelope fan of f between the distinct states u_minus, u_plus."""
+    ul, ur = float(u_minus[0]), float(u_plus[0])
     grid = np.linspace(min(ul, ur), max(ul, ur), N_ENVELOPE)
-    fs = model.f(grid[:, None])[:, 0]
-    sign = 1 if ul < ur else -1  # the concave envelope is traversed downwards
-    order = _lower_hull_indices(grid, sign * fs)[::sign]
+    fs, order = _envelope(model, grid, ul < ur)
 
     # walk consecutive hull vertices; single-gridstep segments form
     # rarefaction runs, longer chords are entropy shocks.  All speeds come
@@ -538,7 +533,6 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus) -> WaveFan:
         return (fs[q] - fs[p]) / (grid[q] - grid[p])
 
     waves = []
-    states = [u_minus]
     run = [order[0]]
 
     def flush_run(run):
@@ -550,28 +544,20 @@ def solve_riemann_scalar(model: FluxModel, u_minus, u_plus) -> WaveFan:
         speeds = np.maximum.accumulate(secant(run[np.maximum(j - 1, 0)],
                                               run[np.minimum(j + 1, j[-1])]))
         prof = grid[run]
-        u_l = np.array([prof[0]])
-        u_r = np.array([prof[-1]])
-        waves.append(RarefactionWave(0, u_l, u_r, float(speeds[0]),
-                                     float(speeds[-1]), prof[:, None], speeds))
-        states.append(u_r)
+        waves.append(RarefactionWave(0, np.array([prof[0]]), np.array([prof[-1]]),
+                                     float(speeds[0]), float(speeds[-1]),
+                                     prof[:, None], speeds))
 
     for p, q in zip(order[:-1], order[1:]):
         if abs(q - p) == 1:
             run.append(q)
             continue
         flush_run(run)
-        u_l = np.array([grid[p]])
-        u_r = np.array([grid[q]])
-        speed = float(secant(p, q))
-        margin = _shock_liu_margin(model, u_l, 0, float(u_r[0] - u_l[0]), 1, speed,
-                                   n_check=65)
-        waves.append(JumpWave("shock", 0, u_l, u_r, speed, liu_margin=margin))
-        states.append(u_r)
+        waves.append(JumpWave("shock", 0, np.array([grid[p]]), np.array([grid[q]]),
+                              float(secant(p, q))))
         run = [q]
     flush_run(run)
-
-    return WaveFan(u_minus, states[-1], tuple(states), tuple(waves))
+    return WaveFan(u_minus, tuple(waves))
 
 
 # ---------------------------------------------------------------------------

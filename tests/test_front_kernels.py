@@ -14,7 +14,7 @@ from hyperlab import models
 from hyperlab.errors import RiemannFailure
 from hyperlab.fronts import approximate_riemann_pieces, front_tracking_run
 from hyperlab.piecewise import PiecewiseConstantFn
-from hyperlab.riemann import solve_riemann, solve_riemann_scalar
+from hyperlab.riemann import solve_riemann
 from hyperlab.schemes import SchemeConfig
 from hyperlab.verify import FanView, FrontTrackingView
 
@@ -32,7 +32,7 @@ def digest(*arrays):
 
 def cubic_fan():
     # a shock from -1 to 1/2 with a rarefaction attached on its right
-    return solve_riemann_scalar(models.cubic_flux(), [-1.0], [1.0])
+    return solve_riemann(models.cubic_flux(), [-1.0], [1.0])
 
 
 def psystem_fan():

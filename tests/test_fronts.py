@@ -7,7 +7,7 @@ from hyperlab import models
 from hyperlab.errors import ConfigError, FrontExplosion
 from hyperlab.fronts import approximate_riemann_pieces, front_tracking_run
 from hyperlab.piecewise import PiecewiseConstantFn
-from hyperlab.riemann import evaluate_fan, rh_residual, solve_riemann_scalar
+from hyperlab.riemann import evaluate_fan, rh_residual, solve_riemann
 from hyperlab.schemes import SchemeConfig
 
 BURGERS = models.burgers()
@@ -139,7 +139,7 @@ class TestScalarFronts:
         fronts = sol.epochs[0].fronts
         assert len(fronts) == 20
         assert all(f.strength <= 0.05 + 1e-12 for f in fronts)
-        fan = solve_riemann_scalar(BURGERS, [0.0], [1.0])
+        fan = solve_riemann(BURGERS, [0.0], [1.0])
         pc = sol.state(1.0)
         xs = np.linspace(-1.5, 2.5, 2001)
         ref = np.array([evaluate_fan(fan, x)[0] for x in xs])
@@ -323,6 +323,11 @@ class TestGuards:
         with pytest.raises(ConfigError, match="delta > 0"):
             front_tracking_run(model, data, SchemeConfig(
                 eps=1.0, T=1.0, domain=(-1.0, 2.0), delta=delta))
+
+    def test_callable_data_refused(self):
+        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-1.0, 2.0), delta=0.1)
+        with pytest.raises(ConfigError, match="PiecewiseConstantFn data"):
+            front_tracking_run(BURGERS, lambda x: np.array([np.sin(x)]), cfg)
 
     def test_deterministic(self):
         data = PiecewiseConstantFn(np.array([-1.0, 0.0]),

@@ -91,6 +91,14 @@ class TestEigensystem:
                                          abs=1e-12)
         assert es.left @ es.right.T == pytest.approx(np.eye(3), abs=1e-12)
 
+    def test_general_n_complex_eigenvalues(self):
+        # a rotation in the first two components: eigenvalues +-i and 2
+        M = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        m = models.FluxModel("rotation3", 3, flux=lambda u: u @ M.T,
+                             jacobian=lambda u: np.broadcast_to(M, u.shape + (3,)))
+        with pytest.raises(NonHyperbolic, match="complex eigenvalues"):
+            eigensystem(m, [0.0, 0.0, 0.0])
+
     def test_out_of_domain(self):
         m = models.p_system()
         with pytest.raises(OutOfDomain):

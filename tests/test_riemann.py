@@ -10,10 +10,10 @@ from hyperlab import models
 from hyperlab.errors import (ContinuationFailure, NewtonDivergence,
                              NotGenuinelyNonlinear, NotOnShockCurve,
                              OutOfDomain, RHViolated)
-from hyperlab.riemann import (AdmissibilityVerdict, entropy_admissible_shock,
-                              evaluate_fan, liu_admissible, rarefaction_curve,
-                              rh_residual, shock_curve,
-                              solve_riemann, solve_riemann_scalar)
+from hyperlab.riemann import (AdmissibilityVerdict, JumpWave, _check_wave_order,
+                              entropy_admissible_shock, evaluate_fan,
+                              liu_admissible, rarefaction_curve, rh_residual,
+                              shock_curve, solve_riemann)
 
 
 def brute_force_scalar_profile(model, ul, ur, xi, n_grid=100_000):
@@ -127,7 +127,7 @@ class TestSolveRiemann:
         w = fan.waves[0]
         assert w.kind == "shock"
         assert w.speed == pytest.approx(0.5, abs=1e-10)
-        assert w.liu_margin >= -1e-9
+        assert liu_admissible(m, w.u_l, w.u_r, w.family).margin >= -1e-9
 
     def test_burgers_rarefaction_fan_value(self):
         m = models.burgers()
@@ -146,7 +146,7 @@ class TestSolveRiemann:
         for w in fan.waves:
             if w.kind == "shock":
                 assert rh_residual(m, w.u_l, w.u_r, w.speed) <= 1e-9
-                assert w.liu_margin >= -1e-9
+                assert liu_admissible(m, w.u_l, w.u_r, w.family).margin >= -1e-9
 
     def test_strengths_scale_linearly_for_small_data(self):
         from hyperlab.riemann import solve_strengths, _field_classes
@@ -158,17 +158,12 @@ class TestSolveRiemann:
         s2 = solve_strengths(m, u0, u0 + 0.5 * w, fields)[0]
         assert s1 / 2 == pytest.approx(s2, rel=0.05)
 
-    def test_cubic_takes_the_envelope(self):
-        # the cubic flux is neither GNL nor LD on (-1, 1): a scalar model
-        # goes to the envelope fan, wave for wave
-        m = models.cubic_flux()
-        fan, envelope = solve_riemann(m, [-1.0], [1.0]), solve_riemann_scalar(m, [-1.0], [1.0])
-        assert [w.kind for w in fan.waves] == ["shock", "rarefaction"]
-        assert len(fan.waves) == len(envelope.waves)
-        for w, v in zip(fan.waves, envelope.waves):
-            assert vars(w).keys() == vars(v).keys()
-            for key, value in vars(w).items():
-                assert np.array_equal(value, vars(v)[key])
+    def test_waves_out_of_order_refused(self):
+        u = [np.array([float(k)]) for k in range(3)]
+        waves = [JumpWave("shock", 0, u[0], u[1], 1.0), JumpWave("shock", 0, u[1], u[2], 0.5)]
+        with pytest.raises(NewtonDivergence, match="out of order"):
+            _check_wave_order(waves)
+        _check_wave_order(waves[::-1])  # in order, though not chained
 
     def test_large_data_beyond_small_data_radius(self):
         # |u+ - u-| = 0.707 against a default radius of about 0.064
@@ -210,21 +205,21 @@ def test_psystem_fans_match_closed_form(v, w, a1, a2):
 class TestScalarEnvelope:
     def test_convex_single_shock_and_rarefaction(self):
         m = models.burgers()
-        fan = solve_riemann_scalar(m, [1.0], [0.0])
+        fan = solve_riemann(m, [1.0], [0.0])
         assert len(fan.waves) == 1 and fan.waves[0].kind == "shock"
         assert fan.waves[0].speed == pytest.approx(0.5, abs=1e-9)
-        fan = solve_riemann_scalar(m, [0.0], [1.0])
+        fan = solve_riemann(m, [0.0], [1.0])
         assert len(fan.waves) == 1 and fan.waves[0].kind == "rarefaction"
 
     def test_empty_fan(self):
         m = models.burgers()
-        fan = solve_riemann_scalar(m, [0.3], [0.3])
+        fan = solve_riemann(m, [0.3], [0.3])
         assert fan.waves == ()
         assert len(fan.states) == 1
 
     def test_cubic_composite_matches_brute_force(self):
         m = models.cubic_flux()
-        fan = solve_riemann_scalar(m, [-1.0], [1.0])
+        fan = solve_riemann(m, [-1.0], [1.0])
         kinds = [w.kind for w in fan.waves]
         assert kinds == ["shock", "rarefaction"]
         # shock from -1 to ~0.5 with tangency speed ~0.75
@@ -236,7 +231,7 @@ class TestScalarEnvelope:
 
     def test_reversed_cubic_matches_brute_force(self):
         m = models.cubic_flux()
-        fan = solve_riemann_scalar(m, [1.0], [-1.0])
+        fan = solve_riemann(m, [1.0], [-1.0])
         for xi in np.linspace(-0.5, 2.9, 41):
             ref = brute_force_scalar_profile(m, 1.0, -1.0, xi)
             assert evaluate_fan(fan, xi)[0] == pytest.approx(ref, abs=2e-3)
@@ -244,7 +239,7 @@ class TestScalarEnvelope:
     def test_wave_order_weakly_increasing(self):
         m = models.cubic_flux()
         for ul, ur in [(-1.0, 1.0), (1.0, -1.0), (-0.7, 1.3)]:
-            fan = solve_riemann_scalar(m, [ul], [ur])
+            fan = solve_riemann(m, [ul], [ur])
             prev = -np.inf
             for w in fan.waves:
                 assert w.speed_l >= prev - 1e-9

@@ -13,7 +13,7 @@ from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
 from hyperlab.fronts import FrontTrackingSolution
 from hyperlab.models import FluxModel, normalize_speeds
 from hyperlab.piecewise import PiecewiseConstantFn
-from hyperlab.riemann import evaluate_fan, solve_riemann_scalar
+from hyperlab.riemann import evaluate_fan, solve_riemann
 from hyperlab.schemes import (SchemeConfig, backward_euler_run, glimm_run,
                               godunov_run, jin_xin_run, method_of_lines_run,
                               mollification_run, nonlinear_diffusion_run,
@@ -270,7 +270,7 @@ class TestViscous:
 
     def test_l1_error_vs_inviscid_decreases(self):
         m = models.burgers()
-        fan = solve_riemann_scalar(m, [1.0], [0.0])
+        fan = solve_riemann(m, [1.0], [0.0])
         errs = []
         for eps in (0.1, 0.05):
             cfg = SchemeConfig(eps=eps, T=1.0, domain=(-1.5, 2.0))
@@ -313,7 +313,7 @@ class TestJinXin:
 
     def test_shock_l1_trend(self):
         m = BURGERS_01
-        fan = solve_riemann_scalar(m, [1.0], [0.0])
+        fan = solve_riemann(m, [1.0], [0.0])
         errs = []
         for eps in (0.05, 0.025, 0.0125):
             cfg = SchemeConfig(eps=eps, T=0.5, domain=(-0.5, 1.5), dx=eps / 4)
@@ -541,6 +541,15 @@ class TestMollification:
             mollification_run(m, data, bad)
         assert info.value.t_blowup == pytest.approx(1.0, rel=0.02)
 
+    def test_crossing_characteristics_refused(self):
+        # a step 1|0 on a cell edge: the centred slope over two cells gives
+        # a blow-up time of 2 dx = 0.002, which eps = 0.0015 does not reach,
+        # but the characteristics of the two cells at the jump cross at dx
+        data = PiecewiseConstantFn.riemann([1.0], [0.0])
+        cfg = SchemeConfig(eps=0.0015, T=0.0015, domain=(-0.5, 0.5), dx=0.001)
+        with pytest.raises(BlowupBeforeRestart, match="characteristics cross"):
+            mollification_run(models.burgers(), data, cfg)
+
     def test_gaussian_converges_to_characteristic_solution(self):
         m = models.burgers()
         data = lambda x: np.array([0.3 * np.exp(-x * x)])
@@ -611,10 +620,21 @@ class TestNonlinearDiffusion:
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.5))
         a = viscous_run(m, data, cfg)
-        cfg_b = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.5),
-                             dx=a.dx, b_matrix="identity")
-        b = nonlinear_diffusion_run(m, data, cfg_b)
-        assert np.array_equal(a.states, b.states)
+        # the fast path, and the general B(u) path with its face averages
+        for b_matrix in ("identity", lambda u: np.eye(1)):
+            b = nonlinear_diffusion_run(m, data, replace(cfg, dx=a.dx, b_matrix=b_matrix))
+            assert np.array_equal(a.states, b.states)
+
+    def test_state_dependent_matrix_conserves_mass(self):
+        m = models.burgers()
+        data = PiecewiseConstantFn(np.array([-0.3, 0.2]), np.array([[0.2], [0.8], [0.2]]))
+        cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.0), dx=0.0125,
+                           boundary="periodic", b_matrix=lambda u: np.diag(1.0 + u * u))
+        sol = nonlinear_diffusion_run(m, data, cfg)
+        mass = sol.states[:, :, 0].sum(axis=1) * sol.dx
+        assert np.all(np.isfinite(sol.states))
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12
+        assert not np.array_equal(sol.states[-1], sol.states[0])
 
     def test_zero_matrix_is_pure_lax_friedrichs(self):
         m = models.burgers()

@@ -11,8 +11,7 @@ from hyperlab.errors import (ConfigError, DegenerateData, HyperlabError,
                              QuadratureUnderResolved)
 from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
-from hyperlab.riemann import (JumpWave, WaveFan, liu_admissible,
-                              solve_riemann_scalar)
+from hyperlab.riemann import JumpWave, WaveFan, liu_admissible, solve_riemann
 from hyperlab.schemes import SchemeConfig, godunov_run, viscous_run
 from hyperlab.verify import (BumpTestFn, EpsCertificate, ExactFanOracle,
                              FanView, FineGodunovOracle, FrontTrackingView,
@@ -30,7 +29,7 @@ BURGERS_01 = models.normalize_speeds(BURGERS, M=1.0)
 def step_fan(u_l=1.0, u_r=0.0, speed=0.5):
     ul, ur = np.array([u_l]), np.array([u_r])
     w = JumpWave("shock", 0, ul, ur, speed)
-    return WaveFan(ul, ur, (ul, ur), (w,))
+    return WaveFan(ul, (w,))
 
 
 class TestTotalVariation:
@@ -173,7 +172,7 @@ class TestEntropyResidual:
 
     def test_smooth_contact_zero_surplus(self):
         m = models.advection(0.7)
-        fan = solve_riemann_scalar(m, [0.2], [0.9])
+        fan = solve_riemann(m, [0.2], [0.9])
         view = FanView(fan, t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
         s = entropy_residual(view, m, t_span=(0.0, 1.0))
         assert abs(s) <= 1e-6
@@ -201,6 +200,20 @@ class TestCertificate:
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         cert = certify_eps_approx(view, BURGERS, M=0.7, initial_data=data)
         assert cert.eps >= 1e-2
+
+    def test_breakdown_is_read_off_the_tests(self):
+        # eps is the largest of the four excesses, and each excess is the
+        # largest entry of its kind in the recorded tests
+        view = FanView(step_fan(speed=0.6), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
+        data = PiecewiseConstantFn.riemann([1.0], [0.0])
+        cert = certify_eps_approx(view, BURGERS, M=0.7, initial_data=data)
+        parts = {"initial": cert.initial_excess, "lipschitz": cert.lipschitz_excess,
+                 "weak": cert.weak_excess, "entropy": cert.entropy_excess}
+        assert cert.eps == max(parts.values())
+        assert {t["kind"] for t in cert.tests} == parts.keys()
+        for kind, excess in parts.items():
+            key = "value" if kind in ("initial", "lipschitz") else "eps"
+            assert excess == max(t[key] for t in cert.tests if t["kind"] == kind)
 
     def test_front_tracking_certificate_scales_with_delta(self):
         data = PiecewiseConstantFn.riemann([0.0], [1.0])
@@ -233,7 +246,7 @@ def psystem_scan(t, x=0.0, domain=(-1.0, 1.0), **kw):
 
 
 def cubic_fan_samples():
-    fan = solve_riemann_scalar(models.cubic_flux(), [-1.0], [1.0])
+    fan = solve_riemann(models.cubic_flux(), [-1.0], [1.0])
     view = FanView(fan, t_span=(0, 1), x_span=(-2, 4))
     times = np.linspace(0.5, 1.0, 5)
     rows = [view.state(t).cell_averages(-2.0, 1 / 200, 1200) for t in times]
@@ -392,6 +405,11 @@ class TestErrorDecomposition:
         assert len(dec.partition) == 1
         assert np.all(dec.jump_terms <= 1e-9)
         assert np.all(dec.total() + 1e-12 >= dec.measured_rate * 0.9)
+
+    def test_exact_fan_oracle_needs_one_jump(self):
+        data = PiecewiseConstantFn(np.array([0.0, 1.0]), np.array([[1.0], [0.0], [1.0]]))
+        with pytest.raises(OracleUnavailable, match="single-jump"):
+            ExactFanOracle(BURGERS).evolve(data, 0.1)
 
     def test_interval_terms_scale_quadratically(self):
         # smooth profile: B-type terms behave like the square of the
