@@ -12,6 +12,8 @@ it composed at the strengths it found, so no caller composes them again.
 Front tracking solves once with every family one jump, and a second time
 only when a rarefaction is split.  An exact fan ends on u+ byte for byte,
 unless every family is below STRENGTH_FLOOR: then it has no wave.
+The two curve samplers, `shock_curve` and `rarefaction_curve`, both return
+(s, states, speeds); the rarefaction takes one eigensystem per RK4 stage.
 Both `shock_curve` and `_lax_step` reach a shock point through one
 continuation, `_continue_shock`.  Within one strength solve, each Broyden
 evaluation continues every jump from the point the previous evaluation
@@ -45,7 +47,6 @@ TOL_RH = 1e-9
 TOL_RP = 1e-12
 TOL_ADM = 1e-9
 TOL_ORDER = 1e-9
-TOL_CURVE = 1e-3
 STRENGTH_FLOOR = 1e-12
 N_ENVELOPE = 4096
 N_LIU_CHECK = 257
@@ -62,21 +63,6 @@ def rh_residual(model: FluxModel, u_minus, u_plus, lam):
 
 # ---------------------------------------------------------------------------
 # shock curves
-
-@dataclass(frozen=True)
-class ShockCurve:
-    """Samples (s, S_i(s), lambda_i(s)) of the i-shock curve through u_minus.
-
-    The parameter is the projection l_i(u_minus) . (S - u_minus), so the
-    curve is tangent to r_i(u_minus) at s = 0.
-    """
-
-    family: int
-    u_minus: np.ndarray
-    s: np.ndarray
-    states: np.ndarray
-    speeds: np.ndarray
-
 
 def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
     """Solve RH plus the projection closure for (S, lambda) at parameter s
@@ -144,8 +130,11 @@ def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
     return S, lam
 
 
-def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve:
-    """Continuation of the i-shock curve from s = 0 to s = s_max."""
+def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33):
+    """Continuation of the i-shock curve from s = 0 to s = s_max: samples
+    (s, S_i(s), lambda_i(s)).  The parameter is the projection
+    l_i(u_minus) . (S - u_minus), so the curve is tangent to r_i(u_minus)
+    at s = 0."""
     u_minus = model.state(u_minus)
     model.require_in_domain(u_minus)
     if n_samples < 2:
@@ -157,7 +146,7 @@ def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve
         speeds = np.full(n_samples, model.jac(u_minus)[0, 0])
         if s_max != 0.0:
             speeds[1:] = (model.f(states[1:])[:, 0] - model.f(u_minus)[0]) / s_grid[1:]
-        return ShockCurve(i, u_minus, s_grid, states, speeds)
+        return s_grid, states, speeds
 
     es = eigensystem(model, u_minus)
     l_i, r_i = es.left[i], es.right[i]
@@ -168,17 +157,18 @@ def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33) -> ShockCurve
         states[j], speeds[j] = _continue_shock(model, u_minus, l_i, r_i,
                                                s_grid[j - 1], states[j - 1],
                                                speeds[j - 1], s_grid[j])
-    return ShockCurve(i, u_minus, s_grid, states, speeds)
+    return s_grid, states, speeds
 
 
 def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS):
     """Integrate du/ds = r_i(u) from u_minus in the direction of increasing
-    lambda_i, over arc parameter s >= 0.  Returns (s_grid, states, speeds)."""
+    lambda_i, over arc parameter s >= 0.  Returns (s_grid, states, speeds).
+    One eigensystem per sampled state checks that it lies in the domain and
+    gives its speed and the first RK4 stage of the step from it."""
     u_minus = model.state(u_minus)
-    model.require_in_domain(u_minus)
+    es = eigensystem(model, u_minus)
     if s < 0:
         raise ValueError("rarefaction extent must be nonnegative")
-    lam0 = eigensystem(model, u_minus).lambdas[i]
     g = gnl_indicator(model, i, u_minus)
     if abs(g) <= 1e-12 and s > 0:
         raise NotGenuinelyNonlinear(
@@ -187,7 +177,7 @@ def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS
     s_grid = np.linspace(0.0, float(s), n_steps + 1)
     states = np.empty((n_steps + 1, model.n))
     speeds = np.empty(n_steps + 1)
-    states[0], speeds[0] = u_minus, lam0
+    states[0], speeds[0] = u_minus, es.lambdas[i]
     if s == 0.0:
         return s_grid[:1], states[:1], speeds[:1]
     h = s / n_steps
@@ -195,16 +185,15 @@ def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS
     def rhs(u):
         return orient * eigensystem(model, u).right[i]
 
-    u = u_minus.copy()
+    u = u_minus
     for j in range(1, n_steps + 1):
-        k1 = rhs(u)
+        k1 = orient * es.right[i]
         k2 = rhs(u + 0.5 * h * k1)
         k3 = rhs(u + 0.5 * h * k2)
         k4 = rhs(u + h * k3)
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        model.require_in_domain(u)
-        states[j] = u
-        speeds[j] = eigensystem(model, u).lambdas[i]
+        es = eigensystem(model, u)
+        states[j], speeds[j] = u, es.lambdas[i]
     if np.any(np.diff(speeds) <= 0):
         raise NotGenuinelyNonlinear(
             f"lambda_{i} not strictly increasing along rarefaction from {u_minus}")
@@ -259,24 +248,18 @@ class WaveFan:
     def right(self):
         return self.waves[-1].u_r if self.waves else self.left
 
-    @property
-    def states(self):
-        return (self.left,) + tuple(w.u_r for w in self.waves)
-
 
 def evaluate_fan(fan: WaveFan, xi):
-    """Value of the self-similar solution at ratio xi = x/t."""
+    """Value of the self-similar solution at ratio xi = x/t: the state left
+    of the first wave with speed_l > xi, or the profile of a rarefaction
+    with speed_l <= xi <= speed_r (a jump has speed_l = speed_r)."""
     state = fan.left
     for w in fan.waves:
-        if w.kind == "rarefaction":
-            if xi < w.speed_l:
-                return state
-            if xi <= w.speed_r:
-                return np.array([np.interp(xi, w.speeds, w.states[:, c])
-                                 for c in range(w.states.shape[1])])
-        else:
-            if xi < w.speed:
-                return state
+        if xi < w.speed_l:
+            return state
+        if w.kind == "rarefaction" and xi <= w.speed_r:
+            return np.array([np.interp(xi, w.speeds, w.states[:, c])
+                             for c in range(w.states.shape[1])])
         state = w.u_r
     return state
 
@@ -345,7 +328,6 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
         kind = "rarefaction"
     else:
         _, states, speeds = rarefaction_curve(model, u_l, i, sigma)
-        speeds = np.maximum.accumulate(speeds)
         return RarefactionWave(i, u_l, states[-1], float(speeds[0]),
                                float(speeds[-1]), states, speeds)
     # the shock-curve parameter is measured along the oriented frame; the
@@ -571,20 +553,28 @@ class AdmissibilityVerdict:
 
 
 def liu_admissible(model: FluxModel, u_minus, u_plus, i) -> AdmissibilityVerdict:
-    """Liu condition: lambda_i(s) >= lambda_i(sigma) for s between 0 and sigma."""
+    """Liu condition: lambda_i(s) >= lambda_i(sigma) for s between 0 and sigma.
+
+    The margin min lambda_i(s) - lambda_i(sigma) is judged against the
+    resolution of the speeds: the RH Newton fixes a speed only to
+    1e-13 (1 + |f(u-)|) / |u+ - u-|, so a jump whose margin is below zero
+    by less than that resolution (or TOL_ADM, if larger) is judged
+    admissible."""
     u_minus = model.state(u_minus)
     u_plus = model.state(u_plus)
     es = eigensystem(model, u_minus)
     sigma = float(es.left[i] @ (u_plus - u_minus))
-    if abs(sigma) < STRENGTH_FLOOR and np.linalg.norm(u_plus - u_minus) < 1e-10:
+    d = float(np.linalg.norm(u_plus - u_minus))
+    if abs(sigma) < STRENGTH_FLOOR and d < 1e-10:
         return AdmissibilityVerdict(True, 0.0, 0.0)
-    curve = shock_curve(model, u_minus, i, sigma, N_LIU_CHECK)
-    if np.linalg.norm(curve.states[-1] - u_plus) > max(1e-8, 1e-6 * np.linalg.norm(u_plus - u_minus)):
+    _, states, speeds = shock_curve(model, u_minus, i, sigma, N_LIU_CHECK)
+    if np.linalg.norm(states[-1] - u_plus) > max(1e-8, 1e-6 * d):
         raise NotOnShockCurve(
-            f"u+ is {np.linalg.norm(curve.states[-1] - u_plus):.3g} away from the "
+            f"u+ is {np.linalg.norm(states[-1] - u_plus):.3g} away from the "
             f"family-{i} shock curve through u-")
-    margin = float(np.min(curve.speeds) - curve.speeds[-1])
-    return AdmissibilityVerdict(margin >= -TOL_ADM, margin, sigma)
+    margin = float(np.min(speeds) - speeds[-1])
+    tol = max(TOL_ADM, 1e-13 * (1.0 + float(np.linalg.norm(model.f(u_minus)))) / d)
+    return AdmissibilityVerdict(margin >= -tol, margin, sigma)
 
 
 def entropy_admissible_shock(model: FluxModel, u_minus, u_plus, lam) -> AdmissibilityVerdict:

@@ -63,8 +63,6 @@ class _StateCache:
 class GridView(_StateCache):
     """A stored grid run, held piecewise constant in time between snapshots."""
 
-    piecewise_in_time = True
-
     def __init__(self, sol: GridSolution):
         self.sol = sol
         self.t_span = (float(sol.times[0]), float(sol.times[-1]))
@@ -98,9 +96,9 @@ class FanView(_StateCache):
     """Self-similar Riemann solution centered at (t0, x0), drawn for t > t0
     by the lines x0 + s (t - t0) of its jumps and of rarefaction speed cells
     no wider than RAREFACTION_STEP (each holding its midpoint state); the
-    jumps and the rarefaction edges are its kinks."""
-
-    piecewise_in_time = False
+    jumps and the rarefaction edges are its kinks.  At and before t0 every
+    line sits at x0, which draws the Riemann data (the constant for a fan
+    with no wave)."""
 
     def __init__(self, fan: WaveFan, x0=0.0, t0=0.0, t_span=(0.0, 1.0),
                  x_span=(-2.0, 2.0)):
@@ -124,21 +122,14 @@ class FanView(_StateCache):
         self._speeds, self._vals = np.array(speeds), vals
 
     def _state(self, t):
-        dt = t - self.t0
-        if dt > 0:
-            return PiecewiseConstantFn.from_fronts(
-                self.fan.left, self.x0 + self._speeds * dt, self._vals)
-        if not self.fan.waves:
-            return PiecewiseConstantFn.constant(self.fan.left)
-        return PiecewiseConstantFn.riemann(self.fan.left, self.fan.right, self.x0)
+        return PiecewiseConstantFn.from_fronts(
+            self.fan.left, self.x0 + self._speeds * max(t - self.t0, 0.0), self._vals)
 
     def kink_times(self, t0, t1, x_values):
         return sorted(_crossings(self.t0, self.x0, self._kinks, x_values, t0, t1))
 
 
 class FrontTrackingView(_StateCache):
-    piecewise_in_time = False
-
     def __init__(self, sol: FrontTrackingSolution, x_span):
         self.sol = sol
         self.t_span = (0.0, sol.T)
@@ -295,7 +286,7 @@ def strip_expressions(view, model, bumps, t0, t1, entropy=False):
     T_ends, zero = _time_factors(bumps, [t0, t1])[0], np.zeros(len(bumps))
     terms = [(view.state(t0), T_ends[:, 0], zero),
              (view.state(t1), -T_ends[:, 1], zero)]
-    if view.piecewise_in_time:
+    if isinstance(view, GridView):
         segs = view.segments(t0, t1)
         Ta, _, Aa = _time_factors(bumps, [a for a, _, _ in segs])
         Tb, _, Ab = _time_factors(bumps, [b for _, b, _ in segs])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import models
+from hyperlab import models, riemann
 from hyperlab.errors import (ContinuationFailure, NewtonDivergence,
                              NotGenuinelyNonlinear, NotOnShockCurve,
                              OutOfDomain, RHViolated)
@@ -14,6 +14,10 @@ from hyperlab.riemann import (AdmissibilityVerdict, JumpWave, _check_wave_order,
                               entropy_admissible_shock, evaluate_fan,
                               liu_admissible, rarefaction_curve, rh_residual,
                               shock_curve, solve_riemann)
+from test_wave_kernel import fan_states
+
+# how far the sampled shock-curve tangent at s = 0 may be from r_i(u-)
+TOL_CURVE = 1e-3
 
 
 def brute_force_scalar_profile(model, ul, ur, xi, n_grid=100_000):
@@ -43,11 +47,11 @@ class TestRhResidual:
 class TestShockCurve:
     def test_scalar_secant_speeds(self):
         m = models.burgers()
-        c = shock_curve(m, [0.0], 0, 1.0, n_samples=11)
-        assert c.states[:, 0] == pytest.approx(c.s)
-        assert c.speeds == pytest.approx(c.s / 2.0)  # lambda(0) = f'(0) = 0
-        flat = shock_curve(m, [0.3], 0, 0.0, n_samples=5)
-        assert np.array_equal(flat.speeds, np.full(5, 0.3))  # f'(0.3) throughout
+        s, states, speeds = shock_curve(m, [0.0], 0, 1.0, n_samples=11)
+        assert states[:, 0] == pytest.approx(s)
+        assert speeds == pytest.approx(s / 2.0)  # lambda(0) = f'(0) = 0
+        _, _, flat_speeds = shock_curve(m, [0.3], 0, 0.0, n_samples=5)
+        assert np.array_equal(flat_speeds, np.full(5, 0.3))  # f'(0.3) throughout
 
     def test_leaving_the_state_domain_raises(self):
         # the 1-shock curve through (1, 0) runs to v -> 0; the RH Newton
@@ -60,24 +64,23 @@ class TestShockCurve:
         # the linear guess; it is halved, and the curve ends where 33
         # samples end it
         m = models.p_system()
-        coarse = shock_curve(m, [1.0, 0.0], 0, -4.6, n_samples=5)
-        fine = shock_curve(m, [1.0, 0.0], 0, -4.6)
-        assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) <= 1e-8
-        assert abs(coarse.speeds[-1] - fine.speeds[-1]) <= 1e-8
-        assert fine.states[-1][0] == pytest.approx(0.145, abs=5e-4)
+        _, coarse_states, coarse_speeds = shock_curve(m, [1.0, 0.0], 0, -4.6, n_samples=5)
+        _, fine_states, fine_speeds = shock_curve(m, [1.0, 0.0], 0, -4.6)
+        assert np.max(np.abs(coarse_states[-1] - fine_states[-1])) <= 1e-8
+        assert abs(coarse_speeds[-1] - fine_speeds[-1]) <= 1e-8
+        assert fine_states[-1][0] == pytest.approx(0.145, abs=5e-4)
 
     def test_psystem_rh_residual_tiny(self):
         m = models.p_system()
-        c = shock_curve(m, [1.0, 0.0], 0, 0.5, n_samples=17)
-        for S, lam in zip(c.states, c.speeds):
+        _, states, speeds = shock_curve(m, [1.0, 0.0], 0, 0.5, n_samples=17)
+        for S, lam in zip(states, speeds):
             assert rh_residual(m, [1.0, 0.0], S, lam) <= 1e-10
 
     def test_tangent_to_eigenvector(self):
-        from hyperlab.riemann import TOL_CURVE
         m = models.p_system()
-        c = shock_curve(m, [1.0, 0.0], 1, 0.004, n_samples=5)
+        s, states, _ = shock_curve(m, [1.0, 0.0], 1, 0.004, n_samples=5)
         r1 = models.eigensystem(m, [1.0, 0.0]).right[1]
-        tangent = (c.states[1] - c.states[0]) / (c.s[1] - c.s[0])
+        tangent = (states[1] - states[0]) / (s[1] - s[0])
         assert np.linalg.norm(tangent - r1) <= TOL_CURVE
 
 
@@ -106,6 +109,20 @@ class TestRarefactionCurve:
             ends.append(rarefaction_curve(m, u0, 1, 0.3, n_steps=n)[1][-1])
         errs = [np.linalg.norm(e - ends[-1]) for e in ends[:-1]]
         assert errs[0] < 1e-8 and errs[1] <= errs[0]
+
+    @pytest.mark.parametrize("n_steps", [1, 8, 48])
+    def test_one_eigensystem_per_state_and_stage(self, monkeypatch, n_steps):
+        # one at u-, then one per RK4 stage: the decomposition at the end of a
+        # step gives its speed and the first stage of the next step
+        calls = []
+
+        def counted(model, u):
+            calls.append(u)
+            return models.eigensystem(model, u)
+
+        monkeypatch.setattr(riemann, "eigensystem", counted)
+        rarefaction_curve(models.p_system(), [1.0, 0.0], 1, 0.3, n_steps=n_steps)
+        assert len(calls) == 1 + 4 * n_steps
 
     def test_linearly_degenerate_family_rejected(self):
         # both families of a linear system have constant speed
@@ -215,7 +232,7 @@ class TestScalarEnvelope:
         m = models.burgers()
         fan = solve_riemann(m, [0.3], [0.3])
         assert fan.waves == ()
-        assert len(fan.states) == 1
+        assert len(fan_states(fan)) == 1
 
     def test_cubic_composite_matches_brute_force(self):
         m = models.cubic_flux()
@@ -293,6 +310,28 @@ class TestLiuAdmissible:
         with pytest.raises(OutOfDomain):
             liu_admissible(m, [-0.5], [0.5], 0)
 
+    def test_margin_within_the_speed_resolution_admissible(self):
+        # the exact 2-shock of a2 = 1e-12 from (0.9375, 0) has a roundoff
+        # margin of -1.06e-4; its speeds are known only to
+        # 1e-13 (1 + |f(u-)|) / |d| = 0.12
+        m = models.p_system()
+        ul = np.array([0.9375, 0.0])
+        c = math.sqrt(2.0) * 0.9375 ** -1.5
+        (w,) = solve_riemann(m, ul, ul + 1e-12 * np.array([1.0, -c])).waves
+        v = liu_admissible(m, w.u_l, w.u_r, w.family)
+        assert w.kind == "shock" and v.admissible
+        assert v.margin == pytest.approx(-1.06e-4, rel=0.01)
+
+    def test_non_liu_jump_refused(self):
+        # the 2-shock curve on its rarefaction side, |d| = 1.00001e-4: the
+        # margin -6.1e-5 is far below the resolution 2e-9
+        m = models.p_system()
+        _, states, _ = shock_curve(m, [1.0, 0.0], 1, -1e-4)
+        assert np.linalg.norm(states[-1] - [1.0, 0.0]) >= 1e-4
+        v = liu_admissible(m, [1.0, 0.0], states[-1], 1)
+        assert not v.admissible
+        assert v.margin == pytest.approx(-6.12e-5, rel=0.01)
+
     def test_not_on_curve(self):
         m = models.p_system()
         with pytest.raises(NotOnShockCurve):
@@ -300,8 +339,8 @@ class TestLiuAdmissible:
 
     def test_psystem_on_curve(self):
         m = models.p_system()
-        c = shock_curve(m, [1.0, 0.0], 0, 0.1, n_samples=9)
-        v = liu_admissible(m, [1.0, 0.0], c.states[-1], 0)
+        _, states, _ = shock_curve(m, [1.0, 0.0], 0, 0.1, n_samples=9)
+        v = liu_admissible(m, [1.0, 0.0], states[-1], 0)
         assert isinstance(v, AdmissibilityVerdict)
         assert v.sigma == pytest.approx(0.1, rel=1e-6)
 
