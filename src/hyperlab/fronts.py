@@ -24,9 +24,9 @@ through, and a heap holds the exact rational time and point where each
 approaching adjacent pair meets.  An event takes in the neighbours whose
 snapped position then is the snapped event point, pushes only the pairs next
 to its outgoing fronts, and drops popped pairs no longer adjacent; ties go
-leftmost, then to the earlier push.  `PiecewiseConstantFn.from_fronts` draws
-an epoch, as it draws an exact fan in `verify.FanView`, at positions stepped
-in floats from the epoch before, so fronts of equal speed keep their gap.
+leftmost, then to the earlier push.  `FrontTrackingSolution.lines` draws an
+epoch, as `verify.FanView.lines` draws a fan, at positions stepped in floats
+from the epoch before, so fronts of equal speed keep their gap.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Front(JumpWave):
         return float(np.linalg.norm(self.u_r - self.u_l))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: `lines` groups times by epoch
 class Epoch:
     t: float
     fronts: tuple
@@ -81,11 +81,17 @@ class FrontTrackingSolution:
         k = bisect.bisect_right(self.epochs, t + 1e-14, key=lambda ep: ep.t) - 1
         return self.epochs[max(k, 0)]
 
+    def lines(self, ts):
+        """(left, positions (times, fronts), rights) per epoch of the ascending ts."""
+        for ep, run in itertools.groupby(ts, key=self.epoch_at):
+            t = np.array(list(run), dtype=float)[:, None]
+            speeds = np.array([f.speed for f in ep.fronts])
+            yield (ep.fronts[0].u_l if ep.fronts else self.background,
+                   np.array(ep.xs) + speeds * (t - ep.t), [f.u_r for f in ep.fronts])
+
     def state(self, t) -> PiecewiseConstantFn:
-        ep = self.epoch_at(t)
-        left = ep.fronts[0].u_l if ep.fronts else self.background
-        xs = [x + f.speed * (t - ep.t) for x, f in zip(ep.xs, ep.fronts)]
-        return PiecewiseConstantFn.from_fronts(left, xs, [f.u_r for f in ep.fronts])
+        (left, xs, rights), = self.lines([t])
+        return PiecewiseConstantFn.from_fronts(left, xs[0], rights)
 
     def total_nonphysical_strength(self):
         """Total strength of the non-physical fronts alive at T."""

@@ -68,14 +68,9 @@ class PiecewiseConstantFn:
         """Fronts at positions xs, left to right, with states rights on their
         right and left on the far left; a front at or left of the last kept
         one is stacked on it (an event instant, equal speeds): its state wins."""
-        kept, vals = [], [left]
-        for x, v in zip(xs, rights):
-            if kept and x <= kept[-1]:
-                vals[-1] = v
-            else:
-                kept.append(x)
-                vals.append(v)
-        return cls(np.array(kept), np.stack(vals))
+        xs = np.maximum.accumulate(np.asarray(xs, dtype=float))
+        top = np.append(xs[1:] > xs[:-1], True)[:xs.size]  # the last of each stack
+        return cls(xs[top], np.array([left, *rights])[np.append(True, top)])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

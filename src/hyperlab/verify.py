@@ -2,22 +2,20 @@
 
 Solutions enter through lightweight views exposing the profile at any time
 as a PiecewiseConstantFn.  Space integrals against the C^2 bump test
-functions are then evaluated in closed form; time integrals use composite
+functions are then evaluated in closed form; time integrals use 7-point
 Gauss-Legendre panels split at the solution's own kink times (grid
 solutions, being piecewise constant in time, integrate exactly).
 
 One strip kernel, `strip_expressions`, serves the weak-form residual, the
-entropy residual and the eps-certificate.  A time strip becomes a list of
-terms (profile, c_I, c_J): the two boundary profiles, then the frozen
-segments of a grid run or the Gauss nodes.  Each profile is evaluated once,
-its density columns (u | eta) and flux columns (f | q) stacked, and
-integrated against the whole test family through one (bumps x pieces)
-matrix pair in `profile_integrals`.
+entropy residual and the eps-certificate.  A strip sums the two boundary
+profiles, then the frozen segments of a grid run or the Gauss panels.  The
+density columns (u | eta) and flux columns (f | q) of a term are integrated
+against the whole test family by one closed form, `_bump_integrals`.
 
-Riemann fans and front tracking share two straight-front kernels:
-`PiecewiseConstantFn.from_fronts` draws the profile of a `FanView` or of a
-front-tracking epoch, and `_crossings` gives the times their lines cross
-the bump edges (the kinks of the Gauss panels).
+Riemann fans and front tracking share the straight-front kernels: `lines`
+draws a view at every node of a Gauss panel at once, and `_crossings` gives
+the times the lines cross the bump edges: the kinks, between which the
+integrand of a front-tracking view is a polynomial in t of degree <= 12.
 """
 
 from __future__ import annotations
@@ -50,14 +48,19 @@ PSI_DERIV_MAX = 96.0 / (25.0 * math.sqrt(5.0))
 class _StateCache:
     """Base of the solution views: `state(t)` is the profile at time t.
 
-    Profiles are not memoised: almost every call asks for a new time (a
-    Gauss node of a strip).  The method stays the one entry point for a
-    profile, which the benchmark tracer (`perfbench/tracing.py`) wraps by
-    this class and method name.
+    Profiles are not memoised: strip ends and probes ask for new times, and
+    the Gauss nodes of a strip are drawn a panel at a time by `lines`.  The
+    method stays the one entry point for a profile, which the benchmark
+    tracer (`perfbench/tracing.py`) wraps by this class and method name.
     """
 
     def state(self, t):
         return self._state(float(t))
+
+    def _state(self, t):
+        # a straight-front view draws one time of its lines
+        (left, xs, rights), = self.lines([t])
+        return PiecewiseConstantFn.from_fronts(left, xs[0], rights)
 
 
 class GridView(_StateCache):
@@ -100,6 +103,8 @@ class FanView(_StateCache):
     line sits at x0, which draws the Riemann data (the constant for a fan
     with no wave)."""
 
+    _panels = 16  # the lines of its rarefaction cells are not kinks
+
     def __init__(self, fan: WaveFan, x0=0.0, t0=0.0, t_span=(0.0, 1.0),
                  x_span=(-2.0, 2.0)):
         self.fan = fan
@@ -121,22 +126,25 @@ class FanView(_StateCache):
             self._kinks.append(w.speed_r)
         self._speeds, self._vals = np.array(speeds), vals
 
-    def _state(self, t):
-        return PiecewiseConstantFn.from_fronts(
-            self.fan.left, self.x0 + self._speeds * max(t - self.t0, 0.0), self._vals)
+    def lines(self, ts):
+        """[(left, positions of shape (times, lines), rights)] at the times ts."""
+        dt = np.maximum(np.asarray(ts, dtype=float) - self.t0, 0.0)
+        return [(self.fan.left, self.x0 + self._speeds * dt[:, None], self._vals)]
 
     def kink_times(self, t0, t1, x_values):
         return sorted(_crossings(self.t0, self.x0, self._kinks, x_values, t0, t1))
 
 
 class FrontTrackingView(_StateCache):
+    _panels = 1  # every drawn front is in kink_times
+
     def __init__(self, sol: FrontTrackingSolution, x_span):
         self.sol = sol
         self.t_span = (0.0, sol.T)
         self.x_span = x_span
 
-    def _state(self, t):
-        return self.sol.state(t)
+    def lines(self, ts):
+        return self.sol.lines(ts)
 
     def kink_times(self, t0, t1, x_values):
         out = [e["t"] for e in self.sol.events if t0 < e["t"] < t1]
@@ -207,14 +215,20 @@ class BumpTestFn:
         return {"xc": self.xc, "sx": self.sx, "tc": self.tc, "st": self.st}
 
 
-def profile_integrals(pc: PiecewiseConstantFn, g, h, xc, sx):
+def _bump_integrals(xs, g, h, xc, sx):
     """Closed-form int g X dx and int h X' dx for every bump X((x - xc)/sx)
-    at once, with g and h piecewise constant on the pieces of pc (one row
-    per piece).  Returns two arrays of shape (bumps, columns)."""
-    lo, hi = (xc - sx)[:, None], (xc + sx)[:, None]
-    cuts = np.concatenate([lo, np.clip(pc.xs[None, :], lo, hi), hi], axis=1)
-    y = (cuts - xc[:, None]) / sx[:, None]
-    return (sx[:, None] * np.diff(_Psi(y), axis=1)) @ g, np.diff(_psi(y), axis=1) @ h
+    and every row of nondecreasing breakpoints xs, with g and h piecewise
+    constant on the pieces (one row per piece): arrays (rows, bumps, columns)."""
+    cuts = np.pad(xs, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    y = (np.clip(cuts[:, None, :], (xc - sx)[:, None], (xc + sx)[:, None])
+         - xc[:, None]) / sx[:, None]
+    return (sx[:, None] * np.diff(_Psi(y), axis=2)) @ g, np.diff(_psi(y), axis=2) @ h
+
+
+def profile_integrals(pc: PiecewiseConstantFn, g, h, xc, sx):
+    """`_bump_integrals` of one profile: two arrays of shape (bumps, columns)."""
+    I, J = _bump_integrals(pc.xs[None, :], g, h, xc, sx)
+    return I[0], J[0]
 
 
 @dataclass
@@ -247,20 +261,19 @@ def default_family(t0, t1, x0, x1, scales=3) -> TestFamily:
 # ---------------------------------------------------------------------------
 # strip residuals (weak form and entropy form)
 
-def _gauss_nodes(t0, t1, kinks):
-    """Nodes and weights of composite 10-point Gauss-Legendre panels on
-    [t0, t1], split at the kinks and no wider than (t1 - t0) / 16."""
-    nodes, weights = np.polynomial.legendre.leggauss(10)
+def _gauss_nodes(t0, t1, kinks, panels):
+    """Nodes and weights, each of shape (panels, 7), of 7-point Gauss-Legendre
+    panels on [t0, t1] split at the kinks, no wider than (t1 - t0) / panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(7)
     cuts = sorted({t0, t1, *[k for k in kinks if t0 < k < t1]})
     refined = [t0]
-    width_cap = (t1 - t0) / 16
+    width_cap = (t1 - t0) / panels
     for a, b in zip(cuts[:-1], cuts[1:]):
         m = max(1, int(math.ceil((b - a) / width_cap - 1e-12)))
-        refined.extend(a + (b - a) * np.arange(1, m + 1) / m)
+        refined.extend(np.linspace(a, b, m + 1)[1:])
     refined = np.array(refined)
     mid, half = 0.5 * (refined[:-1] + refined[1:]), 0.5 * np.diff(refined)
-    return ((mid[:, None] + half[:, None] * nodes).ravel(),
-            (half[:, None] * weights).ravel())
+    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
 
 
 def _time_factors(bumps, ts):
@@ -276,38 +289,43 @@ def strip_expressions(view, model, bumps, t0, t1, entropy=False):
     for every bump at once: an array of shape (bumps, n).  With entropy, a
     last column holds the same expression for the entropy pair (eta, q).
 
-    The strip is a list of time terms (profile, c_I, c_J), each adding
-    c_I int g X dx + c_J int h X' dx per bump, with (g, h) the stacked
-    columns (u | eta) and (f | q): the two boundary terms, then one term per
-    frozen segment of a grid run (exact in time), or one per node of Gauss
-    panels split at the solution's kink times."""
+    The strip is a sum of time terms, each adding c_I int g X dx + c_J int
+    h X' dx per bump, with (g, h) the stacked columns (u | eta) and (f | q):
+    the two boundary terms, then one per frozen segment of a grid run (exact
+    in time), or per node of the Gauss panels, drawn a panel at a time."""
     if entropy:
         model.require_entropy_pair()
+
+    def columns(vals):
+        if not entropy:
+            return vals, model.f(vals)
+        return (np.column_stack([vals, model.entropy(vals)]),
+                np.column_stack([model.f(vals), model.entropy_flux(vals)]))
+
+    xc, sx = np.array([(bump.xc, bump.sx) for bump in bumps]).T
     T_ends, zero = _time_factors(bumps, [t0, t1])[0], np.zeros(len(bumps))
-    terms = [(view.state(t0), T_ends[:, 0], zero),
-             (view.state(t1), -T_ends[:, 1], zero)]
+    profiles = [(view.state(t0), T_ends[:, 0], zero),
+                (view.state(t1), -T_ends[:, 1], zero)]
     if isinstance(view, GridView):
         segs = view.segments(t0, t1)
         Ta, _, Aa = _time_factors(bumps, [a for a, _, _ in segs])
         Tb, _, Ab = _time_factors(bumps, [b for _, b, _ in segs])
-        terms += zip([pc for _, _, pc in segs], (Tb - Ta).T, (Ab - Aa).T)
-    else:
+        profiles += zip([pc for _, _, pc in segs], (Tb - Ta).T, (Ab - Aa).T)
+    terms = [(*profile_integrals(pc, *columns(pc.vals), xc, sx), c_I, c_J)
+             for pc, c_I, c_J in profiles]
+    if not isinstance(view, GridView):
         edges = sorted({e for bump in bumps for e in bump.x_edges()})
-        ts, ws = _gauss_nodes(t0, t1, view.kink_times(t0, t1, edges))
-        T, Tp, _ = _time_factors(bumps, ts)
-        terms += zip(map(view.state, ts), (ws * Tp).T, (ws * T).T)
-
-    xc = np.array([bump.xc for bump in bumps])
-    sx = np.array([bump.sx for bump in bumps])
-    out = 0.0
-    for pc, c_I, c_J in terms:
-        g, h = pc.vals, model.f(pc.vals)
-        if entropy:
-            g = np.column_stack([g, model.entropy(pc.vals)])
-            h = np.column_stack([h, model.entropy_flux(pc.vals)])
-        I, J = profile_integrals(pc, g, h, xc, sx)
-        out = out + c_I[:, None] * I + c_J[:, None] * J
-    return out
+        ts, ws = _gauss_nodes(t0, t1, view.kink_times(t0, t1, edges), view._panels)
+        T, Tp, _ = _time_factors(bumps, ts.ravel())
+        # fronts drawn at or left of the one before stack as in from_fronts
+        parts = [_bump_integrals(np.maximum.accumulate(xs, axis=1),
+                                 *columns(np.array([left, *rights])), xc, sx)
+                 for panel in ts for left, xs, rights in view.lines(panel)]
+        I_J = map(np.concatenate, zip(*parts))  # per node; none on a strip of no width
+        terms += zip(*I_J, (ws.ravel() * Tp).T, (ws.ravel() * T).T)
+    # each term rounds once, and their exact sum keeps strips additive
+    summands = np.stack([c_I[:, None] * I + c_J[:, None] * J for I, J, c_I, c_J in terms])
+    return np.vectorize(math.fsum, signature="(n)->()")(np.moveaxis(summands, 0, -1))
 
 
 def _setup(view, t_span, family):
@@ -393,14 +411,15 @@ def certify_eps_approx(view, model, M, initial_data=None, family=None,
             lip = max(lip, excess)
             tests.append({"kind": "lipschitz", "t": (ta, tb), "value": excess})
 
-    strips = [(float(a), float(b)) for a, b in zip(probes[:-1], probes[1:])]
-    strips.append((float(probes[0]), float(probes[-1])))
-    weak = 0.0
-    ent = 0.0
     use_entropy = entropy and model.has_entropy_pair()
-    for (ta, tb) in strips:
-        exprs = strip_expressions(view, model, family.bumps, ta, tb, use_entropy)
-        for bump, expr in zip(family, exprs):
+    strips = list(zip(probes[:-1].tolist(), probes[1:].tolist()))
+    exprs = [strip_expressions(view, model, family.bumps, *s, use_entropy) for s in strips]
+    # the weak form is additive over strips: the whole span is their sum
+    strips.append((float(probes[0]), float(probes[-1])))
+    exprs.append(sum(exprs, np.zeros((len(family.bumps), model.n + use_entropy))))
+    weak = ent = 0.0
+    for (ta, tb), strip in zip(strips, exprs):
+        for bump, expr in zip(family, strip):
             defect = float(np.linalg.norm(expr[:model.n]))
             e = _eps_from_bound(defect, tb - ta, bump.w1inf)
             weak = max(weak, e)

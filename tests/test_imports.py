@@ -2,7 +2,8 @@
 every module-level constant and private helper is read by the library and
 every constant is defined in one module only, every optional parameter of a
 function is passed by some call, every parameter is read by its function,
-and every field of the model and scheme settings is read by the library."""
+every field of the model and scheme settings is read by the library, and no
+test module imports another."""
 
 import ast
 import math
@@ -14,6 +15,7 @@ import pytest
 import hyperlab
 
 SOURCES = sorted(Path(hyperlab.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("test_*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -174,3 +176,17 @@ def test_every_setting_field_is_read(module, cls):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = [f for f in fields if f not in read]
     assert not unread, f"{cls} fields the library never reads: {unread}"
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_test_module_imports_another(path):
+    # a test module is no importable module: under pytest's importlib import
+    # mode one that imports another fails to collect
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module] if node.module else [a.name for a in node.names]
+    found = [name for name in imported if name.split(".")[0].startswith("test_")]
+    assert not found, f"{path.name} imports test modules: {found}"

@@ -76,6 +76,20 @@ class TestGodunov:
         tvs = [sol.tv(t) for t in sol.times]
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(tvs, tvs[1:]))
 
+    @pytest.mark.parametrize("model, M", [(models.burgers(), 1.0),
+                                          (models.cubic_flux(), 3.0)],
+                             ids=["burgers", "cubic"])
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(vals=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+           xs=st.lists(st.floats(-0.8, 0.4), min_size=6, max_size=6, unique=True))
+    def test_tv_never_rises_on_random_data(self, model, M, vals, xs):
+        # an upwind scheme with speeds in [0, 1] and dt = dx is TVD, step by step
+        data = PiecewiseConstantFn(np.sort(xs), np.array(vals)[:, None])
+        cfg = SchemeConfig(eps=0.02, T=0.4, domain=(-1.0, 1.0), store_all=True)
+        sol = godunov_run(normalize_speeds(model, M=M), data, cfg)
+        tvs = [sol.tv(t) for t in sol.times]
+        assert all(b <= a + 1e-13 for a, b in zip(tvs, tvs[1:]))
+
     def test_overflowing_flux_raises_nonfinite_state(self):
         # the flux overflows above 0.45, as in a blow-up
         m = FluxModel("overflow", 1,

@@ -18,7 +18,7 @@ from hyperlab.verify import (BumpTestFn, EpsCertificate, ExactFanOracle,
                              GridView, _dominant_family, certify_eps_approx,
                              default_family, detect_jumps, entropy_residual,
                              error_decomposition, interval_partition,
-                             q_decomposition, rate_fit,
+                             profile_integrals, q_decomposition, rate_fit,
                              semigroup_error_bound, strip_expressions,
                              weak_residual)
 
@@ -125,7 +125,126 @@ def test_strip_expression_additive_over_random_cuts(make_view, s):
         return strip_expressions(view, BURGERS, bumps, t0, t1, entropy=True)
 
     np.testing.assert_allclose(expr(0.0, s) + expr(s, 1.0), expr(0.0, 1.0),
-                               rtol=0, atol=1e-12)
+                               rtol=0, atol=1e-14)
+
+
+def burgers_pulses_view():
+    # two pulses drawn as the certify-burgers benchmark draws them: each
+    # rarefaction catches the shock in front of it
+    data = PiecewiseConstantFn(np.array([0.0, 0.17, 0.47, 0.65]),
+                               np.array([[0.0], [0.8], [0.0], [0.75], [0.0]]))
+    cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-0.5, 2.5), delta=0.05)
+    return FrontTrackingView(front_tracking_run(BURGERS, data, cfg), (-0.5, 2.5))
+
+
+def cubic_fan_view():
+    # a shock from -1 to 1/2 with a rarefaction attached, centred at (0.2, 0.1)
+    return FanView(solve_riemann(models.cubic_flux(), [-1.0], [1.0]), x0=0.2,
+                   t0=0.1, t_span=(0.1, 1.0), x_span=(-1.0, 2.0))
+
+
+def reference_strip(view, model, bumps, t0, t1, entropy):
+    """strip_expressions by 20-point Gauss panels between the view's kinks,
+    no wider than (t1 - t0) / 256, with one profile per node."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = sorted({e for bump in bumps for e in bump.x_edges()})
+    cuts = sorted({t0, t1, *view.kink_times(t0, t1, edges)})
+    knots = np.concatenate([[t0]] + [
+        np.linspace(a, b, int(np.ceil((b - a) * 256 / (t1 - t0))) + 1)[1:]
+        for a, b in zip(cuts[:-1], cuts[1:])])
+    half = 0.5 * np.diff(knots)
+    ts = (0.5 * (knots[:-1] + knots[1:]))[:, None] + half[:, None] * nodes
+    ws = half[:, None] * weights
+    xc = np.array([bump.xc for bump in bumps])
+    sx = np.array([bump.sx for bump in bumps])
+
+    def integrals(t):
+        pc = view.state(t)
+        g, h = pc.vals, model.f(pc.vals)
+        if entropy:
+            g = np.column_stack([g, model.entropy(pc.vals)])
+            h = np.column_stack([h, model.entropy_flux(pc.vals)])
+        return profile_integrals(pc, g, h, xc, sx)
+
+    def factors(times):
+        return np.stack([bump.time_factors(times) for bump in bumps])
+
+    ends = factors(np.array([t0, t1]))
+    out = ends[:, 0, :1] * integrals(t0)[0] - ends[:, 0, 1:] * integrals(t1)[0]
+    T, Tp, _ = factors(ts.ravel()).transpose(1, 2, 0)
+    for t, w, T_k, Tp_k in zip(ts.ravel(), ws.ravel(), T, Tp):
+        I, J = integrals(t)
+        out = out + w * (Tp_k[:, None] * I + T_k[:, None] * J)
+    return out
+
+
+@pytest.mark.parametrize("make_view, model, bumps, atol", [
+    (pulse_front_view, BURGERS, None, 1e-14),
+    (burgers_pulses_view, BURGERS, None, 1e-14),
+    # the fan's 1,125 rarefaction cells are not kinks, so its panels are
+    # capped at 1/16 of the strip and the rule is not exact: the cells cross
+    # both edges of the bump inside the strip
+    (cubic_fan_view, models.cubic_flux(),
+     [BumpTestFn(2.0, 0.5), BumpTestFn(2.0, 0.5, 0.55, 0.45)], 2e-13)],
+    ids=["pulse", "two-pulses", "cubic-fan"])
+def test_strip_expression_matches_a_finer_rule(make_view, model, bumps, atol):
+    view = make_view()
+    if bumps is None:
+        bumps = default_family(*view.t_span, *view.x_span, scales=2).bumps
+    entropy = model.has_entropy_pair()
+    got = strip_expressions(view, model, bumps, *view.t_span, entropy=entropy)
+    want = reference_strip(view, model, bumps, *view.t_span, entropy)
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+# the certificate of the pulse run, pinned before the time quadrature took
+# 7-point panels between kinks and summed the whole span from its strips:
+# eps bit for bit, and each recorded value (initial and Lipschitz excess,
+# weak defect, entropy surplus, in the order recorded) to 1e-15
+PULSE_CERT_EPS = "0x1.f4cc509fac000p-14"
+PULSE_CERT_VALUES = {
+    "initial": [0.0],
+    "lipschitz": [0.0, 0.0, 0.0],
+    "weak": [
+        8.99e-17, 3.24e-18, 5.92e-17, 2.04e-16, 8.65e-17, 8.52e-17, 0.0, 0.0,
+        6.98e-17, 5.62e-18, 4.21e-17, 2.72e-16, 4.04e-17, 3.85e-17, 0.0, 0.0,
+        1.63e-17, 1.36e-17, 1.55e-16, 1.48e-16, 1.43e-16, 8.26e-17, 0.0, 0.0,
+        2.14e-17, 1.41e-17, 3.15e-17, 2.63e-16, 9.53e-18, 3.94e-17, 0.0, 0.0,
+        1.16e-16, 1.07e-17, 2.09e-16, 9.83e-17, 5.60e-17, 4.79e-18, 0.0, 0.0,
+        6.51e-17, 6.50e-18, 1.97e-17, 6.46e-17, 2.20e-17, 5.93e-18, 0.0, 0.0
+    ],
+    "entropy": [
+        0.0001880912690578424, -8.88369388356373e-06, 0.08146492357246207,
+        0.03763685038475259, 1.1858677902752683e-06, 1.17635292646456e-06,
+        0.0, 0.0, 0.001437371576360349, -3.146535616951501e-06,
+        0.07836480085978835, 0.03736799361887394, 9.10815859947624e-06,
+        9.034212624731463e-06, 0.0, 0.0, -2.7721454111629056e-05,
+        -1.4694569891489002e-05, 0.05935720982501209, 0.03325810364995266,
+        0.0006378506349716043, 0.00013787478737578533, 0.0, 0.0,
+        -0.00013672925024436853, -7.240604887391387e-05, 0.053377121050423,
+        0.03150585413390833, 0.0040260611141639795, 0.0009331476546445065,
+        0.0, 0.0, 0.0001603698149462035, -2.3578263775049973e-05,
+        0.14082213339747432, 0.07089495403470525, 0.0006390365027618802,
+        0.0001390511403022558, 0.0, 0.0, 0.0013006423261160516,
+        -7.555258449084967e-05, 0.13174192191021128, 0.06887384775278212,
+        0.0040351692727634576, 0.000942181867269242, 0.0, 0.0
+    ],
+}
+PULSE_CERT_KEYS = {"initial": "value", "lipschitz": "value", "weak": "defect",
+                   "entropy": "surplus"}
+
+
+def test_pulse_certificate_pinned():
+    data = PiecewiseConstantFn(np.array([0.0, 0.3]), np.array([[0.0], [1.0], [0.0]]))
+    cert = certify_eps_approx(pulse_front_view(), BURGERS, M=1.1, initial_data=data,
+                              family=default_family(0.0, 1.0, -1.0, 2.0, scales=2),
+                              n_probe=3)
+    assert cert.eps.hex() == PULSE_CERT_EPS
+    assert [t["kind"] for t in cert.tests] == \
+        ["initial"] + ["lipschitz"] * 3 + ["weak", "entropy"] * 48
+    for kind, key in PULSE_CERT_KEYS.items():
+        got = [t[key] for t in cert.tests if t["kind"] == kind]
+        np.testing.assert_allclose(got, PULSE_CERT_VALUES[kind], rtol=0, atol=1e-15)
 
 
 class TestWeakResidual:
