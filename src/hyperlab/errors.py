@@ -30,7 +30,9 @@ class SpeedBoundViolated(HyperlabError):
 
 
 class ContinuationFailure(HyperlabError):
-    """Shock-curve continuation stalled (left the domain or lost hyperbolicity)."""
+    """A Lax curve was not followed: the shock-curve continuation stalled
+    (left the domain or lost hyperbolicity), or the steps of a rarefaction
+    do not resolve it."""
 
 
 class NewtonDivergence(HyperlabError):

@@ -8,8 +8,7 @@ helper, `_central_diff(F, x, rel)`, which steps coordinate j by
 h_j = rel * (1 + |x_j|), at one point or at rows of points.  The steps per
 site: the Jacobian fallback, the entropy gradients and the eigenvalue
 gradient of `gnl_indicator` use rel = H_JAC; `entropy_hessian` differences
-the entropy gradient with rel = sqrt(H_JAC); the curvature bound of
-`riemann.default_small_data_radius` uses 1e-5; the cell speeds f'(u) of
+the entropy gradient with rel = sqrt(H_JAC); the cell speeds f'(u) of
 `schemes.mollification_run` use 1e-7.  All operations are pure and models
 are immutable, so everything here is safe to evaluate from concurrent
 workers.

@@ -12,8 +12,10 @@ it composed at the strengths it found, so no caller composes them again.
 Front tracking solves once with every family one jump, and a second time
 only when a rarefaction is split.  An exact fan ends on u+ byte for byte,
 unless every family is below STRENGTH_FLOOR: then it has no wave.
-The two curve samplers, `shock_curve` and `rarefaction_curve`, both return
-(s, states, speeds); the rarefaction takes one eigensystem per RK4 stage.
+The two curve samplers, `shock_curve` and `rarefaction_curve`, both take a
+signed s in the sign-fixed frame of l_i and r_i, into which `_lax_step`
+alone turns an oriented strength, and return (s, states, speeds); the
+rarefaction takes one eigensystem per RK4 stage.
 Both `shock_curve` and `_lax_step` reach a shock point through one
 continuation, `_continue_shock`.  Within one strength solve, each Broyden
 evaluation continues every jump from the point the previous evaluation
@@ -25,8 +27,11 @@ only near roundoff, so a seeded point is as accurate as a cold one.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
 concave envelope of f (`_envelope`, shared with scalar front tracking), which
-also handles fluxes that are neither GNL nor LD.  A `WaveFan` is its left
-state and its waves; Liu admissibility is `liu_admissible`'s alone.
+also handles fluxes that are neither GNL nor LD.  A system fan is accepted
+on its result, not on the size of the data: converged strengths, waves in
+speed order, an end on u+, and rarefactions that their steps resolve.  A
+`WaveFan` is its left state and its waves; Liu admissibility is
+`liu_admissible`'s alone.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (ContinuationFailure, HyperlabError, NewtonDivergence,
                      NonClassifiedField, NotGenuinelyNonlinear, NotOnShockCurve,
                      RHViolated)
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
-                     _central_diff, classify_field, eigensystem, gnl_indicator)
+                     classify_field, eigensystem)
 
 TOL_RH = 1e-9
 TOL_RP = 1e-12
@@ -161,19 +166,14 @@ def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33):
 
 
 def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS):
-    """Integrate du/ds = r_i(u) from u_minus in the direction of increasing
-    lambda_i, over arc parameter s >= 0.  Returns (s_grid, states, speeds).
-    One eigensystem per sampled state checks that it lies in the domain and
-    gives its speed and the first RK4 stage of the step from it."""
+    """Integrate du/ds = r_i(u) (sign-fixed) from u_minus over a signed s.
+    Returns (s_grid, states, speeds).  lambda_i must rise strictly along the
+    curve, and by no step more than 8 times the mean step: else the steps do
+    not resolve the curve (ContinuationFailure).  One eigensystem per sampled
+    state checks that it lies in the domain and gives its speed and the
+    first RK4 stage of the step from it."""
     u_minus = model.state(u_minus)
     es = eigensystem(model, u_minus)
-    if s < 0:
-        raise ValueError("rarefaction extent must be nonnegative")
-    g = gnl_indicator(model, i, u_minus)
-    if abs(g) <= 1e-12 and s > 0:
-        raise NotGenuinelyNonlinear(
-            f"family {i} not genuinely nonlinear at u={u_minus}")
-    orient = -1 if g < 0 else 1  # orient * r_i points to increasing lambda_i
     s_grid = np.linspace(0.0, float(s), n_steps + 1)
     states = np.empty((n_steps + 1, model.n))
     speeds = np.empty(n_steps + 1)
@@ -183,20 +183,24 @@ def rarefaction_curve(model: FluxModel, u_minus, i, s, n_steps=RAREFACTION_STEPS
     h = s / n_steps
 
     def rhs(u):
-        return orient * eigensystem(model, u).right[i]
+        return eigensystem(model, u).right[i]
 
     u = u_minus
     for j in range(1, n_steps + 1):
-        k1 = orient * es.right[i]
+        k1 = es.right[i]
         k2 = rhs(u + 0.5 * h * k1)
         k3 = rhs(u + 0.5 * h * k2)
         k4 = rhs(u + h * k3)
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         es = eigensystem(model, u)
         states[j], speeds[j] = u, es.lambdas[i]
-    if np.any(np.diff(speeds) <= 0):
+    steps = np.diff(speeds)
+    if np.any(steps <= 0):
         raise NotGenuinelyNonlinear(
             f"lambda_{i} not strictly increasing along rarefaction from {u_minus}")
+    if steps.max() > 8.0 * steps.mean():
+        raise ContinuationFailure(
+            f"{n_steps} steps do not resolve the {i}-rarefaction from {u_minus}")
     return s_grid, states, speeds
 
 
@@ -291,22 +295,6 @@ def _field_classes(model, u_minus, u_plus):
     return fields
 
 
-def default_small_data_radius(model, u_minus, u_plus):
-    """0.25 * (min eigenvalue gap) / (max |D^2 f| estimate) over the segment."""
-    samples = [u_minus, 0.5 * (u_minus + u_plus), u_plus]
-    gap = np.inf
-    d2 = 0.0
-    for u in samples:
-        lam = eigensystem(model, u).lambdas
-        gap = min(gap, float(np.min(np.diff(lam))))
-        D2 = _central_diff(model.jac, u, 1e-5)
-        for j in range(model.n):
-            d2 = max(d2, float(np.linalg.norm(D2[..., j])))
-    if d2 == 0.0:
-        return np.inf
-    return 0.25 * gap / d2
-
-
 def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
     """The family-i wave from u_l at oriented strength sigma.
 
@@ -314,12 +302,15 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
     contact for a linearly degenerate family, a shock for sigma < 0, and a
     rarefaction otherwise.  The rarefaction is the integral curve, or, with
     `jumps`, the single RH-exact jump at the same shock-curve parameter
-    (a rarefaction front of front tracking).  `es` is the eigensystem at u_l
+    (a rarefaction front of front tracking).  Either curve takes
+    s = orientation * sigma along the sign-fixed l_i and r_i: the one use of
+    the orientation.  `es` is the eigensystem at u_l
     when the caller has it, else None.  A jump is continued from `seed`, the
     same jump (u_l', sigma', S', lambda') of an earlier composition, at
     sigma' from S' + (u_l - u_l'); without a seed, or where that continuation
     fails, it is continued from s = 0.
     """
+    s = field.orientation * sigma
     if field.tag == LINEARLY_DEGENERATE:
         kind = "contact"
     elif sigma < 0:
@@ -327,24 +318,21 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
     elif jumps:
         kind = "rarefaction"
     else:
-        _, states, speeds = rarefaction_curve(model, u_l, i, sigma)
+        _, states, speeds = rarefaction_curve(model, u_l, i, s)
         return RarefactionWave(i, u_l, states[-1], float(speeds[0]),
                                float(speeds[-1]), states, speeds)
-    # the shock-curve parameter is measured along the oriented frame; the
-    # orientation of a linearly degenerate field is +1
-    orient = field.orientation
     if es is None:
         es = eigensystem(model, u_l)
-    l_i, r_i = orient * es.left[i], orient * es.right[i]
+    l_i, r_i = es.left[i], es.right[i]
     if seed is not None:
         u_prev, a, S, lam = seed
         try:
-            S, lam = _continue_shock(model, u_l, l_i, r_i, a, S + (u_l - u_prev), lam,
-                                     sigma)
+            S, lam = _continue_shock(model, u_l, l_i, r_i, field.orientation * a,
+                                     S + (u_l - u_prev), lam, s)
             return JumpWave(kind, i, u_l, S, float(lam))
         except ContinuationFailure:
             pass  # continued from s = 0, as without a seed
-    S, lam = _continue_shock(model, u_l, l_i, r_i, 0.0, u_l, es.lambdas[i], sigma)
+    S, lam = _continue_shock(model, u_l, l_i, r_i, 0.0, u_l, es.lambdas[i], s)
     return JumpWave(kind, i, u_l, S, float(lam))
 
 
@@ -460,12 +448,6 @@ def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:
         return _scalar_fan(model, u_minus, u_plus)
 
     fields = _field_classes(model, u_minus, u_plus)
-    radius = default_small_data_radius(model, u_minus, u_plus)
-    if np.linalg.norm(u_plus - u_minus) > radius:
-        raise NewtonDivergence(
-            f"Riemann data |u+ - u-| = {np.linalg.norm(u_plus - u_minus):.3g} "
-            f"exceeds the small-data radius {radius:.3g}")
-
     _, _, waves = solve_strengths(model, u_minus, u_plus, fields)
     _check_wave_order(waves)
     if waves:  # the composed end state is within TOL_RP of u_plus: end on it

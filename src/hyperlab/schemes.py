@@ -12,7 +12,7 @@ the shared meta keys scheme, eps, dx, dt, cfl and boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -395,10 +395,9 @@ def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     for the diffusion, conservative flux differencing for f(u)_x (with
     Lax-Friedrichs stabilization whenever the mesh does not resolve the
     viscous layer).  Requires dx <= eps/4."""
-    dx = cfg.dx if cfg.dx is not None else cfg.eps / 4.0
-    if dx > cfg.eps / 4.0 * (1 + 1e-12):
-        raise CFLViolation(f"dx={dx} must satisfy dx <= eps/4 = {cfg.eps / 4}")
-    return _parabolic_run(model, data, replace(cfg, dx=dx), None, "viscous")
+    if cfg.dx is not None and cfg.dx > cfg.eps / 4.0 * (1 + 1e-12):
+        raise CFLViolation(f"dx={cfg.dx} must satisfy dx <= eps/4 = {cfg.eps / 4}")
+    return _parabolic_run(model, data, cfg, None, "viscous")
 
 
 def nonlinear_diffusion_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:

@@ -2,8 +2,9 @@
 every module-level constant and private helper is read by the library and
 every constant is defined in one module only, every optional parameter of a
 function is passed by some call, every parameter is read by its function,
-every field of the model and scheme settings is read by the library, and no
-test module imports another."""
+every field of the model and scheme settings is read by the library, every
+typed error is raised by the library and named by a test, and no test module
+imports another."""
 
 import ast
 import math
@@ -176,6 +177,23 @@ def test_every_setting_field_is_read(module, cls):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = [f for f in fields if f not in read]
     assert not unread, f"{cls} fields the library never reads: {unread}"
+
+
+def test_every_error_is_raised_and_tested():
+    # a typed error that nothing raises is a failure mode that cannot happen,
+    # and one that no test names is a failure mode nobody has seen
+    errors = Path(hyperlab.__file__).parent / "errors.py"
+    subclasses = [n.name for n in ast.parse(errors.read_text()).body
+                  if isinstance(n, ast.ClassDef) and n.name != "HyperlabError"]
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    named = _references(TESTS)
+    assert [e for e in subclasses if e not in raised] == []
+    assert [e for e in subclasses if e not in named] == []
 
 
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)

@@ -7,16 +7,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models, riemann
-from hyperlab.errors import (ContinuationFailure, NewtonDivergence,
-                             NotGenuinelyNonlinear, NotOnShockCurve,
-                             OutOfDomain, RHViolated)
-from hyperlab.riemann import (AdmissibilityVerdict, JumpWave, _check_wave_order,
-                              entropy_admissible_shock, evaluate_fan,
-                              liu_admissible, rarefaction_curve, rh_residual,
-                              shock_curve, solve_riemann)
+from hyperlab.errors import (ContinuationFailure, HyperlabError,
+                             NewtonDivergence, NotGenuinelyNonlinear,
+                             NotOnShockCurve, OutOfDomain, RHViolated)
+from hyperlab.riemann import (TOL_ORDER, AdmissibilityVerdict, JumpWave,
+                              _check_wave_order, entropy_admissible_shock,
+                              evaluate_fan, liu_admissible, rarefaction_curve,
+                              rh_residual, shock_curve, solve_riemann)
+from hyperlab.verify import FanView
 
 # how far the sampled shock-curve tangent at s = 0 may be from r_i(u-)
 TOL_CURVE = 1e-3
+
+# p-system data u- | u+ whose rarefactions would need a vacuum between them
+VACUUM_DATUM = ([6.835152185206587, -1.3437016665509196],
+                [5.849146086221006, 1.0898788939852393])
 
 
 def brute_force_scalar_profile(model, ul, ur, xi, n_grid=100_000):
@@ -98,30 +103,46 @@ class TestRarefactionCurve:
     def test_psystem_family2_lambda_increases_and_richardson(self):
         m = models.p_system()
         u0 = [1.0, 0.0]
-        _, states, speeds = rarefaction_curve(m, u0, 1, 0.3, n_steps=32)
+        _, states, speeds = rarefaction_curve(m, u0, 1, -0.3, n_steps=32)
         assert np.all(np.diff(speeds) > 0)
         # direction of increasing lambda_2 decreases v
         assert states[-1, 0] < 1.0
         # endpoint against step-halved integrations (self-convergence)
         ends = []
         for n in (32, 64, 128, 256):
-            ends.append(rarefaction_curve(m, u0, 1, 0.3, n_steps=n)[1][-1])
+            ends.append(rarefaction_curve(m, u0, 1, -0.3, n_steps=n)[1][-1])
         errs = [np.linalg.norm(e - ends[-1]) for e in ends[:-1]]
         assert errs[0] < 1e-8 and errs[1] <= errs[0]
 
     @pytest.mark.parametrize("n_steps", [1, 8, 48])
     def test_one_eigensystem_per_state_and_stage(self, monkeypatch, n_steps):
         # one at u-, then one per RK4 stage: the decomposition at the end of a
-        # step gives its speed and the first stage of the next step
-        calls = []
+        # step gives its speed and the first stage of the next step; none
+        # goes through `models.eigensystem`, as a GNL indicator's would
+        calls, elsewhere = [], []
+        real = models.eigensystem
 
         def counted(model, u):
             calls.append(u)
-            return models.eigensystem(model, u)
+            return real(model, u)
 
         monkeypatch.setattr(riemann, "eigensystem", counted)
-        rarefaction_curve(models.p_system(), [1.0, 0.0], 1, 0.3, n_steps=n_steps)
+        monkeypatch.setattr(models, "eigensystem",
+                            lambda model, u: elsewhere.append(u) or real(model, u))
+        rarefaction_curve(models.p_system(), [1.0, 0.0], 1, -0.3, n_steps=n_steps)
         assert len(calls) == 1 + 4 * n_steps
+        assert elsewhere == []
+
+    def test_decreasing_speed_direction_rejected(self):
+        # s > 0 on family 1 of the p-system runs along r_2, where lambda_2 falls
+        with pytest.raises(NotGenuinelyNonlinear):
+            rarefaction_curve(models.p_system(), [1.0, 0.0], 1, 0.3)
+
+    def test_unresolved_curve_refused(self):
+        # towards the vacuum: 48 steps of a 1-rarefaction over s = 1717 put
+        # most of the rise of lambda_1 into the first steps
+        with pytest.raises(ContinuationFailure, match="do not resolve"):
+            rarefaction_curve(models.p_system(), VACUUM_DATUM[0], 0, 1717.0)
 
     def test_linearly_degenerate_family_rejected(self):
         # both families of a linear system have constant speed
@@ -181,11 +202,21 @@ class TestSolveRiemann:
             _check_wave_order(waves)
         _check_wave_order(waves[::-1])  # in order, though not chained
 
-    def test_large_data_beyond_small_data_radius(self):
-        # |u+ - u-| = 0.707 against a default radius of about 0.064
+    def test_large_data_solves(self):
+        # |u+ - u-| = 0.707: accepted on its result, not refused by its size
         m = models.p_system()
-        with pytest.raises(NewtonDivergence, match="small-data radius"):
-            solve_riemann(m, [1.0, 0.0], [1.5, 0.5])
+        fan = solve_riemann(m, [1.0, 0.0], [1.5, 0.5])
+        assert [(w.kind, w.family) for w in fan.waves] == [("rarefaction", 0),
+                                                           ("shock", 1)]
+        assert np.array_equal(fan.right, [1.5, 0.5])
+        assert rh_residual(m, fan.waves[1].u_l, fan.waves[1].u_r,
+                           fan.waves[1].speed) <= 1e-10
+
+    def test_vacuum_data_refused(self):
+        # w+ - w- = 2.434 >= 2 sqrt(2) (v-^-1/2 + v+^-1/2) = 2.251: no
+        # classical middle state exists, so no fan may be returned
+        with pytest.raises(HyperlabError):
+            solve_riemann(models.p_system(), *VACUUM_DATUM)
 
 
 def psystem_riemann_invariant(states, family):
@@ -195,19 +226,25 @@ def psystem_riemann_invariant(states, family):
     return states[:, 1] + sign * 2.0 * math.sqrt(2.0) * states[:, 0] ** -0.5
 
 
-small = st.floats(-0.02, 0.02)
+def psystem_data(v, w, a1, a2):
+    """The p-system and u- = (v, w) | u+ = u- + a1 r1 + a2 r2, with
+    r = (1, +-c) and c = sqrt(2) v^-3/2."""
+    c = math.sqrt(2.0) * v ** -1.5
+    ul = np.array([v, w])
+    return models.p_system(), ul, ul + a1 * np.array([1.0, c]) + a2 * np.array([1.0, -c])
+
+
+small = st.floats(-0.2, 0.2)
 
 
 @settings(max_examples=12, deadline=None, database=None)
 @given(v=st.floats(0.9, 1.1), w=st.floats(-0.1, 0.1), a1=small, a2=small)
 @example(v=1.0, w=0.0, a1=0.02, a2=0.015)    # 1-rarefaction, 2-shock
 @example(v=1.0, w=0.0, a1=-0.015, a2=-0.02)  # 1-shock, 2-rarefaction
+@example(v=1.0, w=0.0, a1=0.25 + 0.125 * math.sqrt(2.0),
+         a2=0.25 - 0.125 * math.sqrt(2.0))  # (1, 0) | (1.5, 0.5)
 def test_psystem_fans_match_closed_form(v, w, a1, a2):
-    # u+ = u- + a1 r1 + a2 r2 with r = (1, +-c), c = sqrt(2) v^-3/2
-    m = models.p_system()
-    c = math.sqrt(2.0) * v ** -1.5
-    ul = np.array([v, w])
-    fan = solve_riemann(m, ul, ul + a1 * np.array([1.0, c]) + a2 * np.array([1.0, -c]))
+    fan = solve_riemann(*psystem_data(v, w, a1, a2))
     for wave in fan.waves:
         if wave.kind == "rarefaction":
             inv = psystem_riemann_invariant(wave.states, wave.family)
@@ -216,6 +253,35 @@ def test_psystem_fans_match_closed_form(v, w, a1, a2):
             # the Hugoniot locus (w+ - w-)^2 = (p(v-) - p(v+)) (v+ - v-)
             (v0, w0), (v1, w1) = wave.u_l, wave.u_r
             assert abs((w1 - w0) ** 2 - (v0 ** -2 - v1 ** -2) * (v1 - v0)) <= 1e-10
+
+
+scalar = st.floats(-1.5, 1.5).map(lambda x: [x])
+fan_data = st.one_of(
+    st.tuples(st.sampled_from([models.burgers(), models.cubic_flux()]), scalar, scalar),
+    st.builds(psystem_data, st.floats(0.9, 1.1), st.floats(-0.1, 0.1), small, small))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=fan_data, t=st.floats(0.01, 10.0))
+@example(data=(models.burgers(), [-0.0], [1.0]), t=1.0)
+def test_exact_fans_ordered_and_self_similar(data, t):
+    # states are compared exactly, but by value: the envelope grid of a
+    # scalar fan turns an end at -0.0 into +0.0
+    model, ul, ur = data
+    fan = solve_riemann(model, ul, ur)
+    edge, prev = fan.left, -np.inf
+    for wave in fan.waves:  # each wave starts where the one before ends
+        assert np.array_equal(wave.u_l, edge)
+        assert prev <= wave.speed_l + TOL_ORDER
+        edge, prev = wave.u_r, wave.speed_r
+    # with every family below STRENGTH_FLOOR there is no wave, and the fan
+    # ends on u-
+    assert np.array_equal(edge, model.state(ur if fan.waves else ul))
+    # the profile at 2t is the profile at t stretched by 2, exactly
+    view = FanView(fan)
+    at_t, at_2t = view.state(t), view.state(2 * t)
+    assert np.array_equal(at_2t.xs, 2 * at_t.xs)
+    assert np.array_equal(at_2t.vals, at_t.vals)
 
 
 class TestScalarEnvelope:

@@ -20,8 +20,8 @@ from hyperlab import fronts, models, riemann
 from hyperlab.errors import NewtonDivergence, OutOfDomain
 from hyperlab.fronts import approximate_riemann_pieces
 from hyperlab.riemann import (TOL_RP, _compose, _damped_newton, _field_classes,
-                              default_small_data_radius, liu_admissible,
-                              rh_residual, solve_riemann, solve_strengths)
+                              liu_admissible, rh_residual, solve_riemann,
+                              solve_strengths)
 
 P_SYSTEM = models.p_system()
 
@@ -283,13 +283,6 @@ class TestCentralDiff:
             ["-0x1.638e38e37c7bbp-2", "0x1.638e38e380c06p-1"]))
         assert [models.gnl_indicator(self.FD, i, self.U) for i in (0, 1)] == \
             list(unhex(["0x1.d4c47d3a4e581p-1", "-0x1.d4c3bfd7d6037p-1"]))
-
-    def test_small_data_radius_bit_identical(self):
-        ur = np.array([1.25, 0.28])
-        assert default_small_data_radius(self.FD, self.U, ur) == \
-            float.fromhex("0x1.661da8e402476p-3")
-        assert default_small_data_radius(P_SYSTEM, self.U, ur) == \
-            float.fromhex("0x1.661daf1cd292fp-3")
 
     @pytest.mark.parametrize("model, u, exact", [
         (models.burgers(), [0.3], [[2.0]]),
