@@ -70,7 +70,6 @@ class Epoch:
 
 @dataclass
 class FrontTrackingSolution:
-    model_name: str
     T: float
     epochs: list
     events: list
@@ -251,5 +250,4 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
                        "np_strength": float(np_strength)})
         epochs.append(Epoch(t, tuple(fronts), tuple(xs)))
 
-    return FrontTrackingSolution(model.name, cfg.T, epochs, events, np_total,
-                                 data.vals[0].copy())
+    return FrontTrackingSolution(cfg.T, epochs, events, np_total, data.vals[0].copy())

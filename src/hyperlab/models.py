@@ -6,12 +6,12 @@ call); user models without a Jacobian fall back to central finite
 differences.  Every derivative the library differences goes through one
 helper, `_central_diff(F, x, rel)`, which steps coordinate j by
 h_j = rel * (1 + |x_j|), at one point or at rows of points.  The steps per
-site: the Jacobian fallback, the entropy gradients and the eigenvalue
-gradient of `gnl_indicator` use rel = H_JAC; `entropy_hessian` differences
-the entropy gradient with rel = sqrt(H_JAC); the cell speeds f'(u) of
-`schemes.mollification_run` use 1e-7.  All operations are pure and models
-are immutable, so everything here is safe to evaluate from concurrent
-workers.
+site: the Jacobian fallback, the entropy gradients and `gnl_indicator`,
+which differences every eigenvalue at once, use rel = H_JAC;
+`entropy_hessian` differences the entropy gradient with rel = sqrt(H_JAC);
+the cell speeds f'(u) of `schemes.mollification_run` use 1e-7.  All
+operations are pure and models are immutable, so everything here is safe
+to evaluate from concurrent workers.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class FieldClass:
-    """Classification of one characteristic family over a sample set.
+    """Classification of one characteristic family (its index in the list
+    `classify_field` returns) over a sample set.
 
     g_min/g_max bound the directional derivative of the eigenvalue along
     the (sign-fixed) eigenvector; orientation is +1/-1 so that
@@ -145,7 +146,6 @@ class FieldClass:
     for genuinely nonlinear fields.
     """
 
-    family: int
     tag: str
     g_min: float
     g_max: float
@@ -222,32 +222,34 @@ def eigenvalues(model: FluxModel, u):
     return eigensystem(model, u).lambdas
 
 
-def gnl_indicator(model: FluxModel, i, u):
-    """Directional derivative of lambda_i along the sign-fixed r_i."""
+def gnl_indicator(model: FluxModel, u):
+    """Directional derivatives of all lambda_i along the sign-fixed r_i."""
     es = eigensystem(model, u)
-    grad = _central_diff(lambda v: eigensystem(model, v).lambdas[i],
+    grad = _central_diff(lambda v: eigensystem(model, v).lambdas,
                          model.state(u), H_JAC)
-    return float(np.dot(grad, es.right[i]))
+    return np.array([np.dot(g, r) for g, r in zip(grad, es.right)])
 
 
-def classify_field(model: FluxModel, i, samples) -> FieldClass:
-    """Tag family i as GNL / LD / neither over the given sample states.
+def classify_field(model: FluxModel, samples) -> list:
+    """GNL / LD / neither for each family over the samples, in family order.
 
     Genuine nonlinearity is orientation-independent: a strictly constant
     sign of the directional derivative qualifies, and the orientation that
     makes it positive is recorded.
     """
-    gs = np.array([gnl_indicator(model, i, u) for u in samples])
-    if gs.size == 0:
+    if len(samples) == 0:
         raise ConfigError("classify_field needs at least one sample")
-    g_min, g_max = float(gs.min()), float(gs.max())
-    if max(abs(g_min), abs(g_max)) <= TOL_LD:
-        return FieldClass(i, LINEARLY_DEGENERATE, g_min, g_max, +1)
-    if g_min > TOL_LD:
-        return FieldClass(i, GENUINELY_NONLINEAR, g_min, g_max, +1)
-    if g_max < -TOL_LD:
-        return FieldClass(i, GENUINELY_NONLINEAR, g_min, g_max, -1)
-    return FieldClass(i, NEITHER, g_min, g_max, +1)
+    fields = []
+    for g in np.array([gnl_indicator(model, u) for u in samples]).T:
+        g_min, g_max = float(g.min()), float(g.max())
+        if max(abs(g_min), abs(g_max)) <= TOL_LD:
+            tag = LINEARLY_DEGENERATE
+        elif g_min > TOL_LD or g_max < -TOL_LD:
+            tag = GENUINELY_NONLINEAR
+        else:
+            tag = NEITHER
+        fields.append(FieldClass(tag, g_min, g_max, -1 if g_max < -TOL_LD else +1))
+    return fields
 
 
 def entropy_compatibility_residual(model: FluxModel, samples):

@@ -281,17 +281,17 @@ def _check_wave_order(waves):
 # systems: Lax curves
 
 def _field_classes(model, u_minus, u_plus):
-    """Class of every family over the segment from u_minus to u_plus (its
-    ends, midpoint and quarter points); a family that is neither GNL nor LD
-    there raises NonClassifiedField."""
+    """Class of every family, in family order, over the segment from u_minus
+    to u_plus (its ends, midpoint and quarter points); a family that is
+    neither GNL nor LD there raises NonClassifiedField."""
     mid = 0.5 * (u_minus + u_plus)
     samples = [u_minus, u_plus, mid,
                0.75 * u_minus + 0.25 * u_plus, 0.25 * u_minus + 0.75 * u_plus]
-    fields = [classify_field(model, i, samples) for i in range(model.n)]
-    for fc in fields:
+    fields = classify_field(model, samples)
+    for i, fc in enumerate(fields):
         if fc.tag not in (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE):
             raise NonClassifiedField(
-                f"family {fc.family} is neither GNL nor LD near the data")
+                f"family {i} is neither GNL nor LD near the data")
     return fields
 
 
@@ -487,6 +487,7 @@ def _scalar_fan(model, u_minus, u_plus):
     """The envelope fan of f between the distinct states u_minus, u_plus."""
     ul, ur = float(u_minus[0]), float(u_plus[0])
     grid = np.linspace(min(ul, ur), max(ul, ur), N_ENVELOPE)
+    grid[0] = min(ul, ur)  # linspace's first node 0 * step + lo turns -0.0 into +0.0
     fs, order = _envelope(model, grid, ul < ur)
 
     # walk consecutive hull vertices; single-gridstep segments form

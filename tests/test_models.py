@@ -12,6 +12,7 @@ from hyperlab.models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE,
                              NEITHER, classify_field, eigensystem,
                              entropy_compatibility_residual, model_from_name,
                              normalize_speeds)
+from hyperlab.riemann import _field_classes
 
 
 def sample_box(lo, hi, k=7):
@@ -142,33 +143,66 @@ class TestClassifyField:
     def test_psystem_both_families_gnl(self):
         m = models.p_system()
         samples = sample_box([0.5, -0.5], [2.0, 0.5], k=4)
-        for i in range(2):
-            fc = classify_field(m, i, samples)
+        for fc in classify_field(m, samples):
             assert fc.tag == GENUINELY_NONLINEAR
 
     def test_psystem_orientations_are_consistent(self):
         # oriented indicator must be positive for both families
         m = models.p_system()
         samples = sample_box([0.5, -0.5], [2.0, 0.5], k=3)
-        for i in range(2):
-            fc = classify_field(m, i, samples)
-            g = fc.orientation * np.array(
-                [models.gnl_indicator(m, i, u) for u in samples])
-            assert np.all(g > 0)
+        gs = np.array([models.gnl_indicator(m, u) for u in samples])
+        for i, fc in enumerate(classify_field(m, samples)):
+            assert np.all(fc.orientation * gs[:, i] > 0)
 
     def test_advection_linearly_degenerate(self):
         m = models.advection(0.7)
-        fc = classify_field(m, 0, np.linspace(-1, 1, 9)[:, None])
+        [fc] = classify_field(m, np.linspace(-1, 1, 9)[:, None])
         assert fc.tag == LINEARLY_DEGENERATE
 
     def test_cubic_neither(self):
         m = models.cubic_flux()
         samples = np.linspace(-1, 1, 9)[:, None]
-        fc = classify_field(m, 0, samples)
+        [fc] = classify_field(m, samples)
         assert fc.tag == NEITHER
         # indicator is 6u at the samples
         assert fc.g_min == pytest.approx(-6.0, rel=1e-4)
         assert fc.g_max == pytest.approx(6.0, rel=1e-4)
+
+
+def test_field_classes_decompose_each_sample_once(monkeypatch):
+    # one eigensystem per sample and two per coordinate for its difference,
+    # shared by every family: 5 samples x (1 + 2n)
+    calls = []
+
+    def counted(model, u):
+        calls.append(u)
+        return eigensystem(model, u)
+
+    monkeypatch.setattr(models, "eigensystem", counted)
+    m = models.p_system()
+    _field_classes(m, np.array([1.0, 0.0]), np.array([1.1, -0.05]))
+    assert len(calls) == 5 * (1 + 2 * m.n)
+
+
+def _indicator_of_family(model, i, u):
+    """The indicator of family i alone: lambda_i differenced by itself."""
+    es = eigensystem(model, u)
+    grad = models._central_diff(lambda v: eigensystem(model, v).lambdas[i],
+                                model.state(u), models.H_JAC)
+    return float(np.dot(grad, es.right[i]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(model=st.sampled_from([models.p_system(),
+                              replace(models.p_system(), jacobian=None),
+                              models.linear_system(0, 1, 1, 0)]),
+       v=st.floats(0.3, 3.0), w=st.floats(-2.0, 2.0))
+def test_indicator_of_all_families_equals_each_alone(model, v, w):
+    u = np.array([v, w])
+    g = models.gnl_indicator(model, u)
+    assert len(g) == model.n
+    for i in range(model.n):
+        assert g[i].hex() == _indicator_of_family(model, i, u).hex()
 
 
 class TestEntropyPairs:

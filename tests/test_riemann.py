@@ -264,19 +264,18 @@ fan_data = st.one_of(
 @settings(max_examples=30, deadline=None, database=None)
 @given(data=fan_data, t=st.floats(0.01, 10.0))
 @example(data=(models.burgers(), [-0.0], [1.0]), t=1.0)
+@example(data=(models.burgers(), [1.0], [-0.0]), t=1.0)
 def test_exact_fans_ordered_and_self_similar(data, t):
-    # states are compared exactly, but by value: the envelope grid of a
-    # scalar fan turns an end at -0.0 into +0.0
     model, ul, ur = data
     fan = solve_riemann(model, ul, ur)
     edge, prev = fan.left, -np.inf
     for wave in fan.waves:  # each wave starts where the one before ends
-        assert np.array_equal(wave.u_l, edge)
+        assert wave.u_l.tobytes() == edge.tobytes()
         assert prev <= wave.speed_l + TOL_ORDER
         edge, prev = wave.u_r, wave.speed_r
     # with every family below STRENGTH_FLOOR there is no wave, and the fan
     # ends on u-
-    assert np.array_equal(edge, model.state(ur if fan.waves else ul))
+    assert edge.tobytes() == model.state(ur if fan.waves else ul).tobytes()
     # the profile at 2t is the profile at t stretched by 2, exactly
     view = FanView(fan)
     at_t, at_2t = view.state(t), view.state(2 * t)
