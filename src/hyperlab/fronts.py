@@ -194,7 +194,6 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
         u_l, u_r = data.vals[j], data.vals[j + 1]
         pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields)
         fronts += _pieces_to_fronts(pieces, Fraction(float(x)), Fraction(0), u_l, u_r)
-    fronts.sort(key=lambda f: (f.pos, f.speed))
 
     epochs = [Epoch(0.0, tuple(fronts), tuple(float(f.pos) for f in fronts))]
     events, np_total = [], 0.0

@@ -40,12 +40,13 @@ class SchemeConfig:
     nonlinear diffusion, Jin-Xin, backward Euler and mollification.  dt caps
     the time step of every run except Godunov and Glimm, and a dt above the
     scheme's limit (meta["cfl"]["dt_max"]) raises CFLViolation; the steps
-    are then equal and end at T.  A run that does not read a setting refuses
-    it with ConfigError: Godunov and Glimm refuse dx and dt, the method of
-    lines dx.  snapshot_times and store_all choose the
-    stored snapshots of every grid run.  Front tracking reads delta, rho_np
-    and front_cap; for a scalar model its rarefactions break at the states
-    of the grid delta*Z (and at the data values).
+    are then equal and end at T.  A dx, dt or delta that is set must be
+    positive.  A run that does not read a setting refuses it with
+    ConfigError: Godunov and Glimm refuse dx and dt, the method of lines dx.
+    snapshot_times and store_all choose the stored snapshots of every grid
+    run.  Front tracking reads delta, rho_np and front_cap; for a scalar
+    model its rarefactions break at the states of the grid delta*Z (and at
+    the data values).
     """
 
     eps: float
@@ -71,8 +72,10 @@ class SchemeConfig:
             raise ConfigError("domain must satisfy a < b")
         if self.eps <= 0 or self.T < 0:
             raise ConfigError("need eps > 0 and T >= 0")
-        if not self.delta > 0:
-            raise ConfigError(f"need delta > 0, not {self.delta!r}")
+        for name in ("delta", "dx", "dt"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"need {name} > 0, not {value!r}")
         if self.boundary not in ("constant", "periodic"):
             raise ConfigError(f"unknown boundary treatment {self.boundary!r}")
 

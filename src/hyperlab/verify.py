@@ -1,21 +1,21 @@
 """Verification and error analysis.
 
-Solutions enter through lightweight views exposing the profile at any time
-as a PiecewiseConstantFn.  Space integrals against the C^2 bump test
-functions are then evaluated in closed form; time integrals use 7-point
-Gauss-Legendre panels split at the solution's own kink times (grid
-solutions, being piecewise constant in time, integrate exactly).
+Solutions enter through lightweight views that draw themselves by lines:
+`lines(ts)` gives a view's fronts at the times ts, and `state(t)` one time of
+them as a PiecewiseConstantFn.  A grid run draws the snapshot it holds as
+fronts of speed zero at its cell edges.  Space integrals against the C^2
+bump test functions are evaluated in closed form.
 
 One strip kernel, `strip_expressions`, serves the weak-form residual, the
 entropy residual and the eps-certificate.  A strip sums the two boundary
-profiles, then the frozen segments of a grid run or the Gauss panels.  The
-density columns (u | eta) and flux columns (f | q) of a term are integrated
-against the whole test family by one closed form, `_bump_integrals`.
-
-Riemann fans and front tracking share the straight-front kernels: `lines`
-draws a view at every node of a Gauss panel at once, and `_crossings` gives
-the times the lines cross the bump edges: the kinks, between which the
-integrand of a front-tracking view is a polynomial in t of degree <= 12.
+profiles, then interior terms drawn by `lines`: the frozen segments of a grid
+run, exact in time, or the nodes of 7-point Gauss-Legendre panels split at
+the kinks.  The density columns (u | eta) and flux columns (f | q) of a term
+are integrated against the whole test family by one closed form,
+`_bump_integrals`.  `_crossings` gives the times the straight fronts of a
+fan or front-tracking run cross the bump edges: kinks, as are the ends of a
+bump's time support, between which the integrand of a front-tracking view
+is a polynomial in t of degree <= 12.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ PSI_DERIV_MAX = 96.0 / (25.0 * math.sqrt(5.0))
 # solution views
 
 class _StateCache:
-    """Base of the solution views: `state(t)` is the profile at time t.
+    """Base of the solution views: `state(t)` is the profile at time t,
+    drawn from one time of the view's `lines`.
 
     Profiles are not memoised: strip ends and probes ask for new times, and
     the Gauss nodes of a strip are drawn a panel at a time by `lines`.  The
@@ -55,16 +56,13 @@ class _StateCache:
     """
 
     def state(self, t):
-        return self._state(float(t))
-
-    def _state(self, t):
-        # a straight-front view draws one time of its lines
-        (left, xs, rights), = self.lines([t])
+        (left, xs, rights), = self.lines([float(t)])
         return PiecewiseConstantFn.from_fronts(left, xs[0], rights)
 
 
 class GridView(_StateCache):
-    """A stored grid run, held piecewise constant in time between snapshots."""
+    """A stored grid run, held piecewise constant in time: at each time the
+    snapshot of GridSolution.row, drawn as fronts of speed zero at its edges."""
 
     def __init__(self, sol: GridSolution):
         self.sol = sol
@@ -72,17 +70,12 @@ class GridView(_StateCache):
         self.x_span = (sol.x0, sol.xmax)
         self.dx = sol.dx
 
-    def _state(self, t):
-        # GridSolution.time_index holds the last snapshot at or before t,
-        # as segments() does
-        return self.sol.as_piecewise(t)
-
-    def segments(self, t0, t1):
-        """(ta, tb, profile) pieces on which the solution is frozen."""
-        ts = [float(t) for t in self.sol.times if t0 < t < t1]
-        knots = [t0] + ts + [t1]
-        return [(a, b, self.state(a)) for a, b in zip(knots[:-1], knots[1:])
-                if b > a + 1e-15]
+    def lines(self, ts):
+        """(left, positions of shape (1, lines), rights) for each time of ts."""
+        edges = self.sol.edges()[None, 1:-1]
+        for t in ts:
+            row = self.sol.row(t)
+            yield row[0], edges, row[1:]
 
 
 def _crossings(t_a, x_a, speeds, edges, lo, hi):
@@ -291,8 +284,9 @@ def strip_expressions(view, model, bumps, t0, t1, entropy=False):
 
     The strip is a sum of time terms, each adding c_I int g X dx + c_J int
     h X' dx per bump, with (g, h) the stacked columns (u | eta) and (f | q):
-    the two boundary terms, then one per frozen segment of a grid run (exact
-    in time), or per node of the Gauss panels, drawn a panel at a time."""
+    the two boundary terms, then the interior terms, drawn by the view's
+    lines: one per frozen segment of a grid run at its start, weighted
+    exactly in time, or one per node of the Gauss panels, a panel at a time."""
     if entropy:
         model.require_entropy_pair()
 
@@ -304,25 +298,29 @@ def strip_expressions(view, model, bumps, t0, t1, entropy=False):
 
     xc, sx = np.array([(bump.xc, bump.sx) for bump in bumps]).T
     T_ends, zero = _time_factors(bumps, [t0, t1])[0], np.zeros(len(bumps))
-    profiles = [(view.state(t0), T_ends[:, 0], zero),
-                (view.state(t1), -T_ends[:, 1], zero)]
+    terms = [(*profile_integrals(pc, *columns(pc.vals), xc, sx), c_I, zero)
+             for pc, c_I in [(view.state(t0), T_ends[:, 0]),
+                             (view.state(t1), -T_ends[:, 1])]]
     if isinstance(view, GridView):
-        segs = view.segments(t0, t1)
-        Ta, _, Aa = _time_factors(bumps, [a for a, _, _ in segs])
-        Tb, _, Ab = _time_factors(bumps, [b for _, b, _ in segs])
-        profiles += zip([pc for _, _, pc in segs], (Tb - Ta).T, (Ab - Aa).T)
-    terms = [(*profile_integrals(pc, *columns(pc.vals), xc, sx), c_I, c_J)
-             for pc, c_I, c_J in profiles]
-    if not isinstance(view, GridView):
+        # frozen segments, slivers dropped, weighted exactly from their starts
+        times = view.sol.times
+        knots = np.concatenate([[t0], times[(t0 < times) & (times < t1)], [t1]])
+        keep = knots[1:] > knots[:-1] + 1e-15
+        c_I, _, c_J = np.diff(_time_factors(bumps, knots), axis=2)[:, :, keep]
+        ts = [knots[:-1][keep]]
+    else:
         edges = sorted({e for bump in bumps for e in bump.x_edges()})
-        ts, ws = _gauss_nodes(t0, t1, view.kink_times(t0, t1, edges), view._panels)
+        # a clipped time factor has kinks where its support ends
+        ends = [b.tc + d for b in bumps if b.tc is not None for d in (-b.st, b.st)]
+        ts, ws = _gauss_nodes(t0, t1, view.kink_times(t0, t1, edges) + ends, view._panels)
         T, Tp, _ = _time_factors(bumps, ts.ravel())
-        # fronts drawn at or left of the one before stack as in from_fronts
-        parts = [_bump_integrals(np.maximum.accumulate(xs, axis=1),
-                                 *columns(np.array([left, *rights])), xc, sx)
-                 for panel in ts for left, xs, rights in view.lines(panel)]
-        I_J = map(np.concatenate, zip(*parts))  # per node; none on a strip of no width
-        terms += zip(*I_J, (ws.ravel() * Tp).T, (ws.ravel() * T).T)
+        c_I, c_J = ws.ravel() * Tp, ws.ravel() * T
+    # fronts drawn at or left of the one before stack as in from_fronts
+    parts = [_bump_integrals(np.maximum.accumulate(xs, axis=1), *columns(
+                 np.vstack([left, np.reshape(rights, (-1, model.n))])), xc, sx)
+             for panel in ts for left, xs, rights in view.lines(panel)]
+    I_J = map(np.concatenate, zip(*parts))  # per time; none on a strip of no width
+    terms += zip(*I_J, c_I.T, c_J.T)
     # each term rounds once, and their exact sum keeps strips additive
     summands = np.stack([c_I[:, None] * I + c_J[:, None] * J for I, J, c_I, c_J in terms])
     return np.vectorize(math.fsum, signature="(n)->()")(np.moveaxis(summands, 0, -1))

@@ -211,8 +211,9 @@ class TestEntropyPairs:
         res = entropy_compatibility_residual(m, np.linspace(-2, 2, 21)[:, None])
         assert res <= 1e-8
 
-    def test_psystem_pair_compatible(self):
-        m = models.p_system()
+    @pytest.mark.parametrize("gamma", [2.0, 1.0])
+    def test_psystem_pair_compatible(self, gamma):
+        m = models.p_system(gamma=gamma)
         res = entropy_compatibility_residual(m, sample_box([0.5, -0.5], [2.0, 0.5], k=5))
         assert res <= 1e-6
 

@@ -142,6 +142,16 @@ def test_runs_refuse_settings_they_do_not_read(run, setting):
         run(BURGERS_01, square_pulse(0.5, -0.5, 0.0), replace(cfg, **{setting: 0.05}))
 
 
+
+@pytest.mark.parametrize("setting, value", [
+    ("dt", -0.1), ("dt", 0.0), ("dt", float("nan")), ("dx", -0.01), ("dx", 0.0)])
+def test_config_refuses_non_positive_steps(setting, value):
+    # a negative dt once ran viscous_run with one step of T, far above its
+    # limit, and a zero dt or dx divided by zero
+    with pytest.raises(ConfigError, match=f"need {setting} > 0"):
+        SchemeConfig(eps=0.05, T=0.5, domain=(-1.0, 1.0), **{setting: value})
+
+
 class TestReversedDigit:
     @pytest.mark.parametrize("j,theta", [(1, 0.1), (759, 0.957), (39022, 0.22093)])
     def test_published_values(self, j, theta):

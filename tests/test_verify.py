@@ -128,6 +128,21 @@ def test_strip_expression_additive_over_random_cuts(make_view, s):
                                rtol=0, atol=1e-14)
 
 
+
+@pytest.mark.parametrize("make_view", [shock_fan_view, pulse_front_view])
+def test_strip_expression_additive_across_time_support_ends(make_view):
+    # the clipped time factor of the bump has kinks at 0.25 and 0.75, so the
+    # Gauss panels must be cut there as at the view's own kinks
+    view = make_view()
+    bumps = [BumpTestFn(0.3, 0.4, 0.5, 0.25)]
+
+    def expr(t0, t1):
+        return strip_expressions(view, BURGERS, bumps, t0, t1, entropy=True)
+
+    np.testing.assert_allclose(expr(0.0, 0.25) + expr(0.25, 0.75) + expr(0.75, 1.0),
+                               expr(0.0, 1.0), rtol=0, atol=1e-14)
+
+
 def burgers_pulses_view():
     # two pulses drawn as the certify-burgers benchmark draws them: each
     # rarefaction catches the shock in front of it
@@ -247,11 +262,33 @@ def test_pulse_certificate_pinned():
         np.testing.assert_allclose(got, PULSE_CERT_VALUES[kind], rtol=0, atol=1e-15)
 
 
+
+# stored Godunov runs of Burgers on speeds [0, 1], data 1 | 0: weak residual
+# and certificate eps, pinned bit for bit before grid runs were drawn by lines
+GRID_PINS = {80: ("0x1.09fa69f7345c1p-9", "0x1.3238eaff6cb46p-5"),
+             320: ("0x1.08538cfcc7f7bp-11", "0x1.8487092828ed0p-7")}
+
+
+@pytest.mark.parametrize("cells_per_unit", sorted(GRID_PINS))
+def test_grid_residual_and_certificate_pinned(cells_per_unit):
+    data = PiecewiseConstantFn.riemann([1.0], [0.0])
+    cfg = SchemeConfig(eps=1 / cells_per_unit, T=0.5, domain=(-1.0, 1.5),
+                       store_all=True)
+    view = GridView(godunov_run(BURGERS_01, data, cfg))
+    cert = certify_eps_approx(view, BURGERS_01, M=1.0, initial_data=data)
+    assert (weak_residual(view, BURGERS_01).hex(), cert.eps.hex()) == \
+        GRID_PINS[cells_per_unit]
+
+
 class TestWeakResidual:
     def test_exact_shock_residual_tiny(self):
         view = FanView(step_fan(), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
         r = weak_residual(view, BURGERS, t_span=(0.0, 1.0))
         assert r <= 1e-6
+
+    def test_fan_with_no_wave_residual_tiny(self):
+        view = FanView(WaveFan(np.array([0.4]), ()), x_span=(-1.0, 2.0))
+        assert weak_residual(view, BURGERS) < 1e-15
 
     def test_wrong_speed_step_detected(self):
         view = FanView(step_fan(speed=0.6), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))

@@ -290,6 +290,9 @@ class TestCentralDiff:
         # P(v) = v^-1, so P'' = gamma k v^(-gamma-1) = 2 v^-3
         (P_SYSTEM, [1.2, 0.3], np.diag([2.0 * 1.2 ** -3, 1.0])),
         (P_SYSTEM, [0.6, -0.4], np.diag([2.0 * 0.6 ** -3, 1.0])),
+        # isothermal: P(v) = -k log v, so P'' = k v^-2
+        (models.p_system(gamma=1.0), [1.2, 0.3], np.diag([1.2 ** -2, 1.0])),
+        (models.p_system(gamma=1.0), [0.6, -0.4], np.diag([0.6 ** -2, 1.0])),
     ])
     def test_entropy_hessian_matches_analytic(self, model, u, exact):
         H = model.entropy_hessian(u)
