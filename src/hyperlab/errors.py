@@ -25,10 +25,6 @@ class MissingEntropyPair(HyperlabError):
     pass
 
 
-class SpeedBoundViolated(HyperlabError):
-    """An eigenvalue fell outside the [-M, M] bound during normalization."""
-
-
 class ContinuationFailure(HyperlabError):
     """A Lax curve was not followed: the shock-curve continuation stalled
     (left the domain or lost hyperbolicity), or the steps of a rarefaction
@@ -56,7 +52,7 @@ class RHViolated(HyperlabError):
 
 
 class SpeedRangeViolation(HyperlabError):
-    """Scheme precondition on the normalized speed range failed."""
+    """A speed of the data lies outside a scheme's window or outside [-M, M]."""
 
 
 class NonfiniteState(HyperlabError):
@@ -64,7 +60,7 @@ class NonfiniteState(HyperlabError):
 
 
 class RiemannFailure(HyperlabError):
-    """A scheme-internal Riemann solve failed."""
+    """System front tracking was called without field classes."""
 
 
 class FrontExplosion(HyperlabError):

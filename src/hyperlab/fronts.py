@@ -186,8 +186,7 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     fields = lam_hat = None
     if model.n > 1:
         fields = _field_classes(model, data.vals.min(axis=0), data.vals.max(axis=0))
-        lam_hat = 1.0 + max(float(np.max(np.abs(eigenvalues(model, u))))
-                            for u in data.vals)
+        lam_hat = 1.0 + float(np.max(np.abs(eigenvalues(model, data.vals))))
 
     fronts = []
     for j, x in enumerate(data.xs):

@@ -3,15 +3,17 @@
 Built-in models carry analytic fluxes and Jacobians, both vectorized over
 rows of states (backward Euler takes the Jacobians of a whole grid in one
 call); user models without a Jacobian fall back to central finite
-differences.  Every derivative the library differences goes through one
-helper, `_central_diff(F, x, rel)`, which steps coordinate j by
-h_j = rel * (1 + |x_j|), at one point or at rows of points.  The steps per
-site: the Jacobian fallback, the entropy gradients and `gnl_indicator`,
-which differences every eigenvalue at once, use rel = H_JAC;
-`entropy_hessian` differences the entropy gradient with rel = sqrt(H_JAC);
-the cell speeds f'(u) of `schemes.mollification_run` use 1e-7.  All
-operations are pure and models are immutable, so everything here is safe
-to evaluate from concurrent workers.
+differences.  `eigenvalues` is the batched speed scan every speed bound
+reads; `eigensystem` is the one-state decomposition with eigenvectors the
+Riemann solvers and `gnl_indicator` read.  Every derivative the library
+differences goes through one helper, `_central_diff(F, x, rel)`, which steps
+coordinate j by h_j = rel * (1 + |x_j|), at one point or at rows of points.
+The steps per site: the Jacobian fallback, the entropy gradients and
+`gnl_indicator`, which differences every eigenvalue at once, use rel =
+H_JAC; `entropy_hessian` differences the entropy gradient with rel =
+sqrt(H_JAC); the cell speeds f'(u) of `schemes.mollification_run` use 1e-7.
+All operations are pure and models are immutable, so everything here is
+safe to evaluate from concurrent workers.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, MissingEntropyPair, NonHyperbolic,
-                     OutOfDomain, SpeedBoundViolated)
+                     OutOfDomain, SpeedRangeViolation)
 from .piecewise import as_state
 
 TOL_EIG = 1e-9
@@ -66,12 +68,14 @@ class FluxModel:
         return as_state(u, self.n)
 
     def contains(self, u):
-        u = self.state(u)
+        """Whether all the states (..., n) lie in the domain box."""
         return bool(((u >= self.lo) & (u <= self.hi)).all())
 
     def require_in_domain(self, u):
+        """OutOfDomain at the first of the states (..., n) outside the box."""
         if not self.contains(u):
-            raise OutOfDomain(f"state {np.asarray(u)} outside domain box of model {self.name!r}")
+            bad = next(s for s in np.reshape(u, (-1, self.n)) if not self.contains(s))
+            raise OutOfDomain(f"state {bad} outside domain box of model {self.name!r}")
 
     def f(self, u):
         return np.asarray(self.flux(np.asarray(u, dtype=float)), dtype=float)
@@ -172,9 +176,7 @@ def eigensystem(model: FluxModel, u) -> EigenSystem:
 def _eigensystem_eig(model, u, A):
     """The eigensystem of any n by np.linalg.eig and np.linalg.inv."""
     w, V = np.linalg.eig(A)
-    if np.max(np.abs(w.imag)) > TOL_EIG * max(1.0, np.max(np.abs(w.real))):
-        raise NonHyperbolic(f"complex eigenvalues at u={u}")
-    order = np.argsort(w.real)
+    order = np.argsort(_real(w, u))
     lam = w.real[order]
     R = np.stack([_fix_sign(np.real(V[:, k]) / np.linalg.norm(np.real(V[:, k])))
                   for k in order])
@@ -218,8 +220,37 @@ def _eigensystem_2x2(model, u, A):
     return EigenSystem(np.array(lam), np.array(R), np.array([[s, -r], [-q, p]]) / det)
 
 
+def _real(w, u):
+    """Re w for the eigenvalues w (..., n) at u (..., n), refusing complex ones."""
+    bad = np.abs(w.imag).max(axis=-1) > TOL_EIG * np.maximum(1.0, np.abs(w.real).max(axis=-1))
+    if bad.any():
+        raise NonHyperbolic(f"complex eigenvalues at u={u[bad][0]}")
+    return w.real
+
+
 def eigenvalues(model: FluxModel, u):
-    return eigensystem(model, u).lambdas
+    """Sorted eigenvalues of Df at one state (n,) -> (n,) or at rows
+    (..., n) -> (..., n), from one np.linalg.eigvals call.  A state outside
+    the box raises OutOfDomain, a non-finite Jacobian or complex eigenvalues
+    NonHyperbolic, naming the first such state; coincident eigenvalues pass."""
+    u = model.state(u) if np.ndim(u) < 2 else np.asarray(u, dtype=float)
+    model.require_in_domain(u)
+    A = model.jac(u)
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    if not finite.all():
+        raise NonHyperbolic(f"non-finite Jacobian at u={u[~finite][0]}")
+    return np.sort(_real(np.linalg.eigvals(A), u), axis=-1)
+
+
+def _check_speed_range(model: FluxModel, states, lo, hi):
+    """SpeedRangeViolation at the worst speed at the states outside [lo, hi]."""
+    u = np.asarray(states, dtype=float).reshape(-1, model.n)
+    lam = eigenvalues(model, u)
+    excess = np.maximum(lo - lam, lam - hi)
+    k, i = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[k, i] > 0:
+        raise SpeedRangeViolation(
+            f"speed {lam[k, i]:.6g} outside [{lo:.6g}, {hi:.6g}] at u={u[k]}")
 
 
 def gnl_indicator(model: FluxModel, u):
@@ -277,11 +308,7 @@ def normalize_speeds(model: FluxModel, M, target=(0.0, 1.0), check_states=None) 
     d = 2.0 * M / (beta - alpha)
     c = alpha * d + M
     if check_states is not None:
-        for u in check_states:
-            lam = eigenvalues(model, u)
-            if np.any(np.abs(lam) > M * (1 + 1e-12)):
-                raise SpeedBoundViolated(
-                    f"eigenvalue {lam[np.argmax(np.abs(lam))]:.6g} outside [-{M}, {M}] at u={u}")
+        _check_speed_range(model, check_states, -M * (1 + 1e-12), M * (1 + 1e-12))
 
     f0, jac0 = model.flux, model.jacobian
     eta0, q0 = model.entropy, model.entropy_flux

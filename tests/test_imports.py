@@ -3,10 +3,11 @@ every module-level constant and private helper is read by the library and
 every constant is defined in one module only, every optional parameter of a
 function is passed by some call, every parameter is read by its function,
 every field of the model and scheme settings is read by the library, every
-typed error is raised by the library and named by a test, and no test module
-imports another."""
+typed error is raised by the library and named by a test, no test module
+imports another, and every library name the benchmark reads exists."""
 
 import ast
+import importlib
 import math
 import re
 from pathlib import Path
@@ -208,3 +209,35 @@ def test_no_test_module_imports_another(path):
             imported += [node.module] if node.module else [a.name for a in node.names]
     found = [name for name in imported if name.split(".")[0].startswith("test_")]
     assert not found, f"{path.name} imports test modules: {found}"
+
+
+def test_benchmark_reads_only_what_the_library_has():
+    # the benchmark reads the library from outside: every module attribute
+    # it names must exist, and every method its tracer wraps must be defined
+    # on its class itself, where `--trace 1` patches it
+    bench = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+    missing = []
+    for path in bench:
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "hyperlab":
+                modules.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hyperlab."):
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{a.name}" for a in node.names
+                            if not hasattr(module, a.name)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                module = importlib.import_module(f"hyperlab.{modules[node.value.id]}")
+                if not hasattr(module, node.attr):
+                    missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and getattr(node.targets[0], "id", None) == "METHODS"):
+                for module, cls, method in ast.literal_eval(node.value):
+                    owner = getattr(importlib.import_module(f"hyperlab.{module}"), cls, None)
+                    if method not in getattr(owner, "__dict__", {}):
+                        missing.append(f"{path.name}: METHODS {module}.{cls}.{method}")
+    assert not missing, f"library names the benchmark reads but the library lacks: {missing}"

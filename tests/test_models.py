@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.errors import (ConfigError, MissingEntropyPair, NonHyperbolic,
-                             OutOfDomain)
+                             OutOfDomain, SpeedRangeViolation)
 from hyperlab.models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE,
                              NEITHER, classify_field, eigensystem,
                              entropy_compatibility_residual, model_from_name,
@@ -104,6 +104,67 @@ class TestEigensystem:
         m = models.p_system()
         with pytest.raises(OutOfDomain):
             eigensystem(m, [-1.0, 0.0])
+
+
+def _tridiagonal3():
+    """A nonlinear 3x3 user model whose Jacobian is tridiagonal with positive
+    off-diagonal products, so its eigenvalues are real and distinct."""
+    def flux(u):
+        u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+        return np.stack([0.5 * u0 * u0 + u1,
+                         0.1 * u0 + 2.0 * u1 + 0.5 * u1 * u1 + u2,
+                         0.1 * u1 + 4.0 * u2 + 0.5 * u2 * u2], axis=-1)
+
+    def jacobian(u):
+        J = np.zeros(u.shape + (3,))
+        J[..., 0, 0], J[..., 0, 1] = u[..., 0], 1.0
+        J[..., 1, 0], J[..., 1, 1], J[..., 1, 2] = 0.1, 2.0 + u[..., 1], 1.0
+        J[..., 2, 1], J[..., 2, 2] = 0.1, 4.0 + u[..., 2]
+        return J
+
+    return models.FluxModel("tridiagonal3", 3, flux=flux, jacobian=jacobian)
+
+
+SCAN_MODELS = [*map(model_from_name, ["burgers", "cubic", "advection:1.5",
+                                      "psystem:1,2", "linear2:1,2,3,4"]),
+               _tridiagonal3()]
+
+
+class TestEigenvalues:
+    @pytest.mark.parametrize("model", [*SCAN_MODELS,
+                                       *(normalize_speeds(m, M=4.0) for m in SCAN_MODELS)],
+                             ids=lambda m: m.name)
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_eigensystem(self, model, seed):
+        # the batched scan against the one-state decomposition, state by state
+        u = np.random.default_rng(seed).uniform(np.maximum(model.lo, -0.9), 0.9,
+                                                size=(4, 3, model.n))
+        lam = models.eigenvalues(model, u)
+        assert lam.shape == u.shape
+        want = np.array([eigensystem(model, s).lambdas for s in u.reshape(-1, model.n)])
+        want = want.reshape(u.shape)
+        assert np.all(np.abs(lam - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        one = models.eigenvalues(model, u[1, 2])
+        assert one.shape == (model.n,)
+        assert np.all(np.abs(one - want[1, 2]) <= 1e-13 * np.maximum(1.0, np.abs(want[1, 2])))
+
+    def test_refusals_name_the_first_offending_state(self):
+        with pytest.raises(OutOfDomain, match=r"state \[-0\.5\s+0\.1\]"):
+            models.eigenvalues(models.p_system(), [[1.0, 0.0], [-0.5, 0.1], [-1.0, 0.2]])
+        with pytest.raises(NonHyperbolic, match=r"complex eigenvalues at u=\[0\.3 0\.4\]"):
+            models.eigenvalues(models.linear_system(0, 1, -1, 0), [[0.3, 0.4], [0.5, 0.6]])
+        steep = models.FluxModel(
+            "steep", 1, flux=lambda u: 0.5 * u * u,
+            jacobian=lambda u: np.where(u > 0.5, np.inf, u)[..., None])
+        with pytest.raises(NonHyperbolic, match=r"non-finite Jacobian at u=\[0\.7\]"):
+            models.eigenvalues(steep, [[0.1], [0.7], [0.9]])
+
+    def test_coincident_eigenvalues_pass(self):
+        # eigensystem refuses a double eigenvalue; a speed bound does not need
+        # strict hyperbolicity
+        m = models.linear_system(1, 0, 0, 1)
+        assert models.eigenvalues(m, np.zeros((3, 2))).tolist() == [[1.0, 1.0]] * 3
 
 
 def _linear2(lam, gap, theta, spread):
@@ -284,8 +345,7 @@ class TestNormalizeSpeeds:
             assert t.jac(u).tobytes() == want.tobytes()
 
     def test_speed_bound_violation(self):
-        from hyperlab.errors import SpeedBoundViolated
-        with pytest.raises(SpeedBoundViolated):
+        with pytest.raises(SpeedRangeViolation, match=r"speed 1 outside .* at u=\[1\.\]"):
             normalize_speeds(models.burgers(), M=0.5,
                              check_states=[np.array([1.0])])
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from hyperlab import models, schemes
 from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
-                             NewtonFailure, NonfiniteState, SpeedRangeViolation,
-                             SubcharacteristicViolation)
+                             NewtonFailure, NonfiniteState, OutOfDomain,
+                             SpeedRangeViolation, SubcharacteristicViolation)
 from hyperlab.fronts import FrontTrackingSolution
 from hyperlab.models import FluxModel, normalize_speeds
 from hyperlab.piecewise import PiecewiseConstantFn
@@ -94,7 +95,7 @@ class TestGodunov:
         # the flux overflows above 0.45, as in a blow-up
         m = FluxModel("overflow", 1,
                       flux=lambda u: np.where(u > 0.45, np.inf, 0.5 * u * u),
-                      jacobian=lambda u: np.array([[u[0]]]))
+                      jacobian=lambda u: u[..., None].copy())
         cfg = SchemeConfig(eps=0.02, T=0.2, domain=(0.0, 1.0))
         with np.errstate(invalid="ignore"), pytest.raises(NonfiniteState):
             godunov_run(m, square_pulse(0.5, 0.3, 0.6), cfg)
@@ -150,6 +151,63 @@ def test_config_refuses_non_positive_steps(setting, value):
     # limit, and a zero dt or dx divided by zero
     with pytest.raises(ConfigError, match=f"need {setting} > 0"):
         SchemeConfig(eps=0.05, T=0.5, domain=(-1.0, 1.0), **{setting: value})
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("eps", float("nan")), ("eps", float("inf")), ("eps", 0.0), ("delta", float("inf")),
+    ("T", float("nan")), ("T", float("inf")), ("T", -0.5)])
+def test_config_refuses_non_finite_settings(setting, value):
+    # a NaN T once ran viscous_run to its t = 0 snapshot alone, an infinite
+    # T overflowed the step count, a NaN eps raised an untyped ValueError and
+    # an infinite delta drew the delta grid of front tracking as inf * 0
+    given = {"eps": 0.05, "T": 0.5, setting: value}
+    with pytest.raises(ConfigError, match=f"need .*{setting} .*, not {value!r}"):
+        SchemeConfig(domain=(-1.0, 1.0), **given)
+
+
+class TestSpeedGuardsReadEveryCell:
+    """Each run below has more than 96 distinct initial states, and one cell
+    alone breaks the precondition."""
+
+    def test_speed_above_one_at_one_cell(self):
+        # f = -1.2 cos u has speed 1.2 sin u: at most 0.12 on the 200 cells
+        # near 0 and pi, and 1.2 on the one cell at pi/2
+        m = FluxModel("cos", 1, flux=lambda u: -1.2 * np.cos(u),
+                      jacobian=lambda u: 1.2 * np.sin(u)[..., None])
+
+        def data(x):
+            k = int(round(x / 0.01 - 0.5))
+            return [0.001 * k if k < 100 else np.pi / 2 if k == 100
+                    else np.pi - 0.001 * (k - 101)]
+
+        cfg = SchemeConfig(eps=0.01, T=0.05, domain=(0.0, 2.01))
+        with pytest.raises(SpeedRangeViolation, match=r"speed 1\.2 outside .* u=\[1\.5707"):
+            godunov_run(m, data, cfg)
+
+    def test_diffusion_matrix_indefinite_at_one_cell(self):
+        # B = 1 except at the state of cell 1 of the ramp u = x
+        def B(u):
+            return np.eye(1) * (-1.0 if 0.007 < u[0] < 0.008 else 1.0)
+
+        cfg = SchemeConfig(eps=0.02, T=0.01, domain=(0.0, 1.0), dx=0.005, b_matrix=B)
+        with pytest.raises(ConfigError, match="positive semidefinite"):
+            nonlinear_diffusion_run(models.burgers(), lambda x: [x], cfg)
+
+    @pytest.mark.parametrize("bad", [lambda v: [-0.5, 0.0], lambda v: [v, -0.7]],
+                             ids=["v", "w"])
+    def test_state_outside_the_box_at_one_cell(self, bad):
+        # a normalised p-system on the ramp (1 + x/10, 0), its velocities held
+        # above -0.5 too; cell 101 leaves the box through v or through w
+        m = replace(normalize_speeds(models.p_system(), M=1.6), lo=np.array([1e-8, -0.5]))
+        x_bad = 0.005 * 101.5
+
+        def data(x):
+            return bad(1.0 + 0.1 * x) if x == x_bad else [1.0 + 0.1 * x, 0.0]
+
+        cfg = SchemeConfig(eps=0.005, T=0.01, domain=(0.0, 1.0))
+        state = np.array(bad(1.0 + 0.1 * x_bad))
+        with pytest.raises(OutOfDomain, match=re.escape(f"state {state} outside")):
+            godunov_run(m, data, cfg)
 
 
 class TestReversedDigit:
@@ -482,13 +540,14 @@ class TestBackwardEuler:
             backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
 
     def test_singular_block_raises(self):
-        # the Jacobian is f' on the data states 0 and 1 and -1/c elsewhere,
-        # so the second Newton iterate makes I + c A singular
+        # the Jacobian is f' within 1e-12 of the data states 0 and 1 (cell
+        # averages at the pulse edges round off) and -1/c elsewhere, so the
+        # second Newton iterate makes I + c A singular
         c = 4.0  # dt/dx = eps/(eps/4)
+        near_data = lambda u: (np.abs(u) <= 1e-12) | (np.abs(u - 1.0) <= 1e-12)
         m = FluxModel("singular-off-data", 1,
                       flux=lambda u: 2 * u - 0.5 * u * u,
-                      jacobian=lambda u: np.where((u == 0.0) | (u == 1.0),
-                                                  2.0 - u, -1.0 / c)[..., None])
+                      jacobian=lambda u: np.where(near_data(u), 2.0 - u, -1.0 / c)[..., None])
         cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
         with pytest.raises(NewtonFailure, match="singular implicit system in step 1"):
             backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
