@@ -81,9 +81,11 @@ class FluxModel:
         return np.asarray(self.flux(np.asarray(u, dtype=float)), dtype=float)
 
     def jac(self, u):
-        """Df at one state (n,) -> (n, n) or at rows (..., n) -> (..., n, n)."""
+        """Df at one state (n,) -> (n, n) or at rows (..., n) -> (..., n, n).
+        One state that is already of shape (n,) skips `state`, which would
+        return it unchanged; any other one-state input goes through it."""
         u = np.asarray(u, dtype=float)
-        if u.ndim < 2:
+        if u.ndim < 2 and u.shape != (self.n,):
             u = self.state(u)
         if self.jacobian is None:
             return _central_diff(self.f, u, H_JAC)
@@ -202,8 +204,11 @@ def _eigensystem_2x2(model, u, A):
     lam = [0.5 * (a + d) - math.sqrt(disc), 0.5 * (a + d) + math.sqrt(disc)]
     R = []
     for l in lam:
-        x, y = max((b, l - a), (l - d, c), key=lambda v: math.hypot(*v))
-        nv = math.hypot(x, y)
+        # the longer row; the first on a tie
+        (x, y), (x2, y2) = (b, l - a), (l - d, c)
+        nv, nv2 = math.hypot(x, y), math.hypot(x2, y2)
+        if nv2 > nv:
+            x, y, nv = x2, y2, nv2
         if nv == 0:
             raise NonHyperbolic(f"defective Jacobian at u={u}")
         x, y = x / nv, y / nv

@@ -22,8 +22,12 @@ evaluation continues every jump from the point the previous evaluation
 found for the same jump (same family, same index in the family), and falls
 back to a continuation from s = 0 where that fails; the first evaluation
 and the integral-curve rarefactions start cold.  The RH Newton of one shock
-point allocates its bordered system once, and takes a start as converged
-only near roundoff, so a seeded point is as accurate as a cold one.
+point takes a start as converged only near roundoff, so a seeded point is
+as accurate as a cold one, and returns f at the point, which the next jump
+of a composition takes as f at its left state.  Every linear step of the
+strength solve, RH Newton and Broyden alike, is one `_solve_small`:
+Gaussian elimination on Python floats, which rounds unlike LAPACK but costs
+less than `np.linalg.solve`'s wrapper at these sizes.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
 concave envelope of f (`_envelope`, shared with scalar front tracking), which
@@ -69,58 +73,89 @@ def rh_residual(model: FluxModel, u_minus, u_plus, lam):
 # ---------------------------------------------------------------------------
 # shock curves
 
-def _shock_point_newton(model, u_minus, l_i, s, state0, lam0):
+def _solve_small(A, b):
+    """x with A x = b, as a list, for a small dense A given as rows of
+    floats: Gaussian elimination with partial pivoting on Python floats.  At
+    the sizes of the strength solve (2 to 4) it costs less than
+    `np.linalg.solve`, most of whose time is its wrapper.  An exact zero
+    pivot raises np.linalg.LinAlgError, as LAPACK does."""
+    n = len(b)
+    M = [list(row) + [bi] for row, bi in zip(A, b)]
+    for k in range(n):
+        p, pivot = k, M[k]
+        for i in range(k + 1, n):  # the first of the largest, as LAPACK takes it
+            if abs(M[i][k]) > abs(pivot[k]):
+                p, pivot = i, M[i]
+        if pivot[k] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        M[p], M[k] = M[k], pivot
+        for row in M[k + 1:]:
+            m = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= m * pivot[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = M[k]
+        t = row[n]
+        for j in range(k + 1, n):
+            t -= row[j] * x[j]
+        x[k] = t / row[k]
+    return x
+
+
+def _shock_point_newton(model, u_minus, f_minus, l_i, s, state0, lam0):
     """Solve RH plus the projection closure for (S, lambda) at parameter s
     to |F| <= 1e-13 (1 + |f(u_minus)|) in at most 30 steps; after them
     1e-10 (1 + |f(u_minus)|) still passes.  |F| fixes the speed of a jump d
     only to |F| / |d|, so the start itself passes only at 1e-15 (1 + |f|),
-    near roundoff: a seed close to the point gets one quadratic step.  The
-    bordered matrix and the residual are allocated once, with the closure
-    row l_i written once."""
+    near roundoff: a seed close to the point gets one quadratic step.  Each
+    step solves the bordered system [Df(S) - lambda I, -d; l_i, 0] on floats
+    with `_solve_small`.  Returns (S, lambda, f(S)), the flux of the last
+    residual, which the next jump of a composition takes as its
+    f(u_minus)."""
     n = model.n
-    f_minus = model.f(u_minus)
-    S, lam = state0.copy(), float(lam0)
+    S, lam = state0, float(lam0)
     scale = 1.0 + math.sqrt(f_minus @ f_minus)
-    F = np.empty(n + 1)
-    J = np.zeros((n + 1, n + 1))
-    J[n, :n] = l_i
-    diag = np.arange(n)
+    closure = l_i.tolist() + [0.0]
     for k in range(31):
         d = S - u_minus
-        F[:n] = model.f(S) - f_minus - lam * d
-        F[n] = l_i @ d - s
-        norm = math.sqrt(F @ F)
+        f_S = model.f(S)
+        F = (f_S - f_minus - lam * d).tolist()
+        F.append(float(l_i @ d) - s)
+        norm = math.hypot(*F)
         if norm <= (1e-15 if k == 0 else 1e-13 if k < 30 else 1e-10) * scale:
-            return S, lam
+            return S, lam, f_S
         if k == 30:
             raise ContinuationFailure(f"RH Newton stalled at s={s:.3g} (|F|={norm:.2e})")
-        J[:n, :n] = model.jac(S)
-        J[diag, diag] -= lam
-        J[:n, n] = -d
+        rows = model.jac(S).tolist()
+        for j, (row, d_j) in enumerate(zip(rows, d.tolist())):
+            row[j] -= lam
+            row.append(-d_j)
+        rows.append(closure)
         try:
-            step = np.linalg.solve(J, -F)
+            step = _solve_small(rows, [-x for x in F])
         except np.linalg.LinAlgError as exc:
             raise ContinuationFailure(f"singular RH system at s={s:.3g}") from exc
         S, lam = S + step[:n], lam + step[n]
-        if not (np.all(np.isfinite(S)) and np.isfinite(lam)):
+        if not all(map(math.isfinite, [*S.tolist(), lam])):
             raise ContinuationFailure(f"RH Newton diverged at s={s:.3g}")
 
 
-def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
-    """The shock point at parameter b, continued from (S, lam) at a: Newton
-    from the linear guess S + (b - a) r_i, and halved steps (12 in all at
-    most) where Newton fails or lands outside the domain box, so every point
-    reached lies in it.  (S, lam) is u_minus and lambda_i(u_minus) at a = 0,
-    the previous sample of `shock_curve`, or a seed of an earlier strength
-    evaluation, which `_lax_step` redoes from s = 0 when this raises
-    ContinuationFailure."""
+def _continue_shock(model, u_minus, f_minus, l_i, r_i, a, S, lam, b):
+    """The shock point (S, lambda, f(S)) at parameter b, continued from
+    (S, lam) at a: Newton from the linear guess S + (b - a) r_i, and halved
+    steps (12 in all at most) where Newton fails or lands outside the domain
+    box, so every point reached lies in it.  (S, lam) is u_minus and
+    lambda_i(u_minus) at a = 0, the previous sample of `shock_curve`, or a
+    seed of an earlier strength evaluation, which `_lax_step` redoes from
+    s = 0 when this raises ContinuationFailure.  f_minus is f(u_minus)."""
     pending = [(a, b)]
     halvings = 0
     while pending:
         a, b = pending.pop()
         try:
-            S_new, lam_new = _shock_point_newton(model, u_minus, l_i, b,
-                                                 S + (b - a) * r_i, lam)
+            S_new, lam_new, f_new = _shock_point_newton(model, u_minus, f_minus, l_i, b,
+                                                        S + (b - a) * r_i, lam)
             if not model.contains(S_new):
                 raise ContinuationFailure(
                     f"shock curve left the domain box at s={b:.3g}")
@@ -131,8 +166,8 @@ def _continue_shock(model, u_minus, l_i, r_i, a, S, lam, b):
             mid = 0.5 * (a + b)
             pending.extend([(mid, b), (a, mid)])
             continue
-        S, lam = S_new, lam_new
-    return S, lam
+        S, lam, f_S = S_new, lam_new, f_new
+    return S, lam, f_S
 
 
 def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33):
@@ -155,13 +190,14 @@ def shock_curve(model: FluxModel, u_minus, i, s_max, n_samples=33):
 
     es = eigensystem(model, u_minus)
     l_i, r_i = es.left[i], es.right[i]
+    f_minus = model.f(u_minus)
     states = np.empty((n_samples, model.n))
     speeds = np.empty(n_samples)
     states[0], speeds[0] = u_minus, es.lambdas[i]
     for j in range(1, n_samples):
-        states[j], speeds[j] = _continue_shock(model, u_minus, l_i, r_i,
-                                               s_grid[j - 1], states[j - 1],
-                                               speeds[j - 1], s_grid[j])
+        states[j], speeds[j], _ = _continue_shock(model, u_minus, f_minus, l_i, r_i,
+                                                  s_grid[j - 1], states[j - 1],
+                                                  speeds[j - 1], s_grid[j])
     return s_grid, states, speeds
 
 
@@ -295,8 +331,9 @@ def _field_classes(model, u_minus, u_plus):
     return fields
 
 
-def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
-    """The family-i wave from u_l at oriented strength sigma.
+def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
+    """The family-i wave from u_l at oriented strength sigma, and f at its
+    right state if it is a jump (else None).
 
     This is the one place where the branch of the Lax curve is chosen: a
     contact for a linearly degenerate family, a shock for sigma < 0, and a
@@ -304,8 +341,8 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
     `jumps`, the single RH-exact jump at the same shock-curve parameter
     (a rarefaction front of front tracking).  Either curve takes
     s = orientation * sigma along the sign-fixed l_i and r_i: the one use of
-    the orientation.  `es` is the eigensystem at u_l
-    when the caller has it, else None.  A jump is continued from `seed`, the
+    the orientation.  `es` and `f_l` are the eigensystem and f at u_l
+    when the caller has them, else None.  A jump is continued from `seed`, the
     same jump (u_l', sigma', S', lambda') of an earlier composition, at
     sigma' from S' + (u_l - u_l'); without a seed, or where that continuation
     fails, it is continued from s = 0.
@@ -320,20 +357,22 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed):
     else:
         _, states, speeds = rarefaction_curve(model, u_l, i, s)
         return RarefactionWave(i, u_l, states[-1], float(speeds[0]),
-                               float(speeds[-1]), states, speeds)
+                               float(speeds[-1]), states, speeds), None
     if es is None:
         es = eigensystem(model, u_l)
+    if f_l is None:
+        f_l = model.f(u_l)
     l_i, r_i = es.left[i], es.right[i]
     if seed is not None:
         u_prev, a, S, lam = seed
         try:
-            S, lam = _continue_shock(model, u_l, l_i, r_i, field.orientation * a,
-                                     S + (u_l - u_prev), lam, s)
-            return JumpWave(kind, i, u_l, S, float(lam))
+            S, lam, f_r = _continue_shock(model, u_l, f_l, l_i, r_i, field.orientation * a,
+                                          S + (u_l - u_prev), lam, s)
+            return JumpWave(kind, i, u_l, S, float(lam)), f_r
         except ContinuationFailure:
             pass  # continued from s = 0, as without a seed
-    S, lam = _continue_shock(model, u_l, l_i, r_i, 0.0, u_l, es.lambdas[i], s)
-    return JumpWave(kind, i, u_l, S, float(lam))
+    S, lam, f_r = _continue_shock(model, u_l, f_l, l_i, r_i, 0.0, u_l, es.lambdas[i], s)
+    return JumpWave(kind, i, u_l, S, float(lam)), f_r
 
 
 def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=None):
@@ -345,10 +384,11 @@ def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=N
     dict it keeps across its evaluations: the j-th jump of family i is
     continued from seeds[i, j], where the previous composition left it, and
     the dict then holds this composition's jumps.  It also passes
-    `es_minus`, its eigensystem at u_minus, for the first wave.
+    `es_minus`, its eigensystem at u_minus, for the first wave.  Each later
+    jump takes f at its left state from the RH Newton of the jump before.
     """
     jumps = splits is not None
-    state = u_minus
+    state, f_state = u_minus, None
     waves = []
     reached = {}
     for i in range(model.n):
@@ -357,9 +397,9 @@ def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=N
             continue
         k = splits[i] if jumps and sig > 0 else 1
         for j in range(k):
-            w = _lax_step(model, state, i, sig / k, fields[i], jumps,
-                          None if waves else es_minus,
-                          seeds.get((i, j)) if seeds else None)
+            w, f_state = _lax_step(model, state, i, sig / k, fields[i], jumps,
+                                   None if waves else es_minus,
+                                   seeds.get((i, j)) if seeds else None, f_state)
             if isinstance(w, JumpWave):
                 reached[i, j] = (state, sig / k, w.u_r, w.speed)
             waves.append(w)
@@ -387,7 +427,7 @@ def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
         if gn <= tol:
             return x, at_x
         try:
-            step = np.linalg.solve(J, -g)
+            step = np.array(_solve_small(J.tolist(), (-g).tolist()))
         except np.linalg.LinAlgError as exc:
             raise error(f"singular {what} Jacobian") from exc
         for t in [0.5 ** k for k in range(10)]:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import models
+from hyperlab import models, riemann
 from hyperlab.errors import ConfigError, FrontExplosion
 from hyperlab.fronts import approximate_riemann_pieces, front_tracking_run
 from hyperlab.piecewise import PiecewiseConstantFn
@@ -12,6 +12,24 @@ from hyperlab.schemes import SchemeConfig
 
 BURGERS = models.burgers()
 CUBIC = models.cubic_flux()
+P_SYSTEM = models.p_system()
+# two p-system Riemann data whose waves interact
+INTERACTION = PiecewiseConstantFn(np.array([0.0, 0.3]),
+                                  np.array([[1.0, 0.0], [1.04, 0.015], [1.0, 0.03]]))
+INTERACTION_CFG = SchemeConfig(eps=1.0, T=1.0, domain=(-3.0, 3.0), delta=0.02)
+
+
+def psystem_steps(n_jumps, a=0.01):
+    """n_jumps p-system jumps 0.1 apart from (1, 0): each adds a r_1 and a r_2
+    (r = (1, +-sqrt(2) v^-1.5)), with signs (+, +), (+, -), (-, +), (-, -)
+    in turn, so shocks and rarefactions of both families interact."""
+    vals = [np.array([1.0, 0.0])]
+    for j in range(n_jumps):
+        u = vals[-1]
+        c = np.sqrt(2.0) * u[0] ** -1.5
+        s1, s2 = ((1, 1), (1, -1), (-1, 1), (-1, -1))[j % 4]
+        vals.append(u + s1 * a * np.array([1.0, c]) + s2 * a * np.array([1.0, -c]))
+    return PiecewiseConstantFn(0.1 * np.arange(n_jumps), np.array(vals))
 
 
 def audit_rh(model, sol, tol=1e-9, include_np=False):
@@ -241,34 +259,55 @@ class TestSystemFronts:
         assert kinds <= {"shock", "rarefaction", "contact"}
 
     def test_psystem_interaction_rh_exact(self):
-        # two Riemann data whose waves interact
-        m = models.p_system()
-        data = PiecewiseConstantFn(np.array([0.0, 0.3]),
-                                   np.array([[1.0, 0.0], [1.04, 0.015], [1.0, 0.03]]))
-        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-3.0, 3.0), delta=0.02)
-        sol = front_tracking_run(m, data, cfg)
+        sol = front_tracking_run(P_SYSTEM, INTERACTION, INTERACTION_CFG)
         assert len(sol.events) >= 1
-        assert audit_rh(m, sol) <= 1e-9
+        assert audit_rh(P_SYSTEM, sol) <= 1e-9
         assert sol.total_nonphysical_strength() == 0.0
 
     def test_psystem_interaction_linear_solves(self, monkeypatch):
         # every linear solve of the run is a Broyden or RH Newton step of
-        # riemann; the count repeats exactly.  Each Broyden evaluation
-        # continues its shock points from the previous one's: the run took
-        # 234 solves when every evaluation started them from s = 0
-        solve, calls = np.linalg.solve, []
+        # riemann, each made by its float elimination, never by LAPACK; the
+        # count repeats exactly.  Each Broyden evaluation continues its shock
+        # points from the previous one's: the run took 234 solves when every
+        # evaluation started them from s = 0
+        small, calls = riemann._solve_small, []
 
         def counted(a, b):
-            calls.append(a.shape)
-            return solve(a, b)
+            calls.append(len(b))
+            return small(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        m = models.p_system()
-        data = PiecewiseConstantFn(np.array([0.0, 0.3]),
-                                   np.array([[1.0, 0.0], [1.04, 0.015], [1.0, 0.03]]))
-        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-3.0, 3.0), delta=0.02)
-        front_tracking_run(m, data, cfg)
+        def refused(a, b):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(riemann, "_solve_small", counted)
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        front_tracking_run(P_SYSTEM, INTERACTION, INTERACTION_CFG)
         assert len(calls) <= 154
+
+    @pytest.mark.parametrize("data, cfg", [
+        (INTERACTION, INTERACTION_CFG),
+        # here 80 of the 192 fronts differ from LAPACK's in their last bits
+        (psystem_steps(6), SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.5),
+                                        delta=0.02, rho_np=1e-3)),
+    ], ids=["interaction", "six-jumps"])
+    def test_float_elimination_matches_lapack_run(self, monkeypatch, data, cfg):
+        # the linear steps on floats round differently from LAPACK; the run
+        # they give makes the same events and fronts, within 1e-14
+        ours = front_tracking_run(P_SYSTEM, data, cfg)
+        monkeypatch.setattr(riemann, "_solve_small", np.linalg.solve)
+        lapack = front_tracking_run(P_SYSTEM, data, cfg)
+        assert len(ours.events) == len(lapack.events) >= 1
+        assert ([(e["in"], e["out"]) for e in ours.events]
+                == [(e["in"], e["out"]) for e in lapack.events])
+        for a, b in zip(ours.events, lapack.events):
+            assert abs(a["t"] - b["t"]) <= 1e-14 and abs(a["x"] - b["x"]) <= 1e-14
+        assert [len(ep.fronts) for ep in ours.epochs] == [len(ep.fronts) for ep in lapack.epochs]
+        for ep_a, ep_b in zip(ours.epochs, lapack.epochs):
+            for f, g in zip(ep_a.fronts, ep_b.fronts):
+                assert (f.kind, f.family) == (g.kind, g.family)
+                assert abs(f.speed - g.speed) <= 1e-14
+                assert np.max(np.abs(f.u_l - g.u_l)) <= 1e-14
+                assert np.max(np.abs(f.u_r - g.u_r)) <= 1e-14
 
     def test_nonphysical_merging_budget(self):
         m = models.p_system()

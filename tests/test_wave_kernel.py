@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import fronts, models, riemann
-from hyperlab.errors import NewtonDivergence, OutOfDomain
+from hyperlab.errors import ContinuationFailure, NewtonDivergence, OutOfDomain
 from hyperlab.fronts import approximate_riemann_pieces
 from hyperlab.riemann import (TOL_RP, _compose, _damped_newton, _field_classes,
                               liu_admissible, rh_residual, solve_riemann,
@@ -298,6 +298,49 @@ class TestCentralDiff:
         H = model.entropy_hessian(u)
         assert np.array_equal(H, H.T)
         assert np.max(np.abs(H - exact)) <= 5e-5 * np.max(np.abs(exact))
+
+
+class TestSolveSmall:
+    """The float elimination that takes every linear step of the strength
+    solve, against LAPACK."""
+
+    @staticmethod
+    def check(A, b):
+        A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+        rows, rhs = A.tolist(), b.tolist()
+        x = np.array(riemann._solve_small(rows, rhs))
+        assert rows == A.tolist() and rhs == b.tolist()  # inputs untouched
+        ref = np.linalg.solve(A, b)
+        bound = 1e-13 * np.linalg.norm(A) * np.linalg.norm(x)
+        assert np.linalg.norm(A @ x - b) <= bound
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.cond(A) * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_lapack(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            self.check(rng.standard_normal((n, n)), rng.standard_normal(n))
+
+    def test_zero_leading_entry_swaps_rows(self):
+        self.check([[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [3.0, 0.0, 1.0]], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("A", [[[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))],
+                             ids=["rank-1", "zero"])
+    def test_singular_raises_like_lapack(self, A):
+        A = np.array(A)
+        b = np.ones(len(A))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, b)
+        with pytest.raises(np.linalg.LinAlgError):
+            riemann._solve_small(A.tolist(), b.tolist())
+
+    def test_singular_rh_system(self):
+        # a zero closure row leaves the bordered RH system singular
+        u = np.array([1.0, 0.0])
+        with pytest.raises(ContinuationFailure, match="singular RH system at s=0.01") as info:
+            riemann._shock_point_newton(P_SYSTEM, u, P_SYSTEM.f(u), np.zeros(2), 0.01,
+                                        u + 0.01, -1.0)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestDampedNewton:
