@@ -375,7 +375,8 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
     return JumpWave(kind, i, u_l, S, float(lam)), f_r
 
 
-def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=None):
+def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=None,
+             f_minus=None):
     """End state and waves of the composed Lax curves at strengths sigmas.
 
     Families weaker than STRENGTH_FLOOR make no wave.  With `splits` every
@@ -384,11 +385,12 @@ def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=N
     dict it keeps across its evaluations: the j-th jump of family i is
     continued from seeds[i, j], where the previous composition left it, and
     the dict then holds this composition's jumps.  It also passes
-    `es_minus`, its eigensystem at u_minus, for the first wave.  Each later
-    jump takes f at its left state from the RH Newton of the jump before.
+    `es_minus` and `f_minus`, its eigensystem and f at u_minus, for the
+    first wave.  Each later jump takes f at its left state from the RH
+    Newton of the jump before.
     """
     jumps = splits is not None
-    state, f_state = u_minus, None
+    state, f_state = u_minus, f_minus
     waves = []
     reached = {}
     for i in range(model.n):
@@ -458,14 +460,16 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     NewtonDivergence.  Broyden starts from the linear guess and dG/dsigma at
     sigma = 0, whose column i is orientation_i r_i(u-).  Each evaluation
     continues its jumps from the previous one's (the `seeds` of `_compose`),
-    so its shock points match cold ones to roundoff, not bit for bit."""
+    so its shock points match cold ones to roundoff, not bit for bit.  The
+    eigensystem and f at u- are computed once for all the evaluations."""
     es = eigensystem(model, u_minus)
+    f_minus = model.f(u_minus)
     orient = np.array([fc.orientation for fc in fields])
     sigmas = orient * (es.left @ (u_plus - u_minus))
     seeds = {}
 
     def G(s):
-        state, waves = _compose(model, u_minus, s, fields, splits, seeds, es)
+        state, waves = _compose(model, u_minus, s, fields, splits, seeds, es, f_minus)
         return state - u_plus, (state, waves)
 
     sigmas, (state, waves) = _damped_newton(G, sigmas, es.right.T * orient, TOL_RP,

@@ -6,9 +6,10 @@ time steps from `_time_steps` (equal steps ending at T, capped by cfg.dt) or,
 for the unit-CFL Godunov and Glimm runs, from `_unit_cfl_steps` (dt = dx, so T
 must be a whole number of steps), and records through `_collect`: snapshots
 only at t = 0, t = T and the requested times unless store_all is set, and
-the shared meta keys scheme, eps, dx, dt, cfl and boundary.  Speed windows,
-speed bounds and the diffusion matrix B are checked on every initial cell,
-the speeds by one `models.eigenvalues` call.
+the shared meta keys scheme, eps, dx, dt, cfl and boundary; every step must
+leave finite states.  Speed windows, speed bounds and the diffusion matrix B
+are checked on every initial cell by one call: `models.eigenvalues`, or B on
+the rows (..., n) -> (..., n, n).
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class SchemeConfig:
     the method of lines dx.  snapshot_times and store_all choose the stored
     snapshots of every grid run.  Front tracking reads delta, rho_np and
     front_cap; for a scalar model its rarefactions break at the states of the
-    grid delta*Z (and at the data values).
+    grid delta*Z (and at the data values).  b_matrix is None (B = I) or a
+    callable B on rows (..., n) -> (..., n, n), as `FluxModel.jacobian`.
     """
 
     eps: float
@@ -80,6 +82,9 @@ class SchemeConfig:
                 raise ConfigError(f"need {name} > 0 and finite, not {value!r}")
         if self.boundary not in ("constant", "periodic"):
             raise ConfigError(f"unknown boundary treatment {self.boundary!r}")
+        if self.b_matrix is not None and not callable(self.b_matrix):
+            raise ConfigError(f"b_matrix must be None or a callable on rows, "
+                              f"not {self.b_matrix!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +97,12 @@ def _cells(domain, dx):
     return ncells, (b - a) / ncells if ncells else dx
 
 
-def _grid(model, data, cfg, dx):
-    """(x0, dx, u0): the domain cut into whole cells of width about dx, and
-    the initial cell states: exact averages for piecewise-constant data,
-    midpoint samples for callables."""
+def _grid(model, data, cfg, dx_default):
+    """(x0, dx, u0): the domain cut into whole cells of width about cfg.dx,
+    or dx_default if it is not set, and the initial cell states: exact
+    averages for piecewise-constant data, midpoint samples for callables."""
     a, b = cfg.domain
-    ncells, dx = _cells(cfg.domain, dx)
+    ncells, dx = _cells(cfg.domain, cfg.dx if cfg.dx is not None else dx_default)
     if ncells < 4:
         raise ConfigError("domain too small for the requested resolution")
     if isinstance(data, PiecewiseConstantFn):
@@ -167,23 +172,18 @@ def _record_steps(nsteps, dt, cfg):
     return sorted(idxs)
 
 
-def _check_finite(u):
-    if not np.all(np.isfinite(u)):
-        raise NonfiniteState("non-finite cell state (blow-up?)")
-
-
 def _collect(cfg, x0, dx, dt, u0, step, nsteps, scheme, cfl, **extra):
     """Take nsteps of u -> step(u, j) from u0, keep the snapshots the config
-    asks for, and record the run's settings in the solution's meta."""
+    asks for, and record the run's settings in the solution's meta.  A step
+    that leaves a non-finite state raises NonfiniteState."""
     rec = set(_record_steps(nsteps, dt, cfg))
     times, rows = [0.0], [u0.copy()]
     u = u0
     for j in range(1, nsteps + 1):
         u = step(u, j)
-        if j % 64 == 0:
-            _check_finite(u)
+        if not np.isfinite(u).all():
+            raise NonfiniteState(f"non-finite cell state after step {j} (blow-up?)")
         if j in rec:
-            _check_finite(u)
             times.append(j * dt)
             rows.append(u.copy())
     meta = {"scheme": scheme, "eps": cfg.eps, "dx": dx, "dt": dt, **extra,
@@ -221,10 +221,16 @@ def reversed_digit_theta(j: int) -> float:
 
 
 def theta_sequence(name: str, nsteps: int) -> np.ndarray:
+    """Glimm's thetas: "reversed-digit", "midpoint" or "constant:c", 0 <= c <= 1."""
     if name == "reversed-digit":
         return np.array([reversed_digit_theta(j) for j in range(1, nsteps + 1)])
     if name.startswith("constant:"):
-        c = float(name.split(":", 1)[1])
+        try:
+            c = float(name.split(":", 1)[1])
+        except ValueError:
+            c = math.nan
+        if not 0 <= c <= 1:
+            raise ConfigError(f"sampling sequence {name!r} needs a constant in [0, 1]")
         return np.full(nsteps, c)
     if name == "midpoint":
         return (np.arange(1, nsteps + 1) - 0.5) / nsteps
@@ -304,35 +310,24 @@ def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSoluti
 # ---------------------------------------------------------------------------
 # parabolic runs (viscous / nonlinear diffusion)
 
-def _b_selector(model, spec):
-    """Diffusion-matrix selector: None/'identity', 'zero', 'diag:...', or a
-    callable u -> (n, n) matrix."""
-    if spec is None or spec == "identity":
-        return None  # identity fast path
-    if spec == "zero":
-        return lambda u: np.zeros((model.n, model.n))
-    if isinstance(spec, str) and spec.startswith("diag:"):
-        d = np.array([float(v) for v in spec.split(":", 1)[1].split(",")])
-        if d.size != model.n:
-            raise ConfigError("diag entries must match the model dimension")
-        D = np.diag(d)
-        return lambda u: D
-    if callable(spec):
-        return spec
-    raise ConfigError(f"bad diffusion selector {spec!r}")
+def _b_rows(model, B, u):
+    """B at the rows u (m, n), of shape (m, n, n); any other shape raises."""
+    mats = np.asarray(B(u), dtype=float)
+    if mats.shape != u.shape + (model.n,):
+        raise ConfigError(f"diffusion matrix maps states of shape {u.shape} to "
+                          f"{mats.shape}, not {u.shape + (model.n,)}")
+    return mats
 
 
-def _parabolic_run(model, data, cfg, b_spec, scheme_name):
+def _parabolic_run(model, data, cfg, B, scheme_name):
     eps = cfg.eps
-    dx = cfg.dx if cfg.dx is not None else eps / 4.0
-    x0, dx, u0 = _grid(model, data, cfg, dx)
+    x0, dx, u0 = _grid(model, data, cfg, eps / 4.0)
     M = _max_speed(model, u0, pad=1.05)
-    B_fn = _b_selector(model, b_spec)
 
-    if B_fn is None:
+    if B is None:
         lam_b_min, max_b = 1.0, 1.0
     else:
-        mats = np.stack([np.asarray(B_fn(u), dtype=float) for u in u0])
+        mats = _b_rows(model, B, u0)
         lam_b_min = float(np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(1, 2))).min())
         max_b = float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
         if lam_b_min < -1e-12:
@@ -349,8 +344,6 @@ def _parabolic_run(model, data, cfg, b_spec, scheme_name):
     nsteps, dt, cfl = _time_steps(cfg, dt_max, dt_max,
                                   "dt <= min(dx/(2M), dx^2/(4 eps |B|))")
 
-    identity = B_fn is None
-
     def step(u, j):
         up = _pad(u, cfg.boundary)
         fm = model.f(up)
@@ -358,12 +351,11 @@ def _parabolic_run(model, data, cfg, b_spec, scheme_name):
         F = 0.5 * (fm[:-1] + fm[1:])
         if alpha:
             F = F - 0.5 * alpha * du
-        if identity:
+        if B is None:
             D = du / dx
         else:
-            Bmats = np.stack([np.asarray(B_fn(s), dtype=float) for s in up])
-            Bface = 0.5 * (Bmats[:-1] + Bmats[1:])
-            D = np.einsum("kij,kj->ki", Bface, du) / dx
+            Bm = _b_rows(model, B, up)
+            D = np.einsum("kij,kj->ki", 0.5 * (Bm[:-1] + Bm[1:]), du) / dx
         return u - (dt / dx) * (F[1:] - F[:-1]) + (eps * dt / dx) * (D[1:] - D[:-1])
 
     return _collect(cfg, x0, dx, dt, u0, step, nsteps, scheme_name,
@@ -382,8 +374,9 @@ def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 
 def nonlinear_diffusion_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Explicit scheme for u_t + f(u)_x = eps (B(u) u_x)_x with face-averaged
-    B; B = identity reproduces viscous_run bit for bit, B = 0 is the pure
-    Lax-Friedrichs hyperbolic run."""
+    B = cfg.b_matrix, taken on all the padded rows once per step; None (B = I)
+    reproduces viscous_run bit for bit, B = 0 is the pure Lax-Friedrichs
+    hyperbolic run."""
     return _parabolic_run(model, data, cfg, cfg.b_matrix, "nonlinear-diffusion")
 
 
@@ -395,8 +388,7 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     upwinded along the characteristic variables v -+ a u, with the stiff
     source handled implicitly (exact since it is linear in v)."""
     eps = cfg.eps
-    dx = cfg.dx if cfg.dx is not None else eps / 2.0
-    x0, dx, u0 = _grid(model, data, cfg, dx)
+    x0, dx, u0 = _grid(model, data, cfg, eps / 2.0)
     M = _max_speed(model, u0)
     a2 = cfg.a2 if cfg.a2 is not None else max(1.0, (1.1 * M) ** 2)
     if a2 < M ** 2 * (1 - 1e-12):
@@ -445,8 +437,7 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
     """
     if cfg.boundary == "periodic":
         raise ConfigError("backward_euler_run needs constant boundaries")
-    dx = cfg.dx if cfg.dx is not None else cfg.eps / 4.0
-    x0, dx, u0 = _grid(model, data, cfg, dx)
+    x0, dx, u0 = _grid(model, data, cfg, cfg.eps / 4.0)
     _check_speed_range(model, u0, 1 - 1e-9, 2 + 1e-9)
     nsteps, dt, cfl = _time_steps(
         cfg, cfg.eps, cfg.eps,
@@ -541,8 +532,7 @@ def mollification_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution
         raise ConfigError("mollification_run is scalar-only")
     if cfg.boundary == "periodic":
         raise ConfigError("mollification_run needs constant boundaries")
-    dx = cfg.dx if cfg.dx is not None else (cfg.domain[1] - cfg.domain[0]) / 2048
-    x0, dx, u0 = _grid(model, data, cfg, dx)
+    x0, dx, u0 = _grid(model, data, cfg, (cfg.domain[1] - cfg.domain[0]) / 2048)
     ncells = u0.shape[0]
     centers = x0 + dx * (np.arange(ncells) + 0.5)
     edges = x0 + dx * np.arange(ncells + 1)

@@ -284,6 +284,20 @@ class TestSystemFronts:
         front_tracking_run(P_SYSTEM, INTERACTION, INTERACTION_CFG)
         assert len(calls) <= 154
 
+    def test_psystem_interaction_flux_calls(self, monkeypatch):
+        # each strength solve takes f at u- once for all its Broyden
+        # evaluations; the run took 241 flux calls when every evaluation
+        # took it again
+        f, calls = models.FluxModel.f, []
+
+        def counted(model, u):
+            calls.append(1)
+            return f(model, u)
+
+        monkeypatch.setattr(models.FluxModel, "f", counted)
+        front_tracking_run(P_SYSTEM, INTERACTION, INTERACTION_CFG)
+        assert len(calls) <= 217
+
     @pytest.mark.parametrize("data, cfg", [
         (INTERACTION, INTERACTION_CFG),
         # here 80 of the 192 fronts differ from LAPACK's in their last bits

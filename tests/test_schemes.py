@@ -100,6 +100,22 @@ class TestGodunov:
         with np.errstate(invalid="ignore"), pytest.raises(NonfiniteState):
             godunov_run(m, square_pulse(0.5, 0.3, 0.6), cfg)
 
+    def test_blowup_refused_after_the_step_that_makes_it(self):
+        # f is infinite above 0.9, so the one cell at 0.95 makes step 1 leave
+        # -inf and inf; step 2 would take inf - inf
+        shapes = []
+
+        def flux(u):
+            shapes.append(u.shape)
+            return np.where(u < 0.9, 0.5 * u, np.inf)
+
+        m = FluxModel("inf above 0.9", 1, flux=flux,
+                      jacobian=lambda u: np.full(u.shape + (1,), 0.5))
+        cfg = SchemeConfig(eps=0.1, T=0.5, domain=(0.0, 1.0))
+        with pytest.raises(NonfiniteState, match="after step 1 "):
+            godunov_run(m, lambda x: [0.95 if 0.3 < x < 0.4 else 0.5], cfg)
+        assert shapes == [(10, 1), (10, 1)]
+
 
 def run_output(sol):
     """The arrays a run returns: every stored snapshot of a grid run; the
@@ -187,7 +203,8 @@ class TestSpeedGuardsReadEveryCell:
     def test_diffusion_matrix_indefinite_at_one_cell(self):
         # B = 1 except at the state of cell 1 of the ramp u = x
         def B(u):
-            return np.eye(1) * (-1.0 if 0.007 < u[0] < 0.008 else 1.0)
+            bad = (0.007 < u[..., 0]) & (u[..., 0] < 0.008)
+            return np.where(bad, -1.0, 1.0)[..., None, None] * np.eye(1)
 
         cfg = SchemeConfig(eps=0.02, T=0.01, domain=(0.0, 1.0), dx=0.005, b_matrix=B)
         with pytest.raises(ConfigError, match="positive semidefinite"):
@@ -259,6 +276,15 @@ class TestGlimm:
         sol = glimm_run(BURGERS_01, PiecewiseConstantFn.riemann([1.0], [0.0]), cfg)
         row0, rowT = sol.states[0][:, 0], sol.states[-1][:, 0]
         assert np.array_equal(row0, rowT)
+
+    @pytest.mark.parametrize("name", ["constant:x", "constant:1.5", "constant:-0.1",
+                                      "constant:nan"])
+    def test_constant_outside_the_cell_refused(self, name):
+        # a constant theta samples x = (k + theta) dx, inside the cell only
+        # for 0 <= theta <= 1
+        with pytest.raises(ConfigError, match=r"needs a constant in \[0, 1\]"):
+            theta_sequence(name, 10)
+        assert np.array_equal(theta_sequence("constant:0", 3), np.zeros(3))
 
     def test_midpoint_sequence_lands_shock_exactly(self):
         # a shock of speed 1/2 moves one cell in every step whose theta is
@@ -697,14 +723,24 @@ class TestMollification:
             assert sol.states.shape[0] == len(times)
 
 
+def diag_rows(d):
+    """B(u) = diag(d) on every row u (..., n)."""
+    return lambda u: np.diag(d) * np.ones(u.shape[:-1] + (1, 1))
+
+
 class TestNonlinearDiffusion:
+    # sha256 prefixes of the float64 bytes of every stored state, the same
+    # as with B called on one state per cell
+    PINS = {"1+u^2": "dbcfa0e2738e91b3", "zero": "3267228e148ae7d5",
+            "psystem": "8f43cc09be48c51d"}
+
     def test_identity_matches_viscous_bitwise(self):
         m = models.burgers()
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.5))
         a = viscous_run(m, data, cfg)
         # the fast path, and the general B(u) path with its face averages
-        for b_matrix in ("identity", lambda u: np.eye(1)):
+        for b_matrix in (None, diag_rows([1.0])):
             b = nonlinear_diffusion_run(m, data, replace(cfg, dx=a.dx, b_matrix=b_matrix))
             assert np.array_equal(a.states, b.states)
 
@@ -712,29 +748,32 @@ class TestNonlinearDiffusion:
         m = models.burgers()
         data = PiecewiseConstantFn(np.array([-0.3, 0.2]), np.array([[0.2], [0.8], [0.2]]))
         cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.0), dx=0.0125,
-                           boundary="periodic", b_matrix=lambda u: np.diag(1.0 + u * u))
+                           boundary="periodic",
+                           b_matrix=lambda u: np.eye(1) * (1.0 + u * u)[..., None])
         sol = nonlinear_diffusion_run(m, data, cfg)
         mass = sol.states[:, :, 0].sum(axis=1) * sol.dx
         assert np.all(np.isfinite(sol.states))
         assert np.max(np.abs(mass - mass[0])) <= 1e-12
         assert not np.array_equal(sol.states[-1], sol.states[0])
+        assert hashlib.sha256(sol.states.tobytes()).hexdigest()[:16] == self.PINS["1+u^2"]
 
     def test_zero_matrix_is_pure_lax_friedrichs(self):
         m = models.burgers()
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.5), dx=0.0125,
-                           b_matrix="zero")
+                           b_matrix=diag_rows([0.0]))
         sol = nonlinear_diffusion_run(m, data, cfg)
         assert sol.meta["cfl"]["lf_alpha"] > 0  # stabilization engaged
         assert np.all(np.isfinite(sol.states))
         # still a sensible shock profile: monotone decreasing
         assert np.all(np.diff(sol.states[-1][:, 0]) <= 1e-12)
+        assert hashlib.sha256(sol.states.tobytes()).hexdigest()[:16] == self.PINS["zero"]
 
     def test_psystem_partial_viscosity_stable_and_conservative(self):
         m = models.p_system()
         data = PiecewiseConstantFn.riemann([1.0, 0.0], [1.02, 0.01])
         cfg = SchemeConfig(eps=0.01, T=0.25, domain=(-1.0, 1.0), dx=0.005,
-                           b_matrix="diag:0,1")
+                           b_matrix=diag_rows([0.0, 1.0]))
         sol = nonlinear_diffusion_run(m, data, cfg)
         assert np.all(np.isfinite(sol.states))
         # both components conserved up to the (equal) boundary fluxes
@@ -743,6 +782,37 @@ class TestNonlinearDiffusion:
         flux_r = m.f(np.array([1.02, 0.01]))
         expected = (flux_l - flux_r) * sol.times[-1]
         assert np.max(np.abs(mass_delta - expected)) <= 1e-8
+        assert hashlib.sha256(sol.states.tobytes()).hexdigest()[:16] == self.PINS["psystem"]
+
+    def test_matrix_taken_once_on_the_cells_and_once_per_step(self):
+        # the initial checks take B on the 200 cells, each step on the 202
+        # padded ones
+        shapes = []
+
+        def B(u):
+            shapes.append(u.shape)
+            return np.eye(1) * (1.0 + u * u)[..., None]
+
+        cfg = SchemeConfig(eps=0.05, T=0.05, domain=(-1.0, 1.0), dx=0.01, b_matrix=B)
+        sol = nonlinear_diffusion_run(models.burgers(), square_pulse(0.8, -0.3, 0.2), cfg)
+        nsteps = int(round(cfg.T / sol.meta["dt"]))
+        assert nsteps > 1
+        assert shapes == [(200, 1)] + [(202, 1)] * nsteps
+
+    @pytest.mark.parametrize("B, got", [(lambda u: np.diag(1.0 + u * u), r"\(1,\)"),
+                                        (lambda u: np.eye(1), r"\(1, 1\)")],
+                             ids=["diag", "eye"])
+    def test_one_state_matrix_refused(self, B, got):
+        # a B written for one state does not broadcast over the rows
+        cfg = SchemeConfig(eps=0.05, T=0.05, domain=(-1.0, 1.0), dx=0.01, b_matrix=B)
+        with pytest.raises(ConfigError, match=r"shape \(200, 1\) to " + got
+                           + r", not \(200, 1, 1\)"):
+            nonlinear_diffusion_run(models.burgers(), square_pulse(0.8, -0.3, 0.2), cfg)
+
+    @pytest.mark.parametrize("spec", ["identity", "zero", "diag:0,1", np.eye(2)])
+    def test_non_callable_matrix_refused(self, spec):
+        with pytest.raises(ConfigError, match="b_matrix must be None or a callable"):
+            SchemeConfig(eps=0.01, T=0.25, domain=(-1.0, 1.0), b_matrix=spec)
 
 
 # a pulse on a nonzero background that crosses the right end of (0, 1):

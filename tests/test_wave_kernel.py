@@ -225,9 +225,10 @@ class TestGoldenFans:
         fields = _field_classes(P_SYSTEM, ul, ur)
         given = []
 
-        def recorded(model, u_minus, sigmas, fields, splits, seeds, es_minus):
+        def recorded(model, u_minus, sigmas, fields, splits, seeds, es_minus, f_minus):
             given.append((sigmas.copy(), dict(seeds), es_minus))
-            return _compose(model, u_minus, sigmas, fields, splits, seeds, es_minus)
+            return _compose(model, u_minus, sigmas, fields, splits, seeds, es_minus,
+                            f_minus)
 
         monkeypatch.setattr(riemann, "_compose", recorded)
         sig, state, waves = solve_strengths(P_SYSTEM, ul, ur, fields, splits)
