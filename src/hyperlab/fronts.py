@@ -24,14 +24,16 @@ through, and a heap holds the exact rational time and point where each
 approaching adjacent pair meets.  An event takes in the neighbours whose
 snapped position then is the snapped event point, pushes only the pairs next
 to its outgoing fronts, and drops popped pairs no longer adjacent; ties go
-leftmost, then to the earlier push.  `FrontTrackingSolution.lines` draws an
-epoch, as `verify.FanView.lines` draws a fan, at positions stepped in floats
-from the epoch before, so fronts of equal speed keep their gap.
+leftmost, then to the earlier push.  An `Epoch` holds where its fronts are
+drawn at its start and their speeds as float64 arrays, and `Epoch.at` is the
+one rule that moves them: the run steps each epoch's drawing to the next
+event by it, so fronts of equal speed keep their drawn gap, and
+`FrontTrackingSolution.lines` draws an epoch by it, as `verify.FanView.lines`
+draws a fan.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, FrontExplosion, RiemannFailure
 from .models import GENUINELY_NONLINEAR, FluxModel, eigenvalues
-from .piecewise import PiecewiseConstantFn
+from .piecewise import PiecewiseConstantFn, hold_index
 from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _envelope, _field_classes,
                       solve_strengths)
 
@@ -63,9 +65,17 @@ class Front(JumpWave):
 
 @dataclass(frozen=True, eq=False)  # by identity: `lines` groups times by epoch
 class Epoch:
+    """The fronts alive from time t to the next event, with xs where they
+    are drawn at t and their speeds, float64 arrays in front order."""
+
     t: float
     fronts: tuple
-    xs: tuple  # where the fronts are drawn at t
+    xs: np.ndarray
+    speeds: np.ndarray
+
+    def at(self, t):
+        """Where the fronts are drawn at time t, a scalar or a column of times."""
+        return self.xs + self.speeds * (t - self.t)
 
 
 @dataclass
@@ -77,16 +87,15 @@ class FrontTrackingSolution:
     background: np.ndarray
 
     def epoch_at(self, t):
-        k = bisect.bisect_right(self.epochs, t + 1e-14, key=lambda ep: ep.t) - 1
-        return self.epochs[max(k, 0)]
+        return self.epochs[hold_index(self.epochs, t, key=lambda ep: ep.t)]
 
     def lines(self, ts):
-        """(left, positions (times, fronts), rights) per epoch of the ascending ts."""
+        """(left, positions (times, fronts), rights) per epoch of the ascending
+        ts, the positions drawn by `Epoch.at` from the epoch's start."""
         for ep, run in itertools.groupby(ts, key=self.epoch_at):
             t = np.array(list(run), dtype=float)[:, None]
-            speeds = np.array([f.speed for f in ep.fronts])
             yield (ep.fronts[0].u_l if ep.fronts else self.background,
-                   np.array(ep.xs) + speeds * (t - ep.t), [f.u_r for f in ep.fronts])
+                   ep.at(t), [f.u_r for f in ep.fronts])
 
     def state(self, t) -> PiecewiseConstantFn:
         (left, xs, rights), = self.lines([t])
@@ -194,7 +203,8 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
         pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields)
         fronts += _pieces_to_fronts(pieces, Fraction(float(x)), Fraction(0), u_l, u_r)
 
-    epochs = [Epoch(0.0, tuple(fronts), tuple(float(f.pos) for f in fronts))]
+    epochs = [Epoch(0.0, tuple(fronts), np.array([float(f.pos) for f in fronts]),
+                    np.array([f.speed for f in fronts]))]
     events, np_total = [], 0.0
     max_events = 20 * max(cap, 1)
     heap, serial = [], itertools.count()
@@ -238,14 +248,17 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
         outgoing = _pieces_to_fronts(pieces, Fraction(p), Fraction(t), u_l, u_r)
         np_strength = sum(f.strength for f in outgoing if f.kind == "non-physical")
         np_total += np_strength
-        # stepped in floats, so fronts of equal speed keep their drawn gap
-        xs = [xd + f.speed * (t - epochs[-1].t) for xd, f in zip(epochs[-1].xs, fronts)]
-        xs[lo:hi + 1] = [p] * len(outgoing)
         fronts[lo:hi + 1] = outgoing
         for k in range(max(lo - 1, 0), min(lo + len(outgoing), len(fronts) - 1)):
             push(k, tc)
         events.append({"t": t, "x": p, "in": hi + 1 - lo, "out": len(outgoing),
                        "np_strength": float(np_strength)})
-        epochs.append(Epoch(t, tuple(fronts), tuple(xs)))
+        # the last drawing stepped to t, its incoming slice replaced by the
+        # outgoing fronts at the event point
+        xs, speeds = epochs[-1].at(t), epochs[-1].speeds
+        epochs.append(Epoch(t, tuple(fronts),
+                            np.concatenate([xs[:lo], [p] * len(outgoing), xs[hi + 1:]]),
+                            np.concatenate([speeds[:lo], [f.speed for f in outgoing],
+                                            speeds[hi + 1:]])))
 
     return FrontTrackingSolution(cfg.T, epochs, events, np_total, data.vals[0].copy())

@@ -4,12 +4,15 @@ States are always arrays of shape (n,); profiles store values of shape
 (m+1, n) so scalar and system code share every kernel.  All geometry
 (integrals, averages, distances) is computed in closed form.
 `PiecewiseConstantFn` is the one place that measures a profile (total
-variation, integrals, cell averages, L1 distance); a `GridSolution` measures
-a snapshot through `as_piecewise`.
+variation, integrals, cell averages, L1 distance, and the common refinement
+of two profiles); a `GridSolution` measures a snapshot through
+`as_piecewise`.  `hold_index` is the one rule that holds a run, a grid run's
+snapshots or a front-tracking run's epochs, piecewise constant in time.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +26,13 @@ def as_state(u, n=None):
     if n is not None and a.shape[0] != n:
         raise ValueError(f"state has dimension {a.shape[0]}, model expects {n}")
     return a
+
+
+def hold_index(records, t, key=None):
+    """Index of the last of the records, ascending in time (by key), at or
+    before t, or 0 for t before them all: a run is held piecewise constant
+    in time.  The 1e-14 slack keeps a time rounded just below a record on it."""
+    return max(bisect.bisect_right(records, t + 1e-14, key=key) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -134,12 +144,15 @@ class PiecewiseConstantFn:
         avg[same] = self.vals[k[:-1][same]]
         return avg
 
+    def refinement(self, other, a, b):
+        """(cuts, midpoints, lengths) of the pieces of [a, b] cut at a, b and
+        the breakpoints of both profiles in it: both are constant on each."""
+        cuts = np.unique(np.clip(np.concatenate([[a], self.xs, other.xs, [b]]), a, b))
+        return cuts, 0.5 * (cuts[:-1] + cuts[1:]), np.diff(cuts)
+
     def l1_distance(self, other, a, b):
         """Exact L1 distance to another piecewise-constant profile on [a, b]."""
-        cuts = np.concatenate([[a], self.xs, other.xs, [b]])
-        cuts = np.unique(np.clip(cuts, a, b))
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        lengths = np.diff(cuts)
+        _, mids, lengths = self.refinement(other, a, b)
         diff = self(mids) - other(mids)
         return float(np.sum(np.linalg.norm(diff, axis=1) * lengths))
 
@@ -187,10 +200,9 @@ class GridSolution:
         return self.x0 + self.dx * np.arange(self.ncells + 1)
 
     def time_index(self, t):
-        """Index of the last stored snapshot at or before t (the first one
-        for t before it): the run is held piecewise constant in time.  The
-        1e-14 slack keeps a time rounded just below a snapshot on it."""
-        return max(int(np.searchsorted(self.times, t + 1e-14, side="right")) - 1, 0)
+        """Index of the snapshot held at time t, by `hold_index`: the last
+        stored at or before t, or the first."""
+        return hold_index(self.times, t)
 
     def row(self, t):
         return self.states[self.time_index(t)]

@@ -76,7 +76,7 @@ class SchemeConfig:
             raise ConfigError("domain must satisfy a < b")
         if not 0 <= self.T < math.inf:
             raise ConfigError(f"need finite T >= 0, not {self.T!r}")
-        for name in ("eps", "delta", "dx", "dt"):
+        for name in ("eps", "delta", "dx", "dt", "mollifier_width", "a2"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"need {name} > 0 and finite, not {value!r}")
@@ -489,10 +489,7 @@ def mollifier_kernel(name, width, dx):
     else:
         raise ConfigError(f"unknown mollifier kernel {name!r}")
     w[np.abs(y) >= 1.0] = 0.0
-    s = w.sum()
-    if s <= 0:
-        raise ConfigError("mollifier width below grid resolution")
-    return w / s
+    return w / w.sum()  # the centre weight is 1
 
 
 def _pl_cell_averages(y, u, edges):

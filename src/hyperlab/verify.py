@@ -145,7 +145,7 @@ class FrontTrackingView(_StateCache):
         for ep, te in zip(epochs, [ep.t for ep in epochs[1:]] + [self.sol.T]):
             lo, hi = max(ep.t, t0), min(te, t1)
             if hi > lo:
-                out += _crossings(ep.t, ep.xs, [f.speed for f in ep.fronts], x_values, lo, hi)
+                out += _crossings(ep.t, ep.xs, ep.speeds, x_values, lo, hi)
         return sorted(out)
 
 
@@ -785,11 +785,7 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
             interval = (-1.0, 1.0)
         else:
             interval = (float(xs_all.min()) - 1.0, float(xs_all.max()) + 1.0)
-    lo, hi = interval
-    cuts = np.unique(np.concatenate([[lo], np.clip(u.xs, lo, hi),
-                                     np.clip(v.xs, lo, hi), [hi]]))
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    lengths = np.diff(cuts)
+    cuts, mids, lengths = u.refinement(v, *interval)
     uu, vv = u(mids), v(mids)
 
     if model.n == 1:

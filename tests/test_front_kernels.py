@@ -122,6 +122,48 @@ def test_front_tracking_state_bit_identical():
         assert np.max(np.abs(pc.xs - unhex(xs))) <= ULP_2
 
 
+def psystem_jumps(n_jumps, a=0.01):
+    """n_jumps p-system jumps 0.1 apart from (1, 0), each a r_1 and a r_2
+    step of size a with signs (+, +), (+, -), (-, +), (-, -) in turn."""
+    vals = [np.array([1.0, 0.0])]
+    for j in range(n_jumps):
+        u = vals[-1]
+        c = np.sqrt(2.0) * u[0] ** -1.5
+        s1, s2 = ((1, 1), (1, -1), (-1, 1), (-1, -1))[j % 4]
+        vals.append(u + s1 * a * np.array([1.0, c]) + s2 * a * np.array([1.0, -c]))
+    return PiecewiseConstantFn(0.1 * np.arange(n_jumps), np.array(vals))
+
+
+# (model, data, cfg) of runs whose drawing is pinned at 21 times over [0, 1]
+DRAWN_RUNS = {
+    # the cubic run in which a rarefaction front and a shock of equal speed
+    # are drawn less than an ulp apart
+    "cubic-equal-speed": (
+        models.cubic_flux(),
+        PiecewiseConstantFn(np.array([-0.5, 0.0, 4.063921156308546e-99, 1.0]),
+                            0.1 * np.array([[0.0], [-7.0], [4.0], [3.0], [0.0]])),
+        SchemeConfig(eps=1.0, T=1.0, domain=(-5.0, 5.0), delta=0.1)),
+    # four jumps whose rarefactions are split into jumps of at most delta
+    "psystem-split": (
+        P_SYSTEM, psystem_jumps(4),
+        SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.5), delta=0.005, rho_np=1e-3)),
+}
+# run -> (events, breakpoints at each time, digest of every xs and vals)
+DRAWN_PROFILES = {
+    "cubic-equal-speed": (2, [4] + [10] * 14 + [9] * 3 + [8] * 3, "3acd0ba81dc7832b"),
+    "psystem-split": (15, [4] + [20] * 20, "26050ac825946dcb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAWN_RUNS))
+def test_drawn_profiles_after_many_events_bit_identical(name):
+    sol = front_tracking_run(*DRAWN_RUNS[name])
+    pcs = [sol.state(t) for t in np.linspace(0.0, 1.0, 21)]
+    got = (len(sol.events), [pc.xs.size for pc in pcs],
+           digest(*[a for pc in pcs for a in (pc.xs, pc.vals)]))
+    assert got == DRAWN_PROFILES[name]
+
+
 def test_system_pieces_need_field_classes():
     with pytest.raises(RiemannFailure, match="field classes"):
         approximate_riemann_pieces(P_SYSTEM, [1.0, 0.0], [1.05, 0.02], 0.02)

@@ -392,3 +392,27 @@ class TestRegistry:
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
             model_from_name("linear2:1,2")
+
+
+# a 3x3 linear model with a double eigenvalue 1: the np.linalg.eig branch
+DOUBLE = np.diag([1.0, 1.0, 2.0])
+LINEAR3_DOUBLE = models.FluxModel("double3", 3, flux=lambda u: u @ DOUBLE.T,
+                                  jacobian=lambda u: np.broadcast_to(DOUBLE, u.shape + (3,)))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: eigensystem(LINEAR3_DOUBLE, [0.0, 0.0, 0.0]), NonHyperbolic,
+     "eigenvalue gap 0.000e\\+00 below tolerance"),
+    (lambda: classify_field(models.burgers(), []), ConfigError, "at least one sample"),
+    (lambda: normalize_speeds(models.burgers(), M=0.0), ConfigError, "need M > 0"),
+    (lambda: normalize_speeds(models.burgers(), M=1.0, target=(1.0, 1.0)), ConfigError,
+     "nondegenerate target interval"),
+    (lambda: models.p_system(k=0.0), ConfigError, "k > 0 and gamma >= 1"),
+    (lambda: models.p_system(gamma=0.5), ConfigError, "k > 0 and gamma >= 1"),
+    (lambda: model_from_name("psystem:one"), ConfigError,
+     "bad model arguments in 'psystem:one'"),
+], ids=["eig-gap", "no-samples", "zero-M", "flat-target", "zero-k", "low-gamma",
+        "unparsable-arguments"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -449,3 +449,12 @@ class TestLiuLaxEquivalence:
             liu = liu_admissible(m, [ul], [ur], 0)
             ent = entropy_admissible_shock(m, [ul], [ur], lam)
             assert liu.admissible == ent.admissible or abs(ul - ur) < 1e-6
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: shock_curve(models.burgers(), [0.0], 0, 1.0, n_samples=1), ValueError,
+     "at least two samples"),
+], ids=["one-sample"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

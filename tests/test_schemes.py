@@ -171,11 +171,17 @@ def test_config_refuses_non_positive_steps(setting, value):
 
 @pytest.mark.parametrize("setting, value", [
     ("eps", float("nan")), ("eps", float("inf")), ("eps", 0.0), ("delta", float("inf")),
-    ("T", float("nan")), ("T", float("inf")), ("T", -0.5)])
+    ("T", float("nan")), ("T", float("inf")), ("T", -0.5),
+    ("mollifier_width", 0.0), ("mollifier_width", -0.1),
+    ("mollifier_width", float("nan")), ("mollifier_width", float("inf")),
+    ("a2", 0.0), ("a2", -1.0), ("a2", float("nan")), ("a2", float("inf"))])
 def test_config_refuses_non_finite_settings(setting, value):
     # a NaN T once ran viscous_run to its t = 0 snapshot alone, an infinite
     # T overflowed the step count, a NaN eps raised an untyped ValueError and
-    # an infinite delta drew the delta grid of front tracking as inf * 0
+    # an infinite delta drew the delta grid of front tracking as inf * 0; a
+    # zero mollifier width divided by zero, a negative one ran and was
+    # recorded, a NaN or infinite one raised an untyped ValueError or
+    # OverflowError, and a NaN or infinite a2 a ValueError or ZeroDivisionError
     given = {"eps": 0.05, "T": 0.5, setting: value}
     with pytest.raises(ConfigError, match=f"need .*{setting} .*, not {value!r}"):
         SchemeConfig(domain=(-1.0, 1.0), **given)
@@ -837,3 +843,35 @@ def test_periodic_boundaries_refused_where_not_implemented(scheme, model):
     cfg = SchemeConfig(eps=0.02, T=0.3, domain=(0.0, 1.0), boundary="periodic")
     with pytest.raises(ConfigError, match="constant boundaries"):
         run_scheme(model, WRAPPING_PULSE, scheme, cfg)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: SchemeConfig(eps=0.1, T=0.5, domain=(1.0, -1.0)), ConfigError,
+     "domain must satisfy a < b"),
+    (lambda: SchemeConfig(eps=0.1, T=0.5, domain=(-1.0, 1.0), boundary="reflecting"),
+     ConfigError, "unknown boundary treatment 'reflecting'"),
+    (lambda: godunov_run(BURGERS_01, square_pulse(),
+                         SchemeConfig(eps=0.1, T=0.1, domain=(0.0, 0.3))),
+     ConfigError, "domain too small"),
+    (lambda: godunov_run(BURGERS_01, PiecewiseConstantFn.riemann([1.0, 0.0], [0.0, 0.0]),
+                         SchemeConfig(eps=0.1, T=0.1, domain=(-1.0, 1.0))),
+     ConfigError, "data dimension does not match the model"),
+    (lambda: reversed_digit_theta(0), ValueError, "positive integer"),
+    (lambda: theta_sequence("van-der-corput", 10), ConfigError,
+     "unknown sampling sequence 'van-der-corput'"),
+    (lambda: uniformity_defect([], [0.5]), ValueError, "empty sequence"),
+    (lambda: schemes.mollifier_kernel("gauss", 0.1, 0.01), ConfigError,
+     "unknown mollifier kernel 'gauss'"),
+    (lambda: mollification_run(models.p_system(),
+                               PiecewiseConstantFn.constant([1.0, 0.0]),
+                               SchemeConfig(eps=0.1, T=0.1, domain=(-1.0, 1.0))),
+     ConfigError, "scalar-only"),
+    (lambda: run_scheme(BURGERS_01, square_pulse(), "lax-wendroff",
+                        SchemeConfig(eps=0.1, T=0.1, domain=(-1.0, 2.0))),
+     ConfigError, "unknown scheme 'lax-wendroff'"),
+], ids=["empty-domain", "unknown-boundary", "too-few-cells", "data-dimension",
+        "theta-index", "unknown-sequence", "empty-sequence", "unknown-kernel",
+        "mollification-system", "unknown-scheme"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

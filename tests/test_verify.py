@@ -15,7 +15,7 @@ from hyperlab.riemann import JumpWave, WaveFan, liu_admissible, solve_riemann
 from hyperlab.schemes import SchemeConfig, godunov_run, viscous_run
 from hyperlab.verify import (BumpTestFn, EpsCertificate, ExactFanOracle,
                              FanView, FineGodunovOracle, FrontTrackingView,
-                             GridView, _dominant_family, certify_eps_approx,
+                             GridView, _dominant_family, as_view, certify_eps_approx,
                              default_family, detect_jumps, entropy_residual,
                              error_decomposition, interval_partition,
                              profile_integrals, q_decomposition, rate_fit,
@@ -733,3 +733,21 @@ class TestRateFit:
             rate_fit([(0.1, 1.0), (0.05, 0.5)], "power")
         with pytest.raises(DegenerateData):
             rate_fit([(0.1, 1.0), (0.05, -0.5), (0.025, 0.2)], "power")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: as_view(PiecewiseConstantFn.constant([0.0])), TypeError,
+     "cannot view PiecewiseConstantFn as a solution"),
+    (lambda: rate_fit([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)], "power"), DegenerateData,
+     "eps values must differ"),
+    (lambda: rate_fit([(0.1, 1.0), (0.05, 0.5), (0.025, 0.2)], "cubic"), DegenerateData,
+     "unknown rate model 'cubic'"),
+], ids=["no-view", "equal-eps", "unknown-rate-model"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_oracle_span_zero_returns_the_profile():
+    pc = PiecewiseConstantFn.riemann([1.0], [0.0])
+    assert FineGodunovOracle(BURGERS_01, 0.05, (-1, 1)).evolve(pc, 0.0) is pc
