@@ -177,6 +177,13 @@ def _pieces_to_fronts(pieces, pos, t0, u_l, u_r):
     return fronts
 
 
+def _refuse_unread(cfg, run, *names):
+    """Raise ConfigError if a named setting, which `run` does not read, is set."""
+    given = [name for name in names if getattr(cfg, name) is not None]
+    if given:
+        raise ConfigError(f"{run} does not read {' or '.join(given)}")
+
+
 def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     """Track fronts of a piecewise-constant profile until time T.
 
@@ -187,6 +194,8 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     the data.  Fronts move on the whole line, so periodic boundaries are
     refused.
     """
+    _refuse_unread(cfg, "front_tracking_run", "dx", "dt", "snapshot_times",
+                   "mollifier_width", "a2", "b_matrix")
     if not isinstance(data, PiecewiseConstantFn):
         raise ConfigError("front tracking needs PiecewiseConstantFn data")
     if cfg.boundary == "periodic":

@@ -5,9 +5,10 @@ rows of states (backward Euler takes the Jacobians of a whole grid in one
 call); user models without a Jacobian fall back to central finite
 differences.  `eigenvalues` is the batched speed scan every speed bound
 reads; `eigensystem` is the one-state decomposition with eigenvectors the
-Riemann solvers and `gnl_indicator` read.  Every derivative the library
-differences goes through one helper, `_central_diff(F, x, rel)`, which steps
-coordinate j by h_j = rel * (1 + |x_j|), at one point or at rows of points.
+Riemann solvers and `gnl_indicator` read, in closed form for n = 2 and by
+`np.linalg.eig` otherwise.  Every derivative the library differences goes
+through one helper, `_central_diff(F, x, rel)`, which steps coordinate j by
+h_j = rel * (1 + |x_j|), at one point or at rows of points.
 The steps per site: the Jacobian fallback, the entropy gradients and
 `gnl_indicator`, which differences every eigenvalue at once, use rel =
 H_JAC; `entropy_hessian` differences the entropy gradient with rel =
@@ -159,19 +160,19 @@ class FieldClass:
 
 
 def _fix_sign(r):
+    """The unit vector r with its first component above 1e-10 in size made
+    positive; one of at least 1/sqrt(n) always is."""
     for c in r:
         if abs(c) > 1e-10:
             return r if c > 0 else -r
-    return r
 
 
 def eigensystem(model: FluxModel, u) -> EigenSystem:
-    """Eigen-decomposition of Df(u), sorted ascending, sign-fixed."""
+    """Eigen-decomposition of Df(u), sorted ascending, sign-fixed: the closed
+    form for n = 2, `np.linalg.eig` for any other n."""
     u = model.state(u)
     model.require_in_domain(u)
     A = model.jac(u)
-    if model.n == 1:
-        return EigenSystem(np.array([A[0, 0]]), np.array([[1.0]]), np.array([[1.0]]))
     return (_eigensystem_2x2 if model.n == 2 else _eigensystem_eig)(model, u, A)
 
 

@@ -95,8 +95,6 @@ class PiecewiseConstantFn:
 
     def tv(self, a=None, b=None):
         """Total variation over the open interval (a, b); whole line by default."""
-        if self.xs.size == 0:
-            return 0.0
         mask = np.ones(self.xs.size, dtype=bool)
         if a is not None:
             mask &= self.xs > a
@@ -208,11 +206,7 @@ class GridSolution:
         return self.states[self.time_index(t)]
 
     def as_piecewise(self, t):
-        row = self.row(t)
-        edges = self.edges()[1:-1]
-        if edges.size == 0:
-            return PiecewiseConstantFn.constant(row[0])
-        return PiecewiseConstantFn(edges, row)
+        return PiecewiseConstantFn(self.edges()[1:-1], self.row(t))
 
     def mass(self, t):
         return self.row(t).sum(axis=0) * self.dx

@@ -9,7 +9,8 @@ only at t = 0, t = T and the requested times unless store_all is set, and
 the shared meta keys scheme, eps, dx, dt, cfl and boundary; every step must
 leave finite states.  Speed windows, speed bounds and the diffusion matrix B
 are checked on every initial cell by one call: `models.eigenvalues`, or B on
-the rows (..., n) -> (..., n, n).
+the rows (..., n) -> (..., n, n), which is checked positive semidefinite
+again on the rows of every step.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
                      NewtonFailure, NonfiniteState, SubcharacteristicViolation)
-from .fronts import front_tracking_run
+from .fronts import _refuse_unread, front_tracking_run
 from .models import FluxModel, _central_diff, _check_speed_range, eigenvalues
 from .piecewise import GridSolution, PiecewiseConstantFn, as_state
 from .riemann import evaluate_fan, solve_riemann
@@ -44,13 +45,14 @@ class SchemeConfig:
     scheme's limit (meta["cfl"]["dt_max"]) raises CFLViolation; the steps
     are then equal and end at T.  eps, and a dx, dt or delta that is set,
     must be finite and positive, and T finite and not negative.  Speed
-    preconditions read every initial cell.  A run that does not read a
-    setting refuses it with ConfigError: Godunov and Glimm refuse dx and dt,
-    the method of lines dx.  snapshot_times and store_all choose the stored
-    snapshots of every grid run.  Front tracking reads delta, rho_np and
-    front_cap; for a scalar model its rarefactions break at the states of the
-    grid delta*Z (and at the data values).  b_matrix is None (B = I) or a
-    callable B on rows (..., n) -> (..., n, n), as `FluxModel.jacobian`.
+    preconditions read every initial cell.  Every run refuses with
+    ConfigError each setting that defaults to None (dx, dt, snapshot_times,
+    mollifier_width, a2, b_matrix) and that it does not read.  snapshot_times
+    and store_all choose the stored snapshots of every grid run.  Front
+    tracking reads delta, rho_np and front_cap; for a scalar model its
+    rarefactions break at the states of the grid delta*Z (and at the data
+    values).  b_matrix is None (B = I) or a callable B on rows (..., n) ->
+    (..., n, n), as `FluxModel.jacobian`.
     """
 
     eps: float
@@ -117,13 +119,6 @@ def _grid(model, data, cfg, dx_default):
 
 def _max_speed(model, u0, pad=1.0):
     return pad * float(np.max(np.abs(eigenvalues(model, u0)))) or 1.0
-
-
-def _refuse_unread(cfg, run, *names):
-    """Raise ConfigError if a named setting, which `run` does not read, is set."""
-    given = [name for name in names if getattr(cfg, name) is not None]
-    if given:
-        raise ConfigError(f"{run} does not read {' or '.join(given)}")
 
 
 def _pad(u, boundary):
@@ -198,7 +193,7 @@ def godunov_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Upwind scheme u_{j+1,k} = u_{j,k} + f(u_{j,k-1}) - f(u_{j,k}) on a
     unit-CFL grid dt = dx = eps.  Requires speeds in [0, 1] and T a whole
     number of dx steps."""
-    _refuse_unread(cfg, "godunov_run", "dx", "dt")
+    _refuse_unread(cfg, "godunov_run", "dx", "dt", "mollifier_width", "a2", "b_matrix")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, -1e-9, 1 + 1e-9)
 
@@ -252,7 +247,7 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Riemann fans on the unit-CFL grid restarted by sampling at
     x = (k + theta_j) dx.  The restart values are the new cell states.
     Requires speeds in [0, 1] and T a whole number of dx steps."""
-    _refuse_unread(cfg, "glimm_run", "dx", "dt")
+    _refuse_unread(cfg, "glimm_run", "dx", "dt", "mollifier_width", "a2", "b_matrix")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     if isinstance(data, PiecewiseConstantFn):
         # sampling restarts want cell values, not averages: snap each cell
@@ -288,7 +283,7 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """dU_k/dt = (f(U_{k-1}) - f(U_k))/eps integrated with classical RK4,
     time step at most eps/2.  Requires speeds in [0, 1] (upwind left)."""
-    _refuse_unread(cfg, "method_of_lines_run", "dx")
+    _refuse_unread(cfg, "method_of_lines_run", "dx", "mollifier_width", "a2", "b_matrix")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, -1e-9, 1 + 1e-9)
     nsteps, dt, cfl = _time_steps(cfg, 0.5 * dx, 0.5 * dx, "dt <= eps/2")
@@ -310,13 +305,21 @@ def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSoluti
 # ---------------------------------------------------------------------------
 # parabolic runs (viscous / nonlinear diffusion)
 
-def _b_rows(model, B, u):
-    """B at the rows u (m, n), of shape (m, n, n); any other shape raises."""
+def _b_rows(model, B, u, when):
+    """(mats, lam_min): B at the rows u (m, n), of shape (m, n, n), and the
+    least eigenvalue of their symmetric parts.  Any other shape raises, and
+    so does a matrix that is not positive semidefinite, naming `when` and
+    its state."""
     mats = np.asarray(B(u), dtype=float)
     if mats.shape != u.shape + (model.n,):
         raise ConfigError(f"diffusion matrix maps states of shape {u.shape} to "
                           f"{mats.shape}, not {u.shape + (model.n,)}")
-    return mats
+    lam = np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(1, 2)))[:, 0]
+    bad = np.flatnonzero(lam < -1e-12)
+    if bad.size:
+        raise ConfigError(f"diffusion matrix must be positive semidefinite, but has "
+                          f"eigenvalue {lam[bad[0]]:.3g} {when} at state {u[bad[0]]}")
+    return mats, float(lam.min())
 
 
 def _parabolic_run(model, data, cfg, B, scheme_name):
@@ -327,11 +330,8 @@ def _parabolic_run(model, data, cfg, B, scheme_name):
     if B is None:
         lam_b_min, max_b = 1.0, 1.0
     else:
-        mats = _b_rows(model, B, u0)
-        lam_b_min = float(np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(1, 2))).min())
+        mats, lam_b_min = _b_rows(model, B, u0, "on the initial cells")
         max_b = float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
-        if lam_b_min < -1e-12:
-            raise ConfigError("diffusion matrix must be positive semidefinite")
 
     # the hyperbolic flux needs Lax-Friedrichs stabilization only when the
     # parabolic term does not resolve the layer (cell Peclet above 2)
@@ -354,7 +354,7 @@ def _parabolic_run(model, data, cfg, B, scheme_name):
         if B is None:
             D = du / dx
         else:
-            Bm = _b_rows(model, B, up)
+            Bm = _b_rows(model, B, up, f"in step {j}")[0]
             D = np.einsum("kij,kj->ki", 0.5 * (Bm[:-1] + Bm[1:]), du) / dx
         return u - (dt / dx) * (F[1:] - F[:-1]) + (eps * dt / dx) * (D[1:] - D[:-1])
 
@@ -367,6 +367,7 @@ def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     for the diffusion, conservative flux differencing for f(u)_x (with
     Lax-Friedrichs stabilization whenever the mesh does not resolve the
     viscous layer).  Requires dx <= eps/4."""
+    _refuse_unread(cfg, "viscous_run", "mollifier_width", "a2", "b_matrix")
     if cfg.dx is not None and cfg.dx > cfg.eps / 4.0 * (1 + 1e-12):
         raise CFLViolation(f"dx={cfg.dx} must satisfy dx <= eps/4 = {cfg.eps / 4}")
     return _parabolic_run(model, data, cfg, None, "viscous")
@@ -374,9 +375,11 @@ def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 
 def nonlinear_diffusion_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Explicit scheme for u_t + f(u)_x = eps (B(u) u_x)_x with face-averaged
-    B = cfg.b_matrix, taken on all the padded rows once per step; None (B = I)
+    B = cfg.b_matrix, taken on all the padded rows once per step and checked
+    positive semidefinite there, as on the initial cells; None (B = I)
     reproduces viscous_run bit for bit, B = 0 is the pure Lax-Friedrichs
     hyperbolic run."""
+    _refuse_unread(cfg, "nonlinear_diffusion_run", "mollifier_width", "a2")
     return _parabolic_run(model, data, cfg, cfg.b_matrix, "nonlinear-diffusion")
 
 
@@ -387,6 +390,7 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Relaxation system u_t + v_x = 0, v_t + a^2 u_x = (f(u) - v)/eps,
     upwinded along the characteristic variables v -+ a u, with the stiff
     source handled implicitly (exact since it is linear in v)."""
+    _refuse_unread(cfg, "jin_xin_run", "mollifier_width", "b_matrix")
     eps = cfg.eps
     x0, dx, u0 = _grid(model, data, cfg, eps / 2.0)
     M = _max_speed(model, u0)
@@ -435,6 +439,7 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
     P_k = (I + c A_k)^-1 c A_{k-1} with A = Df(w), started at the first
     unconverged cell and composed by a doubling scan in log2(cells) rounds.
     """
+    _refuse_unread(cfg, "backward_euler_run", "mollifier_width", "a2", "b_matrix")
     if cfg.boundary == "periodic":
         raise ConfigError("backward_euler_run needs constant boundaries")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps / 4.0)
@@ -525,6 +530,7 @@ def mollification_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution
     BlowupBeforeRestart when the interval is not shorter than the classical
     blow-up time of the current profile.  Boundaries must be constant: the
     profile is extended by its end values."""
+    _refuse_unread(cfg, "mollification_run", "a2", "b_matrix")
     if model.n != 1:
         raise ConfigError("mollification_run is scalar-only")
     if cfg.boundary == "periodic":

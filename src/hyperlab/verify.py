@@ -746,6 +746,13 @@ class ExactFanOracle:
         return FanView(fan, x0=float(pcs.xs[0]), t0=0.0).state(h)
 
 
+def _breakpoint_span(profiles):
+    """The smallest and largest breakpoint of the profiles, widened by 1, or
+    (-1, 1) if they have none."""
+    xs = np.concatenate([pc.xs for pc in profiles])
+    return (float(xs.min()) - 1.0, float(xs.max()) + 1.0) if xs.size else (-1.0, 1.0)
+
+
 def semigroup_error_bound(path, oracle, L):
     """(bound, actual) with bound = L * sum_j |path(t_{j+1}) -
     oracle_{dt}(path(t_j))| and actual = |path(T) - oracle_T(path(0))|, T
@@ -755,8 +762,7 @@ def semigroup_error_bound(path, oracle, L):
         x_lo, x_hi = path.x0, path.xmax
     else:
         items = [(float(t), pc) for t, pc in path]
-        xs_all = np.concatenate([pc.xs for _, pc in items])
-        x_lo, x_hi = float(xs_all.min()) - 1.0, float(xs_all.max()) + 1.0
+        x_lo, x_hi = _breakpoint_span([pc for _, pc in items])
     if getattr(oracle, "domain", None) is not None:
         x_lo, x_hi = oracle.domain
     bound = 0.0
@@ -777,14 +783,13 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
     """Per-family shock-strength components q_i(x) of the jump from u(x) to
     v(x) (shock branches on both sides), plus their integrated total.
 
-    Scalar models reduce to q_1 = v - u exactly, so the total equals the L1
-    distance."""
+    The families are classified once, over the box of the states of both
+    profiles on the pieces solved (as front tracking classifies over its
+    data); a family that is neither GNL nor LD there raises
+    NonClassifiedField.  Scalar models reduce to q_1 = v - u exactly, so the
+    total equals the L1 distance."""
     if interval is None:
-        xs_all = np.concatenate([u.xs, v.xs])
-        if xs_all.size == 0:
-            interval = (-1.0, 1.0)
-        else:
-            interval = (float(xs_all.min()) - 1.0, float(xs_all.max()) + 1.0)
+        interval = _breakpoint_span([u, v])
     cuts, mids, lengths = u.refinement(v, *interval)
     uu, vv = u(mids), v(mids)
 
@@ -793,7 +798,8 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
         total = float(np.sum(np.abs(q[:, 0]) * lengths))
         return cuts, q, total
 
-    fields = _field_classes(model, uu.mean(axis=0), vv.mean(axis=0))
+    states = np.concatenate([uu, vv])
+    fields = _field_classes(model, states.min(axis=0), states.max(axis=0))
     q = np.zeros((mids.size, model.n))
     for r in range(mids.size):
         if np.array_equal(uu[r], vv[r]):

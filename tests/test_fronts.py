@@ -368,6 +368,20 @@ class TestGuards:
         with pytest.raises(FrontExplosion):
             front_tracking_run(BURGERS, data, cfg)
 
+    def test_event_cap(self):
+        # 41 right-moving contacts left of 41 left-moving ones, all at distinct
+        # points: 82 fronts that meet in 41 * 41 = 1681 events, one more than
+        # the 20 * 84 the cap allows
+        m = models.linear_system(0, 1, 1, 0)  # speeds -1 and +1, r = (1, -+1)
+        rng = np.random.default_rng(1)
+        xs = np.concatenate([np.sort(rng.uniform(-2.0, -1.0, 41)),
+                             np.sort(rng.uniform(1.0, 2.0, 41))])
+        steps = np.repeat([[0.01, 0.01], [0.01, -0.01]], 41, axis=0)
+        data = PiecewiseConstantFn(xs, np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0))
+        cfg = SchemeConfig(eps=1.0, T=3.0, domain=(-3.0, 3.0), front_cap=84)
+        with pytest.raises(FrontExplosion, match="event count exceeds 1680"):
+            front_tracking_run(m, data, cfg)
+
     @pytest.mark.parametrize("model", [BURGERS, models.p_system()],
                              ids=["burgers", "psystem"])
     @pytest.mark.parametrize("delta", [0.0, float("nan"), -0.05])

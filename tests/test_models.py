@@ -33,6 +33,17 @@ class TestEigensystem:
         assert es.lambdas[0] == 3.0
         assert es.right[0, 0] == 1.0 and es.left[0, 0] == 1.0
 
+    @pytest.mark.parametrize("model, fprime", [
+        (models.burgers(), lambda u: u), (models.cubic_flux(), lambda u: 3.0 * u ** 2)],
+        ids=["burgers", "cubic"])
+    def test_scalar_pinned(self, model, fprime):
+        # np.linalg.eig on the 1x1 Jacobian, byte for byte the values of the
+        # closed form scalar models once had
+        for u in np.linspace(-2.0, 2.0, 81):
+            es = eigensystem(model, [u])
+            assert es.lambdas.tobytes() == np.array([fprime(u)]).tobytes()
+            assert es.right.tobytes() == es.left.tobytes() == np.array([[1.0]]).tobytes()
+
     def test_diagonal_linear_system(self):
         m = models.linear_system(1, 0, 0, 2)
         es = eigensystem(m, [0.3, -0.7])
@@ -362,6 +373,14 @@ class TestBatchedJacobian:
             np.testing.assert_allclose(
                 A, [[t.jac(s) for s in row] for row in u], rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("name, u", [("burgers", 0.5), ("cubic", np.float64(-0.5)),
+                                         ("advection:1.5", np.array(2.0))])
+    def test_zero_dimensional_state_coerced(self, name, u):
+        # a one-state input that is not of shape (n,) goes through `state`
+        m = model_from_name(name)
+        assert m.jac(u).shape == (1, 1)
+        assert m.jac(u).tobytes() == m.jac(np.array([u])).tobytes()
+
     def test_finite_difference_fallback_over_rows(self):
         # each row is differenced with its own steps, as a single state is
         fd = replace(models.p_system(), jacobian=None)
@@ -411,8 +430,9 @@ LINEAR3_DOUBLE = models.FluxModel("double3", 3, flux=lambda u: u @ DOUBLE.T,
     (lambda: models.p_system(gamma=0.5), ConfigError, "k > 0 and gamma >= 1"),
     (lambda: model_from_name("psystem:one"), ConfigError,
      "bad model arguments in 'psystem:one'"),
+    (lambda: models.p_system().jac([1.0]), ValueError, "dimension 1, model expects 2"),
 ], ids=["eig-gap", "no-samples", "zero-M", "flat-target", "zero-k", "low-gamma",
-        "unparsable-arguments"])
+        "unparsable-arguments", "jacobian-state-dimension"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

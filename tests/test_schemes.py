@@ -11,7 +11,7 @@ from hyperlab import models, schemes
 from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
                              NewtonFailure, NonfiniteState, OutOfDomain,
                              SpeedRangeViolation, SubcharacteristicViolation)
-from hyperlab.fronts import FrontTrackingSolution
+from hyperlab.fronts import FrontTrackingSolution, front_tracking_run
 from hyperlab.models import FluxModel, normalize_speeds
 from hyperlab.piecewise import PiecewiseConstantFn
 from hyperlab.riemann import evaluate_fan, solve_riemann
@@ -149,14 +149,33 @@ def test_unit_cfl_runs_refuse_T_off_the_step_grid(run):
     assert sol.times[-1] == pytest.approx(0.6, abs=1e-15)
 
 
-@pytest.mark.parametrize("run, setting", [
-    (godunov_run, "dx"), (godunov_run, "dt"), (glimm_run, "dx"),
-    (glimm_run, "dt"), (method_of_lines_run, "dx")])
+# the settings that default to None which each run does not read
+UNREAD = {godunov_run: ["dx", "dt", "mollifier_width", "a2", "b_matrix"],
+          glimm_run: ["dx", "dt", "mollifier_width", "a2", "b_matrix"],
+          method_of_lines_run: ["dx", "mollifier_width", "a2", "b_matrix"],
+          viscous_run: ["mollifier_width", "a2", "b_matrix"],
+          nonlinear_diffusion_run: ["mollifier_width", "a2"],
+          jin_xin_run: ["mollifier_width", "b_matrix"],
+          backward_euler_run: ["mollifier_width", "a2", "b_matrix"],
+          mollification_run: ["a2", "b_matrix"],
+          front_tracking_run: ["dx", "dt", "snapshot_times", "mollifier_width", "a2",
+                               "b_matrix"]}
+UNREAD_VALUES = {"dx": 0.05, "dt": 0.05, "snapshot_times": [0.25], "mollifier_width": 0.05,
+                 "a2": 4.0, "b_matrix": lambda u: np.zeros(u.shape + (1,))}
+
+
+@pytest.mark.parametrize("run, setting", [(run, setting) for run, settings in UNREAD.items()
+                                          for setting in settings])
 def test_runs_refuse_settings_they_do_not_read(run, setting):
+    # each was once taken and ignored, e.g. a zero b_matrix gave viscous_run
+    # the states of B = I
+    model = BURGERS_12 if run is backward_euler_run else BURGERS_01
+    data = ((lambda x: np.array([0.8 * np.exp(-8 * x * x)])) if run is mollification_run
+            else square_pulse(0.5, -0.5, 0.0))
     cfg = SchemeConfig(eps=0.1, T=0.5, domain=(-1.0, 1.0))
-    run(BURGERS_01, square_pulse(0.5, -0.5, 0.0), cfg)
+    run(model, data, cfg)
     with pytest.raises(ConfigError, match=f"does not read {setting}"):
-        run(BURGERS_01, square_pulse(0.5, -0.5, 0.0), replace(cfg, **{setting: 0.05}))
+        run(model, data, replace(cfg, **{setting: UNREAD_VALUES[setting]}))
 
 
 
@@ -804,6 +823,20 @@ class TestNonlinearDiffusion:
         nsteps = int(round(cfg.T / sol.meta["dt"]))
         assert nsteps > 1
         assert shapes == [(200, 1)] + [(202, 1)] * nsteps
+
+    def test_matrix_checked_at_every_step(self):
+        # B = diag(0, v - 0.99) is positive semidefinite on the data, v = 1,
+        # but the compressed middle state reaches v = 0.933, where B_22 < 0
+        # (anti-diffusion): the run once went on to T
+        def B(u):
+            d = np.stack([np.zeros(u.shape[:-1]), u[..., 0] - 0.99], axis=-1)
+            return d[..., None] * np.eye(2)
+
+        data = PiecewiseConstantFn.riemann([1.0, 0.1], [1.0, -0.1])
+        cfg = SchemeConfig(eps=0.01, T=0.25, domain=(-1.0, 1.0), dx=0.005, b_matrix=B)
+        with pytest.raises(ConfigError, match=r"positive semidefinite, but has eigenvalue "
+                                              r"-0\.0236 in step 2 at state \[0\.966"):
+            nonlinear_diffusion_run(models.p_system(), data, cfg)
 
     @pytest.mark.parametrize("B, got", [(lambda u: np.diag(1.0 + u * u), r"\(1,\)"),
                                         (lambda u: np.eye(1), r"\(1, 1\)")],

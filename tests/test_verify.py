@@ -655,6 +655,14 @@ class TestSemigroupBound:
         bound, actual = semigroup_error_bound(path, oracle, L=1.0)
         assert bound <= 1e-12 and actual <= 1e-12
 
+    def test_breakpoint_free_path(self):
+        # constant profiles have no breakpoints to span: the span was once
+        # taken from their empty union and raised ValueError
+        pc = PiecewiseConstantFn.constant([0.4])
+        oracle = FineGodunovOracle(BURGERS_01, 1 / 80, (-1, 2))
+        path = [(0.0, pc), (0.1, pc), (0.2, pc)]
+        assert semigroup_error_bound(path, oracle, L=1.0) == (0.0, 0.0)
+
     def test_glimm_vs_fine_godunov(self):
         from hyperlab.schemes import glimm_run
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
@@ -713,6 +721,20 @@ class TestQDecomposition:
         with pytest.raises(NonClassifiedField):
             q_decomposition(m, u, v)
 
+    def test_fields_classified_over_the_cell_states(self):
+        # the family-0 jump from u1 = -0.3 to -0.2 is a shock (3 u1^2 falls),
+        # but over the segment between the profiles' means (u1 near 0.27 and
+        # 0.37) the family was oriented as if it were a rarefaction
+        m = models.FluxModel(
+            "cubic-advection", 2,
+            flux=lambda u: np.stack([u[..., 0] ** 3, 2.0 * u[..., 1]], axis=-1),
+            jacobian=lambda u: np.diag([3.0 * u[0] ** 2, 2.0]))
+        xs = np.array([0.0, 1.0])
+        u = PiecewiseConstantFn(xs, np.array([[-0.3, 0.0], [0.5, 0.0], [0.6, 0.0]]))
+        v = PiecewiseConstantFn(xs, np.array([[-0.2, 0.1], [0.6, 0.1], [0.7, 0.1]]))
+        with pytest.raises(NonClassifiedField):
+            q_decomposition(m, u, v)
+
 
 class TestRateFit:
     def test_sqrtlog_exact_recovery(self):
@@ -746,6 +768,41 @@ class TestRateFit:
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def moving_step(times, x0):
+    """The step 1 | 0 at x0 + t on the 100 cells of [0, 1] at the times."""
+    c = 0.01 * (np.arange(100) + 0.5)
+    return GridSolution(0.0, 0.01, times,
+                        np.stack([np.where(c < x0 + t, 1.0, 0.0)[:, None] for t in times]))
+
+
+def narrow_interval_terms():
+    """(partition points, B term at h = 0.04, B term at h = 0.01 > 0.1) of the
+    interval (0, 0.06) between the two points, which has no room left at
+    h = 0.04 (a + h > b - h)."""
+    data = PiecewiseConstantFn(np.array([0.0, 0.02, 0.06]),
+                               np.array([[0.0], [0.6], [0.9], [0.0]]))
+    cfg = SchemeConfig(eps=0.02, T=0.2, domain=(-1, 1), store_all=True)
+    dec = error_decomposition(GridView(godunov_run(BURGERS_01, data, cfg)), BURGERS_01,
+                              FineGodunovOracle(BURGERS_01, 0.005, (-1, 1)), 0.0,
+                              eps=0.5, h_ladder=[0.04, 0.01])
+    return len(dec.partition), dec.interval_terms[0, 1], dec.interval_terms[1, 1] > 0.1
+
+
+@pytest.mark.parametrize("call, want", [
+    # one snapshot has no speed to fit: the predicted one, at the step's edge
+    (lambda: [(r.xi, r.speed) for r in detect_jumps(moving_step([0.0], 0.5), 0.0,
+                                                    model=BURGERS)], [(0.5, 0.5)]),
+    # fitted at speed 1, the step's window leaves the grid at t = 0.2 and
+    # that snapshot adds no defect
+    (lambda: [(r.xi, round(r.speed, 12), r.defect)
+              for r in detect_jumps(moving_step([0.0, 0.1, 0.2], 0.75), 0.1)],
+     [(0.85, 1.0, 0.0)]),
+    (narrow_interval_terms, (2, 0.0, True)),
+], ids=["one-snapshot", "window-off-grid", "narrow-interval"])
+def test_windows_and_intervals_without_room(call, want):
+    assert call() == want
 
 
 def test_oracle_span_zero_returns_the_profile():
