@@ -187,9 +187,11 @@ def _refuse_unread(cfg, run, *names):
 def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     """Track fronts of a piecewise-constant profile until time T.
 
-    data must be a PiecewiseConstantFn with finitely many jumps.  cfg needs
-    delta (rarefaction accuracy, and the state grid of a scalar model);
-    rho_np > 0 enables merging of weak interaction products into
+    data must be a PiecewiseConstantFn with finitely many jumps.  A system's
+    families are classified once, on the segment between the corners lo
+    and hi of the box of the data's states (`riemann._field_classes`).
+    cfg needs delta (rarefaction accuracy, and the state grid of a scalar
+    model); rho_np > 0 enables merging of weak interaction products into
     non-physical fronts at speed lam_hat = 1 + max characteristic speed over
     the data.  Fronts move on the whole line, so periodic boundaries are
     refused.

@@ -169,7 +169,8 @@ def _fix_sign(r):
 
 def eigensystem(model: FluxModel, u) -> EigenSystem:
     """Eigen-decomposition of Df(u), sorted ascending, sign-fixed: the closed
-    form for n = 2, `np.linalg.eig` for any other n."""
+    form for n = 2, `np.linalg.eig` for any other n.  A non-finite Jacobian
+    raises NonHyperbolic, as in `eigenvalues`."""
     u = model.state(u)
     model.require_in_domain(u)
     A = model.jac(u)
@@ -178,6 +179,8 @@ def eigensystem(model: FluxModel, u) -> EigenSystem:
 
 def _eigensystem_eig(model, u, A):
     """The eigensystem of any n by np.linalg.eig and np.linalg.inv."""
+    if not np.isfinite(A).all():
+        raise NonHyperbolic(f"non-finite Jacobian at u={u}")
     w, V = np.linalg.eig(A)
     order = np.argsort(_real(w, u))
     lam = w.real[order]
@@ -199,6 +202,8 @@ def _eigensystem_2x2(model, u, A):
     quarter, L the adjugate of R^T over det R.  A double eigenvalue fails as
     A = lambda I (defective), as a Jordan block (singular R) or on the gap."""
     (a, b), (c, d) = A.tolist()
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise NonHyperbolic(f"non-finite Jacobian at u={u}")
     disc = 0.25 * (a - d) ** 2 + b * c
     if disc < 0:
         raise NonHyperbolic(f"complex eigenvalues at u={u} (disc={disc:.3e})")

@@ -105,14 +105,6 @@ class PiecewiseConstantFn:
     def shifted(self, xi):
         return PiecewiseConstantFn(self.xs + xi, self.vals)
 
-    def simplified(self, tol=0.0):
-        """Drop breakpoints whose jump does not exceed tol."""
-        keep = self.jumps() > tol
-        if np.all(keep):
-            return self
-        return PiecewiseConstantFn(self.xs[keep],
-                                   np.concatenate([self.vals[:1], self.vals[1:][keep]]))
-
     def _antiderivative(self, x):
         """(k, F) at the ascending points x: k the piece holding each point
         and F the exact integral, shape (len(x), n), from a reference point

@@ -18,10 +18,11 @@ alone turns an oriented strength, and return (s, states, speeds); the
 rarefaction takes one eigensystem per RK4 stage.
 Both `shock_curve` and `_lax_step` reach a shock point through one
 continuation, `_continue_shock`.  Within one strength solve, each Broyden
-evaluation continues every jump from the point the previous evaluation
-found for the same jump (same family, same index in the family), and falls
-back to a continuation from s = 0 where that fails; the first evaluation
-and the integral-curve rarefactions start cold.  The RH Newton of one shock
+evaluation starts the RH Newton of every jump from the point the previous
+completed evaluation found for the same jump (same family, same index in
+the family), and falls back to a continuation from s = 0 where that Newton
+fails; the first evaluation, one after an evaluation that raised, and the
+integral-curve rarefactions start cold.  The RH Newton of one shock
 point takes a start as converged only near roundoff, so a seeded point is
 as accurate as a cold one, and returns f at the point, which the next jump
 of a composition takes as f at its left state.  Every linear step of the
@@ -110,14 +111,17 @@ def _shock_point_newton(model, u_minus, f_minus, l_i, s, state0, lam0):
     only to |F| / |d|, so the start itself passes only at 1e-15 (1 + |f|),
     near roundoff: a seed close to the point gets one quadratic step.  Each
     step solves the bordered system [Df(S) - lambda I, -d; l_i, 0] on floats
-    with `_solve_small`.  Returns (S, lambda, f(S)), the flux of the last
-    residual, which the next jump of a composition takes as its
-    f(u_minus)."""
+    with `_solve_small`.  An iterate outside the domain box raises
+    ContinuationFailure before f is evaluated there.  Returns (S, lambda,
+    f(S)), the flux of the last residual, which the next jump of a
+    composition takes as its f(u_minus)."""
     n = model.n
     S, lam = state0, float(lam0)
     scale = 1.0 + math.sqrt(f_minus @ f_minus)
     closure = l_i.tolist() + [0.0]
     for k in range(31):
+        if not model.contains(S):
+            raise ContinuationFailure(f"shock curve left the domain box at s={s:.3g}")
         d = S - u_minus
         f_S = model.f(S)
         F = (f_S - f_minus - lam * d).tolist()
@@ -144,11 +148,10 @@ def _shock_point_newton(model, u_minus, f_minus, l_i, s, state0, lam0):
 def _continue_shock(model, u_minus, f_minus, l_i, r_i, a, S, lam, b):
     """The shock point (S, lambda, f(S)) at parameter b, continued from
     (S, lam) at a: Newton from the linear guess S + (b - a) r_i, and halved
-    steps (12 in all at most) where Newton fails or lands outside the domain
-    box, so every point reached lies in it.  (S, lam) is u_minus and
-    lambda_i(u_minus) at a = 0, the previous sample of `shock_curve`, or a
-    seed of an earlier strength evaluation, which `_lax_step` redoes from
-    s = 0 when this raises ContinuationFailure.  f_minus is f(u_minus)."""
+    steps (12 in all at most) where Newton fails, an iterate outside the
+    domain box included, so every point reached lies in it.  (S, lam) is
+    u_minus and lambda_i(u_minus) at a = 0, or the previous sample of
+    `shock_curve`.  f_minus is f(u_minus)."""
     pending = [(a, b)]
     halvings = 0
     while pending:
@@ -156,9 +159,6 @@ def _continue_shock(model, u_minus, f_minus, l_i, r_i, a, S, lam, b):
         try:
             S_new, lam_new, f_new = _shock_point_newton(model, u_minus, f_minus, l_i, b,
                                                         S + (b - a) * r_i, lam)
-            if not model.contains(S_new):
-                raise ContinuationFailure(
-                    f"shock curve left the domain box at s={b:.3g}")
         except ContinuationFailure:
             halvings += 1
             if halvings > 12:
@@ -342,10 +342,10 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
     (a rarefaction front of front tracking).  Either curve takes
     s = orientation * sigma along the sign-fixed l_i and r_i: the one use of
     the orientation.  `es` and `f_l` are the eigensystem and f at u_l
-    when the caller has them, else None.  A jump is continued from `seed`, the
-    same jump (u_l', sigma', S', lambda') of an earlier composition, at
-    sigma' from S' + (u_l - u_l'); without a seed, or where that continuation
-    fails, it is continued from s = 0.
+    when the caller has them, else None.  A jump with a `seed`, the same
+    jump (u_l', sigma', S', lambda') of an earlier composition, takes one RH
+    Newton from S' + (u_l - u_l') + (s - s') r_i; without a seed, or where
+    that Newton fails, it is continued from s = 0.
     """
     s = field.orientation * sigma
     if field.tag == LINEARLY_DEGENERATE:
@@ -365,9 +365,9 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
     l_i, r_i = es.left[i], es.right[i]
     if seed is not None:
         u_prev, a, S, lam = seed
+        start = S + (u_l - u_prev) + (s - field.orientation * a) * r_i
         try:
-            S, lam, f_r = _continue_shock(model, u_l, f_l, l_i, r_i, field.orientation * a,
-                                          S + (u_l - u_prev), lam, s)
+            S, lam, f_r = _shock_point_newton(model, u_l, f_l, l_i, s, start, lam)
             return JumpWave(kind, i, u_l, S, float(lam)), f_r
         except ContinuationFailure:
             pass  # continued from s = 0, as without a seed
@@ -383,16 +383,19 @@ def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=N
     wave is a jump, and the rarefaction side of family i is split into
     splits[i] jumps of equal strength.  The strength solve passes `seeds`, a
     dict it keeps across its evaluations: the j-th jump of family i is
-    continued from seeds[i, j], where the previous composition left it, and
-    the dict then holds this composition's jumps.  It also passes
-    `es_minus` and `f_minus`, its eigensystem and f at u_minus, for the
-    first wave.  Each later jump takes f at its left state from the RH
+    seeded by seeds[i, j], where the previous composition left it.  The dict
+    is emptied as a composition starts and holds its jumps once it
+    completes, so the one after a composition that raised starts cold.  It
+    also passes `es_minus` and `f_minus`, its eigensystem and f at u_minus,
+    for the first wave.  Each later jump takes f at its left state from the RH
     Newton of the jump before.
     """
     jumps = splits is not None
     state, f_state = u_minus, f_minus
     waves = []
-    reached = {}
+    reached, previous = {}, dict(seeds or {})
+    if seeds is not None:
+        seeds.clear()
     for i in range(model.n):
         sig = sigmas[i]
         if abs(sig) < STRENGTH_FLOOR:
@@ -401,13 +404,12 @@ def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=N
         for j in range(k):
             w, f_state = _lax_step(model, state, i, sig / k, fields[i], jumps,
                                    None if waves else es_minus,
-                                   seeds.get((i, j)) if seeds else None, f_state)
+                                   previous.get((i, j)), f_state)
             if isinstance(w, JumpWave):
                 reached[i, j] = (state, sig / k, w.u_r, w.speed)
             waves.append(w)
             state = w.u_r
     if seeds is not None:
-        seeds.clear()
         seeds.update(reached)
     return state, waves
 

@@ -92,21 +92,15 @@ class SchemeConfig:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _cells(domain, dx):
-    """(ncells, width): the domain cut into whole cells of width about dx."""
-    a, b = domain
-    ncells = int(round((b - a) / dx))
-    return ncells, (b - a) / ncells if ncells else dx
-
-
 def _grid(model, data, cfg, dx_default):
     """(x0, dx, u0): the domain cut into whole cells of width about cfg.dx,
     or dx_default if it is not set, and the initial cell states: exact
     averages for piecewise-constant data, midpoint samples for callables."""
     a, b = cfg.domain
-    ncells, dx = _cells(cfg.domain, cfg.dx if cfg.dx is not None else dx_default)
+    ncells = int(round((b - a) / (cfg.dx if cfg.dx is not None else dx_default)))
     if ncells < 4:
         raise ConfigError("domain too small for the requested resolution")
+    dx = (b - a) / ncells
     if isinstance(data, PiecewiseConstantFn):
         u0 = data.cell_averages(a, dx, ncells)
         if u0.shape[1] != model.n:
@@ -141,17 +135,11 @@ def _time_steps(cfg, dt_default, dt_limit, rule):
             {"rule": rule, "dt_max": dt_limit})
 
 
-def _whole_steps(T, dt):
-    """T/dt if T is a whole number of steps dt, else None."""
-    nsteps = int(round(T / dt))
-    return nsteps if abs(nsteps * dt - T) <= 1e-9 * max(T, 1.0) else None
-
-
 def _unit_cfl_steps(cfg, dx):
     """(nsteps, cfl) of T/dx steps of dt = dx; T must be a whole number of
     them."""
-    nsteps = _whole_steps(cfg.T, dx)
-    if nsteps is None:
+    nsteps = int(round(cfg.T / dx))
+    if abs(nsteps * dx - cfg.T) > 1e-9 * max(cfg.T, 1.0):
         raise ConfigError(f"T={cfg.T} is not a whole number of steps "
                           f"dt = dx = {dx:.6g}")
     return nsteps, {"rule": "dt = dx, speeds in [0,1]"}

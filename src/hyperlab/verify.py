@@ -16,6 +16,10 @@ are integrated against the whole test family by one closed form,
 fan or front-tracking run cross the bump edges: kinks, as are the ends of a
 bump's time support, between which the integrand of a front-tracking view
 is a polynomial in t of degree <= 12.
+
+An oracle, S_h of `error_decomposition` and `semigroup_error_bound` (read
+through `_evolve`), has `evolve(pc, h)`: pc at h = 0, else a library run from
+pc drawn at h; `domain`, the span of its L1 distances; and `note`, its name.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ import numpy as np
 
 from .errors import (DegenerateData, HyperlabError, OracleUnavailable,
                      QuadratureUnderResolved)
-from .fronts import FrontTrackingSolution
+from .fronts import FrontTrackingSolution, front_tracking_run
 from .models import eigensystem
 from .piecewise import GridSolution, PiecewiseConstantFn
 from .riemann import (WaveFan, evaluate_fan, liu_admissible, rh_residual,
-                      solve_riemann, solve_strengths, _field_classes)
-from .schemes import SchemeConfig, _cells, _whole_steps, godunov_run
+                      solve_strengths, _field_classes)
+from .schemes import SchemeConfig, godunov_run
 
 TIME_PAD = 1e-6
 # widest speed cell of a sampled rarefaction in FanView profiles
@@ -667,12 +671,7 @@ def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecompo
 
     for hi_idx, h in enumerate(h_ladder):
         sol_h = view.state(tau + h)
-        try:
-            ora_h = oracle.evolve(u_tau, h)
-        except OracleUnavailable:
-            raise
-        except HyperlabError as exc:
-            raise OracleUnavailable(str(exc)) from exc
+        ora_h = _evolve(oracle, u_tau, h)
         rates[hi_idx] = (sol_h.l1_distance(ora_h, x_lo, x_hi)) / h
 
         for kp, x in enumerate(points):
@@ -698,17 +697,26 @@ def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecompo
                              + ora_h.l1_distance(W, lo, hi)) / h
 
     return ErrorDecomposition(tau, eps, points, h_ladder, A, B, rates,
-                              v_samples, getattr(oracle, "note", ""))
+                              v_samples, oracle.note)
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
-class FineGodunovOracle:
-    """Reference evolution: the upwind scheme on a refine-times-finer grid.
+def _evolve(oracle, pc, h):
+    """oracle.evolve(pc, h), a HyperlabError raised as OracleUnavailable from
+    it (an OracleUnavailable as is) and any other exception as is."""
+    try:
+        return oracle.evolve(pc, h)
+    except OracleUnavailable:
+        raise
+    except HyperlabError as exc:
+        raise OracleUnavailable(str(exc)) from exc
 
-    Evolution spans must be multiples of the fine grid step, the width of
-    the whole cells that godunov_run cuts the domain into.  Scalar models
+
+class FineGodunovOracle:
+    """Reference evolution: godunov_run on the domain with eps = dx, which
+    refuses a span that is not a whole number of its steps.  Scalar models
     with speeds in [0, 1] make this an L1-contraction, so semigroup error
     bounds computed against it are rigorous up to projection."""
 
@@ -719,31 +727,27 @@ class FineGodunovOracle:
         self.note = f"godunov dx={dx:g} on {domain}"
 
     def evolve(self, pc: PiecewiseConstantFn, h) -> PiecewiseConstantFn:
-        step = _cells(self.domain, self.dx)[1]
-        steps = _whole_steps(h, step)
-        if steps is None:
-            raise OracleUnavailable(
-                f"span {h:g} is not a multiple of the oracle step {step:g}")
-        if steps == 0:
+        if h == 0:
             return pc
-        cfg = SchemeConfig(eps=self.dx, T=h, domain=self.domain)
-        sol = godunov_run(self.model, pc, cfg)
+        sol = godunov_run(self.model, pc, SchemeConfig(eps=self.dx, T=h, domain=self.domain))
         return sol.as_piecewise(sol.times[-1])
 
 
-class ExactFanOracle:
-    """Exact evolution for single-jump data via the Riemann fan."""
+class FrontTrackingOracle:
+    """Reference evolution: front_tracking_run of any piecewise-constant data;
+    shocks and contacts are exact, rarefactions jumps of size at most delta."""
 
-    def __init__(self, model):
+    def __init__(self, model, delta, domain):
         self.model = model
-        self.note = "exact fan"
+        self.delta = delta
+        self.domain = domain
+        self.note = f"front tracking delta={delta:g}"
 
     def evolve(self, pc: PiecewiseConstantFn, h) -> PiecewiseConstantFn:
-        pcs = pc.simplified(0.0)
-        if pcs.xs.size != 1:
-            raise OracleUnavailable("exact fan oracle needs single-jump data")
-        fan = solve_riemann(self.model, pcs.vals[0], pcs.vals[1])
-        return FanView(fan, x0=float(pcs.xs[0]), t0=0.0).state(h)
+        if h == 0:
+            return pc
+        cfg = SchemeConfig(eps=self.delta, T=h, domain=self.domain, delta=self.delta)
+        return front_tracking_run(self.model, pc, cfg).state(h)
 
 
 def _breakpoint_span(profiles):
@@ -756,21 +760,17 @@ def _breakpoint_span(profiles):
 def semigroup_error_bound(path, oracle, L):
     """(bound, actual) with bound = L * sum_j |path(t_{j+1}) -
     oracle_{dt}(path(t_j))| and actual = |path(T) - oracle_T(path(0))|, T
-    the path's last time."""
+    the path's last time, both on the oracle's domain."""
     if isinstance(path, GridSolution):
         items = [(float(t), path.as_piecewise(t)) for t in path.times]
-        x_lo, x_hi = path.x0, path.xmax
     else:
         items = [(float(t), pc) for t, pc in path]
-        x_lo, x_hi = _breakpoint_span([pc for _, pc in items])
-    if getattr(oracle, "domain", None) is not None:
-        x_lo, x_hi = oracle.domain
+    x_lo, x_hi = oracle.domain
     bound = 0.0
     for (ta, pa), (tb, pb) in zip(items[:-1], items[1:]):
-        evolved = oracle.evolve(pa, tb - ta)
-        bound += pb.l1_distance(evolved, x_lo, x_hi)
+        bound += pb.l1_distance(_evolve(oracle, pa, tb - ta), x_lo, x_hi)
     bound *= L
-    final = oracle.evolve(items[0][1], items[-1][0] - items[0][0])
+    final = _evolve(oracle, items[0][1], items[-1][0] - items[0][0])
     actual = items[-1][1].l1_distance(final, x_lo, x_hi)
     return bound, actual
 
@@ -783,11 +783,11 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
     """Per-family shock-strength components q_i(x) of the jump from u(x) to
     v(x) (shock branches on both sides), plus their integrated total.
 
-    The families are classified once, over the box of the states of both
-    profiles on the pieces solved (as front tracking classifies over its
-    data); a family that is neither GNL nor LD there raises
-    NonClassifiedField.  Scalar models reduce to q_1 = v - u exactly, so the
-    total equals the L1 distance."""
+    The families are classified once, on the segment between the corners
+    lo and hi of the box of both profiles' states on the pieces solved, as
+    front tracking classifies its data (`_field_classes`); a family that is
+    neither GNL nor LD there raises NonClassifiedField.  Scalar models
+    reduce to q_1 = v - u exactly, so the total equals the L1 distance."""
     if interval is None:
         interval = _breakpoint_span([u, v])
     cuts, mids, lengths = u.refinement(v, *interval)

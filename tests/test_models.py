@@ -116,6 +116,28 @@ class TestEigensystem:
         with pytest.raises(OutOfDomain):
             eigensystem(m, [-1.0, 0.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_finite_jacobian_refused_as_by_eigenvalues(self, n):
+        m = models.FluxModel(f"nan{n}", n, flux=lambda u: u,
+                             jacobian=lambda u: np.full(u.shape + (n,), np.nan))
+        u = [1.0] + [0.0] * (n - 1)
+        with pytest.raises(NonHyperbolic, match=r"non-finite Jacobian at u=\[1\.") as got:
+            eigensystem(m, u)
+        with pytest.raises(NonHyperbolic) as want:
+            models.eigenvalues(m, u)
+        assert str(got.value) == str(want.value)
+
+    def test_general_n_singular_eigenvectors(self, monkeypatch):
+        # eig's eigenvectors of a diagonalisable matrix are independent; an
+        # inverse that fails anyway is refused as non-hyperbolic
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NonHyperbolic, match="eigenvector matrix singular") as info:
+            eigensystem(_tridiagonal3(), [0.2, -0.1, 0.4])
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
 
 def _tridiagonal3():
     """A nonlinear 3x3 user model whose Jacobian is tridiagonal with positive

@@ -59,7 +59,7 @@ class TestShockCurve:
 
     def test_leaving_the_state_domain_raises(self):
         # the 1-shock curve through (1, 0) runs to v -> 0; the RH Newton
-        # stalls long before s = -50, even in halved steps
+        # leaves the domain box long before s = -50, even in halved steps
         with pytest.raises(ContinuationFailure):
             shock_curve(models.p_system(), [1.0, 0.0], 0, -50.0)
 
@@ -211,6 +211,29 @@ class TestSolveRiemann:
         assert np.array_equal(fan.right, [1.5, 0.5])
         assert rh_residual(m, fan.waves[1].u_l, fan.waves[1].u_r,
                            fan.waves[1].speed) <= 1e-10
+
+    @pytest.mark.parametrize("gamma, u_minus, u_plus", [
+        (1.4, [0.25714040553839923, -0.0014442751197700776],
+         [1.202996715246715, -0.9426219832561109]),
+        (2.0, [0.25714040553839923, -0.0014442751197700776],
+         [1.202996715246715, -0.9426219832561109]),
+        (2.0, [0.5162817037091767, 0.956602274628434],
+         [1.8820119893028697, -0.31862764828698187]),
+    ], ids=["gamma-1.4", "gamma-2", "gamma-2-stale-seed"])
+    def test_shock_newton_evaluates_f_only_in_the_box(self, gamma, u_minus, u_plus):
+        # RH Newton iterates of these pairs once stepped to v < 0, where
+        # v ** -1.4 warned and v ** -2 let them return; the box is now
+        # checked before f.  They still solve: a seeded jump takes one
+        # Newton before its cold continuation, and a strength evaluation
+        # after one that raised starts cold, not from older seeds
+        m = models.p_system(gamma=gamma)
+        seen = []
+        probe = replace(m, flux=lambda u: seen.append(np.array(u)) or m.flux(u))
+        fan = solve_riemann(probe, u_minus, u_plus)
+        assert [(w.kind, w.family) for w in fan.waves] == [("rarefaction", 0),
+                                                           ("shock", 1)]
+        assert np.array_equal(fan.right, u_plus)
+        assert seen and all(m.contains(u) for u in seen)
 
     def test_vacuum_data_refused(self):
         # w+ - w- = 2.434 >= 2 sqrt(2) (v-^-1/2 + v+^-1/2) = 2.251: no

@@ -13,8 +13,8 @@ from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
 from hyperlab.riemann import JumpWave, WaveFan, liu_admissible, solve_riemann
 from hyperlab.schemes import SchemeConfig, godunov_run, viscous_run
-from hyperlab.verify import (BumpTestFn, EpsCertificate, ExactFanOracle,
-                             FanView, FineGodunovOracle, FrontTrackingView,
+from hyperlab.verify import (BumpTestFn, EpsCertificate, FanView,
+                             FineGodunovOracle, FrontTrackingOracle, FrontTrackingView,
                              GridView, _dominant_family, as_view, certify_eps_approx,
                              default_family, detect_jumps, entropy_residual,
                              error_decomposition, interval_partition,
@@ -30,6 +30,19 @@ def step_fan(u_l=1.0, u_r=0.0, speed=0.5):
     ul, ur = np.array([u_l]), np.array([u_r])
     w = JumpWave("shock", 0, ul, ur, speed)
     return WaveFan(ul, (w,))
+
+
+class FailingOracle:
+    """An oracle whose every evolution raises exc."""
+
+    domain = (-2, 3)
+    note = "failing"
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def evolve(self, pc, h):
+        raise self.exc
 
 
 class TestTotalVariation:
@@ -555,17 +568,66 @@ class TestErrorDecomposition:
 
     def test_exact_shock_jump_terms_vanish(self):
         view = FanView(step_fan(), t_span=(0, 2), x_span=(-2, 3))
-        oracle = ExactFanOracle(BURGERS)
+        oracle = FrontTrackingOracle(BURGERS, 1e-3, (-2, 3))
         dec = error_decomposition(view, BURGERS, oracle, 1.0, eps=0.5,
                                   h_ladder=[0.2, 0.1, 0.05])
         assert len(dec.partition) == 1
         assert np.all(dec.jump_terms <= 1e-9)
         assert np.all(dec.total() + 1e-12 >= dec.measured_rate * 0.9)
 
-    def test_exact_fan_oracle_needs_one_jump(self):
+    def test_front_tracking_oracle_evolves_two_jumps(self):
+        # a shock 1 | 0 at 0 and a rarefaction 0 | 1 at 1: the shock moves
+        # exactly, the fan is drawn in jumps of at most delta
         data = PiecewiseConstantFn(np.array([0.0, 1.0]), np.array([[1.0], [0.0], [1.0]]))
-        with pytest.raises(OracleUnavailable, match="single-jump"):
-            ExactFanOracle(BURGERS).evolve(data, 0.1)
+        delta, h = 0.01, 0.2
+        out = FrontTrackingOracle(BURGERS, delta, (-1, 2)).evolve(data, h)
+        assert out.xs[0] == 0.5 * h and out.vals[:2].tolist() == [[1.0], [0.0]]
+        assert np.all(out.jumps()[1:] <= delta + 1e-12)
+        assert out.xs[1] >= 1.0 and out.xs[-1] <= 1.0 + h and out.vals[-1] == 1.0
+        # mass is conserved (equal fluxes at both ends); the fan is within
+        # delta * h of x -> (x - 1) / h
+        assert abs(out.integral(-1, 2)[0] - data.integral(-1, 2)[0]) <= 1e-12
+        fan = PiecewiseConstantFn(np.linspace(1, 1 + h, 2001)[1:-1],
+                                  np.linspace(0, 1, 2000)[:, None])
+        assert out.l1_distance(fan, 0.5, 2) <= delta * h
+
+    @staticmethod
+    def cone_variation(view, dec):
+        """The view's TV over each interval's cone, shrinking at speed 1 from
+        tau, at the three sample times of v_samples."""
+        knots = [view.x_span[0]] + dec.partition + [view.x_span[1]]
+        rows = []
+        for a, b in zip(knots[:-1], knots[1:]):
+            rows.append([])
+            for frac in (0.0, 0.5, 1.0):
+                s = frac * max(dec.h_ladder)
+                lo, hi = a + s, b - s
+                rows[-1].append(view.state(dec.tau + s).tv(lo, hi) if hi > lo else 0.0)
+        return np.array(rows)
+
+    def test_v_samples_on_a_fan_are_the_cone_variation(self):
+        # a Burgers rarefaction 0 | 1: at tau the cones are the intervals,
+        # which with the partition points hold the whole variation 1
+        view = FanView(solve_riemann(BURGERS, [0.0], [1.0]), t_span=(0, 2), x_span=(-2, 3))
+        dec = error_decomposition(view, BURGERS, FrontTrackingOracle(BURGERS, 1e-3, (-2, 3)),
+                                  1.0, eps=0.3, h_ladder=[0.2, 0.1])
+        v = np.array(dec.v_samples)
+        assert v.shape == (4, 3) and np.array_equal(v, self.cone_variation(view, dec))
+        u = view.state(1.0)
+        at_points = sum(u.tv(x - 1e-9, x + 1e-9) for x in dec.partition)
+        assert v[:, 0].sum() + at_points == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(v, axis=1) <= 0)
+
+    def test_v_samples_on_a_grid_widen_the_cone(self):
+        # widened by one cell each side, a grid sample is never below the
+        # cone's own variation, and above it next to the jumps
+        data = PiecewiseConstantFn(np.array([0.0, 0.5]), np.array([[0.0], [1.0], [0.2]]))
+        cfg = SchemeConfig(eps=1 / 50, T=0.6, domain=(-1, 2), store_all=True)
+        view = GridView(godunov_run(BURGERS_01, data, cfg))
+        oracle = FineGodunovOracle(BURGERS_01, 1 / 400, (-1, 2))
+        dec = error_decomposition(view, BURGERS_01, oracle, 0.2, eps=0.3, h_ladder=[0.2, 0.1])
+        v, cone = np.array(dec.v_samples), self.cone_variation(view, dec)
+        assert np.all(v >= cone) and np.any(v > cone)
 
     def test_interval_terms_scale_quadratically(self):
         # smooth profile: B-type terms behave like the square of the
@@ -591,26 +653,25 @@ class TestErrorDecomposition:
 
     def test_oracle_failures(self):
         view = FanView(step_fan(), t_span=(0, 2), x_span=(-2, 3))
-        # 0.1 is not a multiple of the 0.03 oracle step: raised as is
+        # 0.1 is not a whole number of the run's 5/167 steps: its ConfigError,
+        # wrapped once
         oracle = FineGodunovOracle(BURGERS_01, 0.03, (-2, 3))
-        with pytest.raises(OracleUnavailable, match="not a multiple") as info:
+        with pytest.raises(OracleUnavailable, match="not a whole number of steps") as info:
             error_decomposition(view, BURGERS, oracle, 1.0, eps=0.5, h_ladder=[0.1])
-        assert info.value.__cause__ is None
-
-        class Failing:
-            def __init__(self, exc):
-                self.exc = exc
-
-            def evolve(self, pc, h):
-                raise self.exc
+        assert type(info.value.__cause__) is ConfigError
 
         with pytest.raises(OracleUnavailable) as info:
-            error_decomposition(view, BURGERS, Failing(ConfigError("bad")), 1.0,
+            error_decomposition(view, BURGERS, FailingOracle(ConfigError("bad")), 1.0,
                                 eps=0.5, h_ladder=[0.1])
         assert isinstance(info.value.__cause__, ConfigError)
+        gone = OracleUnavailable("gone")  # raised as is
+        with pytest.raises(OracleUnavailable) as info:
+            error_decomposition(view, BURGERS, FailingOracle(gone), 1.0, eps=0.5,
+                                h_ladder=[0.1])
+        assert info.value is gone
         # a programming error is not an unavailable oracle
         with pytest.raises(ZeroDivisionError):
-            error_decomposition(view, BURGERS, Failing(ZeroDivisionError()), 1.0,
+            error_decomposition(view, BURGERS, FailingOracle(ZeroDivisionError()), 1.0,
                                 eps=0.5, h_ladder=[0.1])
 
 
@@ -648,12 +709,26 @@ class TestSemigroupBound:
         # steps evolve
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         oracle = FineGodunovOracle(BURGERS_01, 0.03, (-2, 3))
-        with pytest.raises(OracleUnavailable, match="not a multiple"):
+        with pytest.raises(OracleUnavailable, match="not a whole number of steps"):
             semigroup_error_bound([(0.0, data), (0.3, data)], oracle, L=1.0)
         h = 10 * 5 / 167
         path = [(0.0, data), (h, oracle.evolve(data, h))]
         bound, actual = semigroup_error_bound(path, oracle, L=1.0)
         assert bound <= 1e-12 and actual <= 1e-12
+
+    def test_oracle_failures(self):
+        # read as error_decomposition reads an oracle
+        data = PiecewiseConstantFn.riemann([1.0], [0.0])
+        path = [(0.0, data), (0.1, data)]
+        with pytest.raises(OracleUnavailable, match="bad") as info:
+            semigroup_error_bound(path, FailingOracle(ConfigError("bad")), L=1.0)
+        assert type(info.value.__cause__) is ConfigError
+        gone = OracleUnavailable("gone")
+        with pytest.raises(OracleUnavailable) as info:
+            semigroup_error_bound(path, FailingOracle(gone), L=1.0)
+        assert info.value is gone
+        with pytest.raises(ZeroDivisionError):
+            semigroup_error_bound(path, FailingOracle(ZeroDivisionError()), L=1.0)
 
     def test_breakpoint_free_path(self):
         # constant profiles have no breakpoints to span: the span was once
@@ -808,3 +883,4 @@ def test_windows_and_intervals_without_room(call, want):
 def test_oracle_span_zero_returns_the_profile():
     pc = PiecewiseConstantFn.riemann([1.0], [0.0])
     assert FineGodunovOracle(BURGERS_01, 0.05, (-1, 1)).evolve(pc, 0.0) is pc
+    assert FrontTrackingOracle(BURGERS_01, 0.05, (-1, 1)).evolve(pc, 0.0) is pc

@@ -252,8 +252,8 @@ class TestGoldenFans:
             assert abs(w.speed_r - v.speed_r) <= 1e-11
 
     def test_failed_seed_falls_back_to_cold(self):
-        # a seed whose continuation fails (here a NaN point) leaves the jump
-        # to the cold continuation from s = 0, byte for byte
+        # a seed whose Newton fails (here at a NaN point, outside the box)
+        # leaves the jump to the cold continuation from s = 0, byte for byte
         ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
         fields = _field_classes(P_SYSTEM, ul, ur)
         sig = np.array([0.05, 0.004])
@@ -342,6 +342,36 @@ class TestSolveSmall:
             riemann._shock_point_newton(P_SYSTEM, u, P_SYSTEM.f(u), np.zeros(2), 0.01,
                                         u + 0.01, -1.0)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _diag_model(flux, jac_scale):
+    """A 2x2 model on the whole plane with speeds 1 and 2: its flux, and the
+    Jacobian diag(1, 2) times jac_scale."""
+    A = np.diag([1.0, 2.0])
+    return models.FluxModel("diag", 2, flux=flux,
+                            jacobian=lambda u: np.broadcast_to(jac_scale * A, u.shape + (2,)))
+
+
+def _refuse_flux(u):
+    raise AssertionError(f"f evaluated at {u}")
+
+
+@pytest.mark.parametrize("model, u, start, lam, reason", [
+    # a Jacobian three times too steep converges too slowly
+    (_diag_model(lambda u: u * np.array([1.0, 2.0]), 3.0), [0.0, 0.0], [0.1, 0.05], 1.3,
+     r"RH Newton stalled at s=0.1 \(\|F\|=6.09e-05\)"),
+    # a NaN flux sends the step to NaN
+    (_diag_model(lambda u: np.full(np.shape(u), np.nan), 0.5), [0.0, 0.0], [0.1, 0.0], 0.5,
+     "RH Newton diverged at s=0.1"),
+    # a start with v < 0 is refused before f is evaluated there
+    (replace(P_SYSTEM, flux=lambda u: P_SYSTEM.flux(u) if u[0] > 0 else _refuse_flux(u)),
+     [1.0, 0.0], [-0.5, 0.0], -1.0, "shock curve left the domain box at s=0.1"),
+], ids=["stalled", "diverged", "outside-box"])
+def test_rh_newton_failures(model, u, start, lam, reason):
+    u = np.array(u)
+    with pytest.raises(ContinuationFailure, match=reason):
+        riemann._shock_point_newton(model, u, model.f(u), np.array([1.0, 0.0]), 0.1,
+                                    np.array(start), lam)
 
 
 class TestDampedNewton:
