@@ -8,9 +8,9 @@ must be a whole number of steps), and records through `_collect`: snapshots
 only at t = 0, t = T and the requested times unless store_all is set, and
 the shared meta keys scheme, eps, dx, dt, cfl and boundary; every step must
 leave finite states.  Speed windows, speed bounds and the diffusion matrix B
-are checked on every initial cell by one call: `models.eigenvalues`, or B on
-the rows (..., n) -> (..., n, n), which is checked positive semidefinite
-again on the rows of every step.
+of `viscous_run` are checked on every initial cell by one call:
+`models.eigenvalues`, or B on the rows (..., n) -> (..., n, n), which is
+checked positive semidefinite again on the rows of every step.
 """
 
 from __future__ import annotations
@@ -34,25 +34,26 @@ class SchemeConfig:
     """Shared configuration for all runs.
 
     eps is the scheme's accuracy knob: the grid size of Godunov, Glimm and
-    the method of lines, the viscosity of the parabolic runs, the relaxation
+    the method of lines, the viscosity of the viscous run, the relaxation
     time of Jin-Xin, and the step limit of backward Euler and of the
     mollification restarts.  Godunov and Glimm step with dt = dx, so T must
     be a whole number of dx steps.
 
     dx sets the grid of the runs with a separate spatial grid: viscous,
-    nonlinear diffusion, Jin-Xin, backward Euler and mollification.  dt caps
+    Jin-Xin, backward Euler and mollification.  dt caps
     the time step of every run except Godunov and Glimm, and a dt above the
     scheme's limit (meta["cfl"]["dt_max"]) raises CFLViolation; the steps
     are then equal and end at T.  eps, and a dx, dt or delta that is set,
-    must be finite and positive, and T finite and not negative.  Speed
+    must be finite and positive, T finite and not negative, and every
+    snapshot time in [0, T] (up to the slack 1e-12 T of the last step).  Speed
     preconditions read every initial cell.  Every run refuses with
     ConfigError each setting that defaults to None (dx, dt, snapshot_times,
     mollifier_width, a2, b_matrix) and that it does not read.  snapshot_times
     and store_all choose the stored snapshots of every grid run.  Front
     tracking reads delta, rho_np and front_cap; for a scalar model its
     rarefactions break at the states of the grid delta*Z (and at the data
-    values).  b_matrix is None (B = I) or a callable B on rows (..., n) ->
-    (..., n, n), as `FluxModel.jacobian`.
+    values).  b_matrix, read by viscous_run, is None (B = I) or a callable
+    B on rows (..., n) -> (..., n, n), as `FluxModel.jacobian`.
     """
 
     eps: float
@@ -78,6 +79,10 @@ class SchemeConfig:
             raise ConfigError("domain must satisfy a < b")
         if not 0 <= self.T < math.inf:
             raise ConfigError(f"need finite T >= 0, not {self.T!r}")
+        times = () if self.snapshot_times is None else self.snapshot_times
+        bad = [t for t in times if not 0 <= t <= self.T * (1 + 1e-12)]
+        if bad:
+            raise ConfigError(f"need snapshot times in [0, T = {self.T}], not {bad}")
         for name in ("eps", "delta", "dx", "dt", "mollifier_width", "a2"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -150,8 +155,7 @@ def _record_steps(nsteps, dt, cfg):
         return list(range(nsteps + 1))
     idxs = {0, nsteps}
     if cfg.snapshot_times is not None:
-        for t in cfg.snapshot_times:
-            idxs.add(min(max(int(round(t / dt)), 0), nsteps))
+        idxs.update(int(round(t / dt)) for t in cfg.snapshot_times)
     return sorted(idxs)
 
 
@@ -291,7 +295,7 @@ def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSoluti
 
 
 # ---------------------------------------------------------------------------
-# parabolic runs (viscous / nonlinear diffusion)
+# the viscous run, u_t + f(u)_x = eps (B(u) u_x)_x
 
 def _b_rows(model, B, u, when):
     """(mats, lam_min): B at the rows u (m, n), of shape (m, n, n), and the
@@ -310,12 +314,24 @@ def _b_rows(model, B, u, when):
     return mats, float(lam.min())
 
 
-def _parabolic_run(model, data, cfg, B, scheme_name):
-    eps = cfg.eps
+def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
+    """Explicit scheme for u_t + f(u)_x = eps (B(u) u_x)_x, B = cfg.b_matrix:
+    central differences for the diffusion, B averaged over each face, and
+    conservative flux differencing for f(u)_x, with Lax-Friedrichs
+    stabilization whenever the mesh does not resolve the viscous layer.
+    None is B = I, the classical vanishing viscosity, which must resolve its
+    layer: dx <= eps/4.  A general B may be degenerate (diag(0, 1) on the
+    p-system), so it is held to no such rule; it is taken on the padded rows
+    once per step and checked positive semidefinite there.  B = I on rows
+    reproduces None bit for bit; B = 0 is the pure Lax-Friedrichs run."""
+    _refuse_unread(cfg, "viscous_run", "mollifier_width", "a2")
+    eps, B = cfg.eps, cfg.b_matrix
     x0, dx, u0 = _grid(model, data, cfg, eps / 4.0)
     M = _max_speed(model, u0, pad=1.05)
 
     if B is None:
+        if cfg.dx is not None and cfg.dx > eps / 4.0 * (1 + 1e-12):
+            raise CFLViolation(f"dx={cfg.dx} must satisfy dx <= eps/4 = {eps / 4}")
         lam_b_min, max_b = 1.0, 1.0
     else:
         mats, lam_b_min = _b_rows(model, B, u0, "on the initial cells")
@@ -346,29 +362,8 @@ def _parabolic_run(model, data, cfg, B, scheme_name):
             D = np.einsum("kij,kj->ki", 0.5 * (Bm[:-1] + Bm[1:]), du) / dx
         return u - (dt / dx) * (F[1:] - F[:-1]) + (eps * dt / dx) * (D[1:] - D[:-1])
 
-    return _collect(cfg, x0, dx, dt, u0, step, nsteps, scheme_name,
+    return _collect(cfg, x0, dx, dt, u0, step, nsteps, "viscous",
                     {**cfl, "M": M, "lf_alpha": alpha})
-
-
-def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
-    """Explicit scheme for u_t + f(u)_x = eps u_xx: central second difference
-    for the diffusion, conservative flux differencing for f(u)_x (with
-    Lax-Friedrichs stabilization whenever the mesh does not resolve the
-    viscous layer).  Requires dx <= eps/4."""
-    _refuse_unread(cfg, "viscous_run", "mollifier_width", "a2", "b_matrix")
-    if cfg.dx is not None and cfg.dx > cfg.eps / 4.0 * (1 + 1e-12):
-        raise CFLViolation(f"dx={cfg.dx} must satisfy dx <= eps/4 = {cfg.eps / 4}")
-    return _parabolic_run(model, data, cfg, None, "viscous")
-
-
-def nonlinear_diffusion_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
-    """Explicit scheme for u_t + f(u)_x = eps (B(u) u_x)_x with face-averaged
-    B = cfg.b_matrix, taken on all the padded rows once per step and checked
-    positive semidefinite there, as on the initial cells; None (B = I)
-    reproduces viscous_run bit for bit, B = 0 is the pure Lax-Friedrichs
-    hyperbolic run."""
-    _refuse_unread(cfg, "nonlinear_diffusion_run", "mollifier_width", "a2")
-    return _parabolic_run(model, data, cfg, cfg.b_matrix, "nonlinear-diffusion")
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +560,12 @@ SCHEMES = {
     "jin-xin": jin_xin_run,
     "backward-euler": backward_euler_run,
     "mollification": mollification_run,
-    "nonlinear-diffusion": nonlinear_diffusion_run,
+    "front-tracking": front_tracking_run,
 }
 
 
 def run_scheme(model, data, scheme, cfg):
-    """Dispatch by scheme id; front tracking lives in hyperlab.fronts."""
-    if scheme == "front-tracking":
-        return front_tracking_run(model, data, cfg)
+    """Dispatch by scheme id, front tracking included."""
     try:
         fn = SCHEMES[scheme]
     except KeyError:

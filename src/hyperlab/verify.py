@@ -10,12 +10,12 @@ One strip kernel, `strip_expressions`, serves the weak-form residual, the
 entropy residual and the eps-certificate.  A strip sums the two boundary
 profiles, then interior terms drawn by `lines`: the frozen segments of a grid
 run, exact in time, or the nodes of 7-point Gauss-Legendre panels split at
-the kinks.  The density columns (u | eta) and flux columns (f | q) of a term
-are integrated against the whole test family by one closed form,
-`_bump_integrals`.  `_crossings` gives the times the straight fronts of a
-fan or front-tracking run cross the bump edges: kinks, as are the ends of a
-bump's time support, between which the integrand of a front-tracking view
-is a polynomial in t of degree <= 12.
+the kinks.  A term's density columns, u then each entropy pair's eta, and
+flux columns, f(u) then each pair's q, are integrated against the whole test
+family by one closed form, `_bump_integrals`.  `_crossings` gives the times
+the straight fronts of a fan or front-tracking run cross the bump edges:
+kinks, as are the ends of a bump's time support, between which the
+integrand of a front-tracking view is a polynomial in t of degree <= 12.
 
 An oracle, S_h of `error_decomposition` and `semigroup_error_bound` (read
 through `_evolve`), has `evolve(pc, h)`: pc at h = 0, else a library run from
@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateData, HyperlabError, OracleUnavailable,
-                     QuadratureUnderResolved)
+from .errors import (ConfigError, DegenerateData, HyperlabError,
+                     OracleUnavailable, QuadratureUnderResolved)
 from .fronts import FrontTrackingSolution, front_tracking_run
 from .models import eigensystem
 from .piecewise import GridSolution, PiecewiseConstantFn
@@ -280,25 +280,20 @@ def _time_factors(bumps, ts):
     return np.stack([b.time_factors(ts) for b in bumps], axis=1)
 
 
-def strip_expressions(view, model, bumps, t0, t1, entropy=False):
+def strip_expressions(view, model, bumps, t0, t1, pairs=()):
     """The bracketed expression of the approximate weak form on the strip,
     int u(t0) phi(t0) - int u(t1) phi(t1) + int int (u phi_t + f(u) phi_x),
-    for every bump at once: an array of shape (bumps, n).  With entropy, a
-    last column holds the same expression for the entropy pair (eta, q).
+    for every bump at once, then the same for each entropy pair (eta, q) of
+    pairs in place of (u, f): an array of shape (bumps, n + len(pairs)).
 
     The strip is a sum of time terms, each adding c_I int g X dx + c_J int
-    h X' dx per bump, with (g, h) the stacked columns (u | eta) and (f | q):
+    h X' dx per bump, with g the density columns and h the flux columns:
     the two boundary terms, then the interior terms, drawn by the view's
     lines: one per frozen segment of a grid run at its start, weighted
     exactly in time, or one per node of the Gauss panels, a panel at a time."""
-    if entropy:
-        model.require_entropy_pair()
-
     def columns(vals):
-        if not entropy:
-            return vals, model.f(vals)
-        return (np.column_stack([vals, model.entropy(vals)]),
-                np.column_stack([model.f(vals), model.entropy_flux(vals)]))
+        return (np.column_stack([vals, *(eta(vals) for eta, _ in pairs)]),
+                np.column_stack([model.f(vals), *(q(vals) for _, q in pairs)]))
 
     xc, sx = np.array([(bump.xc, bump.sx) for bump in bumps]).T
     T_ends, zero = _time_factors(bumps, [t0, t1])[0], np.zeros(len(bumps))
@@ -332,11 +327,13 @@ def strip_expressions(view, model, bumps, t0, t1, entropy=False):
 
 def _setup(view, t_span, family):
     """The view, its time span (or t_span) and the test family (the default
-    one if None); refuses bumps narrower than four cells of a grid run."""
+    one if None); refuses an empty family, or bumps under four grid cells."""
     view = as_view(view)
     t0, t1 = view.t_span if t_span is None else t_span
     if family is None:
         family = default_family(t0, t1, *view.x_span)
+    if not family.bumps:
+        raise ConfigError("the test family has no bumps")
     if isinstance(view, GridView):
         smallest = min(b.sx for b in family)
         if smallest < 4 * view.dx:
@@ -345,25 +342,26 @@ def _setup(view, t_span, family):
     return view, t0, t1, family
 
 
-def _strip_residual(view, model, t_span, family, entropy):
+def _strip_residual(view, model, t_span, family, pairs):
     """Strip expressions over the family, each divided by its bump's scale
     (t1 - t0 + TIME_PAD) * |phi|_W1inf."""
     view, t0, t1, family = _setup(view, t_span, family)
-    exprs = strip_expressions(view, model, family.bumps, t0, t1, entropy)
+    exprs = strip_expressions(view, model, family.bumps, t0, t1, pairs)
     scale = (t1 - t0 + TIME_PAD) * np.array([b.w1inf for b in family])
     return exprs / scale[:, None]
 
 
 def weak_residual(view, model, t_span=None, family=None):
     """max over the family of |expr| / ((t1 - t0 + pad) * |phi|_W1inf)."""
-    r = _strip_residual(view, model, t_span, family, False)
+    r = _strip_residual(view, model, t_span, family, ())
     return float(np.max(np.linalg.norm(r, axis=1)))
 
 
 def entropy_residual(view, model, t_span=None, family=None):
     """min over the (nonnegative) family of the entropy surplus, scaled like
     weak_residual; values below zero flag entropy violation."""
-    r = _strip_residual(view, model, t_span, family, True)
+    model.require_entropy_pair()
+    r = _strip_residual(view, model, t_span, family, [(model.entropy, model.entropy_flux)])
     return float(np.min(r[:, -1]))
 
 
@@ -372,11 +370,14 @@ def entropy_residual(view, model, t_span=None, family=None):
 
 @dataclass
 class EpsCertificate:
+    """eps is the largest excess checked; an excess not checked (no initial
+    data, no entropy pair) is None."""
+
     eps: float
-    initial_excess: float
+    initial_excess: Optional[float]
     lipschitz_excess: float
     weak_excess: float
-    entropy_excess: float
+    entropy_excess: Optional[float]
     family: dict
     tests: list = field(default_factory=list)
 
@@ -392,13 +393,16 @@ def _eps_from_bound(defect, dt, norm):
 def certify_eps_approx(view, model, M, initial_data=None, family=None,
                        n_probe=7, entropy=True) -> EpsCertificate:
     """Certificate of Lipschitz-in-time, weak-form, and entropy inequalities
-    over a finite, documented test family; a lower bound on the true eps."""
+    over a finite, documented test family on the strips between n_probe >= 2
+    probe times; a lower bound on the true eps."""
+    if n_probe < 2:
+        raise ConfigError(f"need n_probe >= 2 probe times to make a strip, not {n_probe}")
     view, t0, T, family = _setup(view, None, family)
     probes = np.linspace(t0, T, n_probe)
     x0, x1 = view.x_span
     tests = []
 
-    initial_excess = 0.0
+    initial_excess = None
     if initial_data is not None:
         initial_excess = view.state(t0).l1_distance(initial_data, x0, x1)
         tests.append({"kind": "initial", "value": initial_excess})
@@ -413,13 +417,14 @@ def certify_eps_approx(view, model, M, initial_data=None, family=None,
             lip = max(lip, excess)
             tests.append({"kind": "lipschitz", "t": (ta, tb), "value": excess})
 
-    use_entropy = entropy and model.has_entropy_pair()
+    pairs = ([(model.entropy, model.entropy_flux)]
+             if entropy and model.has_entropy_pair() else [])
     strips = list(zip(probes[:-1].tolist(), probes[1:].tolist()))
-    exprs = [strip_expressions(view, model, family.bumps, *s, use_entropy) for s in strips]
+    exprs = [strip_expressions(view, model, family.bumps, *s, pairs) for s in strips]
     # the weak form is additive over strips: the whole span is their sum
     strips.append((float(probes[0]), float(probes[-1])))
-    exprs.append(sum(exprs, np.zeros((len(family.bumps), model.n + use_entropy))))
-    weak = ent = 0.0
+    exprs.append(sum(exprs, np.zeros((len(family.bumps), model.n + len(pairs)))))
+    weak, ent = 0.0, (0.0 if pairs else None)
     for (ta, tb), strip in zip(strips, exprs):
         for bump, expr in zip(family, strip):
             defect = float(np.linalg.norm(expr[:model.n]))
@@ -427,14 +432,13 @@ def certify_eps_approx(view, model, M, initial_data=None, family=None,
             weak = max(weak, e)
             tests.append({"kind": "weak", "t": (ta, tb),
                           "bump": bump.describe(), "defect": defect, "eps": e})
-            if use_entropy:
-                s = float(expr[-1])
+            for s in expr[model.n:].tolist():
                 e = _eps_from_bound(max(0.0, -s), tb - ta, bump.w1inf)
                 ent = max(ent, e)
                 tests.append({"kind": "entropy", "t": (ta, tb),
                               "bump": bump.describe(), "surplus": s, "eps": e})
 
-    eps = max(initial_excess, lip, weak, ent)
+    eps = max(x for x in (initial_excess, lip, weak, ent) if x is not None)
     return EpsCertificate(eps, initial_excess, lip, weak, ent,
                           dict(family.descriptor), tests)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hyperlab import models
 from hyperlab.errors import (ConfigError, MissingEntropyPair, NonHyperbolic,
-                             OutOfDomain, SpeedRangeViolation)
+                             OutOfDomain)
 from hyperlab.models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE,
                              NEITHER, classify_field, eigensystem,
                              entropy_compatibility_residual, model_from_name,
@@ -376,11 +376,6 @@ class TestNormalizeSpeeds:
         for u in (np.array([1.2, 0.3]), np.array([[0.8, -0.1], [1.5, 0.2]])):
             want = (m.jac(u) + 1.6 * np.eye(2)) / 3.2
             assert t.jac(u).tobytes() == want.tobytes()
-
-    def test_speed_bound_violation(self):
-        with pytest.raises(SpeedRangeViolation, match=r"speed 1 outside .* at u=\[1\.\]"):
-            normalize_speeds(models.burgers(), M=0.5,
-                             check_states=[np.array([1.0])])
 
 
 class TestBatchedJacobian:

@@ -17,9 +17,8 @@ from hyperlab.piecewise import PiecewiseConstantFn
 from hyperlab.riemann import evaluate_fan, solve_riemann
 from hyperlab.schemes import (SchemeConfig, backward_euler_run, glimm_run,
                               godunov_run, jin_xin_run, method_of_lines_run,
-                              mollification_run, nonlinear_diffusion_run,
-                              reversed_digit_theta, run_scheme, theta_sequence,
-                              uniformity_defect, viscous_run)
+                              mollification_run, reversed_digit_theta, run_scheme,
+                              theta_sequence, uniformity_defect, viscous_run)
 
 BURGERS_01 = normalize_speeds(models.burgers(), M=1.0)  # speeds (u+1)/2 on [-1,1]
 BURGERS_12 = normalize_speeds(models.burgers(), M=1.0, target=(1.0, 2.0))
@@ -126,7 +125,7 @@ def run_output(sol):
     return [sol.times, sol.states]
 
 
-@pytest.mark.parametrize("scheme", [*schemes.SCHEMES, "front-tracking"])
+@pytest.mark.parametrize("scheme", schemes.SCHEMES)
 def test_reruns_bit_identical(scheme):
     model = BURGERS_12 if scheme == "backward-euler" else BURGERS_01
     cfg = SchemeConfig(eps=0.02, T=0.1, domain=(-1.0, 1.0))
@@ -153,8 +152,7 @@ def test_unit_cfl_runs_refuse_T_off_the_step_grid(run):
 UNREAD = {godunov_run: ["dx", "dt", "mollifier_width", "a2", "b_matrix"],
           glimm_run: ["dx", "dt", "mollifier_width", "a2", "b_matrix"],
           method_of_lines_run: ["dx", "mollifier_width", "a2", "b_matrix"],
-          viscous_run: ["mollifier_width", "a2", "b_matrix"],
-          nonlinear_diffusion_run: ["mollifier_width", "a2"],
+          viscous_run: ["mollifier_width", "a2"],
           jin_xin_run: ["mollifier_width", "b_matrix"],
           backward_euler_run: ["mollifier_width", "a2", "b_matrix"],
           mollification_run: ["a2", "b_matrix"],
@@ -206,6 +204,20 @@ def test_config_refuses_non_finite_settings(setting, value):
         SchemeConfig(domain=(-1.0, 1.0), **given)
 
 
+@pytest.mark.parametrize("times", [[float("nan")], [-1.0], [5.0], [0.25, float("inf")]],
+                         ids=["nan", "negative", "after-T", "inf"])
+def test_config_refuses_snapshot_times_outside_the_run(times):
+    # NaN once raised an untyped ValueError inside the run, and -1 and 5
+    # were stored silently as t = 0 and t = T
+    with pytest.raises(ConfigError, match=r"snapshot times in \[0, T = 0\.5\]"):
+        SchemeConfig(eps=0.05, T=0.5, domain=(-1.0, 1.0), snapshot_times=times)
+    # T itself, with the slack of the last step, is a time of the run
+    cfg = SchemeConfig(eps=0.05, T=0.5, domain=(-1.0, 1.0),
+                       snapshot_times=[0.0, 0.25, 0.5 * (1 + 1e-13)])
+    assert viscous_run(BURGERS_01, square_pulse(0.5), cfg).times == \
+        pytest.approx([0.0, 0.25, 0.5], abs=1e-15)
+
+
 class TestSpeedGuardsReadEveryCell:
     """Each run below has more than 96 distinct initial states, and one cell
     alone breaks the precondition."""
@@ -233,7 +245,7 @@ class TestSpeedGuardsReadEveryCell:
 
         cfg = SchemeConfig(eps=0.02, T=0.01, domain=(0.0, 1.0), dx=0.005, b_matrix=B)
         with pytest.raises(ConfigError, match="positive semidefinite"):
-            nonlinear_diffusion_run(models.burgers(), lambda x: [x], cfg)
+            viscous_run(models.burgers(), lambda x: [x], cfg)
 
     @pytest.mark.parametrize("bad", [lambda v: [-0.5, 0.0], lambda v: [v, -0.7]],
                              ids=["v", "w"])
@@ -414,8 +426,7 @@ class TestViscous:
         assert errs[1] < errs[0]
 
 
-@pytest.mark.parametrize("run", [method_of_lines_run, viscous_run,
-                                 nonlinear_diffusion_run, jin_xin_run,
+@pytest.mark.parametrize("run", [method_of_lines_run, viscous_run, jin_xin_run,
                                  backward_euler_run, mollification_run])
 def test_user_dt_above_the_scheme_limit_raises(run):
     # the default run reports its limit; the limit itself is accepted
@@ -763,11 +774,11 @@ class TestNonlinearDiffusion:
         m = models.burgers()
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.5))
+        # the fast path of b_matrix = None, and the general B(u) path with
+        # its face averages at B = I
         a = viscous_run(m, data, cfg)
-        # the fast path, and the general B(u) path with its face averages
-        for b_matrix in (None, diag_rows([1.0])):
-            b = nonlinear_diffusion_run(m, data, replace(cfg, dx=a.dx, b_matrix=b_matrix))
-            assert np.array_equal(a.states, b.states)
+        b = viscous_run(m, data, replace(cfg, b_matrix=diag_rows([1.0])))
+        assert np.array_equal(a.states, b.states)
 
     def test_state_dependent_matrix_conserves_mass(self):
         m = models.burgers()
@@ -775,7 +786,7 @@ class TestNonlinearDiffusion:
         cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.0), dx=0.0125,
                            boundary="periodic",
                            b_matrix=lambda u: np.eye(1) * (1.0 + u * u)[..., None])
-        sol = nonlinear_diffusion_run(m, data, cfg)
+        sol = viscous_run(m, data, cfg)
         mass = sol.states[:, :, 0].sum(axis=1) * sol.dx
         assert np.all(np.isfinite(sol.states))
         assert np.max(np.abs(mass - mass[0])) <= 1e-12
@@ -787,7 +798,7 @@ class TestNonlinearDiffusion:
         data = PiecewiseConstantFn.riemann([1.0], [0.0])
         cfg = SchemeConfig(eps=0.05, T=0.3, domain=(-1.0, 1.5), dx=0.0125,
                            b_matrix=diag_rows([0.0]))
-        sol = nonlinear_diffusion_run(m, data, cfg)
+        sol = viscous_run(m, data, cfg)
         assert sol.meta["cfl"]["lf_alpha"] > 0  # stabilization engaged
         assert np.all(np.isfinite(sol.states))
         # still a sensible shock profile: monotone decreasing
@@ -799,7 +810,7 @@ class TestNonlinearDiffusion:
         data = PiecewiseConstantFn.riemann([1.0, 0.0], [1.02, 0.01])
         cfg = SchemeConfig(eps=0.01, T=0.25, domain=(-1.0, 1.0), dx=0.005,
                            b_matrix=diag_rows([0.0, 1.0]))
-        sol = nonlinear_diffusion_run(m, data, cfg)
+        sol = viscous_run(m, data, cfg)
         assert np.all(np.isfinite(sol.states))
         # both components conserved up to the (equal) boundary fluxes
         mass_delta = sol.mass(sol.times[-1]) - sol.mass(0.0)
@@ -819,7 +830,7 @@ class TestNonlinearDiffusion:
             return np.eye(1) * (1.0 + u * u)[..., None]
 
         cfg = SchemeConfig(eps=0.05, T=0.05, domain=(-1.0, 1.0), dx=0.01, b_matrix=B)
-        sol = nonlinear_diffusion_run(models.burgers(), square_pulse(0.8, -0.3, 0.2), cfg)
+        sol = viscous_run(models.burgers(), square_pulse(0.8, -0.3, 0.2), cfg)
         nsteps = int(round(cfg.T / sol.meta["dt"]))
         assert nsteps > 1
         assert shapes == [(200, 1)] + [(202, 1)] * nsteps
@@ -836,7 +847,7 @@ class TestNonlinearDiffusion:
         cfg = SchemeConfig(eps=0.01, T=0.25, domain=(-1.0, 1.0), dx=0.005, b_matrix=B)
         with pytest.raises(ConfigError, match=r"positive semidefinite, but has eigenvalue "
                                               r"-0\.0236 in step 2 at state \[0\.966"):
-            nonlinear_diffusion_run(models.p_system(), data, cfg)
+            viscous_run(models.p_system(), data, cfg)
 
     @pytest.mark.parametrize("B, got", [(lambda u: np.diag(1.0 + u * u), r"\(1,\)"),
                                         (lambda u: np.eye(1), r"\(1, 1\)")],
@@ -846,7 +857,7 @@ class TestNonlinearDiffusion:
         cfg = SchemeConfig(eps=0.05, T=0.05, domain=(-1.0, 1.0), dx=0.01, b_matrix=B)
         with pytest.raises(ConfigError, match=r"shape \(200, 1\) to " + got
                            + r", not \(200, 1, 1\)"):
-            nonlinear_diffusion_run(models.burgers(), square_pulse(0.8, -0.3, 0.2), cfg)
+            viscous_run(models.burgers(), square_pulse(0.8, -0.3, 0.2), cfg)
 
     @pytest.mark.parametrize("spec", ["identity", "zero", "diag:0,1", np.eye(2)])
     def test_non_callable_matrix_refused(self, spec):
@@ -860,8 +871,7 @@ WRAPPING_PULSE = PiecewiseConstantFn(np.array([0.5, 0.9]),
                                      np.array([[0.2], [0.7], [0.2]]))
 
 
-@pytest.mark.parametrize("scheme", ["godunov", "method-of-lines", "viscous",
-                                    "nonlinear-diffusion", "jin-xin"])
+@pytest.mark.parametrize("scheme", ["godunov", "method-of-lines", "viscous", "jin-xin"])
 def test_periodic_boundaries_conserve_mass(scheme):
     # glimm is left out: random-choice sampling is not conservative
     cfg = SchemeConfig(eps=0.02, T=0.3, domain=(0.0, 1.0), boundary="periodic")

@@ -23,6 +23,7 @@ from hyperlab.verify import (BumpTestFn, EpsCertificate, FanView,
                              weak_residual)
 
 BURGERS = models.burgers()
+BURGERS_PAIR = [(BURGERS.entropy, BURGERS.entropy_flux)]
 BURGERS_01 = models.normalize_speeds(BURGERS, M=1.0)
 
 
@@ -135,7 +136,7 @@ def test_strip_expression_additive_over_random_cuts(make_view, s):
     bumps = default_family(0.0, 1.0, *view.x_span, scales=2).bumps
 
     def expr(t0, t1):
-        return strip_expressions(view, BURGERS, bumps, t0, t1, entropy=True)
+        return strip_expressions(view, BURGERS, bumps, t0, t1, BURGERS_PAIR)
 
     np.testing.assert_allclose(expr(0.0, s) + expr(s, 1.0), expr(0.0, 1.0),
                                rtol=0, atol=1e-14)
@@ -150,7 +151,7 @@ def test_strip_expression_additive_across_time_support_ends(make_view):
     bumps = [BumpTestFn(0.3, 0.4, 0.5, 0.25)]
 
     def expr(t0, t1):
-        return strip_expressions(view, BURGERS, bumps, t0, t1, entropy=True)
+        return strip_expressions(view, BURGERS, bumps, t0, t1, BURGERS_PAIR)
 
     np.testing.assert_allclose(expr(0.0, 0.25) + expr(0.25, 0.75) + expr(0.75, 1.0),
                                expr(0.0, 1.0), rtol=0, atol=1e-14)
@@ -171,7 +172,7 @@ def cubic_fan_view():
                    t0=0.1, t_span=(0.1, 1.0), x_span=(-1.0, 2.0))
 
 
-def reference_strip(view, model, bumps, t0, t1, entropy):
+def reference_strip(view, model, bumps, t0, t1, pairs):
     """strip_expressions by 20-point Gauss panels between the view's kinks,
     no wider than (t1 - t0) / 256, with one profile per node."""
     nodes, weights = np.polynomial.legendre.leggauss(20)
@@ -188,10 +189,8 @@ def reference_strip(view, model, bumps, t0, t1, entropy):
 
     def integrals(t):
         pc = view.state(t)
-        g, h = pc.vals, model.f(pc.vals)
-        if entropy:
-            g = np.column_stack([g, model.entropy(pc.vals)])
-            h = np.column_stack([h, model.entropy_flux(pc.vals)])
+        g = np.column_stack([pc.vals] + [eta(pc.vals) for eta, _ in pairs])
+        h = np.column_stack([model.f(pc.vals)] + [q(pc.vals) for _, q in pairs])
         return profile_integrals(pc, g, h, xc, sx)
 
     def factors(times):
@@ -219,9 +218,9 @@ def test_strip_expression_matches_a_finer_rule(make_view, model, bumps, atol):
     view = make_view()
     if bumps is None:
         bumps = default_family(*view.t_span, *view.x_span, scales=2).bumps
-    entropy = model.has_entropy_pair()
-    got = strip_expressions(view, model, bumps, *view.t_span, entropy=entropy)
-    want = reference_strip(view, model, bumps, *view.t_span, entropy)
+    pairs = [(model.entropy, model.entropy_flux)] if model.has_entropy_pair() else []
+    got = strip_expressions(view, model, bumps, *view.t_span, pairs)
+    want = reference_strip(view, model, bumps, *view.t_span, pairs)
     np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
@@ -383,6 +382,35 @@ class TestCertificate:
         for kind, excess in parts.items():
             key = "value" if kind in ("initial", "lipschitz") else "eps"
             assert excess == max(t[key] for t in cert.tests if t["kind"] == kind)
+
+    def test_one_probe_is_refused(self):
+        # one probe makes no strip, and the whole span was the strip (0, 0):
+        # the corrupted fan once certified at eps 0.0
+        view = FanView(step_fan(speed=0.6), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
+        data = PiecewiseConstantFn.riemann([1.0], [0.0])
+        with pytest.raises(ConfigError, match="n_probe >= 2"):
+            certify_eps_approx(view, BURGERS, M=0.7, initial_data=data, n_probe=1)
+        cert = certify_eps_approx(view, BURGERS, M=0.7, initial_data=data, n_probe=2)
+        assert cert.eps >= 1e-2
+
+    def test_empty_family_is_refused(self):
+        # once an untyped ValueError from unpacking the bumps' coordinates
+        view = FanView(step_fan(), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
+        with pytest.raises(ConfigError, match="no bumps"):
+            certify_eps_approx(view, BURGERS, M=0.6,
+                               family=default_family(0, 1, -1, 2, scales=0))
+
+    def test_unchecked_excesses_are_none(self):
+        # the linear system has no entropy pair, and no initial data is
+        # given: both excesses were once reported as 0.0
+        m = models.linear_system(0, 1, 1, 0)
+        data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.0, 0.0])
+        cfg = SchemeConfig(eps=1.0, T=0.5, domain=(-1.0, 1.0), delta=0.1)
+        view = FrontTrackingView(front_tracking_run(m, data, cfg), (-1.0, 1.0))
+        cert = certify_eps_approx(view, m, M=2.0)
+        assert cert.entropy_excess is None and cert.initial_excess is None
+        assert {t["kind"] for t in cert.tests} == {"lipschitz", "weak"}
+        assert cert.eps == max(cert.lipschitz_excess, cert.weak_excess)
 
     def test_front_tracking_certificate_scales_with_delta(self):
         data = PiecewiseConstantFn.riemann([0.0], [1.0])
