@@ -10,8 +10,17 @@ q-decomposition of the verifier and front tracking; with `splits` every wave
 is a jump and a rarefaction may be split into several.  It returns the waves
 it composed at the strengths it found, so no caller composes them again.
 Front tracking solves once with every family one jump, and a second time
-only when a rarefaction is split.  An exact fan ends on u+ byte for byte,
-unless every family is below STRENGTH_FLOOR: then it has no wave.
+only when a rarefaction is split.  The exact solver's strength solve runs
+in two stages: a search on rarefaction curves of SEARCH_STEPS RK4 steps,
+then a resolve that continues Broyden from the search strengths on curves
+of RAREFACTION_STEPS, usually for one or two compositions.  A search that
+ends with no rarefaction is returned as it is, since its composition does
+not depend on the step count; where either stage raises, the solve runs
+again in one stage at RAREFACTION_STEPS from the linear guess.  The fan is
+converged at full resolution either way and every rarefaction check runs on
+it, so the search step count sets the cost, not the accuracy.  An exact fan
+ends on u+ byte for byte, unless every family is below STRENGTH_FLOOR: then
+it has no wave.
 The two curve samplers, `shock_curve` and `rarefaction_curve`, both take a
 signed s in the sign-fixed frame of l_i and r_i, into which `_lax_step`
 alone turns an oriented strength, and return (s, states, speeds); the
@@ -61,6 +70,7 @@ STRENGTH_FLOOR = 1e-12
 N_ENVELOPE = 4096
 N_LIU_CHECK = 257
 RAREFACTION_STEPS = 48
+SEARCH_STEPS = 8
 
 
 def rh_residual(model: FluxModel, u_minus, u_plus, lam):
@@ -331,7 +341,7 @@ def _field_classes(model, u_minus, u_plus):
     return fields
 
 
-def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
+def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l, n_steps):
     """The family-i wave from u_l at oriented strength sigma, and f at its
     right state if it is a jump (else None).
 
@@ -339,7 +349,8 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
     contact for a linearly degenerate family, a shock for sigma < 0, and a
     rarefaction otherwise.  The rarefaction is the integral curve, or, with
     `jumps`, the single RH-exact jump at the same shock-curve parameter
-    (a rarefaction front of front tracking).  Either curve takes
+    (a rarefaction front of front tracking).  The integral curve takes
+    n_steps RK4 steps.  Either curve takes
     s = orientation * sigma along the sign-fixed l_i and r_i: the one use of
     the orientation.  `es` and `f_l` are the eigensystem and f at u_l
     when the caller has them, else None.  A jump with a `seed`, the same
@@ -355,7 +366,7 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
     elif jumps:
         kind = "rarefaction"
     else:
-        _, states, speeds = rarefaction_curve(model, u_l, i, s)
+        _, states, speeds = rarefaction_curve(model, u_l, i, s, n_steps)
         return RarefactionWave(i, u_l, states[-1], float(speeds[0]),
                                float(speeds[-1]), states, speeds), None
     if es is None:
@@ -376,12 +387,13 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l):
 
 
 def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=None,
-             f_minus=None):
+             f_minus=None, n_steps=RAREFACTION_STEPS):
     """End state and waves of the composed Lax curves at strengths sigmas.
 
     Families weaker than STRENGTH_FLOOR make no wave.  With `splits` every
     wave is a jump, and the rarefaction side of family i is split into
-    splits[i] jumps of equal strength.  The strength solve passes `seeds`, a
+    splits[i] jumps of equal strength; without it, every integral-curve
+    rarefaction takes n_steps RK4 steps.  The strength solve passes `seeds`, a
     dict it keeps across its evaluations: the j-th jump of family i is
     seeded by seeds[i, j], where the previous composition left it.  The dict
     is emptied as a composition starts and holds its jumps once it
@@ -404,7 +416,7 @@ def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=N
         for j in range(k):
             w, f_state = _lax_step(model, state, i, sig / k, fields[i], jumps,
                                    None if waves else es_minus,
-                                   previous.get((i, j)), f_state)
+                                   previous.get((i, j)), f_state, n_steps)
             if isinstance(w, JumpWave):
                 reached[i, j] = (state, sig / k, w.u_r, w.speed)
             waves.append(w)
@@ -463,20 +475,46 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     sigma = 0, whose column i is orientation_i r_i(u-).  Each evaluation
     continues its jumps from the previous one's (the `seeds` of `_compose`),
     so its shock points match cold ones to roundoff, not bit for bit.  The
-    eigensystem and f at u- are computed once for all the evaluations."""
+    eigensystem and f at u- are computed once for all the evaluations.
+
+    Without `splits` (the exact solver) the solve runs in two stages.  The
+    search converges on compositions whose integral-curve rarefactions take
+    SEARCH_STEPS RK4 steps; a composition with no rarefaction does not
+    depend on the step count, so it is returned as it is.  Otherwise the
+    resolve stage continues Broyden from the search strengths, with the same
+    starting Jacobian and the seeds carried over, on RAREFACTION_STEPS-step
+    curves, and usually converges in one or two compositions.  Both stages
+    hold the same tolerances, so the returned fan is converged at full
+    resolution and every check of `rarefaction_curve` runs on it: the search
+    step count changes the cost, not the accuracy.  Where either stage
+    raises, the seeds are dropped and the whole solve is run again at
+    RAREFACTION_STEPS from the linear guess, as a one-stage solve would."""
     es = eigensystem(model, u_minus)
     f_minus = model.f(u_minus)
     orient = np.array([fc.orientation for fc in fields])
-    sigmas = orient * (es.left @ (u_plus - u_minus))
+    linear = orient * (es.left @ (u_plus - u_minus))
+    J0 = es.right.T * orient
     seeds = {}
 
-    def G(s):
-        state, waves = _compose(model, u_minus, s, fields, splits, seeds, es, f_minus)
-        return state - u_plus, (state, waves)
+    def solve(sigmas, n_steps):
+        def G(s):
+            state, waves = _compose(model, u_minus, s, fields, splits, seeds, es, f_minus,
+                                    n_steps)
+            return state - u_plus, (state, waves)
 
-    sigmas, (state, waves) = _damped_newton(G, sigmas, es.right.T * orient, TOL_RP,
-                                            10 * TOL_RP, 40, NewtonDivergence, "strength")
-    return sigmas, state, waves
+        sigmas, (state, waves) = _damped_newton(G, sigmas, J0, TOL_RP, 10 * TOL_RP, 40,
+                                                NewtonDivergence, "strength")
+        return sigmas, state, waves
+
+    if splits is None:
+        try:
+            sigmas, state, waves = solve(linear, SEARCH_STEPS)
+            if not any(isinstance(w, RarefactionWave) for w in waves):
+                return sigmas, state, waves
+            return solve(sigmas, RAREFACTION_STEPS)
+        except (HyperlabError, np.linalg.LinAlgError):
+            seeds.clear()
+    return solve(linear, RAREFACTION_STEPS)
 
 
 def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:

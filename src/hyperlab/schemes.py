@@ -97,12 +97,17 @@ class SchemeConfig:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _grid(model, data, cfg, dx_default):
+def _grid(model, data, cfg, dx_default, fewest=False):
     """(x0, dx, u0): the domain cut into whole cells of width about cfg.dx,
     or dx_default if it is not set, and the initial cell states: exact
-    averages for piecewise-constant data, midpoint samples for callables."""
+    averages for piecewise-constant data, midpoint samples for callables.
+    With `fewest`, the default grid is the fewest whole cells no wider than
+    dx_default (1 + 1e-12) rather than the nearest count."""
     a, b = cfg.domain
-    ncells = int(round((b - a) / (cfg.dx if cfg.dx is not None else dx_default)))
+    if cfg.dx is None and fewest:
+        ncells = math.ceil((b - a) / (dx_default * (1 + 1e-12)))
+    else:
+        ncells = int(round((b - a) / (cfg.dx if cfg.dx is not None else dx_default)))
     if ncells < 4:
         raise ConfigError("domain too small for the requested resolution")
     dx = (b - a) / ncells
@@ -320,18 +325,20 @@ def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     conservative flux differencing for f(u)_x, with Lax-Friedrichs
     stabilization whenever the mesh does not resolve the viscous layer.
     None is B = I, the classical vanishing viscosity, which must resolve its
-    layer: dx <= eps/4.  A general B may be degenerate (diag(0, 1) on the
+    layer: the cells it runs on have dx <= eps/4, and its default grid is
+    the fewest that do.  A general B may be degenerate (diag(0, 1) on the
     p-system), so it is held to no such rule; it is taken on the padded rows
     once per step and checked positive semidefinite there.  B = I on rows
     reproduces None bit for bit; B = 0 is the pure Lax-Friedrichs run."""
     _refuse_unread(cfg, "viscous_run", "mollifier_width", "a2")
     eps, B = cfg.eps, cfg.b_matrix
-    x0, dx, u0 = _grid(model, data, cfg, eps / 4.0)
+    x0, dx, u0 = _grid(model, data, cfg, eps / 4.0, fewest=B is None)
     M = _max_speed(model, u0, pad=1.05)
 
     if B is None:
-        if cfg.dx is not None and cfg.dx > eps / 4.0 * (1 + 1e-12):
-            raise CFLViolation(f"dx={cfg.dx} must satisfy dx <= eps/4 = {eps / 4}")
+        if dx > eps / 4.0 * (1 + 1e-12):
+            raise CFLViolation(f"dx={cfg.dx} gives cells of {dx:.6g}, which must "
+                               f"satisfy dx <= eps/4 = {eps / 4}")
         lam_b_min, max_b = 1.0, 1.0
     else:
         mats, lam_b_min = _b_rows(model, B, u0, "on the initial cells")

@@ -57,7 +57,7 @@ FAN_PROFILES = {
     ("cubic", 0.6): (1127, "e2b277eea384bfe9"),
     ("psystem", 0.05): (1, "2eca68dfee3924c7"),
     ("psystem", 0.1): (1, "2eca68dfee3924c7"),
-    ("psystem", 0.6): (33, "b89f64abfe0db324"),
+    ("psystem", 0.6): (33, "22c39a33c95bac32"),
 }
 FANS = {"cubic": cubic_fan, "psystem": psystem_fan}
 

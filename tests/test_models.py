@@ -436,6 +436,32 @@ LINEAR3_DOUBLE = models.FluxModel("double3", 3, flux=lambda u: u @ DOUBLE.T,
                                   jacobian=lambda u: np.broadcast_to(DOUBLE, u.shape + (3,)))
 
 
+@pytest.mark.parametrize("model", [
+    models.p_system(),
+    replace(models.p_system(), lo=np.array([0.5, -0.5]), hi=np.array([2.0, 0.5])),
+    replace(models.burgers(), lo=np.array([0.0])),
+], ids=["psystem", "psystem-box", "burgers-half-line"])
+def test_one_state_box_test_matches_rows(model):
+    # one state is tested on floats, rows on arrays: the two agree on
+    # random states, states on the bounds, and NaN and infinite components
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, *model.lo, *model.hi]
+    states = [rng.uniform(-3.0, 3.0, model.n) for _ in range(200)]
+    for _ in range(300):
+        u = rng.uniform(-3.0, 3.0, model.n)
+        for j in range(model.n):
+            if rng.random() < 0.5:
+                u[j] = rng.choice(special)
+        states.append(u)
+    verdicts = set()
+    for u in states:
+        one = model.contains(u)
+        assert one is bool(((u >= model.lo) & (u <= model.hi)).all())
+        assert one is model.contains(u[None, :])
+        verdicts.add(one)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: eigensystem(LINEAR3_DOUBLE, [0.0, 0.0, 0.0]), NonHyperbolic,
      "eigenvalue gap 0.000e\\+00 below tolerance"),

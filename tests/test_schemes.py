@@ -398,6 +398,20 @@ class TestViscous:
         with pytest.raises(CFLViolation):
             viscous_run(models.burgers(), PiecewiseConstantFn.constant([0.0]), cfg)
 
+    def test_rule_holds_on_the_grid_it_runs(self):
+        # 1 / 0.075 = 13.3 cells: 13 would be 0.0769 wide, above eps/4, so
+        # the default grid takes 14, and dx = 0.075, which rounds to 13, is
+        # refused
+        data = PiecewiseConstantFn.constant([0.3])
+        cfg = SchemeConfig(eps=0.3, T=0.01, domain=(0.0, 1.0))
+        sol = viscous_run(models.burgers(), data, cfg)
+        assert sol.states.shape[1] == 14 and sol.dx <= 0.075
+        with pytest.raises(CFLViolation, match="cells of 0.0769231"):
+            viscous_run(models.burgers(), data, replace(cfg, dx=0.075))
+        # a whole number of eps/4 cells is still the default, not one more
+        sol = viscous_run(models.burgers(), data, replace(cfg, eps=0.01))
+        assert sol.states.shape[1] == 400
+
     def test_traveling_wave_profile(self):
         # quick version of the tanh profile check; at eps = 0.05 the step
         # data is still relaxing onto the wave (transient ~ exp(-T/(8 eps)))
