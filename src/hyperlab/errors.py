@@ -32,7 +32,7 @@ class ContinuationFailure(HyperlabError):
 
 
 class NewtonDivergence(HyperlabError):
-    """Riemann/strength Newton iteration failed to converge (data too large)."""
+    """A strength or RH Newton did not converge; a fan is judged on its result."""
 
 
 class NonClassifiedField(HyperlabError):
@@ -64,7 +64,7 @@ class RiemannFailure(HyperlabError):
 
 
 class FrontExplosion(HyperlabError):
-    """Front count exceeded the configured cap."""
+    """Front count exceeded front_cap, or event count 20 * front_cap."""
 
 
 class CFLViolation(HyperlabError):
@@ -76,7 +76,7 @@ class SubcharacteristicViolation(HyperlabError):
 
 
 class NewtonFailure(HyperlabError):
-    """Per-cell implicit solve failed."""
+    """Backward Euler's whole-grid Newton step is singular or stalled."""
 
 
 class BlowupBeforeRestart(HyperlabError):

@@ -177,13 +177,6 @@ def _pieces_to_fronts(pieces, pos, t0, u_l, u_r):
     return fronts
 
 
-def _refuse_unread(cfg, run, *names):
-    """Raise ConfigError if a named setting, which `run` does not read, is set."""
-    given = [name for name in names if getattr(cfg, name) is not None]
-    if given:
-        raise ConfigError(f"{run} does not read {' or '.join(given)}")
-
-
 def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     """Track fronts of a piecewise-constant profile until time T.
 
@@ -193,15 +186,11 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     cfg needs delta (rarefaction accuracy, and the state grid of a scalar
     model); rho_np > 0 enables merging of weak interaction products into
     non-physical fronts at speed lam_hat = 1 + max characteristic speed over
-    the data.  Fronts move on the whole line, so periodic boundaries are
-    refused.
+    the data.  Fronts move on the whole line, so no boundary is read.
     """
-    _refuse_unread(cfg, "front_tracking_run", "dx", "dt", "snapshot_times",
-                   "mollifier_width", "a2", "b_matrix")
+    cfg.refuse_unread("front_tracking_run", "delta", "rho_np", "front_cap")
     if not isinstance(data, PiecewiseConstantFn):
         raise ConfigError("front tracking needs PiecewiseConstantFn data")
-    if cfg.boundary == "periodic":
-        raise ConfigError("front_tracking_run needs constant boundaries")
     cap, T = cfg.front_cap, Fraction(float(cfg.T))
     fields = lam_hat = None
     if model.n > 1:

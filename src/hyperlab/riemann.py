@@ -10,17 +10,17 @@ q-decomposition of the verifier and front tracking; with `splits` every wave
 is a jump and a rarefaction may be split into several.  It returns the waves
 it composed at the strengths it found, so no caller composes them again.
 Front tracking solves once with every family one jump, and a second time
-only when a rarefaction is split.  The exact solver's strength solve runs
-in two stages: a search on rarefaction curves of SEARCH_STEPS RK4 steps,
-then a resolve that continues Broyden from the search strengths on curves
-of RAREFACTION_STEPS, usually for one or two compositions.  A search that
-ends with no rarefaction is returned as it is, since its composition does
-not depend on the step count; where either stage raises, the solve runs
-again in one stage at RAREFACTION_STEPS from the linear guess.  The fan is
-converged at full resolution either way and every rarefaction check runs on
-it, so the search step count sets the cost, not the accuracy.  An exact fan
-ends on u+ byte for byte, unless every family is below STRENGTH_FLOOR: then
-it has no wave.
+only when a rarefaction is split.  The exact solver's strength solve runs in
+two stages: a search on rarefaction curves of SEARCH_STEPS RK4 steps, then a
+resolve that continues Broyden from the search strengths on curves of
+RAREFACTION_STEPS, usually for one or two compositions.  A search that ends
+with no rarefaction is returned as it is, since its composition does not
+depend on the step count; where either stage raises, the solve runs again
+cold (a seeded solve can stall where a cold one converges), in one stage at
+RAREFACTION_STEPS from the linear guess.  The fan is converged at full
+resolution either way and every rarefaction check runs on it, so the search
+step count sets the cost, not the accuracy.  An exact fan ends on u+ byte
+for byte, unless every family is below STRENGTH_FLOOR: then it has no wave.
 The two curve samplers, `shock_curve` and `rarefaction_curve`, both take a
 signed s in the sign-fixed frame of l_i and r_i, into which `_lax_step`
 alone turns an oriented strength, and return (s, states, speeds); the
@@ -28,16 +28,16 @@ rarefaction takes one eigensystem per RK4 stage.
 Both `shock_curve` and `_lax_step` reach a shock point through one
 continuation, `_continue_shock`.  Within one strength solve, each Broyden
 evaluation starts the RH Newton of every jump from the point the previous
-completed evaluation found for the same jump (same family, same index in
-the family), and falls back to a continuation from s = 0 where that Newton
-fails; the first evaluation, one after an evaluation that raised, and the
-integral-curve rarefactions start cold.  The RH Newton of one shock
-point takes a start as converged only near roundoff, so a seeded point is
-as accurate as a cold one, and returns f at the point, which the next jump
-of a composition takes as f at its left state.  Every linear step of the
-strength solve, RH Newton and Broyden alike, is one `_solve_small`:
-Gaussian elimination on Python floats, which rounds unlike LAPACK but costs
-less than `np.linalg.solve`'s wrapper at these sizes.
+completed evaluation found for the same jump (same family, same index in the
+family), and falls back to a continuation from s = 0 where that Newton
+fails; the first evaluation, one after an evaluation that raised, the exact
+solver's fallback and the integral-curve rarefactions start cold.  The RH
+Newton of one shock point takes a start as converged only near roundoff, so
+a seeded point is as accurate as a cold one, and returns f at the point,
+which the next jump of a composition takes as f at its left state.  Every
+linear step of the strength solve, RH Newton and Broyden alike, is one
+`_solve_small`: Gaussian elimination on Python floats, which rounds unlike
+LAPACK but costs less than `np.linalg.solve`'s wrapper at these sizes.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
 concave envelope of f (`_envelope`, shared with scalar front tracking), which
@@ -487,8 +487,8 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     hold the same tolerances, so the returned fan is converged at full
     resolution and every check of `rarefaction_curve` runs on it: the search
     step count changes the cost, not the accuracy.  Where either stage
-    raises, the seeds are dropped and the whole solve is run again at
-    RAREFACTION_STEPS from the linear guess, as a one-stage solve would."""
+    raises, the whole solve is run again cold, with no seeds, at
+    RAREFACTION_STEPS from the linear guess."""
     es = eigensystem(model, u_minus)
     f_minus = model.f(u_minus)
     orient = np.array([fc.orientation for fc in fields])
@@ -496,7 +496,7 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     J0 = es.right.T * orient
     seeds = {}
 
-    def solve(sigmas, n_steps):
+    def solve(sigmas, n_steps, seeds):
         def G(s):
             state, waves = _compose(model, u_minus, s, fields, splits, seeds, es, f_minus,
                                     n_steps)
@@ -508,13 +508,13 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
 
     if splits is None:
         try:
-            sigmas, state, waves = solve(linear, SEARCH_STEPS)
+            sigmas, state, waves = solve(linear, SEARCH_STEPS, seeds)
             if not any(isinstance(w, RarefactionWave) for w in waves):
                 return sigmas, state, waves
-            return solve(sigmas, RAREFACTION_STEPS)
+            return solve(sigmas, RAREFACTION_STEPS, seeds)
         except (HyperlabError, np.linalg.LinAlgError):
-            seeds.clear()
-    return solve(linear, RAREFACTION_STEPS)
+            seeds = None
+    return solve(linear, RAREFACTION_STEPS, seeds)
 
 
 def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:

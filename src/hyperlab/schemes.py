@@ -15,6 +15,7 @@ checked positive semidefinite again on the rows of every step.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
                      NewtonFailure, NonfiniteState, SubcharacteristicViolation)
-from .fronts import _refuse_unread, front_tracking_run
+from .fronts import front_tracking_run
 from .models import FluxModel, _central_diff, _check_speed_range, eigenvalues
 from .piecewise import GridSolution, PiecewiseConstantFn, as_state
 from .riemann import evaluate_fan, solve_riemann
@@ -39,21 +40,18 @@ class SchemeConfig:
     mollification restarts.  Godunov and Glimm step with dt = dx, so T must
     be a whole number of dx steps.
 
-    dx sets the grid of the runs with a separate spatial grid: viscous,
-    Jin-Xin, backward Euler and mollification.  dt caps
-    the time step of every run except Godunov and Glimm, and a dt above the
-    scheme's limit (meta["cfl"]["dt_max"]) raises CFLViolation; the steps
-    are then equal and end at T.  eps, and a dx, dt or delta that is set,
-    must be finite and positive, T finite and not negative, and every
-    snapshot time in [0, T] (up to the slack 1e-12 T of the last step).  Speed
-    preconditions read every initial cell.  Every run refuses with
-    ConfigError each setting that defaults to None (dx, dt, snapshot_times,
-    mollifier_width, a2, b_matrix) and that it does not read.  snapshot_times
-    and store_all choose the stored snapshots of every grid run.  Front
-    tracking reads delta, rho_np and front_cap; for a scalar model its
-    rarefactions break at the states of the grid delta*Z (and at the data
-    values).  b_matrix, read by viscous_run, is None (B = I) or a callable
-    B on rows (..., n) -> (..., n, n), as `FluxModel.jacobian`.
+    dx sets the grid of the runs with a separate spatial grid: viscous, Jin-Xin,
+    backward Euler and mollification.  dt caps the time step of every run except
+    Godunov and Glimm, and a dt above the scheme's limit (meta["cfl"]["dt_max"])
+    raises CFLViolation; the steps are then equal and end at T.  eps, and a dx,
+    dt or delta that is set, must be finite and positive, T finite and not
+    negative, and every snapshot time in [0, T] (up to the slack 1e-12 T of the
+    last step).  Each run opens by naming the settings it reads
+    (`refuse_unread`) and refuses any other that is set away from its default.
+    snapshot_times and store_all choose the stored snapshots of a grid run.  For
+    a scalar model, front tracking's rarefactions break at the states of the
+    grid delta*Z (and at the data values).  b_matrix is None (B = I) or a
+    callable B on rows (..., n) -> (..., n, n), as `FluxModel.jacobian`.
     """
 
     eps: float
@@ -92,6 +90,19 @@ class SchemeConfig:
         if self.b_matrix is not None and not callable(self.b_matrix):
             raise ConfigError(f"b_matrix must be None or a callable on rows, "
                               f"not {self.b_matrix!r}")
+
+    def refuse_unread(self, run, *reads):
+        """Raise ConfigError naming each setting outside `reads`, which `run`
+        ignores, that is set away from its default (from None: set at all)."""
+        unread = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in reads or f.default is dataclasses.MISSING:
+                continue
+            if value is not None if f.default is None else value != f.default:
+                unread.append(f"{f.name}={value!r}")
+        if unread:
+            raise ConfigError(f"{run} does not read {', '.join(unread)}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +201,7 @@ def godunov_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Upwind scheme u_{j+1,k} = u_{j,k} + f(u_{j,k-1}) - f(u_{j,k}) on a
     unit-CFL grid dt = dx = eps.  Requires speeds in [0, 1] and T a whole
     number of dx steps."""
-    _refuse_unread(cfg, "godunov_run", "dx", "dt", "mollifier_width", "a2", "b_matrix")
+    cfg.refuse_unread("godunov_run", "boundary", "snapshot_times", "store_all")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, -1e-9, 1 + 1e-9)
 
@@ -244,7 +255,7 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Riemann fans on the unit-CFL grid restarted by sampling at
     x = (k + theta_j) dx.  The restart values are the new cell states.
     Requires speeds in [0, 1] and T a whole number of dx steps."""
-    _refuse_unread(cfg, "glimm_run", "dx", "dt", "mollifier_width", "a2", "b_matrix")
+    cfg.refuse_unread("glimm_run", "boundary", "snapshot_times", "store_all", "sequence")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     if isinstance(data, PiecewiseConstantFn):
         # sampling restarts want cell values, not averages: snap each cell
@@ -280,7 +291,8 @@ def glimm_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 def method_of_lines_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """dU_k/dt = (f(U_{k-1}) - f(U_k))/eps integrated with classical RK4,
     time step at most eps/2.  Requires speeds in [0, 1] (upwind left)."""
-    _refuse_unread(cfg, "method_of_lines_run", "dx", "mollifier_width", "a2", "b_matrix")
+    cfg.refuse_unread("method_of_lines_run", "boundary", "dt", "snapshot_times",
+                      "store_all")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps)
     _check_speed_range(model, u0, -1e-9, 1 + 1e-9)
     nsteps, dt, cfl = _time_steps(cfg, 0.5 * dx, 0.5 * dx, "dt <= eps/2")
@@ -330,7 +342,8 @@ def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     p-system), so it is held to no such rule; it is taken on the padded rows
     once per step and checked positive semidefinite there.  B = I on rows
     reproduces None bit for bit; B = 0 is the pure Lax-Friedrichs run."""
-    _refuse_unread(cfg, "viscous_run", "mollifier_width", "a2")
+    cfg.refuse_unread("viscous_run", "boundary", "dx", "dt", "snapshot_times", "store_all",
+                      "b_matrix")
     eps, B = cfg.eps, cfg.b_matrix
     x0, dx, u0 = _grid(model, data, cfg, eps / 4.0, fewest=B is None)
     M = _max_speed(model, u0, pad=1.05)
@@ -380,7 +393,8 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     """Relaxation system u_t + v_x = 0, v_t + a^2 u_x = (f(u) - v)/eps,
     upwinded along the characteristic variables v -+ a u, with the stiff
     source handled implicitly (exact since it is linear in v)."""
-    _refuse_unread(cfg, "jin_xin_run", "mollifier_width", "b_matrix")
+    cfg.refuse_unread("jin_xin_run", "boundary", "dx", "dt", "snapshot_times", "store_all",
+                      "a2")
     eps = cfg.eps
     x0, dx, u0 = _grid(model, data, cfg, eps / 2.0)
     M = _max_speed(model, u0)
@@ -429,9 +443,7 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
     P_k = (I + c A_k)^-1 c A_{k-1} with A = Df(w), started at the first
     unconverged cell and composed by a doubling scan in log2(cells) rounds.
     """
-    _refuse_unread(cfg, "backward_euler_run", "mollifier_width", "a2", "b_matrix")
-    if cfg.boundary == "periodic":
-        raise ConfigError("backward_euler_run needs constant boundaries")
+    cfg.refuse_unread("backward_euler_run", "dx", "dt", "snapshot_times", "store_all")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps / 4.0)
     _check_speed_range(model, u0, 1 - 1e-9, 2 + 1e-9)
     nsteps, dt, cfl = _time_steps(
@@ -520,11 +532,10 @@ def mollification_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution
     BlowupBeforeRestart when the interval is not shorter than the classical
     blow-up time of the current profile.  Boundaries must be constant: the
     profile is extended by its end values."""
-    _refuse_unread(cfg, "mollification_run", "a2", "b_matrix")
+    cfg.refuse_unread("mollification_run", "dx", "dt", "snapshot_times", "store_all",
+                      "mollifier_width", "mollifier_kernel")
     if model.n != 1:
         raise ConfigError("mollification_run is scalar-only")
-    if cfg.boundary == "periodic":
-        raise ConfigError("mollification_run needs constant boundaries")
     x0, dx, u0 = _grid(model, data, cfg, (cfg.domain[1] - cfg.domain[0]) / 2048)
     ncells = u0.shape[0]
     centers = x0 + dx * (np.arange(ncells) + 0.5)

@@ -661,7 +661,6 @@ def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecompo
     A = np.zeros((len(h_ladder), len(points)))
     B = np.zeros((len(h_ladder), len(knots) - 1))
     rates = np.zeros(len(h_ladder))
-    tiny = 1e-12
 
     v_samples = []
     for (a, b) in zip(knots[:-1], knots[1:]):
@@ -679,8 +678,8 @@ def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecompo
         rates[hi_idx] = (sol_h.l1_distance(ora_h, x_lo, x_hi)) / h
 
         for kp, x in enumerate(points):
-            um = u_tau(np.array([x - tiny]))[0]
-            up = u_tau(np.array([x + tiny]))[0]
+            k = np.searchsorted(u_tau.xs, x)
+            um, up = u_tau.vals[k], u_tau.vals[k + 1]
             lam = _jump_speed(model, um, up)
             step = PiecewiseConstantFn(np.array([x + lam * h]), np.stack([um, up]))
             lo, hi = x - h, x + h

@@ -4,10 +4,12 @@ every constant is defined in one module only, every optional parameter of a
 function is passed by some call, every parameter is read by its function,
 every field of the model and scheme settings is read by the library, every
 typed error is raised by the library and named by a test, no test module
-imports another, and every library name the benchmark reads exists."""
+imports another, every library name the benchmark reads exists, and every
+scheme run opens by naming the settings it reads."""
 
 import ast
 import importlib
+import inspect
 import math
 import re
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import hyperlab
+from hyperlab.schemes import SCHEMES
 
 SOURCES = sorted(Path(hyperlab.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("test_*.py"))
@@ -178,6 +181,20 @@ def test_every_setting_field_is_read(module, cls):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = [f for f in fields if f not in read]
     assert not unread, f"{cls} fields the library never reads: {unread}"
+
+
+@pytest.mark.parametrize("run", SCHEMES.values(), ids=lambda run: run.__name__)
+def test_every_run_opens_by_refusing_what_it_does_not_read(run):
+    # a run that reads its settings without naming them would ignore the
+    # others silently: after its docstring, its first statement is the one
+    # rule, cfg.refuse_unread(<its own name>, ...)
+    node = ast.parse(inspect.getsource(run)).body[0]
+    first = node.body[1] if ast.get_docstring(node) is not None else node.body[0]
+    call = first.value if isinstance(first, ast.Expr) else None
+    assert (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and ast.unparse(call.func) == "cfg.refuse_unread"), \
+        f"{run.__name__} does not open with cfg.refuse_unread(...)"
+    assert ast.literal_eval(call.args[0]) == run.__name__
 
 
 def test_every_error_is_raised_and_tested():

@@ -148,33 +148,41 @@ def test_unit_cfl_runs_refuse_T_off_the_step_grid(run):
     assert sol.times[-1] == pytest.approx(0.6, abs=1e-15)
 
 
-# the settings that default to None which each run does not read
-UNREAD = {godunov_run: ["dx", "dt", "mollifier_width", "a2", "b_matrix"],
-          glimm_run: ["dx", "dt", "mollifier_width", "a2", "b_matrix"],
-          method_of_lines_run: ["dx", "mollifier_width", "a2", "b_matrix"],
-          viscous_run: ["mollifier_width", "a2"],
-          jin_xin_run: ["mollifier_width", "b_matrix"],
-          backward_euler_run: ["mollifier_width", "a2", "b_matrix"],
-          mollification_run: ["a2", "b_matrix"],
-          front_tracking_run: ["dx", "dt", "snapshot_times", "mollifier_width", "a2",
-                               "b_matrix"]}
-UNREAD_VALUES = {"dx": 0.05, "dt": 0.05, "snapshot_times": [0.25], "mollifier_width": 0.05,
-                 "a2": 4.0, "b_matrix": lambda u: np.zeros(u.shape + (1,))}
+# the settings each run reads; it refuses every other one set away from
+# its default, and runs with each of these set to the value below
+READS = {godunov_run: ["boundary", "snapshot_times", "store_all"],
+         glimm_run: ["boundary", "snapshot_times", "store_all", "sequence"],
+         method_of_lines_run: ["boundary", "dt", "snapshot_times", "store_all"],
+         viscous_run: ["boundary", "dx", "dt", "snapshot_times", "store_all", "b_matrix"],
+         jin_xin_run: ["boundary", "dx", "dt", "snapshot_times", "store_all", "a2"],
+         backward_euler_run: ["dx", "dt", "snapshot_times", "store_all"],
+         mollification_run: ["dx", "dt", "snapshot_times", "store_all", "mollifier_width",
+                             "mollifier_kernel"],
+         front_tracking_run: ["delta", "rho_np", "front_cap"]}
+SETTING_VALUES = {"boundary": "periodic", "dx": 0.02, "dt": 1e-3, "snapshot_times": [0.25],
+                  "store_all": True, "delta": 0.1, "rho_np": 1e-3, "sequence": "midpoint",
+                  "mollifier_width": 0.05, "mollifier_kernel": "cos3", "a2": 4.0,
+                  "b_matrix": lambda u: np.zeros(u.shape + (1,)), "front_cap": 100}
 
 
-@pytest.mark.parametrize("run, setting", [(run, setting) for run, settings in UNREAD.items()
-                                          for setting in settings])
+@pytest.mark.parametrize("run, setting", [(run, setting) for run in READS
+                                          for setting in SETTING_VALUES])
 def test_runs_refuse_settings_they_do_not_read(run, setting):
-    # each was once taken and ignored, e.g. a zero b_matrix gave viscous_run
-    # the states of B = I
+    # each unread one was once taken and ignored: a zero b_matrix gave
+    # viscous_run the states of B = I, and glimm_run ran with delta=0.1,
+    # godunov_run with sequence="midpoint", viscous_run with
+    # mollifier_kernel="cos3", jin_xin_run with front_cap=100, and
+    # front_tracking_run with store_all=True or sequence="midpoint"
     model = BURGERS_12 if run is backward_euler_run else BURGERS_01
     data = ((lambda x: np.array([0.8 * np.exp(-8 * x * x)])) if run is mollification_run
             else square_pulse(0.5, -0.5, 0.0))
-    cfg = SchemeConfig(eps=0.1, T=0.5, domain=(-1.0, 1.0))
-    run(model, data, cfg)
-    with pytest.raises(ConfigError, match=f"does not read {setting}"):
-        run(model, data, replace(cfg, **{setting: UNREAD_VALUES[setting]}))
-
+    cfg = SchemeConfig(eps=0.1, T=0.5, domain=(-1.0, 1.0),
+                       **{setting: SETTING_VALUES[setting]})
+    if setting in READS[run]:
+        run(model, data, cfg)
+    else:
+        with pytest.raises(ConfigError, match=f"{run.__name__} does not read {setting}="):
+            run(model, data, cfg)
 
 
 @pytest.mark.parametrize("setting, value", [
@@ -898,7 +906,7 @@ def test_periodic_boundaries_conserve_mass(scheme):
     ("front-tracking", BURGERS_01)])
 def test_periodic_boundaries_refused_where_not_implemented(scheme, model):
     cfg = SchemeConfig(eps=0.02, T=0.3, domain=(0.0, 1.0), boundary="periodic")
-    with pytest.raises(ConfigError, match="constant boundaries"):
+    with pytest.raises(ConfigError, match="does not read boundary='periodic'"):
         run_scheme(model, WRAPPING_PULSE, scheme, cfg)
 
 

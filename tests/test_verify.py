@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import models
+from hyperlab import models, verify
 from hyperlab.errors import (ConfigError, DegenerateData, HyperlabError,
                              NonClassifiedField, OracleUnavailable,
                              QuadratureUnderResolved)
@@ -272,6 +272,25 @@ def test_pulse_certificate_pinned():
     for kind, key in PULSE_CERT_KEYS.items():
         got = [t[key] for t in cert.tests if t["kind"] == kind]
         np.testing.assert_allclose(got, PULSE_CERT_VALUES[kind], rtol=0, atol=1e-15)
+
+
+def test_certificate_without_entropy_checks_the_rest():
+    # entropy=False drops the entropy columns and records; the weak defects
+    # are those of the full certificate up to the rounding of the bump
+    # integrals' matmul, which rounds column 0 differently next to a second
+    data = PiecewiseConstantFn(np.array([0.0, 0.3]), np.array([[0.0], [1.0], [0.0]]))
+    view, family = pulse_front_view(), default_family(0.0, 1.0, -1.0, 2.0, scales=2)
+    full, weak_only = (certify_eps_approx(view, BURGERS, M=1.1, initial_data=data,
+                                          family=family, n_probe=3, entropy=entropy)
+                       for entropy in (True, False))
+    assert weak_only.entropy_excess is None and full.entropy_excess is not None
+    assert "entropy" not in {t["kind"] for t in weak_only.tests}
+    assert weak_only.eps == max(weak_only.initial_excess, weak_only.lipschitz_excess,
+                                weak_only.weak_excess)
+    defects = [[t["defect"] for t in cert.tests if t["kind"] == "weak"]
+               for cert in (full, weak_only)]
+    assert len(defects[1]) == 48
+    np.testing.assert_allclose(defects[1], defects[0], rtol=0, atol=1e-15)
 
 
 
@@ -602,6 +621,25 @@ class TestErrorDecomposition:
         assert len(dec.partition) == 1
         assert np.all(dec.jump_terms <= 1e-9)
         assert np.all(dec.total() + 1e-12 >= dec.measured_rate * 0.9)
+
+    def test_jump_states_read_from_the_pieces(self, monkeypatch):
+        # shocks 1 -> 0.6 -> 0.2 drawn 1e-13 apart at tau = 1: each partition
+        # point takes the states on either side of its own breakpoint (once
+        # read at x -+ 1e-12, the second point's u- was 1, not 0.6)
+        s1, s2 = (JumpWave("shock", 0, np.array([a]), np.array([b]), speed)
+                  for a, b, speed in ((1.0, 0.6, 0.5), (0.6, 0.2, 0.5 + 1e-13)))
+        view = FanView(WaveFan(np.array([1.0]), (s1, s2)), t_span=(0, 2), x_span=(-2, 3))
+        seen, jump_speed = [], verify._jump_speed
+
+        def recorded(model, um, up):
+            seen.append((um[0], up[0]))
+            return jump_speed(model, um, up)
+
+        monkeypatch.setattr(verify, "_jump_speed", recorded)
+        dec = error_decomposition(view, BURGERS, FrontTrackingOracle(BURGERS, 1e-3, (-2, 3)),
+                                  1.0, eps=0.3, h_ladder=[0.1])
+        assert dec.partition == [0.5, 0.5 + 1e-13]
+        assert seen == [(1.0, 0.6), (0.6, 0.2)]
 
     def test_front_tracking_oracle_evolves_two_jumps(self):
         # a shock 1 | 0 at 0 and a rarefaction 0 | 1 at 1: the shock moves

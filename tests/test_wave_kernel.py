@@ -70,17 +70,21 @@ GOLDEN_FANS = [
 ]
 # draw 35 of the gamma = 2, a = 2 survey (ROADMAP): a strong 1-shock and a
 # strong 2-rarefaction, whose resolve stage diverges from the search
-# strengths, so the solve falls back to the one-stage solve
+# strengths, so the solve falls back to the cold one-stage solve
 FALLBACK_FAN = (
     "psystem", ("0x1.26c4e5b3e7d1cp-2", "-0x1.1f2e55c76d010p-4"),
     ("0x1.940d1af9d2c20p-4", "0x1.351ef919624e2p-1"),
     [("0x1.26c4e5b3e7d1cp-2", "-0x1.1f2e55c76d010p-4"),
-     ("0x1.640adb795d306p-3", "-0x1.9e3eaad460055p+0"),
+     ("0x1.640adb795d307p-3", "-0x1.9e3eaad460052p+0"),
      ("0x1.940d1af9d2c20p-4", "0x1.351ef919624e2p-1")],
-    [("shock", 0, "-0x1.b27d9d94bdea2p+3"),
-     ("rarefaction", 1, ("0x1.3828f868be4b4p+4", "0x1.6d2a7e041e658p+5"))])
+    [("shock", 0, "-0x1.b27d9d94bdea1p+3"),
+     ("rarefaction", 1, ("0x1.3828f868be4b3p+4", "0x1.6d2a7e041e656p+5"))])
 # sha256 of its 2-rarefaction's profile states and speeds
-FALLBACK_PROFILE_DIGEST = "b04d56012b37f625"
+FALLBACK_PROFILE_DIGEST = "da6760e8cd5ad0dd"
+# a default_rng(5) scale-1 draw on which the seeded strength solve stalls
+# ("strength line search stalled") and the cold one converges
+STALLED_PAIR = (("0x1.44867d4b1ef78p-1", "-0x1.c01ff6d5b6f40p-6"),
+                ("0x1.6763056049bccp+0", "-0x1.ecca2df35c2e4p-3"))
 # the same fans from a Newton with central-difference Jacobians stopped at
 # |G| <= 1e-10, whose last state was the composed end state: a reference the
 # fans above must stay within 1e-10 of, in states and speeds
@@ -188,8 +192,8 @@ class TestGoldenFans:
 
     def test_resolve_failure_falls_back_to_one_stage_solve(self, monkeypatch):
         # the search converges, the resolve from its strengths diverges, and
-        # the solve runs again at full resolution from the linear guess: the
-        # fan of the one-stage solve, profile included, bit for bit
+        # the solve runs again cold at full resolution from the linear guess:
+        # the fan of the cold one-stage solve, profile included, bit for bit
         outcomes = []
 
         def recorded(*args):
@@ -208,6 +212,23 @@ class TestGoldenFans:
         h.update(fan.waves[1].states.tobytes())
         h.update(fan.waves[1].speeds.tobytes())
         assert h.hexdigest()[:16] == FALLBACK_PROFILE_DIGEST
+        # the waves of the cold one-stage solve, bit for bit up to the end
+        # that the fan sets on u+
+        ref = one_stage_waves(P_SYSTEM, fan.left, fan.right)
+        assert [(w.kind, w.family) for w in fan.waves] == [(w.kind, w.family) for w in ref]
+        for w, r in zip(fan.waves, ref):
+            assert np.array_equal(w.u_l, r.u_l)
+            assert (w.speed_l, w.speed_r) == (r.speed_l, r.speed_r)
+        assert np.array_equal(fan.waves[1].states[:-1], ref[1].states[:-1])
+
+    def test_seeded_stall_falls_back_to_a_cold_solve(self):
+        # the seeded solve stalls on this pair where the cold one converges;
+        # the fallback is cold, so the pair solves
+        ul, ur = unhex(STALLED_PAIR[0]), unhex(STALLED_PAIR[1])
+        fan = solve_riemann(P_SYSTEM, ul, ur)
+        assert [(w.kind, w.family) for w in fan.waves] == [("rarefaction", 0), ("shock", 1)]
+        assert_chained(ul, [(w.u_l, w.u_r) for w in fan.waves])
+        assert np.array_equal(fan.right, ur)
 
     def test_fans_near_reference(self):
         for name, ul, ur, states, waves in REFERENCE_FANS:
@@ -569,15 +590,15 @@ def test_seeded_solve_lands_on_cold_points(v, u, a1, a2, splits):
 
 
 def one_stage_waves(model, ul, ur):
-    """The waves of the exact solver's strength solve run in one stage, at
-    RAREFACTION_STEPS from the linear guess, as `solve_strengths` runs it
-    where its two stages fail."""
+    """The waves of the exact solver's strength solve run in one stage and
+    cold, at RAREFACTION_STEPS from the linear guess with no seeds, as
+    `solve_strengths` runs it where its two stages fail."""
     fields = _field_classes(model, ul, ur)
-    es, f_minus, seeds = eigensystem(model, ul), model.f(ul), {}
+    es, f_minus = eigensystem(model, ul), model.f(ul)
     orient = np.array([fc.orientation for fc in fields])
 
     def G(s):
-        state, waves = _compose(model, ul, s, fields, None, seeds, es, f_minus,
+        state, waves = _compose(model, ul, s, fields, None, None, es, f_minus,
                                 riemann.RAREFACTION_STEPS)
         return state - ur, waves
 
