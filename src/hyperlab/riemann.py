@@ -1,41 +1,54 @@
 """Wave curves, exact Riemann solvers, and shock admissibility predicates.
 
-Systems are solved by Broyden's method on composed Lax curves (shock branch
-on the speed-decreasing side, rarefaction branch on the other, single branch
-for linearly degenerate families), started from the exact Jacobian at zero
-strengths.  That contact/shock/rarefaction decision is made in one place,
-`_lax_step`, which builds one wave; `_compose` chains it over the families.
-`solve_strengths` is the one strength solve, for the exact solver, the
-q-decomposition of the verifier and front tracking; with `splits` every wave
-is a jump and a rarefaction may be split into several.  It returns the waves
-it composed at the strengths it found, so no caller composes them again.
-Front tracking solves once with every family one jump, and a second time
-only when a rarefaction is split.  The exact solver's strength solve runs in
-two stages: a search on rarefaction curves of SEARCH_STEPS RK4 steps, then a
-resolve that continues Broyden from the search strengths on curves of
-RAREFACTION_STEPS, usually for one or two compositions.  A search that ends
-with no rarefaction is returned as it is, since its composition does not
-depend on the step count; where either stage raises, the solve runs again
-cold (a seeded solve can stall where a cold one converges), in one stage at
-RAREFACTION_STEPS from the linear guess.  The fan is converged at full
-resolution either way and every rarefaction check runs on it, so the search
-step count sets the cost, not the accuracy.  An exact fan ends on u+ byte
-for byte, unless every family is below STRENGTH_FLOOR: then it has no wave.
-The two curve samplers, `shock_curve` and `rarefaction_curve`, both take a
-signed s in the sign-fixed frame of l_i and r_i, into which `_lax_step`
-alone turns an oriented strength, and return (s, states, speeds); the
-rarefaction takes one eigensystem per RK4 stage.
+`solve_strengths` is the one strength solve of a system, for the exact
+solver, the q-decomposition of the verifier and front tracking.  It returns
+the strengths, the end state and the waves it built at them, so no caller
+builds them again, and it takes one of three routes:
+
+- the exact solver (no `splits`): Broyden's method on composed Lax curves
+  (shock branch on the speed-decreasing side, rarefaction branch on the
+  other, single branch for linearly degenerate families), started from the
+  exact Jacobian at zero strengths, in two stages.  A search on rarefaction
+  curves of SEARCH_STEPS RK4 steps is followed by a resolve that continues
+  Broyden from the search strengths on curves of RAREFACTION_STEPS, usually
+  for one or two compositions.  A search that ends with no rarefaction is
+  returned as it is, since its composition does not depend on the step
+  count.  The fan is converged at full resolution either way and every
+  rarefaction check runs on it, so the search step count sets the cost, not
+  the accuracy.
+- every family one jump (`splits` all 1: the first solve of every
+  front-tracking interaction and every q-decomposition cell): one Newton on
+  the chain of Rankine-Hugoniot conditions, `_rh_chain`, whose unknowns are
+  the n - 1 middle states and the n speeds.  A root outside the domain box,
+  out of speed order, or with a jump whose speed is not between its
+  family's characteristic speeds at its ends is refused, and the solve takes
+  the next route instead.
+- split jumps (a rarefaction split into several jumps of front tracking):
+  Broyden on composed jumps, every jump RH-exact.  A chain over all of them
+  would cost O(J^3) in the J jumps of its dense elimination.
+
+Where a seeded Broyden solve raises (either stage of the exact solver, or
+the jump solve), it runs once more cold, in one stage at RAREFACTION_STEPS
+from the linear guess: a seeded solve can stall where a cold one converges.
+An exact fan ends on u+ byte for byte, unless every family is below
+STRENGTH_FLOOR: then it has no wave.  The wave's kind, contact, shock or
+rarefaction, is `_wave_kind`'s alone; `_lax_step` builds one wave of a
+composition and `_compose` chains it over the families.  The two curve
+samplers, `shock_curve` and `rarefaction_curve`, both take a signed s in the
+sign-fixed frame of l_i and r_i, into which `_lax_step` alone turns an
+oriented strength, and return (s, states, speeds); the rarefaction takes one
+eigensystem per RK4 stage.
 Both `shock_curve` and `_lax_step` reach a shock point through one
 continuation, `_continue_shock`.  Within one strength solve, each Broyden
 evaluation starts the RH Newton of every jump from the point the previous
 completed evaluation found for the same jump (same family, same index in the
 family), and falls back to a continuation from s = 0 where that Newton
-fails; the first evaluation, one after an evaluation that raised, the exact
-solver's fallback and the integral-curve rarefactions start cold.  The RH
-Newton of one shock point takes a start as converged only near roundoff, so
-a seeded point is as accurate as a cold one, and returns f at the point,
-which the next jump of a composition takes as f at its left state.  Every
-linear step of the strength solve, RH Newton and Broyden alike, is one
+fails; the first evaluation, one after an evaluation that raised, the cold
+retry and the integral-curve rarefactions start cold.  The RH Newton of one
+shock point takes a start as converged only near roundoff, so a seeded point
+is as accurate as a cold one, and returns f at the point, which the next
+jump of a composition takes as f at its left state.  Every linear step of
+the strength solve, RH chain, RH Newton and Broyden alike, is one
 `_solve_small`: Gaussian elimination on Python floats, which rounds unlike
 LAPACK but costs less than `np.linalg.solve`'s wrapper at these sizes.
 
@@ -341,16 +354,23 @@ def _field_classes(model, u_minus, u_plus):
     return fields
 
 
+def _wave_kind(field, sigma):
+    """The kind of a family's wave at oriented strength sigma, the one place
+    where the branch of the Lax curve is chosen: a contact for a linearly
+    degenerate family, a shock for sigma < 0, and a rarefaction otherwise."""
+    if field.tag == LINEARLY_DEGENERATE:
+        return "contact"
+    return "shock" if sigma < 0 else "rarefaction"
+
+
 def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l, n_steps):
     """The family-i wave from u_l at oriented strength sigma, and f at its
     right state if it is a jump (else None).
 
-    This is the one place where the branch of the Lax curve is chosen: a
-    contact for a linearly degenerate family, a shock for sigma < 0, and a
-    rarefaction otherwise.  The rarefaction is the integral curve, or, with
-    `jumps`, the single RH-exact jump at the same shock-curve parameter
-    (a rarefaction front of front tracking).  The integral curve takes
-    n_steps RK4 steps.  Either curve takes
+    The branch of the Lax curve is `_wave_kind`'s.  The rarefaction is the
+    integral curve, or, with `jumps`, the single RH-exact jump at the same
+    shock-curve parameter (a rarefaction front of front tracking).  The
+    integral curve takes n_steps RK4 steps.  Either curve takes
     s = orientation * sigma along the sign-fixed l_i and r_i: the one use of
     the orientation.  `es` and `f_l` are the eigensystem and f at u_l
     when the caller has them, else None.  A jump with a `seed`, the same
@@ -359,13 +379,8 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l, n_steps):
     that Newton fails, it is continued from s = 0.
     """
     s = field.orientation * sigma
-    if field.tag == LINEARLY_DEGENERATE:
-        kind = "contact"
-    elif sigma < 0:
-        kind = "shock"
-    elif jumps:
-        kind = "rarefaction"
-    else:
+    kind = _wave_kind(field, sigma)
+    if kind == "rarefaction" and not jumps:
         _, states, speeds = rarefaction_curve(model, u_l, i, s, n_steps)
         return RarefactionWave(i, u_l, states[-1], float(speeds[0]),
                                float(speeds[-1]), states, speeds), None
@@ -468,29 +483,134 @@ def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
     raise error(f"{what} Newton did not converge (|G|={gn:.2e})")
 
 
-def solve_strengths(model, u_minus, u_plus, fields, splits=None):
-    """Strengths, end state and waves of the composed Lax curves (`_compose`
-    for `splits`) to |G| <= TOL_RP, or 10 TOL_RP after 40 iterations, else
-    NewtonDivergence.  Broyden starts from the linear guess and dG/dsigma at
-    sigma = 0, whose column i is orientation_i r_i(u-).  Each evaluation
-    continues its jumps from the previous one's (the `seeds` of `_compose`),
-    so its shock points match cold ones to roundoff, not bit for bit.  The
-    eigensystem and f at u- are computed once for all the evaluations.
+def _rh_chain(model, u_minus, u_plus, fields, es, f_minus):
+    """Strengths, end state and waves of the Riemann problem with every
+    family one jump, from one Newton on the chain of RH conditions.
 
-    Without `splits` (the exact solver) the solve runs in two stages.  The
-    search converges on compositions whose integral-curve rarefactions take
-    SEARCH_STEPS RK4 steps; a composition with no rarefaction does not
-    depend on the step count, so it is returned as it is.  Otherwise the
-    resolve stage continues Broyden from the search strengths, with the same
-    starting Jacobian and the seeds carried over, on RAREFACTION_STEPS-step
-    curves, and usually converges in one or two compositions.  Both stages
-    hold the same tolerances, so the returned fan is converged at full
-    resolution and every check of `rarefaction_curve` runs on it: the search
-    step count changes the cost, not the accuracy.  Where either stage
-    raises, the whole solve is run again cold, with no seeds, at
-    RAREFACTION_STEPS from the linear guess."""
+    The unknowns are the middle states S_1 .. S_{n-1} and the speeds
+    lambda_1 .. lambda_n, the equations F_j = f(S_j) - f(S_{j-1}) -
+    lambda_j (S_j - S_{j-1}) with S_0 = u_minus and S_n = u_plus: a square
+    system of n^2 rows.  Each step solves it with the exact Jacobian in one
+    `_solve_small`, from the linear guess S_j = S_{j-1} + s_j r_j(u_minus),
+    s = L(u_minus) (u_plus - u_minus), with lambda_j = lambda_j(u_minus).
+    After at least one step and within 30 it stops at |F| <= 1e-15 (1 +
+    |f(u_minus)|), or one step after |F| <= 1e-13 (1 + |f(u_minus)|): |F|
+    fixes the speed of a jump d only to |F| / |d|, and from 1e-13 one more
+    quadratic step reaches roundoff, which a weak jump needs.  es and
+    f_minus are the eigensystem and f at u_minus.
+
+    sigma_j is oriented and measured in the frame at S_{j-1}, as `_lax_step`
+    measures it, and the kind is `_wave_kind`'s.  A family below
+    STRENGTH_FLOOR makes no wave, and the next wave starts where the last
+    one ended, so the waves chain exactly and the last ends on u_plus.  The
+    root is refused unless every state where f or Df is evaluated lies in
+    the domain box (ContinuationFailure, before the evaluation), the waves
+    are in speed order, and each wave's speed lies between lambda_j at its
+    two ends, widened by TOL_ADM: the chain has roots off the family's
+    branch (NewtonDivergence, as where Newton fails)."""
+    n = model.n
+    if not model.contains(u_plus):
+        raise ContinuationFailure("RH chain ends outside the domain box")
+    s = (es.left @ (u_plus - u_minus)).tolist()
+    S = [u_minus.tolist()]  # S_0 .. S_n as lists of floats
+    for s_j, r_j in zip(s, es.right.tolist()[:n - 1]):
+        S.append([x + s_j * r for x, r in zip(S[-1], r_j)])
+    S.append(u_plus.tolist())
+    lam = es.lambdas.tolist()
+    fs = [f_minus.tolist()] + [None] * (n - 1) + [model.f(u_plus).tolist()]
+    tol = 1e-13 * (1.0 + math.sqrt(f_minus @ f_minus))
+    m = n * (n - 1)  # the column of lambda_1; S_j takes columns (j - 1) n ..
+    last = False
+    for k in range(31):
+        middle = [np.array(u) for u in S[1:n]]  # S_1 .. S_{n-1} as arrays
+        for j, u in enumerate(middle, 1):
+            if not model.contains(u):
+                raise ContinuationFailure("RH chain left the domain box")
+            fs[j] = model.f(u).tolist()
+        d = [[b - a for a, b in zip(S[j], S[j + 1])] for j in range(n)]
+        F = [fb - fa - lam[j] * dx for j in range(n)
+             for fa, fb, dx in zip(fs[j], fs[j + 1], d[j])]
+        norm = math.hypot(*F)
+        if k and norm <= tol and (last or norm <= 1e-2 * tol):
+            break
+        if k == 30:
+            raise NewtonDivergence(f"RH chain did not converge (|F|={norm:.2e})")
+        last = k > 0 and norm <= tol
+        jacs = [None] + [model.jac(u).tolist() for u in middle]
+        A = []
+        for j in range(n):  # the rows of F_{j+1}, the jump from S[j] to S[j + 1]
+            for r in range(n):
+                row = [0.0] * (n * n)
+                if j + 1 < n:
+                    row[j * n:(j + 1) * n] = jacs[j + 1][r]
+                    row[j * n + r] -= lam[j]
+                if j > 0:
+                    row[(j - 1) * n:j * n] = [-x for x in jacs[j][r]]
+                    row[(j - 1) * n + r] += lam[j]
+                row[m + j] = -d[j][r]
+                A.append(row)
+        try:
+            step = _solve_small(A, [-x for x in F])
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDivergence("singular RH chain") from exc
+        if not all(map(math.isfinite, step)):
+            raise NewtonDivergence("RH chain diverged")
+        for j in range(1, n):
+            S[j] = [x + dx for x, dx in zip(S[j], step[(j - 1) * n:j * n])]
+        lam = [x + dx for x, dx in zip(lam, step[m:])]
+
+    states = [u_minus, *middle, u_plus]
+    frames = [es] + [eigensystem(model, u) for u in states[1:]]
+    sigmas = [fc.orientation * float(frames[j].left[j] @ (states[j + 1] - states[j]))
+              for j, fc in enumerate(fields)]
+    kept = [j for j in range(n) if abs(sigmas[j]) >= STRENGTH_FLOOR]
+    waves, state = [], u_minus
+    for j in kept:
+        ends = (frames[j].lambdas[j], frames[j + 1].lambdas[j])
+        if not min(ends) - TOL_ADM <= lam[j] <= max(ends) + TOL_ADM:
+            raise NewtonDivergence(f"RH chain's {j}-jump at speed {lam[j]:.6g} is off "
+                                   f"its family ({ends[0]:.6g} to {ends[1]:.6g})")
+        u_r = u_plus if j == kept[-1] else states[j + 1]
+        waves.append(JumpWave(_wave_kind(fields[j], sigmas[j]), j, state, u_r, lam[j]))
+        state = u_r
+    _check_wave_order(waves)
+    return np.array(sigmas), state, waves
+
+
+def solve_strengths(model, u_minus, u_plus, fields, splits=None):
+    """Strengths, end state and waves of the Riemann problem from u- to u+,
+    by one of three routes; NewtonDivergence where the last of them fails.
+    The eigensystem and f at u- are computed once for all of them.
+
+    With `splits` all 1 (every family one jump) the solve is `_rh_chain`,
+    whose waves chain from u- exactly to u+.  Where the chain raises, and
+    for split jumps, it is Broyden on the composed jumps (`_compose` with
+    `splits`); without `splits` (the exact solver), Broyden on the composed
+    Lax curves.  Broyden converges to |G| <= TOL_RP, or 10 TOL_RP after 40
+    iterations, from the linear guess and dG/dsigma at sigma = 0, whose
+    column i is orientation_i r_i(u-).  Each evaluation continues its jumps
+    from the previous one's (the `seeds` of `_compose`), so its shock points
+    match cold ones to roundoff, not bit for bit.
+
+    The exact solver's Broyden runs in two stages.  The search converges on
+    compositions whose integral-curve rarefactions take SEARCH_STEPS RK4
+    steps; a composition with no rarefaction does not depend on the step
+    count, so it is returned as it is.  Otherwise the resolve stage
+    continues Broyden from the search strengths, with the same starting
+    Jacobian and the seeds carried over, on RAREFACTION_STEPS-step curves,
+    and usually converges in one or two compositions.  Both stages hold the
+    same tolerances, so the returned fan is converged at full resolution and
+    every check of `rarefaction_curve` runs on it: the search step count
+    changes the cost, not the accuracy.  Where a seeded Broyden solve raises
+    (either stage, or the solve over jumps), it runs again cold, with no
+    seeds, at RAREFACTION_STEPS from the linear guess."""
     es = eigensystem(model, u_minus)
     f_minus = model.f(u_minus)
+    if splits is not None and max(splits) == 1:
+        try:
+            return _rh_chain(model, u_minus, u_plus, fields, es, f_minus)
+        except HyperlabError:
+            pass  # the Broyden solve, as for split jumps
     orient = np.array([fc.orientation for fc in fields])
     linear = orient * (es.left @ (u_plus - u_minus))
     J0 = es.right.T * orient
@@ -506,15 +626,15 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
                                                 NewtonDivergence, "strength")
         return sigmas, state, waves
 
-    if splits is None:
-        try:
-            sigmas, state, waves = solve(linear, SEARCH_STEPS, seeds)
-            if not any(isinstance(w, RarefactionWave) for w in waves):
-                return sigmas, state, waves
-            return solve(sigmas, RAREFACTION_STEPS, seeds)
-        except (HyperlabError, np.linalg.LinAlgError):
-            seeds = None
-    return solve(linear, RAREFACTION_STEPS, seeds)
+    try:
+        if splits is not None:
+            return solve(linear, RAREFACTION_STEPS, seeds)
+        sigmas, state, waves = solve(linear, SEARCH_STEPS, seeds)
+        if not any(isinstance(w, RarefactionWave) for w in waves):
+            return sigmas, state, waves
+        return solve(sigmas, RAREFACTION_STEPS, seeds)
+    except (HyperlabError, np.linalg.LinAlgError):
+        return solve(linear, RAREFACTION_STEPS, None)
 
 
 def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:

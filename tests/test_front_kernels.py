@@ -151,7 +151,7 @@ DRAWN_RUNS = {
 # run -> (events, breakpoints at each time, digest of every xs and vals)
 DRAWN_PROFILES = {
     "cubic-equal-speed": (2, [4] + [10] * 14 + [9] * 3 + [8] * 3, "3acd0ba81dc7832b"),
-    "psystem-split": (15, [4] + [20] * 20, "26050ac825946dcb"),
+    "psystem-split": (15, [4] + [20] * 20, "543d22cf786f1aa8"),
 }
 
 

@@ -85,6 +85,10 @@ FALLBACK_PROFILE_DIGEST = "da6760e8cd5ad0dd"
 # ("strength line search stalled") and the cold one converges
 STALLED_PAIR = (("0x1.44867d4b1ef78p-1", "-0x1.c01ff6d5b6f40p-6"),
                 ("0x1.6763056049bccp+0", "-0x1.ecca2df35c2e4p-3"))
+# draw 27 of the gamma = 1.4, a = 2 survey (ROADMAP): the RH chain converges
+# to a root whose 1-jump moves at +0.906, while lambda_1(u-) = -0.516
+OFF_FAMILY_PAIR = (("0x1.ff630a2716d72p+0", "-0x1.6c873cf36dd1cp-1"),
+                   ("0x1.f45b216fba958p-2", "-0x1.2469fdc100db4p-2"))
 # the same fans from a Newton with central-difference Jacobians stopped at
 # |G| <= 1e-10, whose last state was the composed end state: a reference the
 # fans above must stay within 1e-10 of, in states and speeds
@@ -230,6 +234,21 @@ class TestGoldenFans:
         assert_chained(ul, [(w.u_l, w.u_r) for w in fan.waves])
         assert np.array_equal(fan.right, ur)
 
+    @pytest.mark.parametrize("delta, n_pieces", [(0.1, 7), (0.02, 31), (0.005, 119)])
+    def test_seeded_split_stall_falls_back_to_a_cold_solve(self, delta, n_pieces):
+        # the split strength solve stalls seeded on the same pair and runs
+        # again cold; its pieces chain exactly from u-, end within the
+        # solve's acceptance of u+ and are RH-exact
+        ul, ur = unhex(STALLED_PAIR[0]), unhex(STALLED_PAIR[1])
+        pieces = approximate_riemann_pieces(P_SYSTEM, ul, ur, delta,
+                                            fields=_field_classes(P_SYSTEM, ul, ur))
+        assert len(pieces) == n_pieces
+        end = assert_chained(ul, [(p.u_l, p.u_r) for p in pieces])
+        assert np.linalg.norm(end - ur) <= 10 * TOL_RP
+        for p in pieces:
+            tol = 1e-13 * (1.0 + np.linalg.norm(P_SYSTEM.f(p.u_l)))
+            assert rh_residual(P_SYSTEM, p.u_l, p.u_r, p.speed) <= tol
+
     def test_fans_near_reference(self):
         for name, ul, ur, states, waves in REFERENCE_FANS:
             fan = solve_riemann(models.model_from_name(name), unhex(ul), unhex(ur))
@@ -288,9 +307,13 @@ class TestGoldenFans:
         # them from the seeds and step count that evaluation was given, byte
         # for byte, so no caller composes them again; the last of them is a
         # full-resolution one; a cold composition at the same strengths
-        # lands within the REFERENCE_PIECES tolerances of them
+        # lands within the REFERENCE_PIECES tolerances of them.  With every
+        # family one jump the solve is the RH chain, which composes nothing
         ul, ur = unhex(PIECES_DATA[0]), unhex(PIECES_DATA[1])
         fields = _field_classes(P_SYSTEM, ul, ur)
+        if splits == [1, 1]:
+            self.check_rh_chain(monkeypatch, ul, ur, fields)
+            return
         given = []
 
         def recorded(model, u_minus, sigmas, fields, splits, seeds, es_minus, f_minus,
@@ -320,6 +343,55 @@ class TestGoldenFans:
             assert np.max(np.abs(w.u_r - v.u_r)) <= 1e-12
             assert abs(w.speed_l - v.speed_l) <= 1e-11
             assert abs(w.speed_r - v.speed_r) <= 1e-11
+
+    @staticmethod
+    def check_rh_chain(monkeypatch, ul, ur, fields):
+        # the waves chain from u- to u+ exactly, with no snap, each RH-exact
+        # to the chain's tolerance, at the strength that `_lax_step` would
+        # measure in the frame at its left state
+        def refused(*args, **kwargs):
+            raise AssertionError("the RH chain composed its waves")
+
+        monkeypatch.setattr(riemann, "_compose", refused)
+        sig, state, waves = solve_strengths(P_SYSTEM, ul, ur, fields, [1, 1])
+        assert [(w.kind, w.family) for w in waves] == [("rarefaction", 0),
+                                                       ("rarefaction", 1)]
+        assert np.array_equal(assert_chained(ul, [(w.u_l, w.u_r) for w in waves]), ur)
+        assert np.array_equal(state, ur)
+        tol = 1e-13 * (1.0 + np.linalg.norm(P_SYSTEM.f(ul)))
+        for w, fc, sigma in zip(waves, fields, sig):
+            assert rh_residual(P_SYSTEM, w.u_l, w.u_r, w.speed) <= tol
+            assert sigma == fc.orientation * float(
+                eigensystem(P_SYSTEM, w.u_l).left[w.family] @ (w.u_r - w.u_l))
+
+    def test_rh_chain_refuses_a_root_off_its_family(self):
+        # the chain's root has its 1-jump moving right of lambda_1 at both
+        # of its ends; the chain refuses it, and the Broyden solve finds the
+        # exact solver's 1-shock and 2-rarefaction
+        model = models.p_system(gamma=1.4)
+        ul, ur = unhex(OFF_FAMILY_PAIR[0]), unhex(OFF_FAMILY_PAIR[1])
+        fields = _field_classes(model, ul, ur)
+        with pytest.raises(NewtonDivergence, match="0-jump at speed 0.905665 is off"):
+            riemann._rh_chain(model, ul, ur, fields, eigensystem(model, ul), model.f(ul))
+        _, _, waves = solve_strengths(model, ul, ur, fields, [1, 1])
+        kinds = [(w.kind, w.family) for w in waves]
+        assert kinds == [("shock", 0), ("rarefaction", 1)]
+        assert kinds == [(w.kind, w.family) for w in solve_riemann(model, ul, ur).waves]
+
+    @pytest.mark.parametrize("family, s", [(0, -0.05), (1, 0.05)])
+    def test_rh_chain_drops_a_family_below_the_floor(self, family, s):
+        # u+ on the shock branch of one shock curve of u-: the other family's
+        # jump comes out below STRENGTH_FLOOR and makes no wave, and the one
+        # wave left runs from u- to u+ exactly
+        ul = np.array([1.0, 0.0])
+        ur = riemann.shock_curve(P_SYSTEM, ul, family, s, 5)[1][-1]
+        fields = _field_classes(P_SYSTEM, ul, ur)
+        sig, state, waves = riemann._rh_chain(P_SYSTEM, ul, ur, fields,
+                                              eigensystem(P_SYSTEM, ul), P_SYSTEM.f(ul))
+        assert abs(sig[1 - family]) < riemann.STRENGTH_FLOOR
+        assert [(w.kind, w.family) for w in waves] == [("shock", family)]
+        assert waves[0].u_l is ul and waves[0].u_r is ur and state is ur
+        assert rh_residual(P_SYSTEM, ul, ur, waves[0].speed) <= 1e-12
 
     def test_failed_seed_falls_back_to_cold(self):
         # a seed whose Newton fails (here at a NaN point, outside the box)
@@ -442,6 +514,36 @@ def test_rh_newton_failures(model, u, start, lam, reason):
     with pytest.raises(ContinuationFailure, match=reason):
         riemann._shock_point_newton(model, u, model.f(u), np.array([1.0, 0.0]), 0.1,
                                     np.array(start), lam)
+
+
+LINEAR2 = models.model_from_name("linear2:1,0.5,0,2")
+
+
+@pytest.mark.parametrize("model, ul, ur, error, reason", [
+    # u+ outside the box: f is not evaluated there
+    (P_SYSTEM, [1.0, 0.0], [-0.5, 0.0], ContinuationFailure,
+     "RH chain ends outside the domain box"),
+    # the linear guess for the middle state has v < 0
+    (P_SYSTEM, [1.0, 0.0], [1.0, -3.0], ContinuationFailure,
+     "RH chain left the domain box"),
+    # one contact: the 2-jump of the linear guess is zero, and so is its
+    # speed's column
+    (LINEAR2, [0.0, 1.0], [0.3, 1.0], NewtonDivergence, "singular RH chain"),
+    # a Jacobian five times too steep, started in another model's frame
+    (_diag_model(lambda u: u * np.array([1.0, 2.0]), 5.0), [0.0, 0.0], [0.1, 0.05],
+     NewtonDivergence, r"RH chain did not converge \(\|F\|=1.98e\+02\)"),
+    # a NaN flux sends the step to NaN
+    (_diag_model(lambda u: np.full(np.shape(u), np.nan), 3.0), [0.0, 0.0], [0.1, 0.05],
+     NewtonDivergence, "RH chain diverged"),
+], ids=["ends-outside-box", "left-box", "singular", "not-converged", "diverged"])
+def test_rh_chain_failures(model, ul, ur, error, reason):
+    # fields and the starting frame are LINEAR2's near the data for the
+    # synthetic models, the p-system's near u- for the p-system
+    ul, ur = np.array(ul), np.array(ur)
+    frame_model = P_SYSTEM if model is P_SYSTEM else LINEAR2
+    fields = _field_classes(frame_model, ul, ul + 0.01)
+    with pytest.raises(error, match=reason):
+        riemann._rh_chain(model, ul, ur, fields, eigensystem(frame_model, ul), model.f(ul))
 
 
 class TestDampedNewton:
@@ -587,6 +689,34 @@ def test_seeded_solve_lands_on_cold_points(v, u, a1, a2, splits):
         bound = 1e-11 * max(1.0, 1e-3 / np.linalg.norm(c.u_r - c.u_l))
         assert max(abs(w.speed_l - c.speed_l), abs(w.speed_r - c.speed_r)) <= bound
     assert np.linalg.norm(state - ur) <= 10 * TOL_RP
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(v=st.floats(0.9, 1.1), u=st.floats(-0.05, 0.05), a1=small, a2=small)
+# a 1-shock of 2.3e-6 beside a 2-shock of 3.2e-3: the step after |F| <= 1e-13
+# (1 + |f|) is what brings the weak jump's speed to roundoff
+@example(v=1.0, u=0.0, a1=0.0, a2=0.0018726709848986191)
+def test_rh_chain_matches_broyden(v, u, a1, a2):
+    # the RH chain gives the waves of the Broyden solve over the composed
+    # jumps that it replaces: the same kinds, states within 1e-11, and
+    # speeds within 1e-11, or 1e-14 / |d| for a jump d below 1e-3 (see
+    # test_seeded_solve_lands_on_cold_points)
+    ul = np.array([v, u])
+    ur = psystem_jump(ul, a1, a2)
+    fields = _field_classes(P_SYSTEM, ul, ur)
+    _, _, waves = solve_strengths(P_SYSTEM, ul, ur, fields, [1, 1])
+
+    def refused(*args):
+        raise NewtonDivergence("the Broyden solve is wanted")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(riemann, "_rh_chain", refused)
+        _, _, broyden = solve_strengths(P_SYSTEM, ul, ur, fields, [1, 1])
+    assert [(w.kind, w.family) for w in waves] == [(w.kind, w.family) for w in broyden]
+    for w, b in zip(waves, broyden):
+        assert np.max(np.abs(np.array([w.u_l, w.u_r]) - np.array([b.u_l, b.u_r]))) <= 1e-11
+        bound = 1e-11 * max(1.0, 1e-3 / np.linalg.norm(b.u_r - b.u_l))
+        assert abs(w.speed - b.speed) <= bound
 
 
 def one_stage_waves(model, ul, ur):
