@@ -15,10 +15,9 @@ A system Riemann problem takes one strength solve (`riemann.solve_strengths`)
 with every family one jump: one Newton on the chain of the n jumps' RH
 conditions, with Broyden over composed jumps where the chain's root is
 refused.  It takes a second solve only when a rarefaction is split: Broyden
-over composed jumps, made by the same shock-curve Newton as genuine shocks,
-and run again cold where the seeded solve fails.  With rho_np > 0 the
-families weaker than rho_np are then dropped, and one non-physical front
-carries the mismatch.
+over composed jumps, made by the same shock-curve Newton as genuine shocks.
+With rho_np > 0 the families weaker than rho_np are then dropped, and one
+non-physical front carries the mismatch.
 
 Riemann pieces are `riemann.JumpWave`s, and a `Front` is a `JumpWave` born
 at an event point and time snapped to floats.  The run is event driven: a

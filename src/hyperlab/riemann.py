@@ -27,30 +27,26 @@ builds them again, and it takes one of three routes:
   Broyden on composed jumps, every jump RH-exact.  A chain over all of them
   would cost O(J^3) in the J jumps of its dense elimination.
 
-Where a seeded Broyden solve raises (either stage of the exact solver, or
-the jump solve), it runs once more cold, in one stage at RAREFACTION_STEPS
-from the linear guess: a seeded solve can stall where a cold one converges.
-An exact fan ends on u+ byte for byte, unless every family is below
-STRENGTH_FLOOR: then it has no wave.  The wave's kind, contact, shock or
-rarefaction, is `_wave_kind`'s alone; `_lax_step` builds one wave of a
-composition and `_compose` chains it over the families.  The two curve
+Where either stage of the exact solver raises, it runs once more in one
+stage at RAREFACTION_STEPS from the linear guess: a resolve can diverge from
+the search strengths where the one-stage solve converges.  The other two
+routes run once.  An exact fan ends on u+ byte for byte, unless every family
+is below STRENGTH_FLOOR: then it has no wave.  The wave's kind, contact,
+shock or rarefaction, is `_wave_kind`'s alone; `_lax_step` builds one wave
+of a composition and `_compose` chains it over the families.  The two curve
 samplers, `shock_curve` and `rarefaction_curve`, both take a signed s in the
 sign-fixed frame of l_i and r_i, into which `_lax_step` alone turns an
 oriented strength, and return (s, states, speeds); the rarefaction takes one
 eigensystem per RK4 stage.
 Both `shock_curve` and `_lax_step` reach a shock point through one
-continuation, `_continue_shock`.  Within one strength solve, each Broyden
-evaluation starts the RH Newton of every jump from the point the previous
-completed evaluation found for the same jump (same family, same index in the
-family), and falls back to a continuation from s = 0 where that Newton
-fails; the first evaluation, one after an evaluation that raised, the cold
-retry and the integral-curve rarefactions start cold.  The RH Newton of one
-shock point takes a start as converged only near roundoff, so a seeded point
-is as accurate as a cold one, and returns f at the point, which the next
-jump of a composition takes as f at its left state.  Every linear step of
-the strength solve, RH chain, RH Newton and Broyden alike, is one
-`_solve_small`: Gaussian elimination on Python floats, which rounds unlike
-LAPACK but costs less than `np.linalg.solve`'s wrapper at these sizes.
+continuation, `_continue_shock`, and `_lax_step` always continues from
+s = 0: a Broyden evaluation keeps nothing from the one before, so a
+composition depends on its strengths and step count alone.  The RH Newton of
+one shock point returns f at the point, which the next jump of a composition
+takes as f at its left state.  Every linear step of the strength solve, RH
+chain, RH Newton and Broyden alike, is one `_solve_small`: Gaussian
+elimination on Python floats, which rounds unlike LAPACK but costs less than
+`np.linalg.solve`'s wrapper at these sizes.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
 concave envelope of f (`_envelope`, shared with scalar front tracking), which
@@ -132,12 +128,13 @@ def _shock_point_newton(model, u_minus, f_minus, l_i, s, state0, lam0):
     to |F| <= 1e-13 (1 + |f(u_minus)|) in at most 30 steps; after them
     1e-10 (1 + |f(u_minus)|) still passes.  |F| fixes the speed of a jump d
     only to |F| / |d|, so the start itself passes only at 1e-15 (1 + |f|),
-    near roundoff: a seed close to the point gets one quadratic step.  Each
-    step solves the bordered system [Df(S) - lambda I, -d; l_i, 0] on floats
-    with `_solve_small`.  An iterate outside the domain box raises
-    ContinuationFailure before f is evaluated there.  Returns (S, lambda,
-    f(S)), the flux of the last residual, which the next jump of a
-    composition takes as its f(u_minus)."""
+    near roundoff: taken at 1e-13, a weak jump's start would fix its speed
+    only to 1e-13 (1 + |f|) / |d|.  Each step solves the bordered system
+    [Df(S) - lambda I, -d; l_i, 0] on floats with `_solve_small`.  An
+    iterate outside the domain box raises ContinuationFailure before f is
+    evaluated there.  Returns (S, lambda, f(S)), the flux of the last
+    residual, which the next jump of a composition takes as its
+    f(u_minus)."""
     n = model.n
     S, lam = state0, float(lam0)
     scale = 1.0 + math.sqrt(f_minus @ f_minus)
@@ -363,7 +360,7 @@ def _wave_kind(field, sigma):
     return "shock" if sigma < 0 else "rarefaction"
 
 
-def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l, n_steps):
+def _lax_step(model, u_l, i, sigma, field, jumps, es, f_l, n_steps):
     """The family-i wave from u_l at oriented strength sigma, and f at its
     right state if it is a jump (else None).
 
@@ -372,11 +369,9 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l, n_steps):
     shock-curve parameter (a rarefaction front of front tracking).  The
     integral curve takes n_steps RK4 steps.  Either curve takes
     s = orientation * sigma along the sign-fixed l_i and r_i: the one use of
-    the orientation.  `es` and `f_l` are the eigensystem and f at u_l
-    when the caller has them, else None.  A jump with a `seed`, the same
-    jump (u_l', sigma', S', lambda') of an earlier composition, takes one RH
-    Newton from S' + (u_l - u_l') + (s - s') r_i; without a seed, or where
-    that Newton fails, it is continued from s = 0.
+    the orientation.  A jump is continued from s = 0 by `_continue_shock`.
+    `es` and `f_l` are the eigensystem and f at u_l when the caller has
+    them, else None.
     """
     s = field.orientation * sigma
     kind = _wave_kind(field, sigma)
@@ -388,56 +383,36 @@ def _lax_step(model, u_l, i, sigma, field, jumps, es, seed, f_l, n_steps):
         es = eigensystem(model, u_l)
     if f_l is None:
         f_l = model.f(u_l)
-    l_i, r_i = es.left[i], es.right[i]
-    if seed is not None:
-        u_prev, a, S, lam = seed
-        start = S + (u_l - u_prev) + (s - field.orientation * a) * r_i
-        try:
-            S, lam, f_r = _shock_point_newton(model, u_l, f_l, l_i, s, start, lam)
-            return JumpWave(kind, i, u_l, S, float(lam)), f_r
-        except ContinuationFailure:
-            pass  # continued from s = 0, as without a seed
-    S, lam, f_r = _continue_shock(model, u_l, f_l, l_i, r_i, 0.0, u_l, es.lambdas[i], s)
+    S, lam, f_r = _continue_shock(model, u_l, f_l, es.left[i], es.right[i], 0.0, u_l,
+                                  es.lambdas[i], s)
     return JumpWave(kind, i, u_l, S, float(lam)), f_r
 
 
-def _compose(model, u_minus, sigmas, fields, splits=None, seeds=None, es_minus=None,
-             f_minus=None, n_steps=RAREFACTION_STEPS):
+def _compose(model, u_minus, sigmas, fields, splits=None, es_minus=None, f_minus=None,
+             n_steps=RAREFACTION_STEPS):
     """End state and waves of the composed Lax curves at strengths sigmas.
 
     Families weaker than STRENGTH_FLOOR make no wave.  With `splits` every
     wave is a jump, and the rarefaction side of family i is split into
     splits[i] jumps of equal strength; without it, every integral-curve
-    rarefaction takes n_steps RK4 steps.  The strength solve passes `seeds`, a
-    dict it keeps across its evaluations: the j-th jump of family i is
-    seeded by seeds[i, j], where the previous composition left it.  The dict
-    is emptied as a composition starts and holds its jumps once it
-    completes, so the one after a composition that raised starts cold.  It
-    also passes `es_minus` and `f_minus`, its eigensystem and f at u_minus,
-    for the first wave.  Each later jump takes f at its left state from the RH
+    rarefaction takes n_steps RK4 steps.  The strength solve passes
+    `es_minus` and `f_minus`, its eigensystem and f at u_minus, for the
+    first wave.  Each later jump takes f at its left state from the RH
     Newton of the jump before.
     """
     jumps = splits is not None
     state, f_state = u_minus, f_minus
     waves = []
-    reached, previous = {}, dict(seeds or {})
-    if seeds is not None:
-        seeds.clear()
     for i in range(model.n):
         sig = sigmas[i]
         if abs(sig) < STRENGTH_FLOOR:
             continue
         k = splits[i] if jumps and sig > 0 else 1
-        for j in range(k):
+        for _ in range(k):
             w, f_state = _lax_step(model, state, i, sig / k, fields[i], jumps,
-                                   None if waves else es_minus,
-                                   previous.get((i, j)), f_state, n_steps)
-            if isinstance(w, JumpWave):
-                reached[i, j] = (state, sig / k, w.u_r, w.speed)
+                                   None if waves else es_minus, f_state, n_steps)
             waves.append(w)
             state = w.u_r
-    if seeds is not None:
-        seeds.update(reached)
     return state, waves
 
 
@@ -585,25 +560,25 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     With `splits` all 1 (every family one jump) the solve is `_rh_chain`,
     whose waves chain from u- exactly to u+.  Where the chain raises, and
     for split jumps, it is Broyden on the composed jumps (`_compose` with
-    `splits`); without `splits` (the exact solver), Broyden on the composed
-    Lax curves.  Broyden converges to |G| <= TOL_RP, or 10 TOL_RP after 40
-    iterations, from the linear guess and dG/dsigma at sigma = 0, whose
-    column i is orientation_i r_i(u-).  Each evaluation continues its jumps
-    from the previous one's (the `seeds` of `_compose`), so its shock points
-    match cold ones to roundoff, not bit for bit.
+    `splits`), run once; without `splits` (the exact solver), Broyden on the
+    composed Lax curves.  Broyden converges to |G| <= TOL_RP, or 10 TOL_RP
+    after 40 iterations, from the linear guess and dG/dsigma at sigma = 0,
+    whose column i is orientation_i r_i(u-).  Every evaluation composes its
+    waves afresh, each jump continued from s = 0, so the returned waves are
+    the composition at the returned strengths, bit for bit.
 
     The exact solver's Broyden runs in two stages.  The search converges on
     compositions whose integral-curve rarefactions take SEARCH_STEPS RK4
     steps; a composition with no rarefaction does not depend on the step
     count, so it is returned as it is.  Otherwise the resolve stage
     continues Broyden from the search strengths, with the same starting
-    Jacobian and the seeds carried over, on RAREFACTION_STEPS-step curves,
-    and usually converges in one or two compositions.  Both stages hold the
-    same tolerances, so the returned fan is converged at full resolution and
-    every check of `rarefaction_curve` runs on it: the search step count
-    changes the cost, not the accuracy.  Where a seeded Broyden solve raises
-    (either stage, or the solve over jumps), it runs again cold, with no
-    seeds, at RAREFACTION_STEPS from the linear guess."""
+    Jacobian, on RAREFACTION_STEPS-step curves, and usually converges in one
+    or two compositions.  Both stages hold the same tolerances, so the
+    returned fan is converged at full resolution and every check of
+    `rarefaction_curve` runs on it: the search step count changes the cost,
+    not the accuracy.  Where either stage raises, the solve runs again in
+    one stage at RAREFACTION_STEPS from the linear guess: a resolve can
+    diverge from search strengths where the one-stage solve converges."""
     es = eigensystem(model, u_minus)
     f_minus = model.f(u_minus)
     if splits is not None and max(splits) == 1:
@@ -614,27 +589,25 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     orient = np.array([fc.orientation for fc in fields])
     linear = orient * (es.left @ (u_plus - u_minus))
     J0 = es.right.T * orient
-    seeds = {}
 
-    def solve(sigmas, n_steps, seeds):
+    def solve(sigmas, n_steps):
         def G(s):
-            state, waves = _compose(model, u_minus, s, fields, splits, seeds, es, f_minus,
-                                    n_steps)
+            state, waves = _compose(model, u_minus, s, fields, splits, es, f_minus, n_steps)
             return state - u_plus, (state, waves)
 
         sigmas, (state, waves) = _damped_newton(G, sigmas, J0, TOL_RP, 10 * TOL_RP, 40,
                                                 NewtonDivergence, "strength")
         return sigmas, state, waves
 
+    if splits is not None:
+        return solve(linear, RAREFACTION_STEPS)
     try:
-        if splits is not None:
-            return solve(linear, RAREFACTION_STEPS, seeds)
-        sigmas, state, waves = solve(linear, SEARCH_STEPS, seeds)
+        sigmas, state, waves = solve(linear, SEARCH_STEPS)
         if not any(isinstance(w, RarefactionWave) for w in waves):
             return sigmas, state, waves
-        return solve(sigmas, RAREFACTION_STEPS, seeds)
+        return solve(sigmas, RAREFACTION_STEPS)
     except (HyperlabError, np.linalg.LinAlgError):
-        return solve(linear, RAREFACTION_STEPS, None)
+        return solve(linear, RAREFACTION_STEPS)
 
 
 def solve_riemann(model: FluxModel, u_minus, u_plus) -> WaveFan:

@@ -57,7 +57,7 @@ FAN_PROFILES = {
     ("cubic", 0.6): (1127, "e2b277eea384bfe9"),
     ("psystem", 0.05): (1, "2eca68dfee3924c7"),
     ("psystem", 0.1): (1, "2eca68dfee3924c7"),
-    ("psystem", 0.6): (33, "22c39a33c95bac32"),
+    ("psystem", 0.6): (33, "536f0ba7ec7f49a0"),
 }
 FANS = {"cubic": cubic_fan, "psystem": psystem_fan}
 
@@ -151,7 +151,7 @@ DRAWN_RUNS = {
 # run -> (events, breakpoints at each time, digest of every xs and vals)
 DRAWN_PROFILES = {
     "cubic-equal-speed": (2, [4] + [10] * 14 + [9] * 3 + [8] * 3, "3acd0ba81dc7832b"),
-    "psystem-split": (15, [4] + [20] * 20, "543d22cf786f1aa8"),
+    "psystem-split": (15, [4] + [20] * 20, "4b4c9cdb8e9908cc"),
 }
 
 

@@ -219,13 +219,12 @@ class TestSolveRiemann:
          [1.202996715246715, -0.9426219832561109]),
         (2.0, [0.5162817037091767, 0.956602274628434],
          [1.8820119893028697, -0.31862764828698187]),
-    ], ids=["gamma-1.4", "gamma-2", "gamma-2-stale-seed"])
+    ], ids=["gamma-1.4", "gamma-2", "gamma-2-strong"])
     def test_shock_newton_evaluates_f_only_in_the_box(self, gamma, u_minus, u_plus):
         # RH Newton iterates of these pairs once stepped to v < 0, where
         # v ** -1.4 warned and v ** -2 let them return; the box is now
-        # checked before f.  They still solve: a seeded jump takes one
-        # Newton before its cold continuation, and a strength evaluation
-        # after one that raised starts cold, not from older seeds
+        # checked before f.  They still solve: every jump is continued from
+        # s = 0, and a step whose Newton leaves the box is halved
         m = models.p_system(gamma=gamma)
         seen = []
         probe = replace(m, flux=lambda u: seen.append(np.array(u)) or m.flux(u))
