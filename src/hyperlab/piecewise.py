@@ -176,10 +176,6 @@ class GridSolution:
         return self.states.shape[1]
 
     @property
-    def n(self):
-        return self.states.shape[2]
-
-    @property
     def xmax(self):
         return self.x0 + self.ncells * self.dx
 
@@ -189,13 +185,10 @@ class GridSolution:
     def edges(self):
         return self.x0 + self.dx * np.arange(self.ncells + 1)
 
-    def time_index(self, t):
-        """Index of the snapshot held at time t, by `hold_index`: the last
-        stored at or before t, or the first."""
-        return hold_index(self.times, t)
-
     def row(self, t):
-        return self.states[self.time_index(t)]
+        """The snapshot held at time t, by `hold_index`: the last stored at
+        or before t, or the first."""
+        return self.states[hold_index(self.times, t)]
 
     def as_piecewise(self, t):
         return PiecewiseConstantFn(self.edges()[1:-1], self.row(t))

@@ -35,8 +35,7 @@ from .errors import (ConfigError, DegenerateData, HyperlabError,
 from .fronts import FrontTrackingSolution, front_tracking_run
 from .models import eigensystem
 from .piecewise import GridSolution, PiecewiseConstantFn
-from .riemann import (WaveFan, evaluate_fan, liu_admissible, rh_residual,
-                      solve_strengths, _field_classes)
+from .riemann import WaveFan, evaluate_fan, solve_strengths, _field_classes
 from .schemes import SchemeConfig, godunov_run
 
 TIME_PAD = 1e-6
@@ -444,158 +443,6 @@ def certify_eps_approx(view, model, M, initial_data=None, family=None,
 
 
 # ---------------------------------------------------------------------------
-# jump detection
-
-@dataclass
-class JumpRecord:
-    t: float
-    xi: float
-    u_minus: np.ndarray
-    u_plus: np.ndarray
-    speed: float
-    rh_residual: float
-    window_radius: float
-    defect: float
-    liu_margin: Optional[float] = None
-    entropy_margin: Optional[float] = None
-
-
-def _conservative_location(xs, prof, dx, p_minus, p_plus):
-    """Position of the step with states (p-, p+) carrying the window's mass."""
-    A, B = xs[0] - 0.5 * dx, xs[-1] + 0.5 * dx
-    mass = float(np.sum(prof) * dx)
-    return (mass - (B * p_plus - A * p_minus)) / (p_minus - p_plus)
-
-
-def _jump_speed(model, um, up):
-    """Least-squares speed du.(f(u+) - f(u-)) / |du|^2 of the jump from um
-    to up; 0 when the states are equal."""
-    du = up - um
-    nn = float(du @ du)
-    return float(du @ (model.f(up) - model.f(um)) / nn) if nn > 0 else 0.0
-
-
-def detect_jumps(sol: GridSolution, t, r=None, threshold=0.05, model=None):
-    """Scan one snapshot for approximate jumps: one-sided window averages
-    give the candidate states, a conservative (mass) location per snapshot
-    in a centered 5-snapshot window gives the least-squares speed, and the
-    windowed L1 defect against the fitted traveling step accepts or rejects.
-    """
-    dx = sol.dx
-    if r is None:
-        r = 10 * dx
-    w = max(2, int(round(r / dx)))
-    jt = sol.time_index(t)
-    ncells = sol.ncells
-    csum = np.concatenate([np.zeros((1, sol.n)), np.cumsum(sol.states[jt], axis=0)])
-
-    # jump between the one-sided w-cell means at every edge far enough from
-    # the ends; candidates are its local maxima above threshold, largest first
-    ks = np.arange(w, ncells - w + 1)
-    sizes = np.zeros(ncells + 1)
-    sizes[ks] = [np.linalg.norm(d) for d in
-                 (csum[ks + w] - csum[ks]) / w - (csum[ks] - csum[ks - w]) / w]
-    s = sizes[ks]
-    candidates = ks[(s > threshold) & (s >= sizes[ks - 1]) & (s >= sizes[ks + 1])]
-    chosen = []
-    for k in candidates[np.argsort(-sizes[candidates], kind="stable")]:
-        if all(abs(k - c) >= 2 * w for c in chosen):
-            chosen.append(k)
-    chosen.sort()
-
-    # centered snapshot window for speed fitting
-    lo = max(0, jt - 2)
-    hi = min(len(sol.times), jt + 3)
-    win = range(lo, hi)
-    t_c = float(sol.times[jt])
-    centers = sol.centers()
-
-    def window(pos):
-        """The 2w cells around the edge nearest pos, or None off the grid."""
-        km = int(round((pos - sol.x0) / dx))
-        return slice(km - w, km + w) if w <= km <= ncells - w else None
-
-    records = []
-    w4 = max(1, w // 4)  # trim the inner quarter: keeps layers out of means
-    for k in chosen:
-        um = (csum[k - w4] - csum[k - w]) / (w - w4)
-        up = (csum[k + w] - csum[k + w4]) / (w - w4)
-        du = up - um
-        e = du / np.linalg.norm(du)
-        lam0 = _jump_speed(model, um, up) if model else 0.0
-        # the trimmed states, fixed across snapshots: the window's own half
-        # means would always place the step at the window's centre edge
-        pm, pp = float(um @ e), float(up @ e)
-
-        def location(m, cells):
-            return _conservative_location(centers[cells], sol.states[m][cells] @ e,
-                                          dx, pm, pp)
-
-        # track the jump with the predicted speed, one location per snapshot
-        xi_c = location(jt, slice(k - w, k + w))
-        ts, xis = [], []
-        for m in win:
-            tm = float(sol.times[m])
-            cells = window(xi_c + lam0 * (tm - t_c))
-            if cells is not None:
-                ts.append(tm)
-                xis.append(location(m, cells))
-        if len(ts) >= 2:
-            tarr, xarr = np.array(ts), np.array(xis)
-            tbar = tarr.mean()
-            denom = float(np.sum((tarr - tbar) ** 2))
-            speed = float(np.sum((tarr - tbar) * (xarr - xarr.mean())) / denom) \
-                if denom > 0 else lam0
-            xi0 = float(xarr.mean() + speed * (t_c - tbar))
-        else:
-            speed = lam0
-            xi0 = float(sol.edges()[k])
-
-        # windowed L1 defect against the fitted traveling step, window
-        # centered on the fitted line per snapshot
-        defect = 0.0
-        tspan = 0.0
-        for m in win:
-            pos = xi0 + speed * (float(sol.times[m]) - t_c)
-            cells = window(pos)
-            if cells is None:
-                continue
-            U = np.where((centers[cells] < pos)[:, None], um[None, :], up[None, :])
-            d = float(np.sum(np.linalg.norm(sol.states[m][cells] - U, axis=1)) * dx)
-            wgt = float(sol.times[min(m + 1, hi - 1)] - sol.times[max(m - 1, lo)]) / 2
-            defect += d * max(wgt, dx)
-            tspan += max(wgt, dx)
-        size = float(np.linalg.norm(du))
-        rate = defect / max(tspan, 1e-300)
-        # a genuine jump concentrates: its windowed L1 defect per unit time
-        # stays well below |jump| * r, while smooth profiles saturate it
-        if rate > 0.35 * size * r:
-            continue
-
-        rec = JumpRecord(t_c, xi0, um, up, speed,
-                         rh_residual(model, um, up, speed) if model else np.nan,
-                         r, rate)
-        if model is not None:
-            try:
-                rec.liu_margin = liu_admissible(model, um, up,
-                                                _dominant_family(model, um, up)).margin
-            except (HyperlabError, np.linalg.LinAlgError):
-                rec.liu_margin = None
-            if model.has_entropy_pair():
-                rec.entropy_margin = float(
-                    speed * (model.entropy(up) - model.entropy(um))
-                    - (model.entropy_flux(up) - model.entropy_flux(um)))
-        records.append(rec)
-    return records
-
-
-def _dominant_family(model, um, up):
-    es = eigensystem(model, 0.5 * (um + up))
-    comps = np.abs(es.left @ (up - um))
-    return int(np.argmax(comps))
-
-
-# ---------------------------------------------------------------------------
 # interval partition and the local error decomposition
 
 def interval_partition(fn, eps):
@@ -629,6 +476,14 @@ class ErrorDecomposition:
         return self.jump_terms.sum(axis=1) + self.interval_terms.sum(axis=1)
 
 
+def _jump_speed(model, um, up):
+    """Least-squares speed du.(f(u+) - f(u-)) / |du|^2 of the jump from um
+    to up; 0 when the states are equal."""
+    du = up - um
+    nn = float(du @ du)
+    return float(du @ (model.f(up) - model.f(um)) / nn) if nn > 0 else 0.0
+
+
 def _linear_evolution(model, pc, u_mid, h):
     """Constant-coefficient evolution of pc by characteristic translation of
     the eigencomponents of Df(u_mid)."""
@@ -645,8 +500,9 @@ def _linear_evolution(model, pc, u_mid, h):
 
 def error_decomposition(view, model, oracle, tau, eps, h_ladder) -> ErrorDecomposition:
     """Split the instantaneous error at time tau into per-jump terms (vs the
-    detected traveling step) and per-interval terms (vs the frozen-matrix
-    linear evolution), for each h in the ladder.
+    profile's jump at each partition point, moving at `_jump_speed`) and
+    per-interval terms (vs the frozen-matrix linear evolution), for each h in
+    the ladder.
 
     V(t) interval endpoints are snapped outward by one cell for grid views
     so the reported variation is an over-estimate."""

@@ -7,7 +7,8 @@ Only statements in function bodies are listed: module and class bodies run
 at import, and docstrings and def/class lines are skipped.  A statement
 counts as run when any line it spans produced a line event, so a compound
 statement whose body ran is never listed.  The file has no test_ prefix, so
-the suite does not collect it.  Exits with pytest's status.
+the suite does not collect it.  Exits with pytest's status when a test
+fails, else 1 when any statement never ran, else 0.
 """
 
 import ast
@@ -81,7 +82,7 @@ def main(args):
                 missed += 1
                 print(f"{path.relative_to(TESTS.parent)}:{first}: {lines[first - 1].strip()}")
     print(f"{missed} library statements never ran")
-    return status
+    return status or int(missed > 0)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from hyperlab.schemes import (SchemeConfig, backward_euler_run, glimm_run,
                               godunov_run, jin_xin_run, method_of_lines_run,
                               mollification_run, reversed_digit_theta, run_scheme,
                               theta_sequence, uniformity_defect, viscous_run)
+from hyperlab.verify import FanView
 
 BURGERS_01 = normalize_speeds(models.burgers(), M=1.0)  # speeds (u+1)/2 on [-1,1]
 BURGERS_12 = normalize_speeds(models.burgers(), M=1.0, target=(1.0, 2.0))
@@ -69,6 +70,17 @@ class TestGodunov:
         k = int(np.argmin(np.abs(row - 0.5)))
         x_num = sol.centers()[k]
         assert abs(x_num - 0.75) <= 3 * eps
+
+    def test_psystem_converges_to_the_exact_fan(self):
+        # a 1-shock of speed 0.1347660778... and a narrow 2-rarefaction
+        m = normalize_speeds(models.p_system(), M=2.0)
+        data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.95, -0.05], x=0.3)
+        exact = FanView(solve_riemann(m, [1.0, 0.0], [0.95, -0.05]), x0=0.3).state(0.3)
+        dists = [godunov_run(m, data, SchemeConfig(eps=eps, T=0.3, domain=(0.0, 1.0)))
+                 .as_piecewise(0.3).l1_distance(exact, 0.0, 1.0)
+                 for eps in (1 / 50, 1 / 100, 1 / 200)]
+        assert dists[0] > dists[1] > dists[2]
+        assert dists[1] <= 1.3e-3
 
     def test_scalar_tv_never_increases(self):
         cfg = SchemeConfig(eps=0.02, T=0.5, domain=(-1.0, 1.0), store_all=True)

@@ -1,22 +1,19 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models, verify
-from hyperlab.errors import (ConfigError, DegenerateData, HyperlabError,
-                             NonClassifiedField, OracleUnavailable,
-                             QuadratureUnderResolved)
+from hyperlab.errors import (ConfigError, DegenerateData, NonClassifiedField,
+                             OracleUnavailable, QuadratureUnderResolved)
 from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
-from hyperlab.riemann import JumpWave, WaveFan, liu_admissible, solve_riemann
-from hyperlab.schemes import SchemeConfig, godunov_run, viscous_run
+from hyperlab.riemann import JumpWave, WaveFan, solve_riemann
+from hyperlab.schemes import SchemeConfig, godunov_run
 from hyperlab.verify import (BumpTestFn, EpsCertificate, FanView,
                              FineGodunovOracle, FrontTrackingOracle, FrontTrackingView,
-                             GridView, _dominant_family, as_view, certify_eps_approx,
-                             default_family, detect_jumps, entropy_residual,
+                             GridView, as_view, certify_eps_approx,
+                             default_family, entropy_residual,
                              error_decomposition, interval_partition,
                              profile_integrals, q_decomposition, rate_fit,
                              semigroup_error_bound, strip_expressions,
@@ -444,140 +441,6 @@ class TestCertificate:
         assert certs[1].eps <= certs[0].eps * 1.1  # refinement monotone (10%)
 
 
-def record_digest(recs):
-    h = hashlib.sha256()
-    for r in recs:
-        for v in (r.t, r.xi, r.u_minus, r.u_plus, r.speed, r.rh_residual,
-                  r.window_radius, r.defect, r.liu_margin, r.entropy_margin):
-            h.update(np.ascontiguousarray(np.nan if v is None else v,
-                                          dtype=float).tobytes())
-    return h.hexdigest()[:16]
-
-
-def psystem_scan(t, x=0.0, domain=(-1.0, 1.0), **kw):
-    m = models.normalize_speeds(models.p_system(), M=2.0)
-    data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.95, -0.05], x=x)
-    cfg = SchemeConfig(eps=1 / 100, T=0.3, domain=domain, store_all=True)
-    return detect_jumps(godunov_run(m, data, cfg), t, model=m, **kw)
-
-
-def cubic_fan_samples():
-    fan = solve_riemann(models.cubic_flux(), [-1.0], [1.0])
-    view = FanView(fan, t_span=(0, 1), x_span=(-2, 4))
-    times = np.linspace(0.5, 1.0, 5)
-    rows = [view.state(t).cell_averages(-2.0, 1 / 200, 1200) for t in times]
-    return GridSolution(-2.0, 1 / 200, times, np.stack(rows))
-
-
-def gaussian_samples():
-    eps = 1 / 200
-    x0, cells = -2.0, int(4.0 / eps)
-    times = np.linspace(0, 0.1, 5)
-    c = x0 + eps * (np.arange(cells) + 0.5)
-    rows = [np.exp(-8 * (c - 0.05 * t) ** 2)[:, None] for t in times]
-    return GridSolution(x0, eps, times, np.stack(rows))
-
-
-def viscous_snapshots():
-    cfg = SchemeConfig(eps=0.005, T=1.0, domain=(-1.0, 2.0),
-                       snapshot_times=np.linspace(0, 1, 11))
-    return viscous_run(BURGERS, PiecewiseConstantFn.riemann([1.0], [0.0]), cfg)
-
-
-# the scans of TestDetectJumps, a scan without a model and a p-system scan
-# between the shocks' birth and T, each pinned by (count, digest of every
-# record field) taken before detect_jumps became array passes
-JUMP_SCENARIOS = {
-    "step": lambda case: detect_jumps(case.make_step_grid(), 0.5, model=BURGERS),
-    "step-no-model": lambda case: detect_jumps(case.make_step_grid(speed=0.1),
-                                               0.5),
-    "gaussian": lambda case: detect_jumps(gaussian_samples(), 0.05,
-                                          model=BURGERS),
-    "viscous": lambda case: detect_jumps(viscous_snapshots(), 1.0, r=0.1,
-                                         model=BURGERS),
-    "cubic-fan": lambda case: detect_jumps(cubic_fan_samples(), 0.75,
-                                           model=models.cubic_flux()),
-    "psystem": lambda case: psystem_scan(0.3, threshold=0.02),
-    "psystem-t0.15": lambda case: psystem_scan(0.15, threshold=0.02),
-    "psystem-shock": lambda case: psystem_scan(0.3, 0.3, (0.0, 1.0)),
-}
-JUMP_RECORDS = {
-    "step": (1, "e4ca4a7319f749cd"),
-    "step-no-model": (1, "2c9a6c36e1c16145"),
-    "gaussian": (0, "e3b0c44298fc1c14"),
-    "viscous": (1, "604c9ed27a696f62"),
-    "cubic-fan": (1, "860625629569e606"),
-    "psystem": (1, "d41312896293ec4e"),
-    "psystem-t0.15": (1, "9fc318b7583d41fe"),
-    "psystem-shock": (1, "a0802610940a114d"),
-}
-
-
-class TestDetectJumps:
-    def make_step_grid(self, speed=0.5, eps=1 / 200, T=1.0):
-        data = PiecewiseConstantFn.riemann([1.0], [0.0])
-        times = np.linspace(0, T, 11)
-        rows = []
-        for t in times:
-            rows.append(data.shifted(speed * t).cell_averages(-1.0, eps,
-                                                              int(2.5 / eps)))
-        return GridSolution(-1.0, eps, times, np.stack(rows))
-
-    def test_exact_step_speed_recovered(self):
-        sol = self.make_step_grid()
-        recs = detect_jumps(sol, 0.5, model=BURGERS)
-        assert len(recs) == 1
-        assert recs[0].speed == pytest.approx(0.5, abs=1e-3)
-        assert recs[0].rh_residual <= 1e-6
-
-    def test_smooth_gaussian_empty(self):
-        assert detect_jumps(gaussian_samples(), 0.05, model=BURGERS) == []
-
-    def test_viscous_profile_detected(self):
-        recs = detect_jumps(viscous_snapshots(), 1.0, r=0.1, model=BURGERS)
-        assert len(recs) == 1
-        r = recs[0]
-        assert r.u_minus[0] == pytest.approx(1.0, abs=5e-2)
-        assert r.u_plus[0] == pytest.approx(0.0, abs=5e-2)
-        assert r.speed == pytest.approx(0.5, abs=5e-2)
-
-    def test_fan_sampled_counts_match(self):
-        recs = detect_jumps(cubic_fan_samples(), 0.75, model=models.cubic_flux())
-        assert len(recs) == 1  # the shock; no detections inside the fan
-
-    def test_psystem_godunov_margin_none_where_liu_raises(self):
-        m = models.normalize_speeds(models.p_system(), M=2.0)
-        data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.95, -0.05])
-        cfg = SchemeConfig(eps=1 / 100, T=0.3, domain=(-1.0, 1.0), store_all=True)
-        sol = godunov_run(m, data, cfg)
-        recs = detect_jumps(sol, 0.3, threshold=0.02, model=m)
-        assert recs
-        for r in recs:
-            fam = _dominant_family(m, r.u_minus, r.u_plus)
-            try:
-                margin = liu_admissible(m, r.u_minus, r.u_plus, fam).margin
-            except HyperlabError:
-                margin = None
-            assert r.liu_margin == margin
-
-    def test_psystem_shock_speed_measured(self):
-        m = models.normalize_speeds(models.p_system(), M=2.0)
-        data = PiecewiseConstantFn.riemann([1.0, 0.0], [0.95, -0.05], x=0.3)
-        cfg = SchemeConfig(eps=1 / 100, T=0.3, domain=(0.0, 1.0), store_all=True)
-        recs = detect_jumps(godunov_run(m, data, cfg), 0.3, model=m)
-        assert len(recs) == 1
-        r = recs[0]
-        assert r.speed == pytest.approx(0.13477, abs=0.01)  # exact 1-shock
-        assert r.rh_residual <= 1e-3
-        assert r.entropy_margin >= 0.0
-
-    @pytest.mark.parametrize("scenario", sorted(JUMP_RECORDS))
-    def test_records_bit_identical(self, scenario):
-        recs = JUMP_SCENARIOS[scenario](self)
-        assert (len(recs), record_digest(recs)) == JUMP_RECORDS[scenario]
-
-
-
 class TestIntervalPartition:
     def test_small_tv_single_interval(self):
         pc = PiecewiseConstantFn(np.array([0.0]), np.array([[0.0], [0.05]]))
@@ -911,13 +774,6 @@ def test_refusals(call, error, match):
         call()
 
 
-def moving_step(times, x0):
-    """The step 1 | 0 at x0 + t on the 100 cells of [0, 1] at the times."""
-    c = 0.01 * (np.arange(100) + 0.5)
-    return GridSolution(0.0, 0.01, times,
-                        np.stack([np.where(c < x0 + t, 1.0, 0.0)[:, None] for t in times]))
-
-
 def narrow_interval_terms():
     """(partition points, B term at h = 0.04, B term at h = 0.01 > 0.1) of the
     interval (0, 0.06) between the two points, which has no room left at
@@ -932,16 +788,8 @@ def narrow_interval_terms():
 
 
 @pytest.mark.parametrize("call, want", [
-    # one snapshot has no speed to fit: the predicted one, at the step's edge
-    (lambda: [(r.xi, r.speed) for r in detect_jumps(moving_step([0.0], 0.5), 0.0,
-                                                    model=BURGERS)], [(0.5, 0.5)]),
-    # fitted at speed 1, the step's window leaves the grid at t = 0.2 and
-    # that snapshot adds no defect
-    (lambda: [(r.xi, round(r.speed, 12), r.defect)
-              for r in detect_jumps(moving_step([0.0, 0.1, 0.2], 0.75), 0.1)],
-     [(0.85, 1.0, 0.0)]),
     (narrow_interval_terms, (2, 0.0, True)),
-], ids=["one-snapshot", "window-off-grid", "narrow-interval"])
+], ids=["narrow-interval"])
 def test_windows_and_intervals_without_room(call, want):
     assert call() == want
 
