@@ -442,6 +442,8 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
     d_k = q_k + P_k d_{k-1}, q_k = -(I + c A_k)^-1 R_k and
     P_k = (I + c A_k)^-1 c A_{k-1} with A = Df(w), started at the first
     unconverged cell and composed by a doubling scan in log2(cells) rounds.
+    The block inverse is a reciprocal when n = 1 and LAPACK's otherwise; the
+    block products are einsum.
     """
     cfg.refuse_unread("backward_euler_run", "dx", "dt", "snapshot_times", "store_all")
     x0, dx, u0 = _grid(model, data, cfg, cfg.eps / 4.0)
@@ -464,16 +466,24 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
                 return w
             A = c * model.jac(w[k0:])
             A_prev = np.concatenate([np.zeros_like(A[:1]), A[:-1]])
-            try:
-                B_inv = np.linalg.inv(np.eye(model.n) + A)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonFailure(f"singular implicit system in step {j}") from exc
-            X = B_inv @ np.concatenate([-R[k0:, :, None], A_prev], axis=2)
+            B = np.eye(model.n) + A
+            singular = f"singular implicit system in step {j}"
+            if model.n == 1:
+                if not B.all():
+                    raise NewtonFailure(singular)
+                B_inv = 1.0 / B
+            else:
+                try:
+                    B_inv = np.linalg.inv(B)
+                except np.linalg.LinAlgError as exc:
+                    raise NewtonFailure(singular) from exc
+            X = np.einsum("kij,kjl->kil", B_inv,
+                          np.concatenate([-R[k0:, :, None], A_prev], axis=2))
             q, P = X[:, :, 0], X[:, :, 1:]
             s = 1  # after round s, d_k = q_k + P_k d_{k-2s}, and d = 0 left of k0
             while s < q.shape[0]:
-                q[s:] += (P[s:] @ q[:-s, :, None])[:, :, 0]
-                P[s:] = P[s:] @ P[:-s]
+                q[s:] += np.einsum("kij,kj->ki", P[s:], q[:-s])
+                P[s:] = np.einsum("kij,kjl->kil", P[s:], P[:-s])
                 s *= 2
             w[k0:] += q
         raise NewtonFailure(f"implicit solve stalled in cell {k0}")

@@ -648,6 +648,33 @@ class TestBackwardEuler:
         with pytest.raises(NewtonFailure, match="singular implicit system in step 1"):
             backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
 
+    def test_singular_system_block_raises(self):
+        # the two-component twin of the scalar case: the Jacobian is
+        # diag(f'(u)) where both components are within 1e-12 of a data state
+        # and -I/c elsewhere, so I + c A is the zero block on the second
+        # Newton iterate and LAPACK's inverse refuses it
+        c = 4.0  # dt/dx = eps/(eps/4)
+        near_data = lambda u: np.all((np.abs(u) <= 1e-12) | (np.abs(u - 1.0) <= 1e-12), axis=-1)
+        m = FluxModel("singular-off-data-2", 2,
+                      flux=lambda u: 2 * u - 0.5 * u * u,
+                      jacobian=lambda u: np.where(near_data(u)[..., None, None],
+                                                  (2.0 - u)[..., None] * np.eye(2),
+                                                  -np.eye(2) / c))
+        data = PiecewiseConstantFn(np.array([0.3, 0.6]),
+                                   np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+        cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
+        with pytest.raises(NewtonFailure, match="singular implicit system in step 1") as info:
+            backward_euler_run(m, data, cfg)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_scalar_blocks_skip_lapack(self, monkeypatch):
+        # a 1x1 block is inverted as a reciprocal, never by np.linalg.inv
+        def refuse(a):
+            raise AssertionError("np.linalg.inv called on scalar blocks")
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        sol = backward_euler_pinned_run("burgers-pulse")
+        assert np.all(np.isfinite(sol.states))
+
     def test_single_state_jacobian_refused(self):
         # the whole-grid Newton takes the Jacobians of all cells in one call
         m = FluxModel("one-state", 1, flux=lambda u: 1.5 * u,
@@ -662,6 +689,13 @@ class TestBackwardEuler:
         want = np.array(BACKWARD_EULER_FINAL_ROWS[name])
         got = sol.states[-1].ravel()
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name, want", [("burgers-pulse", "df5ac3ede329b5e1"),
+                                            ("burgers-bump", "6fb6aa5a4228a570")])
+    def test_scalar_states_bit_identical(self, name, want):
+        # sha256 of the float64 bytes of every stored state
+        sol = backward_euler_pinned_run(name)
+        assert hashlib.sha256(sol.states.tobytes()).hexdigest()[:16] == want
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(background=st.floats(-1.0, 1.0), height=st.floats(-1.0, 1.0),
