@@ -179,9 +179,6 @@ class GridSolution:
     def xmax(self):
         return self.x0 + self.ncells * self.dx
 
-    def centers(self):
-        return self.x0 + self.dx * (np.arange(self.ncells) + 0.5)
-
     def edges(self):
         return self.x0 + self.dx * np.arange(self.ncells + 1)
 

@@ -164,8 +164,11 @@ def as_view(obj):
 # C^2 bump test functions with analytic norms and antiderivatives
 
 def _psi(y):
+    """The bump profile (1 - y^2)^3 on [-1, 1], zero outside, as the
+    products t * t * t of t = 1 - y * y."""
     y = np.clip(y, -1.0, 1.0)
-    return (1.0 - y * y) ** 3
+    t = 1.0 - y * y
+    return t * t * t
 
 
 def _dpsi(y):
@@ -174,10 +177,13 @@ def _dpsi(y):
 
 
 def _Psi(y):
-    """Antiderivative of the bump profile, zero at the left edge."""
+    """Antiderivative of the bump profile, zero at the left edge:
+    (16 + y (35 - 35 y^2 + 21 y^4 - 5 y^6)) / 35 by Horner's rule in y^2.
+    The integer coefficients make both ends exact until the one division:
+    _Psi(-1) is 0 and _Psi(1) is 32/35 rounded once."""
     y = np.clip(y, -1.0, 1.0)
-    val = y - y ** 3 + 0.6 * y ** 5 - y ** 7 / 7.0
-    return val + 16.0 / 35.0  # shift so _Psi(-1) = 0
+    y2 = y * y
+    return (16.0 + y * (35.0 + y2 * (-35.0 + y2 * (21.0 - 5.0 * y2)))) / 35.0
 
 
 @dataclass(frozen=True)
@@ -214,11 +220,17 @@ class BumpTestFn:
 def _bump_integrals(xs, g, h, xc, sx):
     """Closed-form int g X dx and int h X' dx for every bump X((x - xc)/sx)
     and every row of nondecreasing breakpoints xs, with g and h piecewise
-    constant on the pieces (one row per piece): arrays (rows, bumps, columns)."""
+    constant on the pieces (one row per piece): arrays (rows, bumps, columns).
+
+    _Psi and _psi are polynomials evaluated by multiplication.  Each column of
+    g and h is its own matrix-vector product, so a column's integrals round
+    the same whatever columns sit beside it."""
     cuts = np.pad(xs, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
     y = (np.clip(cuts[:, None, :], (xc - sx)[:, None], (xc + sx)[:, None])
          - xc[:, None]) / sx[:, None]
-    return (sx[:, None] * np.diff(_Psi(y), axis=2)) @ g, np.diff(_psi(y), axis=2) @ h
+    dPsi, dpsi = sx[:, None] * np.diff(_Psi(y), axis=2), np.diff(_psi(y), axis=2)
+    return (np.stack([dPsi @ col for col in g.T], axis=-1),
+            np.stack([dpsi @ col for col in h.T], axis=-1))
 
 
 def profile_integrals(pc: PiecewiseConstantFn, g, h, xc, sx):

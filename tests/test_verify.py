@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,31 @@ def shock_fan_view():
     # the shock crosses the bump edges -0.25 and 0.5 inside the strip
     return FanView(step_fan(2.0, 0.0, 1.0), x0=-0.3, t_span=(0.0, 1.0),
                    x_span=(-1.0, 2.0))
+
+
+def test_bump_kernels_within_two_ulp_of_exact():
+    # against the exact rational polynomials at the clipped point, absolute
+    # error in units of 2^-52 (every value is at most 96/(25 sqrt 5) in size)
+    rng = np.random.default_rng(20261020)
+    special = [1.0, -1.0, 0.0, 1e-300, -1e-300, 5e-324,
+               np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]
+    ys = np.concatenate([rng.uniform(-1.2, 1.2, 3000), special])
+
+    def exact(y):
+        y = Fraction(min(max(y, -1.0), 1.0))
+        t = 1 - y * y
+        return (t ** 3, -6 * y * t ** 2,
+                y - y ** 3 + Fraction(3, 5) * y ** 5 - y ** 7 / 7 + Fraction(16, 35))
+
+    want = [exact(float(y)) for y in ys]
+    for k, (kernel, bound) in enumerate([(verify._psi, 2), (verify._dpsi, 4),
+                                         (verify._Psi, 2)]):
+        got = kernel(ys)
+        worst = max(abs(Fraction(float(g)) - w[k]) for g, w in zip(got, want))
+        assert worst <= bound * Fraction(2) ** -52, kernel.__name__
+    assert verify._Psi(np.array([-1.0]))[0] == 0.0
+    assert abs(Fraction(float(verify._Psi(np.array([1.0]))[0])) - Fraction(32, 35)) \
+        <= 2 * Fraction(2) ** -52
 
 
 def pulse_front_view():
@@ -272,9 +299,9 @@ def test_pulse_certificate_pinned():
 
 
 def test_certificate_without_entropy_checks_the_rest():
-    # entropy=False drops the entropy columns and records; the weak defects
-    # are those of the full certificate up to the rounding of the bump
-    # integrals' matmul, which rounds column 0 differently next to a second
+    # entropy=False drops the entropy columns and records; each column of
+    # the bump integrals is its own product, so the weak defects are those
+    # of the full certificate bit for bit
     data = PiecewiseConstantFn(np.array([0.0, 0.3]), np.array([[0.0], [1.0], [0.0]]))
     view, family = pulse_front_view(), default_family(0.0, 1.0, -1.0, 2.0, scales=2)
     full, weak_only = (certify_eps_approx(view, BURGERS, M=1.1, initial_data=data,
@@ -287,14 +314,14 @@ def test_certificate_without_entropy_checks_the_rest():
     defects = [[t["defect"] for t in cert.tests if t["kind"] == "weak"]
                for cert in (full, weak_only)]
     assert len(defects[1]) == 48
-    np.testing.assert_allclose(defects[1], defects[0], rtol=0, atol=1e-15)
+    assert defects[1] == defects[0]
 
 
 
 # stored Godunov runs of Burgers on speeds [0, 1], data 1 | 0: weak residual
-# and certificate eps, pinned bit for bit before grid runs were drawn by lines
-GRID_PINS = {80: ("0x1.09fa69f7345c1p-9", "0x1.3238eaff6cb46p-5"),
-             320: ("0x1.08538cfcc7f7bp-11", "0x1.8487092828ed0p-7")}
+# and certificate eps, bit for bit
+GRID_PINS = {80: ("0x1.09fa69f7345c5p-9", "0x1.3238eaff6cafep-5"),
+             320: ("0x1.08538cfcc8067p-11", "0x1.8487092828ed0p-7")}
 
 
 @pytest.mark.parametrize("cells_per_unit", sorted(GRID_PINS))
