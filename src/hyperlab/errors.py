@@ -1,7 +1,10 @@
 """Exception types raised across the toolkit.
 
-Every failure mode that callers are expected to handle gets its own class;
-all inherit from HyperlabError so the CLI can map them to exit codes.
+One class per failure a caller handles differently: data or a model that
+leaves the theory (not hyperbolic, out of the box, a field neither GNL nor
+LD, a blow-up), or a solver that cannot follow it.  An argument or setting
+that a call refuses is a ConfigError, whatever the call.  All inherit from
+HyperlabError so the CLI can map them to exit codes.
 """
 
 
@@ -10,7 +13,9 @@ class HyperlabError(Exception):
 
 
 class ConfigError(HyperlabError):
-    """Invalid run configuration (bad model string, malformed data, ...)."""
+    """An argument or setting the call refuses (a bad model string, malformed
+    data, a dt above the CFL limit, a jump off its shock curve, ...): fix the
+    call."""
 
 
 class NonHyperbolic(HyperlabError):
@@ -21,10 +26,6 @@ class OutOfDomain(HyperlabError):
     """State outside the model's admissible box."""
 
 
-class MissingEntropyPair(HyperlabError):
-    pass
-
-
 class ContinuationFailure(HyperlabError):
     """A Lax curve was not followed: the shock-curve continuation stalled
     (left the domain or lost hyperbolicity), or the steps of a rarefaction
@@ -32,7 +33,8 @@ class ContinuationFailure(HyperlabError):
 
 
 class NewtonDivergence(HyperlabError):
-    """A strength or RH Newton did not converge; a fan is judged on its result."""
+    """A Newton did not converge: a strength or RH Newton (a fan is judged on
+    its result), or backward Euler's implicit step, singular or stalled."""
 
 
 class NonClassifiedField(HyperlabError):
@@ -43,14 +45,6 @@ class NotGenuinelyNonlinear(HyperlabError):
     pass
 
 
-class NotOnShockCurve(HyperlabError):
-    pass
-
-
-class RHViolated(HyperlabError):
-    """A jump handed in as a shock does not satisfy the jump conditions."""
-
-
 class SpeedRangeViolation(HyperlabError):
     """A speed of the data lies outside a scheme's window or outside [-M, M]."""
 
@@ -59,24 +53,8 @@ class NonfiniteState(HyperlabError):
     """A run produced NaN/inf cell states (blow-up detection)."""
 
 
-class RiemannFailure(HyperlabError):
-    """System front tracking was called without field classes."""
-
-
 class FrontExplosion(HyperlabError):
     """Front count exceeded front_cap, or event count 20 * front_cap."""
-
-
-class CFLViolation(HyperlabError):
-    pass
-
-
-class SubcharacteristicViolation(HyperlabError):
-    """Relaxation speed a^2 below the squared characteristic speeds."""
-
-
-class NewtonFailure(HyperlabError):
-    """Backward Euler's whole-grid Newton step is singular or stalled."""
 
 
 class BlowupBeforeRestart(HyperlabError):
@@ -87,13 +65,5 @@ class BlowupBeforeRestart(HyperlabError):
         self.t_blowup = t_blowup
 
 
-class QuadratureUnderResolved(HyperlabError):
-    """Test-function scale below the resolution of the stored solution."""
-
-
 class OracleUnavailable(HyperlabError):
     pass
-
-
-class DegenerateData(HyperlabError):
-    """Not enough (or unusable) points for a rate fit."""

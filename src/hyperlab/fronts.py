@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, FrontExplosion, RiemannFailure
+from .errors import ConfigError, FrontExplosion
 from .models import GENUINELY_NONLINEAR, FluxModel, eigenvalues
 from .piecewise import PiecewiseConstantFn, hold_index
 from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _envelope, _field_classes,
@@ -163,7 +163,7 @@ def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
     if model.n == 1:
         return _scalar_pieces(model, u_l, u_r, delta)
     if fields is None:
-        raise RiemannFailure("system front tracking needs field classes")
+        raise ConfigError("system front tracking needs field classes")
     return _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat)
 
 
@@ -208,7 +208,7 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     epochs = [Epoch(0.0, tuple(fronts), np.array([float(f.pos) for f in fronts]),
                     np.array([f.speed for f in fronts]))]
     events, np_total = [], 0.0
-    max_events = 20 * max(cap, 1)
+    max_events = 20 * cap
     heap, serial = [], itertools.count()
 
     def push(k, now):

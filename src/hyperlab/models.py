@@ -25,8 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConfigError, MissingEntropyPair, NonHyperbolic,
-                     OutOfDomain, SpeedRangeViolation)
+from .errors import ConfigError, NonHyperbolic, OutOfDomain, SpeedRangeViolation
 from .piecewise import as_state
 
 TOL_EIG = 1e-9
@@ -111,7 +110,7 @@ class FluxModel:
 
     def require_entropy_pair(self):
         if not self.has_entropy_pair():
-            raise MissingEntropyPair(f"model {self.name!r} has no entropy pair")
+            raise ConfigError(f"model {self.name!r} has no entropy pair")
 
     def d_entropy(self, u):
         return _central_diff(self.entropy, self.state(u), H_JAC)

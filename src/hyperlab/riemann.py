@@ -65,9 +65,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ContinuationFailure, HyperlabError, NewtonDivergence,
-                     NonClassifiedField, NotGenuinelyNonlinear, NotOnShockCurve,
-                     RHViolated)
+from .errors import (ConfigError, ContinuationFailure, HyperlabError, NewtonDivergence,
+                     NonClassifiedField, NotGenuinelyNonlinear)
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
                      classify_field, eigensystem)
 
@@ -729,7 +728,7 @@ def liu_admissible(model: FluxModel, u_minus, u_plus, i) -> AdmissibilityVerdict
         return AdmissibilityVerdict(True, 0.0, 0.0)
     _, states, speeds = shock_curve(model, u_minus, i, sigma, N_LIU_CHECK)
     if np.linalg.norm(states[-1] - u_plus) > max(1e-8, 1e-6 * d):
-        raise NotOnShockCurve(
+        raise ConfigError(
             f"u+ is {np.linalg.norm(states[-1] - u_plus):.3g} away from the "
             f"family-{i} shock curve through u-")
     margin = float(np.min(speeds) - speeds[-1])
@@ -745,7 +744,7 @@ def entropy_admissible_shock(model: FluxModel, u_minus, u_plus, lam) -> Admissib
     u_plus = model.state(u_plus)
     res = rh_residual(model, u_minus, u_plus, lam)
     if res > TOL_RH:
-        raise RHViolated(f"triple violates the jump conditions (residual {res:.3g})")
+        raise ConfigError(f"triple violates the jump conditions (residual {res:.3g})")
     margin = float(lam * (model.entropy(u_plus) - model.entropy(u_minus))
                    - (model.entropy_flux(u_plus) - model.entropy_flux(u_minus)))
     return AdmissibilityVerdict(margin >= -TOL_ADM, margin)

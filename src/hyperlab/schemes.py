@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
-                     NewtonFailure, NonfiniteState, SubcharacteristicViolation)
+from .errors import BlowupBeforeRestart, ConfigError, NewtonDivergence, NonfiniteState
 from .fronts import front_tracking_run
 from .models import FluxModel, _central_diff, _check_speed_range, eigenvalues
 from .piecewise import GridSolution, PiecewiseConstantFn, as_state
@@ -43,15 +42,17 @@ class SchemeConfig:
     dx sets the grid of the runs with a separate spatial grid: viscous, Jin-Xin,
     backward Euler and mollification.  dt caps the time step of every run except
     Godunov and Glimm, and a dt above the scheme's limit (meta["cfl"]["dt_max"])
-    raises CFLViolation; the steps are then equal and end at T.  eps, and a dx,
+    raises ConfigError; the steps are then equal and end at T.  eps, and a dx,
     dt or delta that is set, must be finite and positive, T finite and not
-    negative, and every snapshot time in [0, T] (up to the slack 1e-12 T of the
-    last step).  Each run opens by naming the settings it reads
-    (`refuse_unread`) and refuses any other that is set away from its default.
-    snapshot_times and store_all choose the stored snapshots of a grid run.  For
-    a scalar model, front tracking's rarefactions break at the states of the
-    grid delta*Z (and at the data values).  b_matrix is None (B = I) or a
-    callable B on rows (..., n) -> (..., n, n), as `FluxModel.jacobian`.
+    negative, front_cap an integer >= 1, and every snapshot time in [0, T] (up
+    to the slack 1e-12 T of the last step).  A grid run needs a domain of
+    finite length; front tracking reads none.  Each run opens by naming the
+    settings it reads (`refuse_unread`) and refuses any other that is set away
+    from its default.  snapshot_times and store_all choose the stored snapshots
+    of a grid run.  For a scalar model, front tracking's rarefactions break at
+    the states of the grid delta*Z (and at the data values).  b_matrix is None
+    (B = I) or a callable B on rows (..., n) -> (..., n, n), as
+    `FluxModel.jacobian`.
     """
 
     eps: float
@@ -85,6 +86,8 @@ class SchemeConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"need {name} > 0 and finite, not {value!r}")
+        if not (isinstance(self.front_cap, (int, np.integer)) and self.front_cap >= 1):
+            raise ConfigError(f"need front_cap an integer >= 1, not {self.front_cap!r}")
         if self.boundary not in ("constant", "periodic"):
             raise ConfigError(f"unknown boundary treatment {self.boundary!r}")
         if self.b_matrix is not None and not callable(self.b_matrix):
@@ -115,6 +118,8 @@ def _grid(model, data, cfg, dx_default, fewest=False):
     With `fewest`, the default grid is the fewest whole cells no wider than
     dx_default (1 + 1e-12) rather than the nearest count."""
     a, b = cfg.domain
+    if not math.isfinite(b - a):
+        raise ConfigError(f"a grid run needs a domain of finite length, not {cfg.domain}")
     if cfg.dx is None and fewest:
         ncells = math.ceil((b - a) / (dx_default * (1 + 1e-12)))
     else:
@@ -149,7 +154,7 @@ def _time_steps(cfg, dt_default, dt_limit, rule):
     dt_max = dt_default
     if cfg.dt is not None:
         if cfg.dt > dt_limit * (1 + 1e-12):
-            raise CFLViolation(f"dt={cfg.dt} violates {rule} (limit {dt_limit:.6g})")
+            raise ConfigError(f"dt={cfg.dt} violates {rule} (limit {dt_limit:.6g})")
         dt_max = cfg.dt
     nsteps = max(1, int(math.ceil(cfg.T / dt_max - 1e-12))) if cfg.T > 0 else 0
     return (nsteps, cfg.T / nsteps if nsteps else dt_max,
@@ -350,8 +355,8 @@ def viscous_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
 
     if B is None:
         if dx > eps / 4.0 * (1 + 1e-12):
-            raise CFLViolation(f"dx={cfg.dx} gives cells of {dx:.6g}, which must "
-                               f"satisfy dx <= eps/4 = {eps / 4}")
+            raise ConfigError(f"dx={cfg.dx} gives cells of {dx:.6g}, which must "
+                              f"satisfy dx <= eps/4 = {eps / 4}")
         lam_b_min, max_b = 1.0, 1.0
     else:
         mats, lam_b_min = _b_rows(model, B, u0, "on the initial cells")
@@ -400,8 +405,7 @@ def jin_xin_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolution:
     M = _max_speed(model, u0)
     a2 = cfg.a2 if cfg.a2 is not None else max(1.0, (1.1 * M) ** 2)
     if a2 < M ** 2 * (1 - 1e-12):
-        raise SubcharacteristicViolation(
-            f"a^2 = {a2} below max f'(u)^2 = {M ** 2} on the data hull")
+        raise ConfigError(f"a^2 = {a2} below max f'(u)^2 = {M ** 2} on the data hull")
     a = math.sqrt(a2)
     nsteps, dt, cfl = _time_steps(cfg, 0.9 * dx / a, dx / a, "dt <= dx/a")
     c = a * dt / dx
@@ -470,13 +474,13 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
             singular = f"singular implicit system in step {j}"
             if model.n == 1:
                 if not B.all():
-                    raise NewtonFailure(singular)
+                    raise NewtonDivergence(singular)
                 B_inv = 1.0 / B
             else:
                 try:
                     B_inv = np.linalg.inv(B)
                 except np.linalg.LinAlgError as exc:
-                    raise NewtonFailure(singular) from exc
+                    raise NewtonDivergence(singular) from exc
             X = np.einsum("kij,kjl->kil", B_inv,
                           np.concatenate([-R[k0:, :, None], A_prev], axis=2))
             q, P = X[:, :, 0], X[:, :, 1:]
@@ -486,7 +490,7 @@ def backward_euler_run(model: FluxModel, data, cfg: SchemeConfig) -> GridSolutio
                 P[s:] = np.einsum("kij,kjl->kil", P[s:], P[:-s])
                 s *= 2
             w[k0:] += q
-        raise NewtonFailure(f"implicit solve stalled in cell {k0}")
+        raise NewtonDivergence(f"implicit solve stalled in cell {k0}")
 
     return _collect(cfg, x0, dx, dt, u0, step, nsteps, "backward-euler", cfl)
 

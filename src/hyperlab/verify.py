@@ -30,8 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateData, HyperlabError,
-                     OracleUnavailable, QuadratureUnderResolved)
+from .errors import ConfigError, HyperlabError, OracleUnavailable
 from .fronts import FrontTrackingSolution, front_tracking_run
 from .models import eigensystem
 from .piecewise import GridSolution, PiecewiseConstantFn
@@ -222,13 +221,15 @@ def _bump_integrals(xs, g, h, xc, sx):
     and every row of nondecreasing breakpoints xs, with g and h piecewise
     constant on the pieces (one row per piece): arrays (rows, bumps, columns).
 
-    _Psi and _psi are polynomials evaluated by multiplication.  Each column of
-    g and h is its own matrix-vector product, so a column's integrals round
-    the same whatever columns sit beside it."""
-    cuts = np.pad(xs, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
-    y = (np.clip(cuts[:, None, :], (xc - sx)[:, None], (xc + sx)[:, None])
+    _Psi and _psi are polynomials evaluated by multiplication; the outer
+    pieces end at the bump edges, where _Psi is exactly 0 and 32/35 and _psi
+    is 0.
+    Each column of g and h is its own matrix-vector product, so a column's
+    integrals round the same whatever columns sit beside it."""
+    y = (np.clip(xs[:, None, :], (xc - sx)[:, None], (xc + sx)[:, None])
          - xc[:, None]) / sx[:, None]
-    dPsi, dpsi = sx[:, None] * np.diff(_Psi(y), axis=2), np.diff(_psi(y), axis=2)
+    dPsi = sx[:, None] * np.diff(_Psi(y), axis=2, prepend=0.0, append=32.0 / 35.0)
+    dpsi = np.diff(_psi(y), axis=2, prepend=0.0, append=0.0)
     return (np.stack([dPsi @ col for col in g.T], axis=-1),
             np.stack([dpsi @ col for col in h.T], axis=-1))
 
@@ -348,8 +349,7 @@ def _setup(view, t_span, family):
     if isinstance(view, GridView):
         smallest = min(b.sx for b in family)
         if smallest < 4 * view.dx:
-            raise QuadratureUnderResolved(
-                f"test scale {smallest:g} below 4 cells ({4 * view.dx:g})")
+            raise ConfigError(f"test scale {smallest:g} below 4 cells ({4 * view.dx:g})")
     return view, t0, t1, family
 
 
@@ -405,9 +405,13 @@ def certify_eps_approx(view, model, M, initial_data=None, family=None,
                        n_probe=7, entropy=True) -> EpsCertificate:
     """Certificate of Lipschitz-in-time, weak-form, and entropy inequalities
     over a finite, documented test family on the strips between n_probe >= 2
-    probe times; a lower bound on the true eps."""
+    probe times; a lower bound on the true eps.  M is the Lipschitz constant
+    in time the L1 distances are held to: NaN or negative is refused, and
+    inf passes every pair."""
     if n_probe < 2:
         raise ConfigError(f"need n_probe >= 2 probe times to make a strip, not {n_probe}")
+    if not M >= 0:
+        raise ConfigError(f"need a Lipschitz constant M >= 0, not {M!r}")
     view, t0, T, family = _setup(view, None, family)
     probes = np.linspace(t0, T, n_probe)
     x0, x1 = view.x_span
@@ -698,16 +702,16 @@ def rate_fit(points, model_id="power") -> RateFit:
     (shape fixed, only C fitted)."""
     pts = [(float(e), float(err)) for e, err in points]
     if len(pts) < 3:
-        raise DegenerateData("need at least 3 points")
+        raise ConfigError("need at least 3 points")
     eps = np.array([p[0] for p in pts])
     err = np.array([p[1] for p in pts])
     if np.any(err <= 0) or np.any(eps <= 0):
-        raise DegenerateData("eps and errors must be positive")
+        raise ConfigError("eps and errors must be positive")
     y = np.log(err)
     if model_id == "power":
         x = np.log(eps)
         if np.ptp(x) == 0:
-            raise DegenerateData("eps values must differ")
+            raise ConfigError("eps values must differ")
         A = np.stack([np.ones_like(x), x], axis=1)
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         yhat = A @ coef
@@ -718,7 +722,7 @@ def rate_fit(points, model_id="power") -> RateFit:
         yhat = c0 + shape
         C, p = float(np.exp(c0)), None
     else:
-        raise DegenerateData(f"unknown rate model {model_id!r}")
+        raise ConfigError(f"unknown rate model {model_id!r}")
     ss_res = float(np.sum((y - yhat) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hyperlab import models
-from hyperlab.errors import RiemannFailure
+from hyperlab.errors import ConfigError
 from hyperlab.fronts import approximate_riemann_pieces, front_tracking_run
 from hyperlab.piecewise import PiecewiseConstantFn
 from hyperlab.riemann import solve_riemann
@@ -165,5 +165,5 @@ def test_drawn_profiles_after_many_events_bit_identical(name):
 
 
 def test_system_pieces_need_field_classes():
-    with pytest.raises(RiemannFailure, match="field classes"):
+    with pytest.raises(ConfigError, match="field classes"):
         approximate_riemann_pieces(P_SYSTEM, [1.0, 0.0], [1.05, 0.02], 0.02)

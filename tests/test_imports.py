@@ -3,9 +3,10 @@ every module-level constant and private helper is read by the library and
 every constant is defined in one module only, every optional parameter of a
 function is passed by some call, every parameter is read by its function,
 every field of the model and scheme settings is read by the library, every
-typed error is raised by the library and named by a test, no test module
-imports another, every library name the benchmark reads exists, and every
-scheme run opens by naming the settings it reads."""
+typed error is raised by the library and named by a test, no library
+handler catches every exception, no test module imports another, every
+library name the benchmark reads exists, and every scheme run opens by
+naming the settings it reads."""
 
 import ast
 import importlib
@@ -212,6 +213,20 @@ def test_every_error_is_raised_and_tested():
     named = _references(TESTS)
     assert [e for e in subclasses if e not in raised] == []
     assert [e for e in subclasses if e not in named] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_handler_catches_everything(path):
+    # a bare except, or one of Exception or BaseException, also catches the
+    # bugs (a NameError, a shape mismatch) and hides them as a failure mode
+    broad = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or getattr(t, "id", None) in ("Exception", "BaseException")
+                   for t in types):
+                broad.append(node.lineno)
+    assert not broad, f"handlers that catch every exception in {path.name} (lines): {broad}"
 
 
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)

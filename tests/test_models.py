@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models
-from hyperlab.errors import (ConfigError, MissingEntropyPair, NonHyperbolic,
-                             OutOfDomain)
+from hyperlab.errors import ConfigError, NonHyperbolic, OutOfDomain
 from hyperlab.models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE,
                              NEITHER, classify_field, eigensystem,
                              entropy_compatibility_residual, model_from_name,
@@ -320,7 +319,7 @@ class TestEntropyPairs:
         assert res == pytest.approx(1.0, abs=1e-6)
 
     def test_missing_pair_raises(self):
-        with pytest.raises(MissingEntropyPair):
+        with pytest.raises(ConfigError, match="has no entropy pair"):
             entropy_compatibility_residual(models.cubic_flux(), [np.array([0.0])])
 
     def test_declared_convex_entropies_have_pd_hessian(self):

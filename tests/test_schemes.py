@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models, schemes
-from hyperlab.errors import (BlowupBeforeRestart, CFLViolation, ConfigError,
-                             NewtonFailure, NonfiniteState, OutOfDomain,
-                             SpeedRangeViolation, SubcharacteristicViolation)
+from hyperlab.errors import (BlowupBeforeRestart, ConfigError, FrontExplosion,
+                             NewtonDivergence, NonfiniteState, OutOfDomain,
+                             SpeedRangeViolation)
 from hyperlab.fronts import FrontTrackingSolution, front_tracking_run
 from hyperlab.models import FluxModel, normalize_speeds
 from hyperlab.piecewise import PiecewiseConstantFn
@@ -228,6 +228,30 @@ def test_config_refuses_non_finite_settings(setting, value):
         SchemeConfig(domain=(-1.0, 1.0), **given)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), 0, -3, 2.5, float("inf"), "2"])
+def test_config_refuses_front_cap_off_the_integers(cap):
+    # a NaN cap once switched off both caps of front tracking: the pulse
+    # 0 | 0.8 | 0 ran to 17 fronts, where front_cap=2 raises
+    with pytest.raises(ConfigError, match=f"need front_cap an integer >= 1, not {cap!r}"):
+        SchemeConfig(eps=0.05, T=0.5, domain=(-1.0, 1.0), front_cap=cap)
+    cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-1.0, 1.0), front_cap=np.int64(2))
+    with pytest.raises(FrontExplosion, match="exceeds cap 2"):
+        front_tracking_run(models.burgers(), square_pulse(0.8, -0.5, 0.0), cfg)
+
+
+@pytest.mark.parametrize("domain", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)],
+                         ids=["left", "right", "overflowing-length"])
+@pytest.mark.parametrize("run", [godunov_run, viscous_run])
+def test_grid_runs_refuse_infinite_domains(run, domain):
+    # _grid once cut an infinite length into cells with an untyped
+    # OverflowError; front tracking reads no domain and runs on any
+    cfg = SchemeConfig(eps=0.1, T=0.5, domain=domain)
+    with pytest.raises(ConfigError, match="domain of finite length"):
+        run(BURGERS_01, square_pulse(0.5, 0.2, 0.6), cfg)
+    sol = front_tracking_run(BURGERS_01, square_pulse(0.5, 0.2, 0.6), cfg)
+    assert sol.state(0.5).vals.max() == 0.5
+
+
 @pytest.mark.parametrize("times", [[float("nan")], [-1.0], [5.0], [0.25, float("inf")]],
                          ids=["nan", "negative", "after-T", "inf"])
 def test_config_refuses_snapshot_times_outside_the_run(times):
@@ -419,7 +443,7 @@ class TestViscous:
 
     def test_dx_must_resolve_layer(self):
         cfg = SchemeConfig(eps=0.02, T=0.1, domain=(-1.0, 1.0), dx=0.02)
-        with pytest.raises(CFLViolation):
+        with pytest.raises(ConfigError, match="dx <= eps/4"):
             viscous_run(models.burgers(), PiecewiseConstantFn.constant([0.0]), cfg)
 
     def test_rule_holds_on_the_grid_it_runs(self):
@@ -430,7 +454,7 @@ class TestViscous:
         cfg = SchemeConfig(eps=0.3, T=0.01, domain=(0.0, 1.0))
         sol = viscous_run(models.burgers(), data, cfg)
         assert sol.states.shape[1] == 14 and sol.dx <= 0.075
-        with pytest.raises(CFLViolation, match="cells of 0.0769231"):
+        with pytest.raises(ConfigError, match="cells of 0.0769231"):
             viscous_run(models.burgers(), data, replace(cfg, dx=0.075))
         # a whole number of eps/4 cells is still the default, not one more
         sol = viscous_run(models.burgers(), data, replace(cfg, eps=0.01))
@@ -473,7 +497,7 @@ def test_user_dt_above_the_scheme_limit_raises(run):
     data = PiecewiseConstantFn.constant([0.3])
     limit = run(model, data, cfg).meta["cfl"]["dt_max"]
     run(model, data, replace(cfg, dt=limit))
-    with pytest.raises(CFLViolation, match="limit"):
+    with pytest.raises(ConfigError, match="limit"):
         run(model, data, replace(cfg, dt=limit * 1.001))
 
 
@@ -490,7 +514,7 @@ class TestJinXin:
 
     def test_subcharacteristic_violation(self):
         cfg = SchemeConfig(eps=0.01, T=0.1, domain=(-1.0, 1.0), a2=0.01)
-        with pytest.raises(SubcharacteristicViolation):
+        with pytest.raises(ConfigError, match="below max f'"):
             jin_xin_run(BURGERS_01, PiecewiseConstantFn.riemann([1.0], [0.0]), cfg)
 
     def test_shock_l1_trend(self):
@@ -636,7 +660,7 @@ class TestBackwardEuler:
                       flux=lambda u: np.where(u < 0, np.nan, 2 * u - 0.5 * u * u),
                       jacobian=lambda u: (2.0 - np.asarray(u))[..., None])
         cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
-        with pytest.raises(NewtonFailure, match="stalled in cell 60"):
+        with pytest.raises(NewtonDivergence, match="stalled in cell 60"):
             backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
 
     def test_singular_block_raises(self):
@@ -649,7 +673,7 @@ class TestBackwardEuler:
                       flux=lambda u: 2 * u - 0.5 * u * u,
                       jacobian=lambda u: np.where(near_data(u), 2.0 - u, -1.0 / c)[..., None])
         cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
-        with pytest.raises(NewtonFailure, match="singular implicit system in step 1"):
+        with pytest.raises(NewtonDivergence, match="singular implicit system in step 1"):
             backward_euler_run(m, square_pulse(1.0, 0.3, 0.6), cfg)
 
     def test_singular_system_block_raises(self):
@@ -667,7 +691,7 @@ class TestBackwardEuler:
         data = PiecewiseConstantFn(np.array([0.3, 0.6]),
                                    np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
         cfg = SchemeConfig(eps=0.02, T=0.1, domain=(0.0, 1.0))
-        with pytest.raises(NewtonFailure, match="singular implicit system in step 1") as info:
+        with pytest.raises(NewtonDivergence, match="singular implicit system in step 1") as info:
             backward_euler_run(m, data, cfg)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 

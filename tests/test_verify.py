@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import models, verify
-from hyperlab.errors import (ConfigError, DegenerateData, NonClassifiedField,
-                             OracleUnavailable, QuadratureUnderResolved)
+from hyperlab.errors import ConfigError, NonClassifiedField, OracleUnavailable
 from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
 from hyperlab.riemann import JumpWave, WaveFan, solve_riemann
@@ -364,7 +363,7 @@ class TestWeakResidual:
         cfg = SchemeConfig(eps=1 / 8, T=0.5, domain=(-1.0, 1.5), store_all=True)
         sol = godunov_run(BURGERS_01, data, cfg)
         fam = default_family(0.0, 0.5, -1.0, 1.5, scales=5)
-        with pytest.raises(QuadratureUnderResolved):
+        with pytest.raises(ConfigError, match="below 4 cells"):
             weak_residual(GridView(sol), BURGERS_01, t_span=(0.0, 0.5), family=fam)
 
 
@@ -435,6 +434,18 @@ class TestCertificate:
             certify_eps_approx(view, BURGERS, M=0.7, initial_data=data, n_probe=1)
         cert = certify_eps_approx(view, BURGERS, M=0.7, initial_data=data, n_probe=2)
         assert cert.eps >= 1e-2
+
+    @pytest.mark.parametrize("M", [float("nan"), -0.5])
+    def test_lipschitz_constant_is_checked(self, M):
+        # max(0, d - M dt) is 0.0 for a NaN M: the Lipschitz test once passed
+        # unchecked, with the certificate of a valid M; an infinite M holds
+        # trivially, and M = 0 leaves the moving shock's whole distance
+        view = FanView(step_fan(), t_span=(0.0, 1.0), x_span=(-1.0, 2.0))
+        with pytest.raises(ConfigError, match=f"Lipschitz constant M >= 0, not {M!r}"):
+            certify_eps_approx(view, BURGERS, M=M)
+        assert certify_eps_approx(view, BURGERS, M=float("inf")).lipschitz_excess == 0.0
+        assert certify_eps_approx(view, BURGERS, M=0.0).lipschitz_excess \
+            == pytest.approx(0.5, rel=1e-9)
 
     def test_empty_family_is_refused(self):
         # once an untyped ValueError from unpacking the bumps' coordinates
@@ -782,18 +793,18 @@ class TestRateFit:
         assert fit.C == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateData):
+        with pytest.raises(ConfigError, match="at least 3 points"):
             rate_fit([(0.1, 1.0), (0.05, 0.5)], "power")
-        with pytest.raises(DegenerateData):
+        with pytest.raises(ConfigError, match="must be positive"):
             rate_fit([(0.1, 1.0), (0.05, -0.5), (0.025, 0.2)], "power")
 
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: as_view(PiecewiseConstantFn.constant([0.0])), TypeError,
      "cannot view PiecewiseConstantFn as a solution"),
-    (lambda: rate_fit([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)], "power"), DegenerateData,
+    (lambda: rate_fit([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)], "power"), ConfigError,
      "eps values must differ"),
-    (lambda: rate_fit([(0.1, 1.0), (0.05, 0.5), (0.025, 0.2)], "cubic"), DegenerateData,
+    (lambda: rate_fit([(0.1, 1.0), (0.05, 0.5), (0.025, 0.2)], "cubic"), ConfigError,
      "unknown rate model 'cubic'"),
 ], ids=["no-view", "equal-eps", "unknown-rate-model"])
 def test_refusals(call, error, match):
