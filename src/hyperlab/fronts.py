@@ -22,16 +22,20 @@ non-physical front carries the mismatch.
 Riemann pieces are `riemann.JumpWave`s, and a `Front` is a `JumpWave` born
 at an event point and time snapped to floats.  The run is event driven: a
 front is never rebuilt, so the same object is in every epoch it lives
-through, and a heap holds the exact rational time and point where each
-approaching adjacent pair meets.  An event takes in the neighbours whose
-snapped position then is the snapped event point, pushes only the pairs next
-to its outgoing fronts, and drops popped pairs no longer adjacent; ties go
-leftmost, then to the earlier push.  An `Epoch` holds where its fronts are
-drawn at its start and their speeds as float64 arrays, and `Epoch.at` is the
-one rule that moves them: the run steps each epoch's drawing to the next
-event by it, so fronts of equal speed keep their drawn gap, and
-`FrontTrackingSolution.lines` draws an epoch by it, as `verify.FanView.lines`
-draws a fan.
+through, and a heap holds the time and point where each approaching
+adjacent pair meets.  Exact arithmetic is used only there, on integer ratios
+of the fronts' floats: the meeting time and point, their cut at now and T,
+and where a neighbour is at the event time.  A heap key leads with the
+correctly rounded float time and point, so the floats order events unless
+they tie, and a tie is decided exactly.  An event takes in the neighbours
+whose snapped position then is the snapped event point, pushes only the
+pairs next to its outgoing fronts, and drops popped pairs no longer
+adjacent; ties go leftmost, then to the earlier push.  An `Epoch` holds
+where its fronts are drawn at its start and their speeds as float64 arrays,
+and `Epoch.at` is the one rule that moves them: the run steps each epoch's
+drawing to the next event by it, so fronts of equal speed keep their drawn
+gap, and `FrontTrackingSolution.lines` draws an epoch by it, as
+`verify.FanView.lines` draws a fan.
 """
 
 from __future__ import annotations
@@ -39,8 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +56,13 @@ from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _envelope, _field_clas
 
 @dataclass(frozen=True, kw_only=True)
 class Front(JumpWave):
-    """A jump of a front-tracking run, born at position pos at time t0: both
-    are snapped to floats at birth and held as Fractions, for the exact
-    meeting times of the event heap.  It is unchanged until an event ends it."""
+    """A jump of a front-tracking run, born at position pos at time t0, both
+    floats snapped at birth.  Its line pos + speed (t - t0) is taken exactly
+    where the event heap needs it, as a ratio of integers.  It is unchanged
+    until an event ends it."""
 
-    pos: Fraction
-    t0: Fraction
+    pos: float
+    t0: float
 
     @property
     def strength(self):
@@ -172,11 +176,59 @@ def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
 
 def _pieces_to_fronts(pieces, pos, t0, u_l, u_r):
     """Fronts born at (pos, t0), the outer ones ending exactly on u_l, u_r."""
-    fronts = [Front(**vars(w), pos=pos, t0=t0) for w in pieces]
-    if fronts:
-        fronts[0] = replace(fronts[0], u_l=u_l)
-        fronts[-1] = replace(fronts[-1], u_r=u_r)
-    return fronts
+    last = len(pieces) - 1
+    return [Front(**{**vars(w), "u_l": u_l if j == 0 else w.u_l,
+                     "u_r": u_r if j == last else w.u_r}, pos=pos, t0=t0)
+            for j, w in enumerate(pieces)]
+
+
+class _Ratio:
+    """The exact rational num / den of integers, den > 0.  In the event heap
+    it follows its float rounding and is compared only where those tie."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __eq__(self, other):
+        return self.num * other.den == other.num * self.den
+
+    def __lt__(self, other):
+        return self.num * other.den < other.num * self.den
+
+
+def _line(f):
+    """Front f's path x = (c + v t) / d, exact on integers c, v and d > 0."""
+    p, dp = f.pos.as_integer_ratio()
+    s, ds = f.t0.as_integer_ratio()
+    v, dv = f.speed.as_integer_ratio()
+    d = max(dp, dv * ds)  # all powers of two: d is their lcm
+    return p * (d // dp) - v * s * (d // (dv * ds)), v * (d // dv), d
+
+
+def _snapped(f, t):
+    """Where front f is at the exact time t, rounded to a float."""
+    c, v, d = _line(f)
+    return (c * t.den + v * t.num) / (d * t.den)
+
+
+def _meeting(a, b, now, T):
+    """The heap key (t, exact t, x, exact x) of where front a meets its right
+    neighbour b, at the earliest at the exact time now; None if a does not
+    approach b or they meet at the exact time T or later.  The time
+    (p_b - p_a + v_a t_a - v_b t_b) / (v_a - v_b) and the point
+    p_a + v_a (t - t_a) are exact ratios, and t and x their floats."""
+    if a.speed <= b.speed:
+        return None
+    (ca, va, da), (cb, vb, db) = _line(a), _line(b)
+    t = _Ratio(cb * da - ca * db, va * db - vb * da)
+    if t < now:
+        t = now
+    if not t < T:
+        return None
+    x = _Ratio(ca * t.den + va * t.num, da * t.den)
+    return t.num / t.den, t, x.num / x.den, x
 
 
 def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
@@ -193,7 +245,7 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     cfg.refuse_unread("front_tracking_run", "delta", "rho_np", "front_cap")
     if not isinstance(data, PiecewiseConstantFn):
         raise ConfigError("front tracking needs PiecewiseConstantFn data")
-    cap, T = cfg.front_cap, Fraction(float(cfg.T))
+    cap, T = cfg.front_cap, _Ratio(*float(cfg.T).as_integer_ratio())
     fields = lam_hat = None
     if model.n > 1:
         fields = _field_classes(model, data.vals.min(axis=0), data.vals.max(axis=0))
@@ -203,28 +255,24 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
     for j, x in enumerate(data.xs):
         u_l, u_r = data.vals[j], data.vals[j + 1]
         pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields)
-        fronts += _pieces_to_fronts(pieces, Fraction(float(x)), Fraction(0), u_l, u_r)
+        # + 0.0: a datum at -0.0 is born at +0.0
+        fronts += _pieces_to_fronts(pieces, float(x) + 0.0, 0.0, u_l, u_r)
 
-    epochs = [Epoch(0.0, tuple(fronts), np.array([float(f.pos) for f in fronts]),
+    epochs = [Epoch(0.0, tuple(fronts), np.array([f.pos for f in fronts]),
                     np.array([f.speed for f in fronts]))]
     events, np_total = [], 0.0
     max_events = 20 * cap
     heap, serial = [], itertools.count()
 
     def push(k, now):
-        # when and where fronts[k] meets fronts[k + 1], if before T; at the earliest now
-        a, b = fronts[k], fronts[k + 1]
-        if a.speed > b.speed:
-            va, vb = Fraction(a.speed), Fraction(b.speed)
-            tc = max(now, (b.pos - a.pos + va * a.t0 - vb * b.t0) / (va - vb))
-            if tc < T:
-                heapq.heappush(heap, (tc, a.pos + va * (tc - a.t0), next(serial), a, b))
+        # when and where fronts[k] meets fronts[k + 1], if before T
+        key = _meeting(fronts[k], fronts[k + 1], now, T)
+        if key is not None:
+            heapq.heappush(heap, (*key, next(serial), fronts[k], fronts[k + 1]))
 
-    def snapped(f, t):
-        return float(f.pos + Fraction(f.speed) * (t - f.t0))
-
+    start = _Ratio(0, 1)
     for k in range(len(fronts) - 1):
-        push(k, Fraction(0))
+        push(k, start)
     while True:
         if len(fronts) > cap:
             raise FrontExplosion(f"front count {len(fronts)} exceeds cap {cap}")
@@ -232,22 +280,21 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
             raise FrontExplosion(f"event count exceeds {max_events}")
         # earliest collision, leftmost on ties; a pair no longer adjacent is stale
         while heap:
-            tc, x, _, a, b = heapq.heappop(heap)
+            t, tc, p, _, _, a, b = heapq.heappop(heap)
             m = next((k for k, f in enumerate(fronts) if f is a), -1)
             if 0 <= m < len(fronts) - 1 and fronts[m + 1] is b:
                 break
         else:
             break
-        t, p = float(tc), float(x)
         lo, hi = m, m + 1
-        while lo > 0 and snapped(fronts[lo - 1], tc) == p:
+        while lo > 0 and _snapped(fronts[lo - 1], tc) == p:
             lo -= 1
-        while hi + 1 < len(fronts) and snapped(fronts[hi + 1], tc) == p:
+        while hi + 1 < len(fronts) and _snapped(fronts[hi + 1], tc) == p:
             hi += 1
         u_l, u_r = fronts[lo].u_l, fronts[hi].u_r
         pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields,
                                             rho_np=cfg.rho_np, lam_hat=lam_hat)
-        outgoing = _pieces_to_fronts(pieces, Fraction(p), Fraction(t), u_l, u_r)
+        outgoing = _pieces_to_fronts(pieces, p, t, u_l, u_r)
         np_strength = sum(f.strength for f in outgoing if f.kind == "non-physical")
         np_total += np_strength
         fronts[lo:hi + 1] = outgoing

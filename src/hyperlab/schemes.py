@@ -328,7 +328,9 @@ def _b_rows(model, B, u, when):
     if mats.shape != u.shape + (model.n,):
         raise ConfigError(f"diffusion matrix maps states of shape {u.shape} to "
                           f"{mats.shape}, not {u.shape + (model.n,)}")
-    lam = np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(1, 2)))[:, 0]
+    sym = 0.5 * (mats + mats.swapaxes(1, 2))
+    # a 1x1 matrix is its own eigenvalue, as LAPACK returns it
+    lam = sym[:, 0, 0] if model.n == 1 else np.linalg.eigvalsh(sym)[:, 0]
     bad = np.flatnonzero(lam < -1e-12)
     if bad.size:
         raise ConfigError(f"diffusion matrix must be positive semidefinite, but has "

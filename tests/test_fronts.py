@@ -1,3 +1,8 @@
+import hashlib
+import heapq
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +10,8 @@ from hypothesis import strategies as st
 
 from hyperlab import models, riemann
 from hyperlab.errors import ConfigError, FrontExplosion
-from hyperlab.fronts import approximate_riemann_pieces, front_tracking_run
+from hyperlab.fronts import (Front, _meeting, _Ratio, _snapped,
+                             approximate_riemann_pieces, front_tracking_run)
 from hyperlab.piecewise import PiecewiseConstantFn
 from hyperlab.riemann import evaluate_fan, rh_residual, solve_riemann
 from hyperlab.schemes import SchemeConfig
@@ -22,14 +28,24 @@ INTERACTION_CFG = SchemeConfig(eps=1.0, T=1.0, domain=(-3.0, 3.0), delta=0.02)
 def psystem_steps(n_jumps, a=0.01):
     """n_jumps p-system jumps 0.1 apart from (1, 0): each adds a r_1 and a r_2
     (r = (1, +-sqrt(2) v^-1.5)), with signs (+, +), (+, -), (-, +), (-, -)
-    in turn, so shocks and rarefactions of both families interact."""
+    in turn, so shocks and rarefactions of both families interact.  The
+    sizes a are one for all, or a pair (a_1, a_2) per jump."""
+    sizes = np.broadcast_to(a, (n_jumps, 2))
     vals = [np.array([1.0, 0.0])]
     for j in range(n_jumps):
         u = vals[-1]
         c = np.sqrt(2.0) * u[0] ** -1.5
         s1, s2 = ((1, 1), (1, -1), (-1, 1), (-1, -1))[j % 4]
-        vals.append(u + s1 * a * np.array([1.0, c]) + s2 * a * np.array([1.0, -c]))
+        a1, a2 = sizes[j]
+        vals.append(u + s1 * a1 * np.array([1.0, c]) + s2 * a2 * np.array([1.0, -c]))
     return PiecewiseConstantFn(0.1 * np.arange(n_jumps), np.array(vals))
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
 
 
 def audit_rh(model, sol, tol=1e-9, include_np=False):
@@ -248,6 +264,104 @@ def test_grid_data_runs_contract(model, ku, kv, xu, xv):
         assert audit_rh(model, run) <= 1e-9
 
 
+def front(pos, speed, t0=0.0):
+    return Front("shock", 0, np.zeros(1), np.ones(1), speed, pos=pos, t0=t0)
+
+
+def reference_meeting(a, b, now, T):
+    """The meeting time and point of fronts a and b on Fractions, cut at
+    now and T as the heap cuts them; None where they do not meet."""
+    if a.speed <= b.speed:
+        return None
+    va, vb = Fraction(a.speed), Fraction(b.speed)
+    t = max(now, (Fraction(b.pos) - Fraction(a.pos) + va * Fraction(a.t0)
+                  - vb * Fraction(b.t0)) / (va - vb))
+    return (t, Fraction(a.pos) + va * (t - Fraction(a.t0))) if t < T else None
+
+
+# floats of every exponent up to 1e100, subnormals included: the meeting
+# times and points then stay finite
+FLOATS = st.floats(-1e100, 1e100, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pa=FLOATS, pb=FLOATS, va=FLOATS, vb=FLOATS, ta=FLOATS, tb=FLOATS,
+       now=FLOATS, T=FLOATS)
+@example(pa=0.0, pb=5e-324, va=5e-324, vb=-5e-324, ta=0.0, tb=1.0, now=0.0, T=1.0)
+def test_meeting_matches_fractions(pa, pb, va, vb, ta, tb, now, T):
+    # the heap key is the exact time and point with their correctly rounded
+    # floats, cut where the Fraction reference cuts, and a front's snapped
+    # point at that time is the rounded exact one
+    a, b = front(pa, va, ta), front(pb, vb, tb)
+    now_r, T_r = (_Ratio(*float(v).as_integer_ratio()) for v in (now, T))
+    key = _meeting(a, b, now_r, T_r)
+    want = reference_meeting(a, b, Fraction(now), Fraction(T))
+    assert (key is None) == (want is None)
+    if key is not None:
+        t, t_exact, x, x_exact = key
+        assert Fraction(t_exact.num, t_exact.den) == want[0] and t == float(want[0])
+        assert Fraction(x_exact.num, x_exact.den) == want[1] and x == float(want[1])
+        for f in (a, b):
+            assert _snapped(f, t_exact) == float(
+                Fraction(f.pos) + Fraction(f.speed) * (want[0] - Fraction(f.t0)))
+
+
+def pop_order(pairs, key):
+    heap = []
+    for serial, (a, b) in enumerate(pairs):
+        heapq.heappush(heap, key(_meeting(a, b, _Ratio(0, 1), _Ratio(2, 1)), serial))
+    return [heapq.heappop(heap)[-1] for _ in pairs]
+
+
+def exact_key(meeting, serial):
+    return (*meeting, serial)
+
+
+def float_key(meeting, serial):
+    return meeting[0], meeting[2], serial
+
+
+@pytest.mark.parametrize("pairs", [
+    # times 1 + (4/5) 2^-52 and 1 + (2/3) 2^-52, both drawn 1 + 2^-52; the
+    # later one meets left of the earlier one
+    [(front(-10.0, 3.0), front(-5.0 + 2.0 ** -50, -2.0)),
+     (front(0.0, 2.0), front(3.0 + 2.0 ** -51, -1.0))],
+    # one time, 1 + (2/3) 2^-52; points 2 + 2^-51 and 2 + (2/3) 2^-51, both
+    # drawn 2 + 2^-51
+    [(front(-1.0, 3.0), front(2.0 + 2.0 ** -51, 0.0)),
+     (front(0.0, 2.0), front(3.0 + 2.0 ** -51, -1.0))],
+], ids=["float-times-tie", "float-points-tie"])
+def test_float_ties_pop_in_exact_order(pairs):
+    # the two meetings' float keys are equal, so the pair pushed second must
+    # pop first on the exact time, then the exact point; floats alone give
+    # the other order
+    (t0, exact_t0, x0, exact_x0), (t1, exact_t1, x1, exact_x1) = (
+        _meeting(a, b, _Ratio(0, 1), _Ratio(2, 1)) for a, b in pairs)
+    assert t0 == t1 and x0 <= x1 and (exact_t1, exact_x1) < (exact_t0, exact_x0)
+    assert pop_order(pairs, exact_key) == [1, 0]
+    assert pop_order(pairs, float_key) == [0, 1]
+
+
+def test_float_tied_events_run_in_exact_order():
+    # Burgers shocks at speeds 3, -2, -4.5 and -7.5: the left pair meets at
+    # 1 + (4/5) 2^-52, the right pair at 1 + (2/3) 2^-52, both drawn
+    # 1 + 2^-52; the right pair's event comes first, as on exact times
+    xs = np.array([-8.0, -3.0 + 2.0 ** -50, 0.5, 3.5 + 2.0 ** -51])
+    data = PiecewiseConstantFn(xs, np.array([[6.0], [0.0], [-4.0], [-5.0], [-10.0]]))
+    cfg = SchemeConfig(eps=1.0, T=1.5, domain=(-20.0, 20.0), delta=1.0)
+    sol = front_tracking_run(BURGERS, data, cfg)
+    assert [(e["t"], e["x"], e["in"]) for e in sol.events[:2]] == [
+        (1.0 + 2.0 ** -52, -4.000000000000001, 2), (1.0 + 2.0 ** -52, -4.999999999999999, 2)]
+
+
+def test_datum_at_negative_zero_is_drawn_at_zero():
+    sol = front_tracking_run(BURGERS, PiecewiseConstantFn(
+        np.array([-0.0]), np.array([[1.0], [0.0]])),
+        SchemeConfig(eps=1.0, T=1.0, domain=(-1.0, 2.0), delta=0.1))
+    assert not np.signbit(sol.epochs[0].xs).any()
+    assert math.copysign(1.0, sol.epochs[0].fronts[0].pos) == 1.0
+
+
 class TestSystemFronts:
     def test_psystem_two_wave_data(self):
         m = models.p_system()
@@ -322,6 +436,19 @@ class TestSystemFronts:
                 assert abs(f.speed - g.speed) <= 1e-14
                 assert np.max(np.abs(f.u_l - g.u_l)) <= 1e-14
                 assert np.max(np.abs(f.u_r - g.u_r)) <= 1e-14
+
+    def test_many_event_run_pinned(self):
+        # 16 jumps shaped like the p-system front-tracking benchmark, sizes
+        # spread over [0.008, 0.012]: 134 events, every one pinned bit for
+        # bit by the sha256 of its t, x, in and out, and the final drawing
+        sizes = 0.008 + 0.004 * ((np.arange(32) * 13) % 32 / 31).reshape(16, 2)
+        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.5), delta=0.02, rho_np=1e-3)
+        sol = front_tracking_run(P_SYSTEM, psystem_steps(16, sizes), cfg)
+        events = np.array([[e["t"], e["x"], e["in"], e["out"]] for e in sol.events])
+        final = sol.state(cfg.T)
+        assert (len(sol.events), final.xs.size) == (134, 34)
+        assert (digest(events), digest(final.xs, final.vals)) == \
+            ("759a41be3617a8f4", "37af3b6e15df242b")
 
     def test_nonphysical_merging_budget(self):
         m = models.p_system()

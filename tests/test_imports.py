@@ -5,14 +5,18 @@ function is passed by some call, every parameter is read by its function,
 every field of the model and scheme settings is read by the library, every
 typed error is raised by the library and named by a test, no library
 handler catches every exception, no test module imports another, every
-library name the benchmark reads exists, and every scheme run opens by
-naming the settings it reads."""
+library name the benchmark reads exists, every scheme run opens by
+naming the settings it reads, and importing the library loads neither
+`fractions` nor `decimal`."""
 
 import ast
 import importlib
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,3 +277,17 @@ def test_benchmark_reads_only_what_the_library_has():
                     if method not in getattr(owner, "__dict__", {}):
                         missing.append(f"{path.name}: METHODS {module}.{cls}.{method}")
     assert not missing, f"library names the benchmark reads but the library lacks: {missing}"
+
+
+def test_library_imports_no_rational_arithmetic():
+    # front tracking keeps its exact meeting times on integer ratios, and
+    # `fractions` with `decimal` would add about 2.5 ms to every start; in a
+    # fresh interpreter, since pytest and hypothesis import them themselves
+    code = ("import importlib, sys\n"
+            f"for name in {[p.stem for p in SOURCES]!r}:\n"
+            "    importlib.import_module('hyperlab.' + name)\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    src = str(Path(hyperlab.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]", f"importing hyperlab loads {out.strip()}"

@@ -945,6 +945,20 @@ class TestNonlinearDiffusion:
                                               r"-0\.0236 in step 2 at state \[0\.966"):
             viscous_run(models.p_system(), data, cfg)
 
+    def test_one_by_one_matrix_is_its_own_eigenvalue(self):
+        # a scalar B skips LAPACK: its least eigenvalue is the entry itself,
+        # as eigvalsh returns it, over entries of every exponent
+        rng = np.random.default_rng(3)
+        entries = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+        entries[:3] = 0.0, 5e-324, 1e300
+        for b in entries:
+            u = np.array([[b]])
+            lam = schemes._b_rows(models.burgers(), lambda u: u[..., None], u, "")[1]
+            assert lam == np.linalg.eigvalsh(u[..., None])[0, 0]
+        with pytest.raises(ConfigError, match=r"eigenvalue -2\.5e-07 here at state \[-2\.5e-07\]"):
+            schemes._b_rows(models.burgers(), lambda u: u[..., None],
+                            np.array([[1.0], [-2.5e-7]]), "here")
+
     @pytest.mark.parametrize("B, got", [(lambda u: np.diag(1.0 + u * u), r"\(1,\)"),
                                         (lambda u: np.eye(1), r"\(1, 1\)")],
                              ids=["diag", "eye"])
