@@ -11,13 +11,23 @@ envelope of f through u_l, u_r and the grid states between them.  Runs from
 data on delta*Z meet only grid states, so two of them contract in L1 to
 roundoff; off-grid data values stay nodes.
 
-A system Riemann problem takes one strength solve (`riemann.solve_strengths`)
-with every family one jump: one Newton on the chain of the n jumps' RH
-conditions, with Broyden over composed jumps where the chain's root is
-refused.  It takes a second solve only when a rarefaction is split: Broyden
-over composed jumps, made by the same shock-curve Newton as genuine shocks.
-With rho_np > 0 the families weaker than rho_np are then dropped, and one
-non-physical front carries the mismatch.
+A system Riemann problem takes one strength solve with every family one
+jump: one Newton on the chain of the n jumps' RH conditions
+(`riemann._rh_chain`), with Broyden over composed jumps where the chain's
+root is refused.  The chain runs over rows, so the run solves many problems
+in one call.  The data's jumps are one call at t = 0.  A pending pair's
+Riemann problem, from its left front's u_l to its right front's u_r, is
+fixed when the pair is pushed.  So when a popped pair has no solve yet, the
+run solves it and every other live pending pair not solved yet in one call,
+and keeps each row until its pair's event.  The rest of the pieces is made
+at that event, the Broyden fallback of a refused row included, so an error
+is raised only at an event that uses the pair; a pair that goes stale
+drops its row unused.  An event with more than two incoming fronts solves
+alone, and a scalar model's pieces are made at the event.  A problem takes
+a second solve only when a rarefaction is split: Broyden over composed
+jumps, made by the same shock-curve Newton as genuine shocks.  With rho_np >
+0 the families weaker than rho_np are then dropped, and one non-physical
+front carries the mismatch.
 
 Riemann pieces are `riemann.JumpWave`s, and a `Front` is a `JumpWave` born
 at an event point and time snapped to floats.  The run is event driven: a
@@ -50,8 +60,8 @@ import numpy as np
 from .errors import ConfigError, FrontExplosion
 from .models import GENUINELY_NONLINEAR, FluxModel, eigenvalues
 from .piecewise import PiecewiseConstantFn, hold_index
-from .riemann import (STRENGTH_FLOOR, JumpWave, _compose, _envelope, _field_classes,
-                      solve_strengths)
+from .riemann import (STRENGTH_FLOOR, JumpWave, _chained_strengths, _compose, _envelope,
+                      _field_classes, _rh_chain, solve_strengths)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -142,11 +152,12 @@ def _splits(fields, sig, delta):
             for i, s in enumerate(sig)]
 
 
-def _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat):
-    """Front pieces for a system Riemann problem.  Every piece is RH-exact;
-    when families weaker than rho_np are dropped, one non-physical front at
+def _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat, first):
+    """Front pieces for a system Riemann problem from `first`, its strength
+    solve with every family one jump.  Every piece is RH-exact; when
+    families weaker than rho_np are dropped, one non-physical front at
     lam_hat carries the mismatch."""
-    sig, _, pieces = solve_strengths(model, u_l, u_r, fields, splits=[1] * model.n)
+    sig, _, pieces = first
     splits = _splits(fields, sig, delta)
     if max(splits) > 1:
         sig, _, pieces = solve_strengths(model, u_l, u_r, fields, splits=splits)
@@ -168,7 +179,8 @@ def approximate_riemann_pieces(model, u_l, u_r, delta, fields=None,
         return _scalar_pieces(model, u_l, u_r, delta)
     if fields is None:
         raise ConfigError("system front tracking needs field classes")
-    return _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat)
+    return _system_pieces(model, u_l, u_r, delta, fields, rho_np, lam_hat,
+                          solve_strengths(model, u_l, u_r, fields, splits=[1] * model.n))
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +263,52 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
         fields = _field_classes(model, data.vals.min(axis=0), data.vals.max(axis=0))
         lam_hat = 1.0 + float(np.max(np.abs(eigenvalues(model, data.vals))))
 
+    def chain_solves(u_l, u_r):
+        # whether the pair's first strength solve is a row of the RH chain
+        return model.n > 1 and np.linalg.norm(u_r - u_l) >= STRENGTH_FLOOR
+
+    def pieces(u_l, u_r, rho_np, row):
+        # the Riemann pieces from u_l to u_r, from the chain's row if solved
+        if row is None:
+            return approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields,
+                                              rho_np=rho_np, lam_hat=lam_hat)
+        return _system_pieces(model, u_l, u_r, cfg.delta, fields, rho_np, lam_hat,
+                              _chained_strengths(model, u_l, u_r, fields, row))
+
+    jumps = list(zip(data.xs, data.vals[:-1], data.vals[1:]))
+    todo = [k for k, (_, u_l, u_r) in enumerate(jumps) if chain_solves(u_l, u_r)]
+    rows = dict(zip(todo, _rh_chain(model, [jumps[k][1] for k in todo],
+                                    [jumps[k][2] for k in todo], fields)))
     fronts = []
-    for j, x in enumerate(data.xs):
-        u_l, u_r = data.vals[j], data.vals[j + 1]
-        pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields)
+    for k, (x, u_l, u_r) in enumerate(jumps):
         # + 0.0: a datum at -0.0 is born at +0.0
-        fronts += _pieces_to_fronts(pieces, float(x) + 0.0, 0.0, u_l, u_r)
+        fronts += _pieces_to_fronts(pieces(u_l, u_r, 0.0, rows.get(k)),
+                                    float(x) + 0.0, 0.0, u_l, u_r)
 
     epochs = [Epoch(0.0, tuple(fronts), np.array([f.pos for f in fronts]),
                     np.array([f.speed for f in fronts]))]
     events, np_total = [], 0.0
     max_events = 20 * cap
     heap, serial = [], itertools.count()
+    solved = {}  # heap serial -> the chain's row of that pair, solved ahead
 
     def push(k, now):
         # when and where fronts[k] meets fronts[k + 1], if before T
         key = _meeting(fronts[k], fronts[k + 1], now, T)
         if key is not None:
             heapq.heappush(heap, (*key, next(serial), fronts[k], fronts[k + 1]))
+
+    def solve_pending(a, b):
+        # the RH chain of the popped pair (a, b) and, as rows of the same
+        # call, of every live pending pair not solved yet; returns a, b's row
+        at = {id(f): k for k, f in enumerate(fronts)}
+        pending = [(key, x, y) for *_, key, x, y in heap
+                   if key not in solved and at.get(id(x), -2) + 1 == at.get(id(y))
+                   and chain_solves(x.u_l, y.u_r)]
+        row, *more = _rh_chain(model, [a.u_l] + [x.u_l for _, x, _ in pending],
+                               [b.u_r] + [y.u_r for *_, y in pending], fields)
+        solved.update(zip([key for key, _, _ in pending], more))
+        return row
 
     start = _Ratio(0, 1)
     for k in range(len(fronts) - 1):
@@ -278,9 +318,11 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
             raise FrontExplosion(f"front count {len(fronts)} exceeds cap {cap}")
         if len(events) > max_events:
             raise FrontExplosion(f"event count exceeds {max_events}")
-        # earliest collision, leftmost on ties; a pair no longer adjacent is stale
+        # earliest collision, leftmost on ties; a pair no longer adjacent is
+        # stale, and its row, if solved ahead, is dropped unused
         while heap:
-            t, tc, p, _, _, a, b = heapq.heappop(heap)
+            t, tc, p, _, key, a, b = heapq.heappop(heap)
+            row = solved.pop(key, None)
             m = next((k for k, f in enumerate(fronts) if f is a), -1)
             if 0 <= m < len(fronts) - 1 and fronts[m + 1] is b:
                 break
@@ -292,9 +334,11 @@ def front_tracking_run(model: FluxModel, data, cfg) -> FrontTrackingSolution:
         while hi + 1 < len(fronts) and _snapped(fronts[hi + 1], tc) == p:
             hi += 1
         u_l, u_r = fronts[lo].u_l, fronts[hi].u_r
-        pieces = approximate_riemann_pieces(model, u_l, u_r, cfg.delta, fields=fields,
-                                            rho_np=cfg.rho_np, lam_hat=lam_hat)
-        outgoing = _pieces_to_fronts(pieces, p, t, u_l, u_r)
+        if hi > lo + 1:
+            row = None  # more than two fronts in: solved alone
+        elif row is None and chain_solves(u_l, u_r):
+            row = solve_pending(a, b)
+        outgoing = _pieces_to_fronts(pieces(u_l, u_r, cfg.rho_np, row), p, t, u_l, u_r)
         np_strength = sum(f.strength for f in outgoing if f.kind == "non-physical")
         np_total += np_strength
         fronts[lo:hi + 1] = outgoing

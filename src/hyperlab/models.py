@@ -6,7 +6,8 @@ call); user models without a Jacobian fall back to central finite
 differences.  `eigenvalues` is the batched speed scan every speed bound
 reads; `eigensystem` is the one-state decomposition with eigenvectors the
 Riemann solvers and `gnl_indicator` read, in closed form for n = 2 and by
-`np.linalg.eig` otherwise.  Every derivative the library differences goes
+`np.linalg.eig` otherwise, and `_eigensystems` is the same over rows, the
+frames of the RH chain.  Every derivative the library differences goes
 through one helper, `_central_diff(F, x, rel)`, which steps coordinate j by
 h_j = rel * (1 + |x_j|), at one point or at rows of points.
 The steps per site: the Jacobian fallback, the entropy gradients and
@@ -25,7 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NonHyperbolic, OutOfDomain, SpeedRangeViolation
+from .errors import (ConfigError, HyperlabError, NonHyperbolic, OutOfDomain,
+                     SpeedRangeViolation)
 from .piecewise import as_state
 
 TOL_EIG = 1e-9
@@ -238,6 +240,61 @@ def _eigensystem_2x2(model, u, A):
         raise NonHyperbolic(f"eigenvalue gap {lam[1] - lam[0]:.3e} below tolerance "
                             f"at u={u} (model {model.name!r})")
     return EigenSystem(np.array(lam), np.array(R), np.array([[s, -r], [-q, p]]) / det)
+
+
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _eigensystems(model, u):
+    """`eigensystem` at each row of u (K, n): lambdas (K, n), right and left
+    (K, n, n), and per row None or the HyperlabError that `eigensystem`
+    raises there; a refused row's arrays mean nothing.  For n = 2 the closed
+    form of `_eigensystem_2x2` runs elementwise, one Jacobian call for all
+    rows, within a few ulp of `eigensystem`, not bit for bit: a Jacobian
+    over rows can round unlike one over one state (array powers against
+    scalar ones), and np.hypot unlike math.hypot.  A row that the closed
+    form cannot take (outside the box, non-finite, complex, defective,
+    singular or below the gap), and every row for any other n, is
+    `eigensystem`'s own call, its refusal included."""
+    K, n = u.shape
+    if n != 2:
+        lam, R, L = np.zeros((K, n)), np.zeros((K, n, n)), np.zeros((K, n, n))
+        alone = np.ones(K, dtype=bool)
+    else:
+        A = model.jac(u)
+        a, b, c, d = A[:, 0, :1], A[:, 0, 1:], A[:, 1, :1], A[:, 1, 1:]  # columns (K, 1)
+        with np.errstate(all="ignore"):
+            disc = 0.25 * (a - d) ** 2 + b * c
+            root = np.sqrt(disc)
+            lam = np.concatenate([0.5 * (a + d) - root, 0.5 * (a + d) + root], axis=1)
+            # for both eigenvalues at once: the longer row of A - lambda I
+            # turned a quarter, the first on a tie
+            x, y, x2, y2 = b, lam - a, lam - d, c
+            nv, nv2 = np.hypot(x, y), np.hypot(x2, y2)
+            longer = nv2 > nv
+            x, y, nv = (np.where(longer, x2, x), np.where(longer, y2, y),
+                        np.where(longer, nv2, nv))
+            x, y = x / nv, y / nv
+            flip = (x < -1e-10) | ((np.abs(x) <= 1e-10) & (y < -1e-10))  # as in _fix_sign
+            sign = np.where(flip, -1.0, 1.0)
+            R = np.stack([x * sign, y * sign], axis=2)
+            # L = adj(R^T) / det R: R reversed on both axes, with the
+            # off-diagonal signs turned
+            det = R[:, 0, 0] * R[:, 1, 1] - R[:, 1, 0] * R[:, 0, 1]
+            L = R[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]
+        # complex, defective and singular all leave L not finite
+        alone = (~((u >= model.lo) & (u <= model.hi)).all(axis=1)
+                 | ~np.isfinite(A).all(axis=(1, 2)) | ~np.isfinite(L).all(axis=(1, 2))
+                 | (lam[:, 1] - lam[:, 0] <= TOL_GAP))
+    errors = [None] * K
+    for k in np.flatnonzero(alone):
+        try:
+            es = eigensystem(model, u[k])
+        except HyperlabError as exc:
+            errors[k] = exc
+            continue
+        lam[k], R[k], L[k] = es.lambdas, es.right, es.left
+    return lam, R, L, errors
 
 
 def _real(w, u):

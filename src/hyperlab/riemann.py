@@ -19,10 +19,13 @@ builds them again, and it takes one of three routes:
 - every family one jump (`splits` all 1: the first solve of every
   front-tracking interaction and every q-decomposition cell): one Newton on
   the chain of Rankine-Hugoniot conditions, `_rh_chain`, whose unknowns are
-  the n - 1 middle states and the n speeds.  A root outside the domain box,
-  out of speed order, or with a jump whose speed is not between its
-  family's characteristic speeds at its ends is refused, and the solve takes
-  the next route instead.
+  the n - 1 middle states and the n speeds.  The chain runs over rows, K
+  problems in one Newton, and front tracking and the q-decomposition give
+  it all their problems at once; `solve_strengths` is its K = 1 case.  A
+  root outside the domain box, out of speed order, or with a jump whose
+  speed is not between its family's characteristic speeds at its ends is
+  refused for its row alone, and that row takes the next route instead
+  (`_chained_strengths`).
 - split jumps (a rarefaction split into several jumps of front tracking):
   Broyden on composed jumps, every jump RH-exact.  A chain over all of them
   would cost O(J^3) in the J jumps of its dense elimination.
@@ -43,10 +46,13 @@ continuation, `_continue_shock`, and `_lax_step` always continues from
 s = 0: a Broyden evaluation keeps nothing from the one before, so a
 composition depends on its strengths and step count alone.  The RH Newton of
 one shock point returns f at the point, which the next jump of a composition
-takes as f at its left state.  Every linear step of the strength solve, RH
-chain, RH Newton and Broyden alike, is one `_solve_small`: Gaussian
-elimination on Python floats, which rounds unlike LAPACK but costs less than
-`np.linalg.solve`'s wrapper at these sizes.
+takes as f at its left state.  Every linear step of one system, RH Newton
+and Broyden alike, is one `_solve_small`: Gaussian elimination on Python
+floats, which rounds unlike LAPACK but costs less than `np.linalg.solve`'s
+wrapper at these sizes.  A step of the RH chain solves the systems of all
+its rows in one `np.linalg.solve` over the stack (`_solve_stacked`), and
+its frames are the rows eigensystem `models._eigensystems`, so a row's
+result does not depend on its batch.
 
 `solve_riemann` is the one exact solver; a scalar model goes to the convex or
 concave envelope of f (`_envelope`, shared with scalar front tracking), which
@@ -68,7 +74,7 @@ import numpy as np
 from .errors import (ConfigError, ContinuationFailure, HyperlabError, NewtonDivergence,
                      NonClassifiedField, NotGenuinelyNonlinear)
 from .models import (GENUINELY_NONLINEAR, LINEARLY_DEGENERATE, FluxModel,
-                     classify_field, eigensystem)
+                     _eigensystems, classify_field, eigensystem)
 
 TOL_RH = 1e-9
 TOL_RP = 1e-12
@@ -457,114 +463,193 @@ def _damped_newton(G, x, J, tol, accept, maxiter, error, what):
     raise error(f"{what} Newton did not converge (|G|={gn:.2e})")
 
 
-def _rh_chain(model, u_minus, u_plus, fields, es, f_minus):
-    """Strengths, end state and waves of the Riemann problem with every
-    family one jump, from one Newton on the chain of RH conditions.
+def _dot(a, b):
+    """Sum over the last axis of a * b, term by term from the first, so that
+    each row's sum is the same in any stack of rows."""
+    p = a * b
+    out = p[..., 0]
+    for c in range(1, p.shape[-1]):
+        out = out + p[..., c]
+    return out
 
-    The unknowns are the middle states S_1 .. S_{n-1} and the speeds
-    lambda_1 .. lambda_n, the equations F_j = f(S_j) - f(S_{j-1}) -
+
+def _solve_stacked(A, b):
+    """x with A x = b for the stacked systems A (K, N, N) and b (K, N) from
+    one np.linalg.solve, and the mask of the singular ones, where x means
+    nothing.  Where LAPACK refuses the stack, it solves each system alone,
+    in the same call form, so a system's x does not depend on its stack."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.zeros(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, singular = np.zeros(b.shape), np.zeros(len(b), dtype=bool)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(A[k:k + 1], b[k:k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return x, singular
+
+
+def _rh_chain(model, u_minus, u_plus, fields):
+    """Strengths, end state and waves of the K Riemann problems from
+    u_minus[k] to u_plus[k], each with every family one jump, from one
+    Newton on the chains of RH conditions of all K rows.  Returns per row
+    the triple (sigmas, end state, waves) or the HyperlabError that refuses
+    it.  A refused row never fails another, and a row's result does not
+    depend on the rows beside it, bit for bit: every operation across rows
+    is elementwise or one system per row.
+
+    The unknowns of a row are the middle states S_1 .. S_{n-1} and the
+    speeds lambda_1 .. lambda_n, the equations F_j = f(S_j) - f(S_{j-1}) -
     lambda_j (S_j - S_{j-1}) with S_0 = u_minus and S_n = u_plus: a square
-    system of n^2 rows.  Each step solves it with the exact Jacobian in one
-    `_solve_small`, from the linear guess S_j = S_{j-1} + s_j r_j(u_minus),
-    s = L(u_minus) (u_plus - u_minus), with lambda_j = lambda_j(u_minus).
-    After at least one step and within 30 it stops at |F| <= 1e-15 (1 +
-    |f(u_minus)|), or one step after |F| <= 1e-13 (1 + |f(u_minus)|): |F|
-    fixes the speed of a jump d only to |F| / |d|, and from 1e-13 one more
-    quadratic step reaches roundoff, which a weak jump needs.  es and
-    f_minus are the eigensystem and f at u_minus.
+    system of n^2 rows.  Each step solves the exact Jacobians of the
+    unconverged rows, (K, n^2, n^2), in one `_solve_stacked`, from the
+    linear guess S_j = S_{j-1} + s_j r_j(u_minus), s = L(u_minus) (u_plus -
+    u_minus), with lambda_j = lambda_j(u_minus).  After at least one step
+    and within 30 a row stops at |F| <= 1e-15 (1 + |f(u_minus)|), or one
+    step after |F| <= 1e-13 (1 + |f(u_minus)|): |F| fixes the speed of a
+    jump d only to |F| / |d|, and from 1e-13 one more quadratic step
+    reaches roundoff, which a weak jump needs.
 
-    sigma_j is oriented and measured in the frame at S_{j-1}, as `_lax_step`
-    measures it, and the kind is `_wave_kind`'s.  A family below
-    STRENGTH_FLOOR makes no wave, and the next wave starts where the last
-    one ended, so the waves chain exactly and the last ends on u_plus.  The
-    root is refused unless every state where f or Df is evaluated lies in
-    the domain box (ContinuationFailure, before the evaluation), the waves
-    are in speed order, and each wave's speed lies between lambda_j at its
-    two ends, widened by TOL_ADM: the chain has roots off the family's
-    branch (NewtonDivergence, as where Newton fails)."""
-    n = model.n
-    if not model.contains(u_plus):
-        raise ContinuationFailure("RH chain ends outside the domain box")
-    s = (es.left @ (u_plus - u_minus)).tolist()
-    S = [u_minus.tolist()]  # S_0 .. S_n as lists of floats
-    for s_j, r_j in zip(s, es.right.tolist()[:n - 1]):
-        S.append([x + s_j * r for x, r in zip(S[-1], r_j)])
-    S.append(u_plus.tolist())
-    lam = es.lambdas.tolist()
-    fs = [f_minus.tolist()] + [None] * (n - 1) + [model.f(u_plus).tolist()]
-    tol = 1e-13 * (1.0 + math.sqrt(f_minus @ f_minus))
+    The frames at u_minus and at the waves' end states are
+    `models._eigensystems`, and a row whose frame is refused takes that
+    refusal.  sigma_j is oriented and measured in the frame at S_{j-1}, as
+    `_lax_step` measures it, and the kind is `_wave_kind`'s.  A family
+    below STRENGTH_FLOOR makes no wave, so the waves chain exactly from
+    u_minus[k] to u_plus[k], the objects given.  A row is refused unless
+    every state where f or Df is evaluated lies in the domain box
+    (ContinuationFailure, before the evaluation), the waves are in speed
+    order, and each wave's speed lies between lambda_j at its two ends,
+    widened by TOL_ADM: the chain has roots off the family's branch
+    (NewtonDivergence, as where Newton fails or a step is singular or not
+    finite)."""
+    n, K = model.n, len(u_minus)
+    if not K:
+        return []
+    ends_l, ends_r = np.reshape(u_minus, (K, n)), np.reshape(u_plus, (K, n))
+    lam0, right0, left0, out = _eigensystems(model, ends_l)
+    for r in range(K):
+        if out[r] is None and not model.contains(ends_r[r]):
+            out[r] = ContinuationFailure("RH chain ends outside the domain box")
+    # the rows still in the Newton, and their S_0 .. S_n, speeds and f(S_j)
+    rows = np.array([r for r in range(K) if out[r] is None], dtype=int)
+    S = np.empty((rows.size, n + 1, n))
+    S[:, 0], S[:, n] = ends_l[rows], ends_r[rows]
+    s = _dot(left0[rows], (S[:, n] - S[:, 0])[:, None, :])
+    for j in range(1, n):
+        S[:, j] = S[:, j - 1] + s[:, j - 1, None] * right0[rows, j - 1]
+    lam = lam0[rows]
+    fs = np.empty_like(S)
+    fs[:, 0], fs[:, n] = model.f(S[:, 0]), model.f(S[:, n])
+    tol = 1e-13 * (1.0 + np.sqrt(_dot(fs[:, 0], fs[:, 0])))
+    last = np.zeros(rows.size, dtype=bool)
     m = n * (n - 1)  # the column of lambda_1; S_j takes columns (j - 1) n ..
-    last = False
+    eye = np.eye(n)
+    ended = []  # (rows, S, lam) of the rows that converged
     for k in range(31):
-        middle = [np.array(u) for u in S[1:n]]  # S_1 .. S_{n-1} as arrays
-        for j, u in enumerate(middle, 1):
-            if not model.contains(u):
-                raise ContinuationFailure("RH chain left the domain box")
-            fs[j] = model.f(u).tolist()
-        d = [[b - a for a, b in zip(S[j], S[j + 1])] for j in range(n)]
-        F = [fb - fa - lam[j] * dx for j in range(n)
-             for fa, fb, dx in zip(fs[j], fs[j + 1], d[j])]
-        norm = math.hypot(*F)
-        if k and norm <= tol and (last or norm <= 1e-2 * tol):
+        if not model.contains(S[:, 1:n]):
+            inside = ((S[:, 1:n] >= model.lo) & (S[:, 1:n] <= model.hi)).all(axis=(1, 2))
+            for r in rows[~inside]:
+                out[r] = ContinuationFailure("RH chain left the domain box")
+            rows, S, lam, fs, tol, last = (x[inside] for x in (rows, S, lam, fs, tol, last))
+        fs[:, 1:n] = model.f(S[:, 1:n])
+        d = S[:, 1:] - S[:, :-1]
+        F = (fs[:, 1:] - fs[:, :-1] - lam[:, :, None] * d).reshape(rows.size, n * n)
+        norm = np.array([math.hypot(*row) for row in F.tolist()])
+        stop = (k > 0) & (norm <= tol) & (last | (norm <= 1e-2 * tol))
+        if stop.all():
+            ended.append((rows, S, lam))
             break
+        if stop.any():
+            ended.append((rows[stop], S[stop], lam[stop]))
+            rows, S, lam, fs, tol, d, F, norm = (
+                x[~stop] for x in (rows, S, lam, fs, tol, d, F, norm))
         if k == 30:
-            raise NewtonDivergence(f"RH chain did not converge (|F|={norm:.2e})")
-        last = k > 0 and norm <= tol
-        jacs = [None] + [model.jac(u).tolist() for u in middle]
-        A = []
-        for j in range(n):  # the rows of F_{j+1}, the jump from S[j] to S[j + 1]
-            for r in range(n):
-                row = [0.0] * (n * n)
-                if j + 1 < n:
-                    row[j * n:(j + 1) * n] = jacs[j + 1][r]
-                    row[j * n + r] -= lam[j]
-                if j > 0:
-                    row[(j - 1) * n:j * n] = [-x for x in jacs[j][r]]
-                    row[(j - 1) * n + r] += lam[j]
-                row[m + j] = -d[j][r]
-                A.append(row)
-        try:
-            step = _solve_small(A, [-x for x in F])
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence("singular RH chain") from exc
-        if not all(map(math.isfinite, step)):
-            raise NewtonDivergence("RH chain diverged")
-        for j in range(1, n):
-            S[j] = [x + dx for x, dx in zip(S[j], step[(j - 1) * n:j * n])]
-        lam = [x + dx for x, dx in zip(lam, step[m:])]
+            for r, nr in zip(rows, norm):
+                out[r] = NewtonDivergence(f"RH chain did not converge (|F|={nr:.2e})")
+            break
+        last = (k > 0) & (norm <= tol)
+        jacs = model.jac(S[:, 1:n])
+        A = np.zeros((rows.size, n * n, n * n))
+        for j in range(n):  # the rows of F_{j+1}, the jump from S_j to S_{j+1}
+            block = slice(j * n, (j + 1) * n)
+            if j + 1 < n:
+                A[:, block, block] = jacs[:, j] - lam[:, j, None, None] * eye
+            if j > 0:
+                A[:, block, (j - 1) * n:j * n] = lam[:, j, None, None] * eye - jacs[:, j - 1]
+            A[:, block, m + j] = -d[:, j]
+        step, singular = _solve_stacked(A, -F)
+        ok = ~singular & np.isfinite(step).all(axis=1)
+        if not ok.all():
+            for r, bad in zip(rows[~ok], singular[~ok]):
+                out[r] = NewtonDivergence("singular RH chain" if bad else "RH chain diverged")
+            rows, S, lam, fs, tol, last, step = (
+                x[ok] for x in (rows, S, lam, fs, tol, last, step))
+        S[:, 1:n] += step[:, :m].reshape(rows.size, n - 1, n)
+        lam += step[:, m:]
 
-    states = [u_minus, *middle, u_plus]
-    frames = [es] + [eigensystem(model, u) for u in states[1:]]
-    sigmas = [fc.orientation * float(frames[j].left[j] @ (states[j + 1] - states[j]))
-              for j, fc in enumerate(fields)]
-    kept = [j for j in range(n) if abs(sigmas[j]) >= STRENGTH_FLOOR]
-    waves, state = [], u_minus
-    for j in kept:
-        ends = (frames[j].lambdas[j], frames[j + 1].lambdas[j])
-        if not min(ends) - TOL_ADM <= lam[j] <= max(ends) + TOL_ADM:
-            raise NewtonDivergence(f"RH chain's {j}-jump at speed {lam[j]:.6g} is off "
-                                   f"its family ({ends[0]:.6g} to {ends[1]:.6g})")
-        u_r = u_plus if j == kept[-1] else states[j + 1]
-        waves.append(JumpWave(_wave_kind(fields[j], sigmas[j]), j, state, u_r, lam[j]))
-        state = u_r
-    _check_wave_order(waves)
-    return np.array(sigmas), state, waves
+    if not ended:
+        return out
+    rows, S, lam = (np.concatenate(x) for x in zip(*ended))
+    lam_end, _, left_end, refused = _eigensystems(model, S[:, 1:].reshape(-1, n))
+    # the frame at S_j of every converged row, j = 0 .. n
+    lams = np.concatenate([lam0[rows, None], lam_end.reshape(-1, n, n)], axis=1)
+    lefts = np.concatenate([left0[rows, None], left_end.reshape(-1, n, n, n)], axis=1)
+    orient = np.array([fc.orientation for fc in fields], dtype=float)
+    family = np.arange(n)
+    sigmas = orient * _dot(lefts[:, family, family], S[:, 1:] - S[:, :-1])
+    for i, r in enumerate(rows.tolist()):
+        err = next((e for e in refused[i * n:(i + 1) * n] if e is not None), None)
+        if err is not None:
+            out[r] = err
+            continue
+        sig, speeds, ends = sigmas[i].tolist(), lam[i].tolist(), lams[i].tolist()
+        kept = [j for j in range(n) if abs(sig[j]) >= STRENGTH_FLOOR]
+        waves, state = [], u_minus[r]
+        try:
+            for j in kept:
+                a, b = ends[j][j], ends[j + 1][j]
+                if not min(a, b) - TOL_ADM <= speeds[j] <= max(a, b) + TOL_ADM:
+                    raise NewtonDivergence(f"RH chain's {j}-jump at speed {speeds[j]:.6g} "
+                                           f"is off its family ({a:.6g} to {b:.6g})")
+                u_r = u_plus[r] if j == kept[-1] else S[i, j + 1].copy()
+                waves.append(JumpWave(_wave_kind(fields[j], sig[j]), j, state, u_r,
+                                      speeds[j]))
+                state = u_r
+            _check_wave_order(waves)
+        except HyperlabError as exc:
+            out[r] = exc
+            continue
+        out[r] = (sigmas[i].copy(), state, waves)
+    return out
+
+
+def _chained_strengths(model, u_minus, u_plus, fields, chained):
+    """The strength solve with every family one jump from `_rh_chain`'s row
+    `chained` of the same problem: the row itself, or, where the chain
+    refused it, Broyden on the composed jumps."""
+    if isinstance(chained, HyperlabError):
+        return _broyden_strengths(model, u_minus, u_plus, fields, [1] * model.n)
+    return chained
 
 
 def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     """Strengths, end state and waves of the Riemann problem from u- to u+,
     by one of three routes; NewtonDivergence where the last of them fails.
-    The eigensystem and f at u- are computed once for all of them.
 
-    With `splits` all 1 (every family one jump) the solve is `_rh_chain`,
-    whose waves chain from u- exactly to u+.  Where the chain raises, and
-    for split jumps, it is Broyden on the composed jumps (`_compose` with
-    `splits`), run once; without `splits` (the exact solver), Broyden on the
-    composed Lax curves.  Broyden converges to |G| <= TOL_RP, or 10 TOL_RP
-    after 40 iterations, from the linear guess and dG/dsigma at sigma = 0,
-    whose column i is orientation_i r_i(u-).  Every evaluation composes its
-    waves afresh, each jump continued from s = 0, so the returned waves are
-    the composition at the returned strengths, bit for bit.
+    With `splits` all 1 (every family one jump) the solve is the RH chain
+    over one row, `_rh_chain`, whose waves chain from u- exactly to u+; a
+    caller with several such problems solves them as rows of one chain and
+    takes each row through `_chained_strengths`, as this does.  Where the
+    chain refuses the row, and for split jumps, it is Broyden on the
+    composed jumps (`_compose` with `splits`), run once; without `splits`
+    (the exact solver), Broyden on the composed Lax curves.  Broyden
+    converges to |G| <= TOL_RP, or 10 TOL_RP after 40 iterations, from the
+    linear guess and dG/dsigma at sigma = 0, whose column i is
+    orientation_i r_i(u-), with the eigensystem and f at u- computed once
+    for all its evaluations.  Every evaluation composes its waves afresh,
+    each jump continued from s = 0, so the returned waves are the
+    composition at the returned strengths, bit for bit.
 
     The exact solver's Broyden runs in two stages.  The search converges on
     compositions whose integral-curve rarefactions take SEARCH_STEPS RK4
@@ -578,13 +663,17 @@ def solve_strengths(model, u_minus, u_plus, fields, splits=None):
     not the accuracy.  Where either stage raises, the solve runs again in
     one stage at RAREFACTION_STEPS from the linear guess: a resolve can
     diverge from search strengths where the one-stage solve converges."""
+    if splits is not None and max(splits) == 1:
+        chained, = _rh_chain(model, [u_minus], [u_plus], fields)
+        return _chained_strengths(model, u_minus, u_plus, fields, chained)
+    return _broyden_strengths(model, u_minus, u_plus, fields, splits)
+
+
+def _broyden_strengths(model, u_minus, u_plus, fields, splits):
+    """`solve_strengths` by Broyden: on composed jumps with `splits`, else
+    on composed Lax curves in two stages."""
     es = eigensystem(model, u_minus)
     f_minus = model.f(u_minus)
-    if splits is not None and max(splits) == 1:
-        try:
-            return _rh_chain(model, u_minus, u_plus, fields, es, f_minus)
-        except HyperlabError:
-            pass  # the Broyden solve, as for split jumps
     orient = np.array([fc.orientation for fc in fields])
     linear = orient * (es.left @ (u_plus - u_minus))
     J0 = es.right.T * orient

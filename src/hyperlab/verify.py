@@ -34,7 +34,7 @@ from .errors import ConfigError, HyperlabError, OracleUnavailable
 from .fronts import FrontTrackingSolution, front_tracking_run
 from .models import eigensystem
 from .piecewise import GridSolution, PiecewiseConstantFn
-from .riemann import WaveFan, evaluate_fan, solve_strengths, _field_classes
+from .riemann import WaveFan, _chained_strengths, _field_classes, _rh_chain, evaluate_fan
 from .schemes import SchemeConfig, godunov_run
 
 TIME_PAD = 1e-6
@@ -661,8 +661,12 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
     The families are classified once, on the segment between the corners
     lo and hi of the box of both profiles' states on the pieces solved, as
     front tracking classifies its data (`_field_classes`); a family that is
-    neither GNL nor LD there raises NonClassifiedField.  Scalar models
-    reduce to q_1 = v - u exactly, so the total equals the L1 distance."""
+    neither GNL nor LD there raises NonClassifiedField.  The cells where u
+    and v differ are the rows of one RH chain (`riemann._rh_chain`), and a
+    row the chain refuses takes the Broyden solve on composed jumps, so each
+    cell's q is its own `solve_strengths` with every family one jump, bit
+    for bit; the first cell whose solve fails raises.  Scalar models reduce
+    to q_1 = v - u exactly, so the total equals the L1 distance."""
     if interval is None:
         interval = _breakpoint_span([u, v])
     cuts, mids, lengths = u.refinement(v, *interval)
@@ -676,11 +680,9 @@ def q_decomposition(model, u: PiecewiseConstantFn, v: PiecewiseConstantFn,
     states = np.concatenate([uu, vv])
     fields = _field_classes(model, states.min(axis=0), states.max(axis=0))
     q = np.zeros((mids.size, model.n))
-    for r in range(mids.size):
-        if np.array_equal(uu[r], vv[r]):
-            continue
-        q[r] = solve_strengths(model, uu[r], vv[r], fields,
-                               splits=[1] * model.n)[0]
+    cells = [r for r in range(mids.size) if not np.array_equal(uu[r], vv[r])]
+    for r, row in zip(cells, _rh_chain(model, uu[cells], vv[cells], fields)):
+        q[r] = _chained_strengths(model, uu[r], vv[r], fields, row)[0]
     total = float(np.sum(np.abs(q) * lengths[:, None]))
     return cuts, q, total
 

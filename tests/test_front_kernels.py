@@ -149,9 +149,11 @@ DRAWN_RUNS = {
         SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.5), delta=0.005, rho_np=1e-3)),
 }
 # run -> (events, breakpoints at each time, digest of every xs and vals)
+# (psystem-split re-pinned when the RH chain went over rows and LAPACK: its
+# events and drawn positions are unchanged, its states moved by 4e-19)
 DRAWN_PROFILES = {
     "cubic-equal-speed": (2, [4] + [10] * 14 + [9] * 3 + [8] * 3, "3acd0ba81dc7832b"),
-    "psystem-split": (15, [4] + [20] * 20, "4b4c9cdb8e9908cc"),
+    "psystem-split": (15, [4] + [20] * 20, "ea3a731ecea85ad9"),
 }
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import models, riemann
-from hyperlab.errors import ConfigError, FrontExplosion
+from hyperlab import fronts, models, riemann
+from hyperlab.errors import ConfigError, FrontExplosion, NewtonDivergence
 from hyperlab.fronts import (Front, _meeting, _Ratio, _snapped,
                              approximate_riemann_pieces, front_tracking_run)
 from hyperlab.piecewise import PiecewiseConstantFn
@@ -39,6 +39,17 @@ def psystem_steps(n_jumps, a=0.01):
         a1, a2 = sizes[j]
         vals.append(u + s1 * a1 * np.array([1.0, c]) + s2 * a2 * np.array([1.0, -c]))
     return PiecewiseConstantFn(0.1 * np.arange(n_jumps), np.array(vals))
+
+
+# 16 jumps shaped like the p-system front-tracking benchmark, sizes spread
+# over [0.008, 0.012]: a run of 134 events
+MANY_EVENT_RUN = (
+    psystem_steps(16, 0.008 + 0.004 * ((np.arange(32) * 13) % 32 / 31).reshape(16, 2)),
+    SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.5), delta=0.02, rho_np=1e-3))
+
+
+def unhex(values):
+    return np.array([float.fromhex(v) for v in values])
 
 
 def digest(*arrays):
@@ -379,24 +390,35 @@ class TestSystemFronts:
         assert sol.total_nonphysical_strength() == 0.0
 
     def test_psystem_interaction_linear_solves(self, monkeypatch):
-        # every linear solve of the run is a Broyden or RH Newton step of
-        # riemann, each made by its float elimination, never by LAPACK; the
-        # count repeats exactly.  Each Broyden evaluation continues its shock
-        # points from the previous one's: the run took 234 solves when every
-        # evaluation started them from s = 0
-        small, calls = riemann._solve_small, []
+        # every single linear system of the run, a Broyden or RH Newton step
+        # of riemann, is made by its float elimination, never by LAPACK;
+        # LAPACK solves only the stacks of the RH chain over rows, one call
+        # per Newton step of a batch (here 6 steps over 9 rows).  Each
+        # Broyden evaluation continues its shock points from the previous
+        # one's: the run took 234 solves when every evaluation started them
+        # from s = 0
+        small, stacked, lapack = riemann._solve_small, riemann._solve_stacked, np.linalg.solve
+        calls = {"small": 0, "stacked": 0, "lapack": 0}
 
-        def counted(a, b):
-            calls.append(len(b))
+        def counted_small(a, b):
+            calls["small"] += 1
             return small(a, b)
 
-        def refused(a, b):
-            raise AssertionError("np.linalg.solve called")
+        def counted_stacked(A, b):
+            calls["stacked"] += 1
+            return stacked(A, b)
 
-        monkeypatch.setattr(riemann, "_solve_small", counted)
-        monkeypatch.setattr(np.linalg, "solve", refused)
+        def stacks_only(a, b):
+            assert np.ndim(a) == 3, "np.linalg.solve called on a single system"
+            calls["lapack"] += 1
+            return lapack(a, b)
+
+        monkeypatch.setattr(riemann, "_solve_small", counted_small)
+        monkeypatch.setattr(riemann, "_solve_stacked", counted_stacked)
+        monkeypatch.setattr(np.linalg, "solve", stacks_only)
         front_tracking_run(P_SYSTEM, INTERACTION, INTERACTION_CFG)
-        assert len(calls) <= 154
+        assert calls["lapack"] == calls["stacked"] <= 6
+        assert calls["small"] <= 154
 
     def test_psystem_interaction_flux_calls(self, monkeypatch):
         # each strength solve takes f at u- once for all its Broyden
@@ -438,17 +460,92 @@ class TestSystemFronts:
                 assert np.max(np.abs(f.u_r - g.u_r)) <= 1e-14
 
     def test_many_event_run_pinned(self):
-        # 16 jumps shaped like the p-system front-tracking benchmark, sizes
-        # spread over [0.008, 0.012]: 134 events, every one pinned bit for
-        # bit by the sha256 of its t, x, in and out, and the final drawing
-        sizes = 0.008 + 0.004 * ((np.arange(32) * 13) % 32 / 31).reshape(16, 2)
-        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.5), delta=0.02, rho_np=1e-3)
-        sol = front_tracking_run(P_SYSTEM, psystem_steps(16, sizes), cfg)
+        # every one of the 134 events pinned bit for bit by the sha256 of its
+        # t, x, in and out, and the final drawing
+        # (re-pinned when the RH chain went over rows and LAPACK: t moved by
+        # at most 1.7e-16, x by 2.2e-16, the states by 3.5e-18)
+        data, cfg = MANY_EVENT_RUN
+        sol = front_tracking_run(P_SYSTEM, data, cfg)
         events = np.array([[e["t"], e["x"], e["in"], e["out"]] for e in sol.events])
         final = sol.state(cfg.T)
         assert (len(sol.events), final.xs.size) == (134, 34)
         assert (digest(events), digest(final.xs, final.vals)) == \
-            ("759a41be3617a8f4", "37af3b6e15df242b")
+            ("bdf414f215efbb08", "185aa8f0967eee20")
+
+    def test_batched_run_equals_rows_solved_alone(self, monkeypatch):
+        # the run above solves its pending pairs as rows of one RH chain; the
+        # same run with every pair solved alone, one row a call, is the same
+        # bit for bit: its events, and every epoch's drawing and fronts
+        data, cfg = MANY_EVENT_RUN
+        chain, sizes_seen = fronts._rh_chain, []
+
+        def recorded(model, u_minus, u_plus, fields):
+            sizes_seen.append(len(u_minus))
+            return chain(model, u_minus, u_plus, fields)
+
+        def alone(model, u_minus, u_plus, fields):
+            return [chain(model, [a], [b], fields)[0] for a, b in zip(u_minus, u_plus)]
+
+        monkeypatch.setattr(fronts, "_rh_chain", recorded)
+        batched = front_tracking_run(P_SYSTEM, data, cfg)
+        assert max(sizes_seen) >= 5
+        monkeypatch.setattr(fronts, "_rh_chain", alone)
+        single = front_tracking_run(P_SYSTEM, data, cfg)
+        assert batched.events == single.events
+        assert len(batched.epochs) == len(single.epochs)
+        for a, b in zip(batched.epochs, single.epochs):
+            assert a.t == b.t and a.xs.tobytes() == b.xs.tobytes()
+            assert a.speeds.tobytes() == b.speeds.tobytes()
+            assert [(f.kind, f.family, f.pos, f.t0, f.u_l.tobytes(), f.u_r.tobytes())
+                    for f in a.fronts] == \
+                [(f.kind, f.family, f.pos, f.t0, f.u_l.tobytes(), f.u_r.tobytes())
+                 for f in b.fronts]
+
+    def test_stale_pair_whose_solve_fails_does_not_stop_the_run(self):
+        # two 2-shocks 0.003 apart, the left one faster, and a 1-shock: the
+        # 2-shock on the right meets the 1-shock first, and the event's chain
+        # also solves the pending pair of the two 2-shocks, which that event
+        # makes stale.  A failed solve injected there (the chain refuses the
+        # row and Broyden raises) is never taken up, and the run is the
+        # run without it; injected into the pair of the first event, it
+        # stops the run
+        u = [np.array([1.0, 0.0]),
+             unhex(["0x1.0476767333f8fp+0", "-0x1.8eba2c5b927dap-6"]),
+             unhex(["0x1.05f834946bbb0p+0", "-0x1.0985af9bfa528p-5"]),
+             unhex(["0x1.02f5619dfb67bp+0", "-0x1.8e4d662d2b5d1p-5"])]
+        data = PiecewiseConstantFn(np.array([0.0, 0.003, 0.1]), np.array(u))
+        cfg = SchemeConfig(eps=1.0, T=1.0, domain=(-2.0, 3.0), delta=0.02)
+        clean = front_tracking_run(P_SYSTEM, data, cfg)
+        assert [(e["in"], e["out"]) for e in clean.events] == [(2, 2)] * 3
+        chain, broyden = fronts._rh_chain, riemann._broyden_strengths
+
+        def run_failing(u_l, u_r):
+            failing, seen = (u_l.tobytes(), u_r.tobytes()), []
+
+            def refused(model, u_minus, u_plus, fields):
+                rows = chain(model, u_minus, u_plus, fields)
+                for k, (a, b) in enumerate(zip(u_minus, u_plus)):
+                    if (a.tobytes(), b.tobytes()) == failing:
+                        seen.append(len(rows))
+                        rows[k] = NewtonDivergence("refused by the test")
+                return rows
+
+            def failed(model, u_minus, u_plus, fields, splits):
+                if (u_minus.tobytes(), u_plus.tobytes()) == failing:
+                    raise NewtonDivergence("failed by the test")
+                return broyden(model, u_minus, u_plus, fields, splits)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fronts, "_rh_chain", refused)
+                mp.setattr(riemann, "_broyden_strengths", failed)
+                return front_tracking_run(P_SYSTEM, data, cfg), seen
+
+        sol, seen = run_failing(u[0], u[2])  # the pair of the two 2-shocks
+        assert seen == [2]  # solved ahead, in the first event's chain
+        assert sol.events == clean.events
+        assert [ep.xs.tobytes() for ep in sol.epochs] == [ep.xs.tobytes() for ep in clean.epochs]
+        with pytest.raises(NewtonDivergence, match="failed by the test"):
+            run_failing(u[1], u[3])  # the pair of the first event
 
     def test_nonphysical_merging_budget(self):
         m = models.p_system()

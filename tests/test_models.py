@@ -157,6 +157,68 @@ def _tridiagonal3():
     return models.FluxModel("tridiagonal3", 3, flux=flux, jacobian=jacobian)
 
 
+class TestRowsEigensystem:
+    """`models._eigensystems`, the frames of the RH chain over rows: each row
+    is `eigensystem` at that state, and each refusal stays on its row."""
+
+    @pytest.mark.parametrize("model", [models.p_system(), models.p_system(gamma=1.4),
+                                       normalize_speeds(models.p_system(), M=1.6)],
+                             ids=["psystem", "gamma-1.4", "normalised"])
+    def test_rows_match_one_state(self, model):
+        # within 4 ulp of the largest entry (measured: 3): the rows Jacobian
+        # takes array powers, and np.hypot can round a last bit unlike
+        # math.hypot
+        rng = np.random.default_rng(0)
+        U = np.stack([rng.uniform(0.3, 3.0, 300), rng.uniform(-1.0, 1.0, 300)], axis=1)
+        lam, R, L, errors = models._eigensystems(model, U)
+        assert errors == [None] * len(U)
+        for k, u in enumerate(U):
+            es = eigensystem(model, u)
+            for got, want in ((lam[k], es.lambdas), (R[k], es.right), (L[k], es.left)):
+                assert np.max(np.abs(got - want)) <= 4 * 2.3e-16 * max(1.0, np.abs(want).max())
+
+    def test_each_refusal_on_its_own_row(self):
+        # the Jacobian at (k + 0.5, 0) is table[k]: every refusal of the
+        # closed form, and a state outside the box, between good rows; each
+        # row's error has the type and message of `eigensystem`'s, and the
+        # good rows are its values
+        table = np.array([np.diag([1.0, 2.0]), [[np.nan, 0.0], [0.0, 1.0]],
+                          [[0.0, -1.0], [1.0, 0.0]], np.eye(2), [[1.0, 1.0], [0.0, 1.0]],
+                          np.diag([0.0, 1e-9]), [[0.0, -1.0], [-2.0, 0.0]]])
+        model = models.FluxModel(
+            "table", 2, flux=lambda u: u, lo=np.array([0.0, -np.inf]),
+            jacobian=lambda u: table[np.asarray(u[..., 0], dtype=int)])
+        U = np.array([[k + 0.5, 0.0] for k in range(len(table))] + [[-1.0, 0.0]])
+        lam, R, L, errors = models._eigensystems(model, U)
+        assert sum(e is None for e in errors) == 2
+        for k, u in enumerate(U):
+            try:
+                es = eigensystem(model, u)
+            except (NonHyperbolic, OutOfDomain) as exc:
+                assert (type(errors[k]), str(errors[k])) == (type(exc), str(exc))
+                continue
+            assert errors[k] is None
+            assert np.array_equal(lam[k], es.lambdas)
+            assert np.array_equal(R[k], es.right) and np.array_equal(L[k], es.left)
+
+    def test_other_n_stacks_one_state_calls(self):
+        # a 3x3 model: each row is `eigensystem`'s, bit for bit, and a row
+        # with a NaN Jacobian carries its refusal alone
+        base = _tridiagonal3()
+        model = replace(base, jacobian=lambda u: np.where(
+            u[..., 0, None, None] > 5.0, np.nan, base.jacobian(u)))
+        U = np.array([[0.2, -0.1, 0.4], [6.0, 0.0, 0.0], [0.1, 0.3, -0.2]])
+        lam, R, L, errors = models._eigensystems(model, U)
+        with pytest.raises(NonHyperbolic) as info:
+            eigensystem(model, U[1])
+        assert (type(errors[1]), str(errors[1])) == (NonHyperbolic, str(info.value))
+        for k in (0, 2):
+            es = eigensystem(model, U[k])
+            assert errors[k] is None
+            assert np.array_equal(lam[k], es.lambdas)
+            assert np.array_equal(R[k], es.right) and np.array_equal(L[k], es.left)
+
+
 SCAN_MODELS = [*map(model_from_name, ["burgers", "cubic", "advection:1.5",
                                       "psystem:1,2", "linear2:1,2,3,4"]),
                _tridiagonal3()]

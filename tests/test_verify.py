@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlab import models, verify
-from hyperlab.errors import ConfigError, NonClassifiedField, OracleUnavailable
+from hyperlab import models, riemann, verify
+from hyperlab.errors import (ConfigError, ContinuationFailure, NonClassifiedField,
+                             OracleUnavailable)
 from hyperlab.fronts import front_tracking_run
 from hyperlab.piecewise import GridSolution, PiecewiseConstantFn
 from hyperlab.riemann import JumpWave, WaveFan, solve_riemann
@@ -751,6 +752,55 @@ class TestQDecomposition:
             total = q_decomposition(m, u, v, interval=(-1.0, 1.0))[2]
             ratios.append(total / u.l1_distance(v, -1.0, 1.0))
         assert ratios[1] == pytest.approx(ratios[0], rel=0.01)
+
+    def test_cells_are_rows_of_one_chain(self, monkeypatch):
+        # the cells where u and v differ are the rows of one RH chain call,
+        # and each cell's q is its own solve with every family one jump, bit
+        # for bit.  The middle cell is the survey pair whose chain root is
+        # off its family: it alone takes the Broyden solve
+        m = models.p_system(gamma=1.4)
+        off_l = [float.fromhex("0x1.ff630a2716d72p+0"), float.fromhex("-0x1.6c873cf36dd1cp-1")]
+        off_r = [float.fromhex("0x1.f45b216fba958p-2"), float.fromhex("-0x1.2469fdc100db4p-2")]
+        xs = np.array([-0.5, 0.0, 0.5])
+        u = PiecewiseConstantFn(xs, np.array([[1.0, 0.0], off_l, [1.02, 0.01], [0.98, -0.01]]))
+        v = PiecewiseConstantFn(xs, np.array([[1.01, 0.005], off_r, [1.02, 0.01], [0.99, 0.0]]))
+        chain, broyden, rows, refused = riemann._rh_chain, riemann._broyden_strengths, [], []
+
+        def counted_chain(model, u_minus, u_plus, fields):
+            rows.append(len(u_minus))
+            return chain(model, u_minus, u_plus, fields)
+
+        def counted_broyden(model, u_minus, u_plus, fields, splits):
+            refused.append(u_minus.tolist())
+            return broyden(model, u_minus, u_plus, fields, splits)
+
+        monkeypatch.setattr(verify, "_rh_chain", counted_chain)
+        monkeypatch.setattr(riemann, "_broyden_strengths", counted_broyden)
+        cuts, q, total = q_decomposition(m, u, v, interval=(-1.0, 1.0))
+        assert rows == [3] and refused == [off_l]
+        _, mids, _ = u.refinement(v, -1.0, 1.0)
+        uu, vv = u(mids), v(mids)
+        states = np.concatenate([uu, vv])
+        fields = riemann._field_classes(m, states.min(axis=0), states.max(axis=0))
+        for r in range(mids.size):
+            want = np.zeros(2) if np.array_equal(uu[r], vv[r]) else \
+                riemann.solve_strengths(m, uu[r], vv[r], fields, splits=[1, 1])[0]
+            assert q[r].tobytes() == want.tobytes()
+
+    def test_first_failing_cell_raises(self):
+        # diag(1, 2) u with a NaN flux beyond u_1 = 5: after a solved cell,
+        # two cells whose chain diverges and whose Broyden solve fails, each
+        # with its own message; the first of them raises, as a solve per
+        # cell would
+        m = models.FluxModel(
+            "nan-beyond-5", 2,
+            flux=lambda u: np.where(u[..., :1] > 5.0, np.nan, u * np.array([1.0, 2.0])),
+            jacobian=lambda u: np.broadcast_to(np.diag([1.0, 2.0]), u.shape + (2,)))
+        xs = np.array([0.0, 1.0])
+        u = PiecewiseConstantFn(xs, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+        v = PiecewiseConstantFn(xs, np.array([[1.0, 2.0], [6.0, 1.0], [6.0, 1.0]]))
+        with pytest.raises(ContinuationFailure, match="RH Newton diverged at s=4$"):
+            q_decomposition(m, u, v, interval=(-1.0, 2.0))
 
     def test_unclassified_field_refused(self):
         # family 0 is the cubic u1^3, neither GNL nor LD across u1 = 0

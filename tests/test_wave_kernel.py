@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from hyperlab import fronts, models, riemann
 from hyperlab.errors import (ContinuationFailure, HyperlabError, NewtonDivergence,
-                             OutOfDomain)
+                             NonHyperbolic, OutOfDomain)
 from hyperlab.fronts import approximate_riemann_pieces
 from hyperlab.models import eigensystem
 from hyperlab.riemann import (TOL_RP, _compose, _damped_newton, _field_classes,
@@ -374,8 +374,10 @@ class TestGoldenFans:
         tol = 1e-13 * (1.0 + np.linalg.norm(P_SYSTEM.f(ul)))
         for w, fc, sigma in zip(waves, fields, sig):
             assert rh_residual(P_SYSTEM, w.u_l, w.u_r, w.speed) <= tol
-            assert sigma == fc.orientation * float(
-                eigensystem(P_SYSTEM, w.u_l).left[w.family] @ (w.u_r - w.u_l))
+            # the chain's frame is the rows eigensystem, its sum term by term
+            left = models._eigensystems(P_SYSTEM, w.u_l[None])[2][0, w.family]
+            d = w.u_r - w.u_l
+            assert sigma == fc.orientation * (left[0] * d[0] + left[1] * d[1])
 
     def test_rh_chain_refuses_a_root_off_its_family(self):
         # the chain's root has its 1-jump moving right of lambda_1 at both
@@ -384,8 +386,9 @@ class TestGoldenFans:
         model = models.p_system(gamma=1.4)
         ul, ur = unhex(OFF_FAMILY_PAIR[0]), unhex(OFF_FAMILY_PAIR[1])
         fields = _field_classes(model, ul, ur)
+        row, = riemann._rh_chain(model, [ul], [ur], fields)
         with pytest.raises(NewtonDivergence, match="0-jump at speed 0.905665 is off"):
-            riemann._rh_chain(model, ul, ur, fields, eigensystem(model, ul), model.f(ul))
+            raise row
         _, _, waves = solve_strengths(model, ul, ur, fields, [1, 1])
         kinds = [(w.kind, w.family) for w in waves]
         assert kinds == [("shock", 0), ("rarefaction", 1)]
@@ -399,8 +402,7 @@ class TestGoldenFans:
         ul = np.array([1.0, 0.0])
         ur = riemann.shock_curve(P_SYSTEM, ul, family, s, 5)[1][-1]
         fields = _field_classes(P_SYSTEM, ul, ur)
-        sig, state, waves = riemann._rh_chain(P_SYSTEM, ul, ur, fields,
-                                              eigensystem(P_SYSTEM, ul), P_SYSTEM.f(ul))
+        (sig, state, waves), = riemann._rh_chain(P_SYSTEM, [ul], [ur], fields)
         assert abs(sig[1 - family]) < riemann.STRENGTH_FLOOR
         assert [(w.kind, w.family) for w in waves] == [("shock", family)]
         assert waves[0].u_l is ul and waves[0].u_r is ur and state is ur
@@ -516,7 +518,7 @@ def test_rh_newton_failures(model, u, start, lam, reason):
 LINEAR2 = models.model_from_name("linear2:1,0.5,0,2")
 
 
-@pytest.mark.parametrize("model, ul, ur, error, reason", [
+RH_CHAIN_FAILURES = [
     # u+ outside the box: f is not evaluated there
     (P_SYSTEM, [1.0, 0.0], [-0.5, 0.0], ContinuationFailure,
      "RH chain ends outside the domain box"),
@@ -532,15 +534,132 @@ LINEAR2 = models.model_from_name("linear2:1,0.5,0,2")
     # a NaN flux sends the step to NaN
     (_diag_model(lambda u: np.full(np.shape(u), np.nan), 3.0), [0.0, 0.0], [0.1, 0.05],
      NewtonDivergence, "RH chain diverged"),
-], ids=["ends-outside-box", "left-box", "singular", "not-converged", "diverged"])
-def test_rh_chain_failures(model, ul, ur, error, reason):
-    # fields and the starting frame are LINEAR2's near the data for the
-    # synthetic models, the p-system's near u- for the p-system
+]
+RH_CHAIN_FAILURE_IDS = ["ends-outside-box", "left-box", "singular", "not-converged",
+                        "diverged"]
+
+
+def _frame_model(model):
+    """The model whose fields and frames a chain test takes: LINEAR2's for
+    the synthetic diagonal models, the model's own otherwise."""
+    return LINEAR2 if model.name == "diag" else model
+
+
+@pytest.mark.parametrize("model, ul, ur, error, reason", RH_CHAIN_FAILURES,
+                         ids=RH_CHAIN_FAILURE_IDS)
+def test_rh_chain_failures(monkeypatch, model, ul, ur, error, reason):
+    # fields and the frames are LINEAR2's near the data for the synthetic
+    # models, the p-system's for the p-system
     ul, ur = np.array(ul), np.array(ur)
-    frame_model = P_SYSTEM if model is P_SYSTEM else LINEAR2
+    frame_model = _frame_model(model)
     fields = _field_classes(frame_model, ul, ul + 0.01)
+    monkeypatch.setattr(riemann, "_eigensystems",
+                        lambda model, u: models._eigensystems(frame_model, u))
+    row, = riemann._rh_chain(model, [ul], [ur], fields)
     with pytest.raises(error, match=reason):
-        riemann._rh_chain(model, ul, ur, fields, eigensystem(frame_model, ul), model.f(ul))
+        raise row
+
+
+def _switch_model():
+    """f(u) = diag(1, 2) u on the whole plane, with its exact Jacobian
+    except where u_1 > 0.5, where the Jacobian is a rotation: no Newton step
+    of a chain from u_1 = 0 takes it, but the frame at such a u+ is
+    refused."""
+    rotation, diagonal = np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([1.0, 2.0])
+    return models.FluxModel(
+        "switch", 2, flux=lambda u: u * np.array([1.0, 2.0]),
+        jacobian=lambda u: np.where(u[..., 1, None, None] > 0.5, rotation, diagonal))
+
+
+def assert_same_row(got, want):
+    """Two rows of the RH chain are the same error, or the same strengths,
+    end state and waves, bit for bit."""
+    if isinstance(want, HyperlabError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    (sig, state, waves), (want_sig, want_state, want_waves) = got, want
+    assert sig.tobytes() == want_sig.tobytes() and state.tobytes() == want_state.tobytes()
+    assert [(w.kind, w.family, w.speed, w.u_l.tobytes(), w.u_r.tobytes()) for w in waves] \
+        == [(w.kind, w.family, w.speed, w.u_l.tobytes(), w.u_r.tobytes()) for w in want_waves]
+
+
+@pytest.mark.parametrize("model, ul, ur, error, reason", [
+    *RH_CHAIN_FAILURES,
+    (models.p_system(gamma=1.4), unhex(OFF_FAMILY_PAIR[0]), unhex(OFF_FAMILY_PAIR[1]),
+     NewtonDivergence, "0-jump at speed 0.905665 is off"),
+    # the frame at u- is refused: the row never enters the Newton
+    (P_SYSTEM, [-1.0, 0.0], [1.0, 0.0], OutOfDomain,
+     r"state \[-1\.\s+0\.\] outside domain box"),
+    # the frame at u+ is refused after the row converged
+    (_switch_model(), [0.0, 0.0], [0.1, 0.6], NonHyperbolic,
+     r"complex eigenvalues at u=\[0\.1\s+0\.6\]"),
+], ids=[*RH_CHAIN_FAILURE_IDS, "off-family", "frame-at-u-minus", "frame-at-u-plus"])
+def test_rh_chain_refuses_each_row_alone(monkeypatch, model, ul, ur, error, reason):
+    # each refused row between two rows of its model gives its own error
+    # and message, and every row comes out as it does alone, bit for bit.
+    # The neighbours are solved rows, except for the two diagonal models,
+    # whose Jacobian is wrong everywhere: no row of theirs converges, so
+    # their neighbours are refused too, each with its own message
+    frame_model = _frame_model(model)
+    monkeypatch.setattr(riemann, "_eigensystems",
+                        lambda model, u: models._eigensystems(frame_model, u))
+    if model.name.startswith("psystem"):
+        good = [([1.0, 0.0], [1.01, 0.005]), ([1.05, 0.02], [1.04, 0.03])]
+    else:  # below u_1 = 0.5, where the switch model's Jacobian is exact
+        good = [([0.0, 0.0], [0.2, 0.1]), ([0.1, 0.2], [0.05, 0.3])]
+    ul, ur = [np.array(good[0][0]), np.array(ul), np.array(good[1][0])], \
+        [np.array(good[0][1]), np.array(ur), np.array(good[1][1])]
+    fields = _field_classes(frame_model, ul[0], ul[0] + 0.01)
+    rows = riemann._rh_chain(model, ul, ur, fields)
+    with pytest.raises(error, match=reason):
+        raise rows[1]
+    for k, row in enumerate(rows):
+        assert_same_row(row, riemann._rh_chain(model, [ul[k]], [ur[k]], fields)[0])
+    if model.name != "diag":
+        assert not isinstance(rows[0], HyperlabError)
+        assert not isinstance(rows[2], HyperlabError)
+
+
+def _decoupled3():
+    """Three decoupled Burgers equations, f_i = u_i^2 / 2 + 3 i u_i: a 3x3
+    model whose frames the rows eigensystem stacks from one-state calls."""
+    shift = np.array([0.0, 3.0, 6.0])
+    return models.FluxModel("decoupled3", 3, flux=lambda u: 0.5 * u * u + shift * u,
+                            jacobian=lambda u: (u + shift)[..., None] * np.eye(3))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(rows=st.lists(st.tuples(st.floats(0.9, 1.1), st.floats(-0.05, 0.05),
+                               st.floats(-0.015, 0.015), st.floats(-0.015, 0.015)),
+                     min_size=1, max_size=8))
+def test_rh_chain_rows_do_not_depend_on_their_batch(rows):
+    # each row of a batch of p-system pairs is the row solved alone, bit for
+    # bit, at its position in the batch and in the batch reversed
+    ul = [np.array([v, u]) for v, u, _, _ in rows]
+    ur = [psystem_jump(a, a1, a2) for a, (_, _, a1, a2) in zip(ul, rows)]
+    states = np.array(ul + ur)
+    fields = _field_classes(P_SYSTEM, states.min(axis=0), states.max(axis=0))
+    batch = riemann._rh_chain(P_SYSTEM, ul, ur, fields)
+    for got, want in zip(batch, riemann._rh_chain(P_SYSTEM, ul[::-1], ur[::-1], fields)[::-1]):
+        assert_same_row(got, want)
+    for k, got in enumerate(batch):
+        assert_same_row(got, riemann._rh_chain(P_SYSTEM, [ul[k]], [ur[k]], fields)[0])
+
+
+def test_rh_chain_over_rows_of_a_3x3_model():
+    # three decoupled Burgers shocks and rarefactions: each jump of a row is
+    # one component's RH-exact jump, and each row is the row solved alone
+    model = _decoupled3()
+    ul = [np.array([0.1, 0.2, 0.3]), np.array([0.0, -0.1, 0.2])]
+    ur = [np.array([0.05, 0.25, 0.2]), np.array([0.1, -0.2, 0.25])]
+    fields = _field_classes(model, np.array([-0.5] * 3), np.array([0.5] * 3))
+    rows = riemann._rh_chain(model, ul, ur, fields)
+    for k, (sig, state, waves) in enumerate(rows):
+        assert [w.family for w in waves] == [0, 1, 2] and state is ur[k]
+        for w in waves:
+            assert rh_residual(model, w.u_l, w.u_r, w.speed) <= 1e-15
+            assert np.count_nonzero(w.u_r - w.u_l) == 1
+        assert_same_row(rows[k], riemann._rh_chain(model, [ul[k]], [ur[k]], fields)[0])
 
 
 class TestDampedNewton:
@@ -697,8 +816,8 @@ def test_rh_chain_matches_broyden(v, u, a1, a2):
     fields = _field_classes(P_SYSTEM, ul, ur)
     _, _, waves = solve_strengths(P_SYSTEM, ul, ur, fields, [1, 1])
 
-    def refused(*args):
-        raise NewtonDivergence("the Broyden solve is wanted")
+    def refused(model, u_minus, u_plus, fields):
+        return [NewtonDivergence("the Broyden solve is wanted")] * len(u_minus)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(riemann, "_rh_chain", refused)
